@@ -14,6 +14,7 @@ import numpy as np
 
 from .harness import (
     ExperimentConfig,
+    GridDivergedError,
     emit_csv,
     emit_verify_csv,
     run_experiment,
@@ -193,7 +194,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         base_values.setdefault(field, candidates[0])
 
     base = _experiment_config(args, base_values)
-    result = tune_grid(base, grid)
+    try:
+        result = tune_grid(base, grid)
+    except GridDivergedError as exc:
+        raise _UsageError(str(exc))
     for entry in result.entries:
         cells = [f"{k}={_float6(v) if isinstance(v, float) else v}" for k, v in entry.params.items()]
         cells += [
@@ -211,7 +215,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     ]
     print("best: " + " ".join(best_cells))
     if args.out:
-        emit_csv(run_experiment(result.best).records, args.out)
+        emit_csv(result.best_records, args.out)
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -287,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--test-dataset", dest="test_dataset")
     tune.add_argument("--seeds", type=int)
     tune.add_argument("--seed", type=int)
-    tune.add_argument("--out", help="re-run the winner and write its records as CSV")
+    tune.add_argument("--out", help="write the winner's records as CSV")
     tune.set_defaults(func=_cmd_tune)
 
     verify = sub.add_parser(

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,6 @@ __all__ = [
     "StepCase",
     "TrishParams",
     "StepsizeSchedule",
-    "IterateState",
     "classify_case",
     "step_norm",
     "trish_step",
@@ -102,6 +100,40 @@ def step_norm(g_norm: float, alpha: float, params: TrishParams) -> float:
     return params.gamma2 * alpha * g_norm
 
 
+def _trish_step_batch(
+    X: np.ndarray, G: np.ndarray, alpha: float, params: TrishParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Safeguarded step of every row of X along the matching row of G.
+
+    Returns (next iterates, case index 1-3 per row).  This is the one
+    implementation of the three branches; trish_step is its 1-row case,
+    and the harness marches whole blocks of trajectories through it.
+    """
+    norms = np.linalg.norm(G, axis=1)
+    case1 = norms < params.lower_threshold
+    case3 = norms > params.upper_threshold
+    coeff = np.where(
+        case1,
+        params.gamma1 * alpha,
+        np.where(case3, params.gamma2 * alpha, alpha / np.where(norms > 0.0, norms, 1.0)),
+    )
+    cases = 2 - case1 + case3  # 1 below the band, 2 inside, 3 above
+    return X - coeff[:, None] * G, cases
+
+
+def _checked(x, g, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """x and g as float arrays, after the checks every single-vector step makes."""
+    x = np.asarray(x, dtype=float)
+    g = np.asarray(g, dtype=float)
+    if x.shape != g.shape:
+        raise ValueError(f"shape mismatch: x {x.shape} vs g {g.shape}")
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise ValueError(f"stepsize must be positive and finite, got {alpha}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("gradient sample contains nan or inf")
+    return x, g
+
+
 def trish_step(
     x: np.ndarray, g: np.ndarray, alpha: float, params: TrishParams
 ) -> tuple[np.ndarray, StepCase]:
@@ -110,41 +142,23 @@ def trish_step(
     alpha must be positive and finite, g must be finite and the same
     shape as x.  A zero gradient falls in CASE1 and leaves x unchanged.
     """
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if x.shape != g.shape:
-        raise ValueError(f"shape mismatch: x {x.shape} vs g {g.shape}")
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ValueError(f"stepsize must be positive and finite, got {alpha}")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("gradient sample contains nan or inf")
-    g_norm = float(np.linalg.norm(g))
-    case = classify_case(g_norm, params)
-    if case is StepCase.CASE1:
-        return x - params.gamma1 * alpha * g, case
-    if case is StepCase.CASE2:
-        return x - (alpha / g_norm) * g, case
-    return x - params.gamma2 * alpha * g, case
+    x, g = _checked(x, g, alpha)
+    x_next, cases = _trish_step_batch(x.reshape(1, -1), g.reshape(1, -1), alpha, params)
+    return x_next.reshape(x.shape), StepCase(int(cases[0]))
 
 
 def sg_step(x: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
     """Plain stochastic-gradient step x - alpha * g."""
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if x.shape != g.shape:
-        raise ValueError(f"shape mismatch: x {x.shape} vs g {g.shape}")
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ValueError(f"stepsize must be positive and finite, got {alpha}")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("gradient sample contains nan or inf")
+    x, g = _checked(x, g, alpha)
     return x - alpha * g
 
 
 @dataclass(frozen=True)
 class StepsizeSchedule:
-    """Stepsize sequence alpha_k indexed from k = 1.
+    """Stepsize sequence alpha_k indexed from k = 1, as plain data.
 
-    Built through one of the constructors:
+    kind "fixed" gives alpha_k = a; kind "harmonic" gives
+    alpha_k = a / (b + k), strictly decreasing, Robbins-Monro.
 
     >>> StepsizeSchedule.fixed(0.5).alpha(10)
     0.5
@@ -153,59 +167,32 @@ class StepsizeSchedule:
     """
 
     kind: str
-    _fn: Callable[[int], float]
+    a: float
+    b: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.kind == "fixed":
+            if not (self.a > 0.0 and math.isfinite(self.a)):
+                raise ValueError(f"fixed stepsize must be positive, got {self.a}")
+        elif self.kind == "harmonic":
+            if not (self.a > 0.0 and self.b > 0.0):
+                raise ValueError(f"need a > 0 and b > 0, got a={self.a}, b={self.b}")
+        else:
+            raise ValueError(f"unknown schedule kind '{self.kind}'")
 
     def alpha(self, k: int) -> float:
         """Stepsize for iteration k (1-based)."""
         if k < 1:
             raise ValueError(f"iteration index is 1-based, got {k}")
-        value = float(self._fn(k))
+        value = float(self.a if self.kind == "fixed" else self.a / (self.b + k))
         if not (value > 0.0 and math.isfinite(value)):
             raise ValueError(f"schedule produced invalid stepsize {value} at k={k}")
         return value
 
     @classmethod
     def fixed(cls, alpha: float) -> "StepsizeSchedule":
-        if not (alpha > 0.0 and math.isfinite(alpha)):
-            raise ValueError(f"fixed stepsize must be positive, got {alpha}")
-        return cls(kind="fixed", _fn=lambda k: alpha)
+        return cls("fixed", alpha)
 
     @classmethod
     def harmonic(cls, a: float, b: float) -> "StepsizeSchedule":
-        """alpha_k = a / (b + k), strictly decreasing, Robbins-Monro."""
-        if not (a > 0.0 and b > 0.0):
-            raise ValueError(f"need a > 0 and b > 0, got a={a}, b={b}")
-        return cls(kind="harmonic", _fn=lambda k: a / (b + k))
-
-    @classmethod
-    def custom(cls, fn: Callable[[int], float]) -> "StepsizeSchedule":
-        """Arbitrary positive sequence; positivity is checked per call."""
-        return cls(kind="custom", _fn=fn)
-
-
-@dataclass
-class IterateState:
-    """Bookkeeping for one optimization trajectory.
-
-    k is the 1-based index of the next iteration to run, so after k - 1
-    completed steps the three case counts sum to k - 1.
-    """
-
-    x: np.ndarray
-    k: int = 1
-    case_counts: tuple[int, int, int] = (0, 0, 0)
-
-    def __post_init__(self) -> None:
-        self.x = np.asarray(self.x, dtype=float)
-        if self.k < 1:
-            raise ValueError(f"iteration index is 1-based, got k={self.k}")
-        if any(c < 0 for c in self.case_counts) or sum(self.case_counts) != self.k - 1:
-            raise ValueError(
-                f"case counts {self.case_counts} inconsistent with k={self.k}"
-            )
-
-    def advance(self, x_next: np.ndarray, case: StepCase) -> "IterateState":
-        """State after one completed step of the given branch."""
-        counts = list(self.case_counts)
-        counts[int(case) - 1] += 1
-        return IterateState(x=x_next, k=self.k + 1, case_counts=tuple(counts))
+        return cls("harmonic", a, b)

@@ -14,13 +14,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-import time
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .core import StepsizeSchedule, TrishParams, sg_step, trish_step
+from .core import StepsizeSchedule, TrishParams, _trish_step_batch
 from .ingest import load_libsvm, to_matrix
 from .oracles import GaussianOracle, SigmaSchedule, finite_sum_minibatch
 from .problems import (
@@ -38,6 +37,7 @@ __all__ = [
     "run_experiment",
     "TuneEntry",
     "TuneResult",
+    "GridDivergedError",
     "tune_grid",
     "TheoremReport",
     "verify_theorem",
@@ -49,7 +49,7 @@ __all__ = [
 
 RUN_CSV_HEADER = (
     "seed,checkpoint_fraction,iteration,train_loss,train_acc,"
-    "test_loss,test_acc,case1,case2,case3,wall_ms"
+    "test_loss,test_acc,case1,case2,case3"
 )
 VERIFY_CSV_HEADER = "k,empirical_gap,standard_error,bound,violated"
 
@@ -159,7 +159,6 @@ class RunRecord:
     case1: int
     case2: int
     case3: int
-    wall_ms: float
 
 
 @dataclass
@@ -173,7 +172,12 @@ class ExperimentResult:
         return [r for r in self.records if r.checkpoint_fraction == last]
 
 
-def _load_logistic(config: ExperimentConfig) -> LogisticProblem:
+def _build_problem(config: ExperimentConfig):
+    """The objective the config names; a logistic one parses its datasets."""
+    if config.problem == "quadratic":
+        return QuadraticProblem(np.ones(config.dimension))
+    if config.problem == "nonconvex_pl":
+        return NonconvexPLProblem(config.dimension)
     train_rows, train_max = load_libsvm(config.dataset)
     if not train_rows:
         raise ValueError(f"dataset {config.dataset} holds no examples")
@@ -192,102 +196,100 @@ def _load_logistic(config: ExperimentConfig) -> LogisticProblem:
     return LogisticProblem(features, labels)
 
 
-def _build(config: ExperimentConfig):
-    """Problem, starting point, iteration budget, and gradient drawer."""
-    if config.problem == "logistic":
-        problem = _load_logistic(config)
-        x1 = np.zeros(problem.metadata.dimension)
-        per_epoch = math.ceil(problem.n_components / config.batch_size)
-        total = per_epoch * config.epochs
-
-        def draw(x, k, alpha_k, rng):
-            return finite_sum_minibatch(problem, x, config.batch_size, rng)
-
-        return problem, x1, total, draw
-
-    if config.problem == "quadratic":
-        problem = QuadraticProblem(np.ones(config.dimension))
-    else:
-        problem = NonconvexPLProblem(config.dimension)
-    x1 = np.ones(config.dimension)
-    oracle = GaussianOracle(SigmaSchedule.constant(config.sigma))
-
-    def draw(x, k, alpha_k, rng):
-        return oracle.sample(problem.gradient(x), k, rng, alpha_k)
-
-    return problem, x1, config.max_iterations, draw
-
-
 def _checkpoint_iterations(fractions: tuple[float, ...], total: int) -> list[int]:
     return [max(1, math.ceil(f * total)) for f in fractions]
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run n_seeds independent trainings and collect checkpoint metrics.
+def _march(X, steps, schedule, draw, params, observe, at, counts=None) -> None:
+    """Advance the (n_rows, dim) block X through `steps` iterations in lockstep.
 
-    Seed i uses generator default_rng(base_seed + i) and the shared
-    starting point.  A run that produces a non-finite loss or gradient
-    stops stepping and reports nan metrics from that checkpoint on.
+    Step k samples G = draw(X, k, alpha_k) and takes the safeguarded step,
+    or plain SG when params is None.  A row that goes non-finite stays
+    non-finite, because nan and inf absorb every later step; that is how
+    a diverged row is frozen.  observe(done, X) sees the block after each
+    `done` in `at` steps and may write nan into a row to freeze it.
+    counts, if given, tallies the branch of every step taken from a
+    finite row with a finite sample.  Overflow is how rows diverge, so
+    floating-point warnings are silenced.
     """
-    problem, x1, total, draw = _build(config)
-    schedule = config.schedule()
-    params = (
-        TrishParams(config.gamma1, config.gamma2) if config.method == "trish" else None
-    )
-    targets = _checkpoint_iterations(config.checkpoint_fractions, total)
-    records: list[RunRecord] = []
-
-    for i in range(config.n_seeds):
-        seed = config.base_seed + i
-        rng = np.random.default_rng(seed)
-        x = x1.copy()
-        counts = [0, 0, 0]  # SG runs leave these at zero
-        dead = False
-        start = time.perf_counter()
-        by_iteration = {}
-        for k in range(1, total + 1):
-            if not dead:
-                alpha_k = schedule.alpha(k)
-                g = draw(x, k, alpha_k, rng)
-                if not np.all(np.isfinite(g)):
-                    dead = True
-                elif config.method == "trish":
-                    x, case = trish_step(x, g, alpha_k, params)
-                    counts[int(case) - 1] += 1
-                else:
-                    x = sg_step(x, g, alpha_k)
-                if not dead and not np.all(np.isfinite(x)):
-                    dead = True
-            if k in by_iteration or k not in targets:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for done in range(steps + 1):
+            if done in at:
+                observe(done, X)
+            if done == steps:
+                break
+            alpha_k = schedule.alpha(done + 1)
+            G = draw(X, done + 1, alpha_k)
+            if params is None:
+                X = X - alpha_k * G
                 continue
-            if dead:
-                metrics = (float("nan"),) * 4
-            elif config.problem == "logistic":
-                metrics = problem.train_metrics(x) + problem.test_metrics(x)
+            X_next, cases = _trish_step_batch(X, G, alpha_k, params)
+            if counts is not None:
+                live = np.isfinite(X).all(axis=1) & np.isfinite(G).all(axis=1)
+                counts[live, cases[live] - 1] += 1
+            X = X_next
+
+
+def run_experiment(config: ExperimentConfig, problem=None) -> ExperimentResult:
+    """Run n_seeds trainings in lockstep and collect checkpoint metrics.
+
+    Seed i draws from its own generator default_rng(base_seed + i), so
+    its trajectory does not depend on n_seeds; all seeds share the
+    starting point.  A run that produces a non-finite loss, gradient or
+    iterate stops stepping and reports nan metrics from that checkpoint
+    on.  problem, when given, must be the one the config builds; it
+    lets tune_grid parse each dataset once for the whole grid.
+    """
+    if problem is None:
+        problem = _build_problem(config)
+    logistic = config.problem == "logistic"
+    if logistic:
+        x1 = np.zeros(problem.metadata.dimension)
+        total = math.ceil(problem.n_components / config.batch_size) * config.epochs
+
+        def sample(x, k, alpha_k, rng):
+            return finite_sum_minibatch(problem, x, config.batch_size, rng)
+    else:
+        x1 = np.ones(config.dimension)
+        total = config.max_iterations
+        oracle = GaussianOracle(SigmaSchedule.constant(config.sigma))
+
+        def sample(x, k, alpha_k, rng):
+            return oracle.sample(problem.gradient(x), k, rng, alpha_k)
+
+    seeds = [config.base_seed + i for i in range(config.n_seeds)]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+
+    def draw(X, k, alpha_k):
+        return np.array([sample(x, k, alpha_k, rng) for x, rng in zip(X, rngs)])
+
+    nan = math.nan
+    counts = np.zeros((config.n_seeds, 3), dtype=int)  # SG runs leave these at zero
+    snapshots = {}
+
+    def observe(done, X):
+        metrics = []
+        for x in X:
+            if not np.isfinite(x).all():
+                metrics.append((nan,) * 4)
+            elif logistic:
+                metrics.append(problem.train_metrics(x) + problem.test_metrics(x))
             else:
-                value = problem.value(x)
-                metrics = (float(value), float("nan"), float("nan"), float("nan"))
-                if not math.isfinite(metrics[0]):
-                    dead = True
-            wall_ms = (time.perf_counter() - start) * 1e3
-            by_iteration[k] = (metrics, wall_ms, tuple(counts))
-        for frac, target in zip(config.checkpoint_fractions, targets):
-            metrics, wall_ms, counts = by_iteration[target]
-            records.append(
-                RunRecord(
-                    seed=seed,
-                    checkpoint_fraction=frac,
-                    iteration=target,
-                    train_loss=metrics[0],
-                    train_acc=metrics[1],
-                    test_loss=metrics[2],
-                    test_acc=metrics[3],
-                    case1=counts[0],
-                    case2=counts[1],
-                    case3=counts[2],
-                    wall_ms=wall_ms,
-                )
-            )
+                value = float(problem.value(x))
+                metrics.append((value, nan, nan, nan))
+                if not math.isfinite(value):
+                    x[:] = nan
+        snapshots[done] = (metrics, counts.tolist())
+
+    params = TrishParams(config.gamma1, config.gamma2) if config.method == "trish" else None
+    targets = _checkpoint_iterations(config.checkpoint_fractions, total)
+    X = np.tile(x1, (config.n_seeds, 1))
+    _march(X, total, config.schedule(), draw, params, observe, set(targets), counts)
+    records = [
+        RunRecord(seed, frac, target, *snapshots[target][0][i], *snapshots[target][1][i])
+        for i, seed in enumerate(seeds)
+        for frac, target in zip(config.checkpoint_fractions, targets)
+    ]
 
     metadata = {
         "config_hash": config.config_hash(),
@@ -296,7 +298,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "problem": config.problem,
         "dimension": problem.metadata.dimension,
         "iterations": total,
-        "x1_policy": "zeros" if config.problem == "logistic" else "ones",
+        "x1_policy": "zeros" if logistic else "ones",
         "n_seeds": config.n_seeds,
         "base_seed": config.base_seed,
     }
@@ -320,6 +322,11 @@ class TuneResult:
     best: ExperimentConfig
     best_params: dict
     entries: list[TuneEntry]
+    best_records: list[RunRecord]
+
+
+class GridDivergedError(RuntimeError):
+    """Every point of a tuning grid diverged, so there is no winner."""
 
 
 def _normalize_grid(grid: dict) -> dict[tuple[str, ...], list[tuple]]:
@@ -357,12 +364,15 @@ def tune_grid(base_config: ExperimentConfig, grid: dict) -> TuneResult:
     test accuracy, then lowest mean final test loss, then the
     lexicographically first parameter combination.  Grid points whose
     runs go non-finite are kept in the table, flagged diverged, and
-    excluded from selection.
+    excluded from selection.  Each problem is built once and shared by
+    every grid point that names it, and the winner's records come back
+    with the result.
     """
     normalized = _normalize_grid(grid)
     keys = list(normalized)
     entries: list[TuneEntry] = []
     candidates = []
+    problems: dict = {}  # keyed by the fields _build_problem reads
     for combo in product(*(normalized[key] for key in keys)):
         combo_params = {
             field: value
@@ -370,7 +380,11 @@ def tune_grid(base_config: ExperimentConfig, grid: dict) -> TuneResult:
             for field, value in zip(fields, row)
         }
         config = dataclasses.replace(base_config, **combo_params)
-        finals = run_experiment(config).final_records()
+        key = (config.problem, config.dataset, config.test_dataset, config.dimension)
+        if key not in problems:
+            problems[key] = _build_problem(config)
+        result = run_experiment(config, problems[key])
+        finals = result.final_records()
         means = [
             float(np.mean([getattr(r, f) for r in finals]))
             for f in ("train_loss", "train_acc", "test_loss", "test_acc")
@@ -388,33 +402,12 @@ def tune_grid(base_config: ExperimentConfig, grid: dict) -> TuneResult:
         if not diverged:
             acc = means[3] if math.isfinite(means[3]) else -math.inf
             loss = means[2] if math.isfinite(means[2]) else means[0]
-            candidates.append(((-acc, loss, combo), config, combo_params))
+            candidates.append(((-acc, loss, combo), config, combo_params, result.records))
     if not candidates:
-        raise RuntimeError("every grid point diverged; nothing to select")
+        raise GridDivergedError("every grid point diverged; nothing to select")
     candidates.sort(key=lambda item: item[0])
-    _, best, best_params = candidates[0]
-    return TuneResult(best=best, best_params=best_params, entries=entries)
-
-
-def _trish_step_batch(
-    X: np.ndarray, G: np.ndarray, alpha: float, params: TrishParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise safeguarded step; returns (next iterates, case index per row).
-
-    Matches trish_step applied to each row; kept vectorized because the
-    bound checks march thousands of trajectories in lockstep.
-    """
-    norms = np.linalg.norm(G, axis=1)
-    case1 = norms < params.lower_threshold
-    case3 = norms > params.upper_threshold
-    case2 = ~case1 & ~case3
-    coeff = np.where(
-        case1,
-        params.gamma1 * alpha,
-        np.where(case2, alpha / np.where(norms > 0.0, norms, 1.0), params.gamma2 * alpha),
-    )
-    cases = np.where(case1, 1, np.where(case2, 2, 3))
-    return X - coeff[:, None] * G, cases
+    _, best, best_params, best_records = candidates[0]
+    return TuneResult(best, best_params, entries, best_records)
 
 
 @dataclass
@@ -462,7 +455,8 @@ def verify_theorem(
 
     A point violates when empirical > bound + n_se * SE (plus a 1e-12
     relative float guard for exact-equality points such as k = 1, where
-    the bound reproduces the deterministic initial gap).
+    the bound reproduces the deterministic initial gap), when it is not
+    finite, or when some trajectory has gone non-finite.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -471,40 +465,48 @@ def verify_theorem(
     meta = problem.metadata
     f_star = meta.f_star if meta.f_star is not None else 0.0
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    X = np.tile(x1, (n_seeds, 1))
     rng = np.random.default_rng(base_seed)
 
     ks = np.arange(1, horizon + 1)
     empirical = np.empty(horizon)
     ses = np.empty(horizon)
+    frozen = np.zeros(horizon, dtype=bool)
     cumulative = np.zeros(n_seeds)  # guarantees 4 and 5
     alpha_running = 0.0
     weighted = np.empty(horizon) if tc.theorem_id == 5 else None
+    grad = None
 
-    for k in range(1, horizon + 1):
-        alpha_k = schedule.alpha(k)
+    def observe(done, X):
+        # Runs at every k just before the draw, which reuses its gradient.
+        nonlocal grad, alpha_running, cumulative
+        k = done + 1
         grad = problem.gradient(X)
+        frozen[done] = not np.isfinite(X).all()
         if tc.theorem_id in (1, 2, 3):
-            gap = problem.value(X) - f_star
-            empirical[k - 1] = gap.mean()
-            ses[k - 1] = gap.std(ddof=1) / math.sqrt(n_seeds)
+            curve = problem.value(X) - f_star
         elif tc.theorem_id == 4:
             cumulative += np.sum(grad**2, axis=1)
-            avg = cumulative / k
-            empirical[k - 1] = avg.mean()
-            ses[k - 1] = avg.std(ddof=1) / math.sqrt(n_seeds)
+            curve = cumulative / k
         else:
+            alpha_k = schedule.alpha(k)
             cumulative += alpha_k * np.sum(grad**2, axis=1)
             alpha_running += alpha_k
-            empirical[k - 1] = cumulative.mean()
-            ses[k - 1] = cumulative.std(ddof=1) / math.sqrt(n_seeds)
-            weighted[k - 1] = empirical[k - 1] / alpha_running
-        G = oracle.sample(grad, k, rng, alpha_k)
-        X, _ = _trish_step_batch(X, G, alpha_k, params)
+            curve = cumulative
+        empirical[done] = curve.mean()
+        ses[done] = curve.std(ddof=1) / math.sqrt(n_seeds)
+        if weighted is not None:
+            weighted[done] = empirical[done] / alpha_running
+
+    def draw(X, k, alpha_k):
+        return oracle.sample(grad, k, rng, alpha_k)
+
+    X = np.tile(x1, (n_seeds, 1))
+    _march(X, horizon, schedule, draw, params, observe, range(horizon))
 
     bound = np.array([theorem_bound(tc.theorem_id, tc, int(k)) for k in ks])
     guard = 1e-12 * np.maximum(1.0, np.abs(bound))
-    violated = empirical > bound + n_se * ses + guard
+    # Written as "not within" so that a nan or inf point counts as violated.
+    violated = ~(empirical <= bound + n_se * ses + guard) | frozen
     return TheoremReport(
         theorem_id=tc.theorem_id,
         k=ks,
@@ -675,7 +677,7 @@ def emit_csv(records: list[RunRecord], path: str) -> None:
                 for v in (
                     r.seed, r.checkpoint_fraction, r.iteration,
                     r.train_loss, r.train_acc, r.test_loss, r.test_acc,
-                    r.case1, r.case2, r.case3, r.wall_ms,
+                    r.case1, r.case2, r.case3,
                 )
             )
         )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import trish.cli as cli
+import trish.harness
 from trish.cli import (
     EXIT_DATA,
     EXIT_HYPOTHESIS,
@@ -20,6 +21,7 @@ from trish.harness import RUN_CSV_HEADER, VERIFY_CSV_HEADER, TheoremReport
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "trish" / "data"
 TRAIN = str(DATA_DIR / "train.libsvm")
+TEST = str(DATA_DIR / "test.libsvm")
 
 SYNTHETIC_CONFIG = """\
 # tiny quadratic run, kept fast on purpose
@@ -200,6 +202,13 @@ class TestRunCommand:
         assert lines[0] == RUN_CSV_HEADER
         assert len(lines) == 1 + 2 * 2  # two seeds, two checkpoints
 
+    def test_out_files_are_byte_identical(self, synthetic_config, tmp_path, capsys):
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in paths:
+            assert main(["run", "--config", synthetic_config, "--out", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_flags_override_config(self, synthetic_config, capsys):
         rc = main(["run", "--config", synthetic_config, "--seeds", "1", "--method", "sg"])
         assert rc == EXIT_OK
@@ -263,6 +272,43 @@ class TestTuneCommand:
         assert len(entry_lines) == 2
         assert "gamma1=2 gamma2=0.8" in entry_lines[0]
         assert "gamma1=4 gamma2=1.6" in entry_lines[1]
+
+    def test_every_point_diverged_is_a_usage_error(self, tmp_path, capsys):
+        conf = tmp_path / "tune.conf"
+        conf.write_text(
+            "method = sg\n"
+            "problem = quadratic\n"
+            "sigma = 0.1\n"
+            "max_iterations = 2000\n"
+            "tune_alpha = 10, 20\n"
+        )
+        assert main(["tune", "--config", str(conf)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["trish: error: every grid point diverged; nothing to select"]
+
+    def test_each_dataset_is_loaded_once(self, tmp_path, capsys, monkeypatch):
+        loads = []
+        load = trish.harness.load_libsvm
+
+        def counting_load(path):
+            loads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(trish.harness, "load_libsvm", counting_load)
+        conf = tmp_path / "tune.conf"
+        conf.write_text(
+            "method = sg\n"
+            "problem = logistic\n"
+            f"dataset = {TRAIN}\n"
+            f"test_dataset = {TEST}\n"
+            "n_seeds = 1\n"
+            "tune_alpha = 0.5, 1.0\n"
+            "tune_batch_size = 100, 200\n"
+        )
+        rc = main(["tune", "--config", str(conf), "--out", str(tmp_path / "best.csv")])
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        assert sorted(loads) == sorted([TRAIN, TEST])
 
     def test_tune_without_grid_keys(self, synthetic_config, capsys):
         assert main(["tune", "--config", synthetic_config]) == EXIT_USAGE

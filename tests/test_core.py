@@ -1,4 +1,4 @@
-"""Step rule, schedules, and trajectory bookkeeping."""
+"""Step rule and stepsize schedules."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from trish.core import (
-    IterateState,
     StepCase,
     StepsizeSchedule,
     TrishParams,
@@ -179,25 +178,11 @@ class TestStepsizeSchedule:
             StepsizeSchedule.fixed(0.0)
         with pytest.raises(ValueError):
             StepsizeSchedule.harmonic(a=1.0, b=0.0)
+        with pytest.raises(ValueError, match="unknown schedule kind"):
+            StepsizeSchedule("custom", 1.0)
 
-    def test_custom_positivity_enforced_per_call(self):
-        schedule = StepsizeSchedule.custom(lambda k: 1.0 - 0.4 * k)
-        assert schedule.alpha(1) == pytest.approx(0.6)
+    def test_positivity_enforced_per_call(self):
+        # a / (b + k) underflows to zero for a tiny enough a
+        schedule = StepsizeSchedule.harmonic(a=5e-324, b=1.0)
         with pytest.raises(ValueError, match="invalid stepsize"):
-            schedule.alpha(3)
-
-
-class TestIterateState:
-    def test_advance_tracks_cases(self):
-        state = IterateState(x=np.zeros(2))
-        state = state.advance(np.ones(2), StepCase.CASE2)
-        state = state.advance(np.ones(2), StepCase.CASE2)
-        state = state.advance(np.ones(2), StepCase.CASE3)
-        assert state.k == 4
-        assert state.case_counts == (0, 2, 1)
-
-    def test_rejects_inconsistent_counts(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            IterateState(x=np.zeros(1), k=2, case_counts=(0, 0, 0))
-        with pytest.raises(ValueError, match="1-based"):
-            IterateState(x=np.zeros(1), k=0)
+            schedule.alpha(1)

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from trish.core import StepsizeSchedule, TrishParams, trish_step
+from trish.core import StepsizeSchedule, TrishParams, classify_case, step_norm
 from trish.harness import (
     RUN_CSV_HEADER,
     VERIFY_CSV_HEADER,
@@ -15,6 +18,7 @@ from trish.harness import (
     RunRecord,
     TheoremReport,
     _checkpoint_iterations,
+    _march,
     _trish_step_batch,
     emit_csv,
     emit_verify_csv,
@@ -23,6 +27,8 @@ from trish.harness import (
     verification_setup,
     verify_theorem,
 )
+from trish.oracles import GaussianOracle, SigmaSchedule
+from trish.problems import QuadraticProblem
 from trish.theory import HypothesisError
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "trish" / "data"
@@ -117,11 +123,27 @@ class TestRunExperiment:
         config = synthetic_config()
         a = run_experiment(config)
         b = run_experiment(config)
-        fields = [f.name for f in dataclasses.fields(RunRecord) if f.name != "wall_ms"]
-        for ra, rb in zip(a.records, b.records):
-            # assert_array_equal treats matching nans as equal
+        # assert_array_equal treats matching nans as equal
+        np.testing.assert_array_equal(_rows(a.records), _rows(b.records))
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            synthetic_config(n_seeds=3, base_seed=4, max_iterations=30, dimension=2),
+            ExperimentConfig(
+                problem="logistic", dataset=TRAIN, test_dataset=TEST, gamma1=4.0,
+                gamma2=1.6, alpha=0.5, batch_size=50, n_seeds=3, base_seed=4,
+            ),
+        ],
+        ids=["quadratic", "logistic"],
+    )
+    def test_seed_trajectory_does_not_depend_on_n_seeds(self, config):
+        block = run_experiment(config).records
+        for seed in (4, 5, 6):
+            alone = dataclasses.replace(config, n_seeds=1, base_seed=seed)
             np.testing.assert_array_equal(
-                [getattr(ra, f) for f in fields], [getattr(rb, f) for f in fields]
+                _rows([r for r in block if r.seed == seed]),
+                _rows(run_experiment(alone).records),
             )
 
     def test_reseeding_changes_trajectories(self):
@@ -160,7 +182,7 @@ class TestRunExperiment:
         assert math.isnan(record.train_acc)
         assert math.isfinite(record.train_loss)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_reports_nan_from_detection_on(self):
         config = synthetic_config(
             method="sg", gamma1=None, gamma2=None, alpha=1e200,
@@ -241,7 +263,7 @@ class TestTuneGrid:
         for entry in result.entries:
             assert entry.params["gamma1"] / entry.params["gamma2"] == pytest.approx(2.5)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_point_flagged_and_excluded(self):
         base = synthetic_config(method="sg", gamma1=None, gamma2=None, n_seeds=1)
         result = tune_grid(base, {"alpha": [0.1, 1e200]})
@@ -249,11 +271,18 @@ class TestTuneGrid:
         assert flags == {0.1: False, 1e200: True}
         assert result.best_params == {"alpha": 0.1}
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_all_diverged_raises(self):
         base = synthetic_config(method="sg", gamma1=None, gamma2=None, n_seeds=1)
         with pytest.raises(RuntimeError, match="diverged"):
             tune_grid(base, {"alpha": [1e200]})
+
+    def test_best_records_are_the_winners_run(self):
+        base = synthetic_config(n_seeds=2, max_iterations=20)
+        result = tune_grid(base, {"alpha": [0.05, 0.1, 0.2]})
+        np.testing.assert_array_equal(
+            _rows(result.best_records), _rows(run_experiment(result.best).records)
+        )
 
     def test_grid_validation(self):
         base = synthetic_config()
@@ -263,20 +292,80 @@ class TestTuneGrid:
             tune_grid(base, {("gamma1", "gamma2"): [(2.0, 0.8, 1.0)]})
 
 
+@st.composite
+def _step_blocks(draw):
+    """A safeguard pair, a stepsize, and a block of iterates and samples.
+
+    The samples always end in a zero row, rows whose norm is exactly
+    1/gamma1 and exactly 1/gamma2 (one nonzero coordinate, so the norm
+    is computed without rounding), and a row above the band.
+    """
+    gamma2 = draw(st.floats(0.1, 5.0))
+    params = TrishParams(gamma2 * draw(st.floats(1.01, 10.0)), gamma2)
+    alpha = draw(st.floats(0.01, 2.0))
+    dim = draw(st.integers(1, 4))
+    random_rows = draw(st.integers(0, 8))
+    G = draw(arrays(float, (random_rows, dim), elements=st.floats(-10.0, 10.0)))
+    edges = np.zeros((4, dim))
+    edges[1, draw(st.integers(0, dim - 1))] = params.lower_threshold
+    edges[2, draw(st.integers(0, dim - 1))] = -params.upper_threshold
+    edges[3, draw(st.integers(0, dim - 1))] = 2.0 * params.upper_threshold
+    G = np.vstack([G, edges])
+    X = draw(arrays(float, G.shape, elements=st.floats(-10.0, 10.0)))
+    return params, alpha, X, G
+
+
 class TestTrishStepBatch:
-    def test_matches_scalar_step(self):
-        rng = np.random.default_rng(17)
-        params = TrishParams(gamma1=2.0, gamma2=0.5)
-        X = rng.normal(size=(50, 3))
-        # scale rows to hit all three branches, plus an exact-zero row
-        G = rng.normal(size=(50, 3)) * rng.choice([0.05, 1.0, 20.0], size=(50, 1))
-        G[7] = 0.0
-        X_next, cases = _trish_step_batch(X, G, 0.3, params)
-        for i in range(50):
-            expected, case = trish_step(X[i], G[i], 0.3, params)
-            np.testing.assert_allclose(X_next[i], expected, rtol=1e-14)
-            assert cases[i] == int(case)
-        assert set(np.unique(cases)) == {1, 2, 3}
+    @settings(max_examples=200, deadline=None)
+    @given(_step_blocks())
+    def test_matches_scalar_step(self, block):
+        params, alpha, X, G = block
+        X_next, cases = _trish_step_batch(X, G, alpha, params)
+        assert list(cases[-4:]) == [1, 2, 2, 3]  # the band edges are normalized
+        for x, x_next, g, case in zip(X, X_next, G, cases):
+            g_norm = float(np.linalg.norm(g))
+            assert case == classify_case(g_norm, params)
+            length = step_norm(g_norm, alpha, params)
+            scale = length / g_norm if g_norm > 0.0 else params.gamma1 * alpha
+            # the move is along -g with the length the scalar rule gives
+            tol = 1e-12 * (1.0 + np.abs(x).max())
+            np.testing.assert_allclose(x - x_next, scale * g, rtol=1e-12, atol=tol)
+            assert np.linalg.norm(x - x_next) == pytest.approx(length, rel=1e-9, abs=10 * tol)
+        np.testing.assert_array_equal(X_next[-4], X[-4])  # zero sample, no move
+
+
+class TestMarch:
+    def test_diverging_row_leaves_the_others_alone(self):
+        problem = QuadraticProblem(np.ones(2))
+        oracle = GaussianOracle(SigmaSchedule.constant(0.5))
+        params = TrishParams(2.0, 0.5)
+
+        def march(poisoned_row):
+            rngs = [np.random.default_rng(seed) for seed in range(3)]
+            counts = np.zeros((3, 3), dtype=int)
+            seen = []
+
+            def draw(X, k, alpha_k):
+                G = np.array([oracle.sample(problem.gradient(x), k, r) for x, r in zip(X, rngs)])
+                if poisoned_row is not None and k >= 3:
+                    G[poisoned_row] = np.inf
+                return G
+
+            def observe(done, X):
+                seen.append((X.copy(), counts.copy()))
+
+            schedule = StepsizeSchedule.fixed(0.1)
+            _march(np.ones((3, 2)), 8, schedule, draw, params, observe, range(9), counts)
+            return seen
+
+        clean, poisoned = march(None), march(1)
+        for done, ((X, counts), (Xp, countsp)) in enumerate(zip(clean, poisoned)):
+            np.testing.assert_array_equal(Xp[[0, 2]], X[[0, 2]])
+            np.testing.assert_array_equal(countsp[[0, 2]], counts[[0, 2]])
+            assert np.isfinite(X).all()
+            # the poisoned row goes non-finite at its third step, and stays so
+            assert np.isfinite(Xp[1]).all() == (done < 3)
+            assert countsp[1].sum() == min(done, 2)
 
 
 class TestVerifyTheorem:
@@ -314,6 +403,16 @@ class TestVerifyTheorem:
         assert report.weighted_average.size == 12
         # partial sums are nondecreasing in k
         assert np.all(np.diff(report.empirical) >= -1e-15)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverged_trajectories_are_violations(self):
+        setup = verification_setup(1, n_seeds=20)
+        report = verify_theorem(
+            setup.tc, setup.problem, setup.oracle, setup.params,
+            StepsizeSchedule.fixed(1e300), setup.x1, n_seeds=20, horizon=10,
+        )
+        assert not report.ok
+        assert report.violated[1:].all()
 
     def test_validation(self):
         setup = verification_setup(1, n_seeds=10)
@@ -363,8 +462,11 @@ def _record(seed, fraction, iteration, loss):
         case1=3,
         case2=2,
         case3=1,
-        wall_ms=1.5,
     )
+
+
+def _rows(records):
+    return [dataclasses.astuple(r) for r in records]
 
 
 class TestEmitCsv:
