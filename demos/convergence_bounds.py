@@ -24,16 +24,7 @@ QUANTITY = {
 
 def show(theorem_id: int) -> None:
     setup = verification_setup(theorem_id, n_seeds=N_SEEDS)
-    report = verify_theorem(
-        setup.tc,
-        setup.problem,
-        setup.oracle,
-        setup.params,
-        setup.schedule,
-        setup.x1,
-        setup.n_seeds,
-        setup.horizon,
-    )
+    report = verify_theorem(setup)
     print(
         f"\nguarantee {theorem_id}: {QUANTITY[theorem_id]}, "
         f"horizon {setup.horizon}, {N_SEEDS} seeds"

@@ -228,17 +228,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         gamma2=args.gamma2,
         alpha=args.alpha,
     )
-    report = verify_theorem(
-        setup.tc,
-        setup.problem,
-        setup.oracle,
-        setup.params,
-        setup.schedule,
-        setup.x1,
-        setup.n_seeds,
-        setup.horizon,
-        base_seed=args.seed,
-    )
+    report = verify_theorem(setup, base_seed=args.seed)
     print(
         f"theorem {args.theorem}: horizon={setup.horizon} seeds={setup.n_seeds} "
         f"violations={report.n_violations}"
@@ -302,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0, help="base seed")
     verify.add_argument("--gamma1", type=float, help="override the reference gamma1")
     verify.add_argument("--gamma2", type=float, help="override the reference gamma2")
-    verify.add_argument("--alpha", type=float, help="override the fixed stepsize")
+    verify.add_argument(
+        "--alpha", type=float, help="override the fixed stepsize (theorems 1, 3 and 4)"
+    )
     verify.add_argument("--out", help="write the bound-check curve as CSV")
     verify.set_defaults(func=_cmd_verify)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -135,14 +136,30 @@ class ExperimentConfig:
         return StepsizeSchedule.harmonic(self.schedule_a, self.schedule_b)
 
     def config_hash(self) -> str:
-        """Hash of every field except base_seed; stable across reseeding."""
+        """Hash of every field except base_seed; stable across reseeding.
+
+        A dataset enters by the sha256 of its bytes, not by its path, so
+        the same data hashes the same from any directory or machine.
+        """
         payload = []
         for f in dataclasses.fields(self):
             if f.name == "base_seed":
                 continue
-            payload.append(f"{f.name}={getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            if f.name in ("dataset", "test_dataset") and value is not None:
+                value = _file_sha256(value)
+            payload.append(f"{f.name}={value!r}")
         digest = hashlib.sha256(";".join(payload).encode("utf-8"))
         return digest.hexdigest()[:16]
+
+
+def _file_sha256(path: str) -> str:
+    """sha256 of a file's bytes, read in fixed-size chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -172,12 +189,17 @@ class ExperimentResult:
         return [r for r in self.records if r.checkpoint_fraction == last]
 
 
+# The synthetic objectives by name, each built from its dimension.
+_SYNTHETIC = {
+    "quadratic": lambda dim: QuadraticProblem(np.ones(dim)),
+    "nonconvex_pl": NonconvexPLProblem,
+}
+
+
 def _build_problem(config: ExperimentConfig):
     """The objective the config names; a logistic one parses its datasets."""
-    if config.problem == "quadratic":
-        return QuadraticProblem(np.ones(config.dimension))
-    if config.problem == "nonconvex_pl":
-        return NonconvexPLProblem(config.dimension)
+    if config.problem in _SYNTHETIC:
+        return _SYNTHETIC[config.problem](config.dimension)
     train_rows, train_max = load_libsvm(config.dataset)
     if not train_rows:
         raise ValueError(f"dataset {config.dataset} holds no examples")
@@ -439,32 +461,25 @@ class TheoremReport:
 
 
 def verify_theorem(
-    tc: TheoremConstants,
-    problem,
-    oracle: GaussianOracle,
-    params: TrishParams,
-    schedule: StepsizeSchedule,
-    x1: np.ndarray,
-    n_seeds: int,
-    horizon: int,
-    base_seed: int = 0,
-    n_se: float = 3.0,
+    setup: VerificationSetup, base_seed: int = 0, n_se: float = 3.0
 ) -> TheoremReport:
-    """March n_seeds trajectories and compare the empirical quantity
-    against the guarantee's bound at every k up to the horizon.
+    """March setup.n_seeds trajectories and compare the empirical quantity
+    against the guarantee's bound at every k up to setup.horizon.
 
     A point violates when empirical > bound + n_se * SE (plus a 1e-12
     relative float guard for exact-equality points such as k = 1, where
     the bound reproduces the deterministic initial gap), when it is not
     finite, or when some trajectory has gone non-finite.
     """
+    tc, problem, schedule = setup.tc, setup.problem, setup.schedule
+    horizon, n_seeds = setup.horizon, setup.n_seeds
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     if n_seeds < 2:
         raise ValueError(f"need at least two trajectories, got {n_seeds}")
     meta = problem.metadata
     f_star = meta.f_star if meta.f_star is not None else 0.0
-    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
+    x1 = np.atleast_1d(np.asarray(setup.x1, dtype=float))
     rng = np.random.default_rng(base_seed)
 
     ks = np.arange(1, horizon + 1)
@@ -498,12 +513,12 @@ def verify_theorem(
             weighted[done] = empirical[done] / alpha_running
 
     def draw(X, k, alpha_k):
-        return oracle.sample(grad, k, rng, alpha_k)
+        return setup.oracle.sample(grad, k, rng, alpha_k)
 
     X = np.tile(x1, (n_seeds, 1))
-    _march(X, horizon, schedule, draw, params, observe, range(horizon))
+    _march(X, horizon, schedule, draw, setup.params, observe, range(horizon))
 
-    bound = np.array([theorem_bound(tc.theorem_id, tc, int(k)) for k in ks])
+    bound = theorem_bound(tc.theorem_id, tc, ks)
     guard = 1e-12 * np.maximum(1.0, np.abs(bound))
     # Written as "not within" so that a nan or inf point counts as violated.
     violated = ~(empirical <= bound + n_se * ses + guard) | frozen
@@ -520,7 +535,7 @@ def verify_theorem(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationSetup:
     """A frozen, hypothesis-checked configuration for one guarantee."""
 
@@ -534,6 +549,37 @@ class VerificationSetup:
     n_seeds: int
 
 
+@dataclass(frozen=True)
+class _Guarantee:
+    """The regime one guarantee is checked in: one row of _GUARANTEES.
+
+    stepsize is a fixed alpha, a harmonic pair (a, b) for a/(b+k), or
+    None for the largest fixed alpha the guarantee's hypotheses allow.
+    """
+
+    problem: str
+    noise: SigmaSchedule
+    gammas: tuple[float, float]
+    stepsize: float | tuple[float, float] | None
+    x1: float
+    horizon: int
+
+
+# Guarantees 1-3 run on the unit 1-d quadratic (c = L = 1), 4 and 5 on the
+# 1-d nonconvex PL objective, whose PL constant the bounds never consume.
+# The noise matches the guarantee: fixed sigma for 1 and 4, coupled to the
+# stepsize for 2 and 5, geometrically decaying for 3.  Guarantee 2 takes a
+# wide normalized band and a slow crawl through it: the gap then genuinely
+# tracks the 1/k envelope over the fitted window.
+_GUARANTEES = {
+    1: _Guarantee("quadratic", SigmaSchedule.constant(0.1), (2.0, 1.9), None, 1.0, 200),
+    2: _Guarantee("quadratic", SigmaSchedule.coupled(1.0), (0.2, 0.04), (40.0, 1000.0), 22.8, 500),
+    3: _Guarantee("quadratic", SigmaSchedule.geometric(0.04, 0.25), (2.0, 1.9), 0.45, 1.0, 100),
+    4: _Guarantee("nonconvex_pl", SigmaSchedule.constant(0.1), (2.0, 1.9), None, 1.0, 200),
+    5: _Guarantee("nonconvex_pl", SigmaSchedule.coupled(1.0), (2.0, 1.9), (0.5, 7.0), 1.0, 5000),
+}
+
+
 def verification_setup(
     theorem_id: int,
     n_seeds: int = 2000,
@@ -541,116 +587,53 @@ def verification_setup(
     gamma2: float | None = None,
     alpha: float | None = None,
 ) -> VerificationSetup:
-    """Reference configuration under which each guarantee is checked.
+    """Reference configuration of one guarantee, built from its table row.
 
-    Guarantees 1-3 run on the unit 1-d quadratic (c = L = 1); 4 and 5 on
-    the 1-d nonconvex PL objective, whose PL constant the bounds never
-    consume.  The noise regime matches the guarantee: fixed sigma for 1
-    and 4, stepsize-coupled for 2 and 5, geometrically decaying for 3.
-    Overridden gammas or stepsizes are re-validated against the
-    hypotheses, so a bad override raises HypothesisError rather than
-    silently checking a vacuous bound.
+    The oracle supplies (M1, M2, M3) and the noise kind the (h_a, h_b)
+    pair.  An override that is not None replaces the row's gamma or fixed
+    alpha and is re-validated against the hypotheses, so a bad override
+    raises HypothesisError rather than silently checking a vacuous bound.
+    The harmonic guarantees 2 and 5 take no alpha.
     """
-    if theorem_id in (1, 2, 3):
-        problem = QuadraticProblem(np.ones(1))
-    elif theorem_id in (4, 5):
-        problem = NonconvexPLProblem(1)
-    else:
+    if theorem_id not in _GUARANTEES:
         raise ValueError(f"unknown theorem id {theorem_id}")
+    row = _GUARANTEES[theorem_id]
+    harmonic = isinstance(row.stepsize, tuple)
+    if harmonic and alpha is not None:
+        raise ValueError(
+            f"guarantee {theorem_id} steps by a/(b+k); alpha overrides only a fixed stepsize"
+        )
+    problem = _SYNTHETIC[row.problem](1)
     meta = problem.metadata
-    L = meta.smoothness
-    c = meta.pl_constant
-
-    if theorem_id == 1:
-        params = TrishParams(gamma1 or 2.0, gamma2 or 1.9)
-        sigma = 0.1
-        ac = AssumptionConstants.for_fixed_sigma(sigma)
-        x1 = np.array([1.0])
-        margin = params.gamma1 - ac.h2 * (params.gamma1 - params.gamma2)
-        theta1 = 0.5 * min(params.gamma2, margin)
-        if alpha is None:
-            alpha = min(1.0 / (2.0 * c * theta1), 1.0 / (params.gamma1 * L))
-        gap1 = float(problem.value(x1)) - meta.f_star
-        tc = TheoremConstants.for_theorem1(
-            params, ac.h1, ac.h2, c, L, m1=sigma**2, m2=1.0, alpha=alpha,
-            f_gap_initial=gap1,
-        )
-        oracle = GaussianOracle(SigmaSchedule.constant(sigma))
-        return VerificationSetup(
-            tc, problem, oracle, params, StepsizeSchedule.fixed(alpha),
-            x1, horizon=200, n_seeds=n_seeds,
-        )
-
-    if theorem_id == 2:
-        # Wide normalized band and a slow crawl through it: the gap then
-        # genuinely tracks the 1/k envelope over the fitted window.
-        params = TrishParams(gamma1 or 0.2, gamma2 or 0.04)
-        a, b = 40.0, 1000.0
-        alpha1 = a / (b + 1.0)
-        ac = AssumptionConstants.for_coupled(alpha_max=alpha1)
-        x1 = np.array([22.8])
-        gap1 = float(problem.value(x1)) - meta.f_star
-        tc = TheoremConstants.for_theorem2(
-            params, ac.h3, ac.h4, c, L, m1=alpha1**2, m2=1.0, a=a, b=b,
-            f_gap_initial=gap1,
-        )
-        oracle = GaussianOracle(SigmaSchedule.coupled(1.0))
-        return VerificationSetup(
-            tc, problem, oracle, params, StepsizeSchedule.harmonic(a, b),
-            x1, horizon=500, n_seeds=n_seeds,
-        )
-
-    if theorem_id == 3:
-        params = TrishParams(gamma1 or 2.0, gamma2 or 1.9)
-        m3, zeta = 0.04, 0.25
-        ac = AssumptionConstants.for_geometric(m3, zeta)
-        if alpha is None:
-            alpha = 0.45
-        x1 = np.array([1.0])
-        gap1 = float(problem.value(x1)) - meta.f_star
-        tc = TheoremConstants.for_theorem3(
-            params, ac.h5, ac.h6, ac.lam, zeta, c, L, m3=m3, alpha=alpha,
-            f_gap_initial=gap1,
-        )
-        oracle = GaussianOracle(SigmaSchedule.geometric(m3, zeta))
-        return VerificationSetup(
-            tc, problem, oracle, params, StepsizeSchedule.fixed(alpha),
-            x1, horizon=100, n_seeds=n_seeds,
-        )
-
-    if theorem_id == 4:
-        params = TrishParams(gamma1 or 2.0, gamma2 or 1.9)
-        sigma = 0.1
-        ac = AssumptionConstants.for_fixed_sigma(sigma)
-        if alpha is None:
-            alpha = 1.0 / (params.gamma1 * L)
-        x1 = np.array([1.0])
-        gap1 = float(problem.value(x1)) - meta.f_star
-        tc = TheoremConstants.for_theorem4(
-            params, ac.h1, ac.h2, L, m1=sigma**2, m2=1.0, alpha=alpha,
-            f_gap_initial=gap1,
-        )
-        oracle = GaussianOracle(SigmaSchedule.constant(sigma))
-        return VerificationSetup(
-            tc, problem, oracle, params, StepsizeSchedule.fixed(alpha),
-            x1, horizon=200, n_seeds=n_seeds,
-        )
-
-    params = TrishParams(gamma1 or 2.0, gamma2 or 1.9)
-    a, b = 0.5, 7.0
-    alpha1 = a / (b + 1.0)
-    ac = AssumptionConstants.for_coupled(alpha_max=alpha1)
-    x1 = np.array([1.0])
-    gap1 = float(problem.value(x1)) - meta.f_star
-    tc = TheoremConstants.for_theorem5(
-        params, ac.h3, ac.h4, L, m1=alpha1**2, m2=1.0, a=a, b=b,
-        f_gap_initial=gap1,
+    params = TrishParams(
+        row.gammas[0] if gamma1 is None else gamma1,
+        row.gammas[1] if gamma2 is None else gamma2,
     )
-    oracle = GaussianOracle(SigmaSchedule.coupled(1.0))
-    return VerificationSetup(
-        tc, problem, oracle, params, StepsizeSchedule.harmonic(a, b),
-        x1, horizon=5000, n_seeds=n_seeds,
-    )
+    x1 = np.array([row.x1])
+    if harmonic:
+        schedule = StepsizeSchedule.harmonic(*row.stepsize)
+        step = {"a": schedule.a, "b": schedule.b}
+        alpha_max = schedule.alpha(1)
+    else:
+        alpha_max = row.stepsize if alpha is None else alpha
+        step = {"alpha": alpha_max}
+    oracle = GaussianOracle(row.noise)
+    # Every constant a guarantee may read, under the name its for_theoremN
+    # constructor gives that parameter; each constructor takes what it names.
+    known = {
+        **vars(AssumptionConstants.for_schedule(row.noise, alpha_max)),
+        **vars(oracle.moments(meta.dimension, alpha_max)),
+        **step,
+        "params": params,
+        "pl_constant": meta.pl_constant,
+        "smoothness": meta.smoothness,
+        "f_gap_initial": float(problem.value(x1)) - meta.f_star,
+    }
+    build = getattr(TheoremConstants, f"for_theorem{theorem_id}")
+    tc = build(**{name: known[name] for name in inspect.signature(build).parameters})
+    if not harmonic:
+        schedule = StepsizeSchedule.fixed(tc.alpha)
+    return VerificationSetup(tc, problem, oracle, params, schedule, x1, row.horizon, n_seeds)
 
 
 def _fmt(value) -> str:

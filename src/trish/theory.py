@@ -127,6 +127,18 @@ class AssumptionConstants:
         h5 = math.sqrt(m3) / _TWO_ROOT_2PI
         return cls(h5=h5, h6=1.0 + h5, lam=math.sqrt(zeta))
 
+    @classmethod
+    def for_schedule(cls, schedule, alpha_max: float | None = None) -> "AssumptionConstants":
+        """The constructor matching a Gaussian SigmaSchedule's kind.
+
+        Coupled noise needs the largest stepsize alpha_max it scales with.
+        """
+        if schedule.kind == "constant":
+            return cls.for_fixed_sigma(schedule.sigma0)
+        if schedule.kind == "coupled":
+            return cls.for_coupled(alpha_max, schedule.multiplier)
+        return cls.for_geometric(schedule.m3, schedule.zeta)
+
 
 def gaussian_conditional_product(grad_norm: float, sigma: float) -> float:
     """Closed form of P[E] * E[grad . g | E] for g = grad + sigma * z.
@@ -393,20 +405,17 @@ class TheoremConstants:
         smoothness: float,
         m1: float,
         m2: float,
-        alpha: float,
+        alpha: float | None,
         f_gap_initial: float,
     ) -> "TheoremConstants":
-        """Fixed stepsize under the PL inequality."""
+        """Fixed stepsize under the PL inequality; alpha=None takes the cap."""
         _validate_common(h1, smoothness, m1, m2, f_gap_initial)
         if not pl_constant > 0.0:
             raise ValueError(f"PL constant must be positive, got {pl_constant}")
         margin = cls._ratio_guard(params, h2, "h2")
         theta1 = 0.5 * min(params.gamma2, margin)
         cap = min(1.0 / (2.0 * pl_constant * theta1), 1.0 / (params.gamma1 * smoothness * m2))
-        if not 0.0 < alpha <= cap * (1.0 + 1e-12):
-            raise HypothesisError(
-                "stepsize_cap", f"alpha = {alpha:.6g} outside (0, {cap:.6g}]"
-            )
+        alpha = _capped(alpha, cap)
         theta2 = max(
             0.5 * params.gamma1**2 * smoothness * m1 * alpha**2,
             h1 * (params.gamma1 - params.gamma2) * alpha + 0.5 * smoothness * alpha**2,
@@ -486,10 +495,11 @@ class TheoremConstants:
         pl_constant: float,
         smoothness: float,
         m3: float,
-        alpha: float,
+        alpha: float | None,
         f_gap_initial: float,
     ) -> "TheoremConstants":
-        """Fixed stepsize, PL objective, geometrically decaying noise."""
+        """Fixed stepsize, PL objective, geometrically decaying noise;
+        alpha=None takes the cap."""
         _validate_common(h5, smoothness, m3, 1.0, f_gap_initial)
         if not pl_constant > 0.0:
             raise ValueError(f"PL constant must be positive, got {pl_constant}")
@@ -502,10 +512,7 @@ class TheoremConstants:
             1.0 / (params.gamma1 * smoothness),
             1.0 / (pl_constant * kappa1),
         )
-        if not 0.0 < alpha <= cap * (1.0 + 1e-12):
-            raise HypothesisError(
-                "stepsize_cap", f"alpha = {alpha:.6g} outside (0, {cap:.6g}]"
-            )
+        alpha = _capped(alpha, cap)
         kappa2 = (
             h5 * (params.gamma1 - params.gamma2)
             + 0.5 * params.gamma1**2 * alpha * smoothness * m3
@@ -535,18 +542,14 @@ class TheoremConstants:
         smoothness: float,
         m1: float,
         m2: float,
-        alpha: float,
+        alpha: float | None,
         f_gap_initial: float,
     ) -> "TheoremConstants":
-        """Fixed stepsize without the PL inequality."""
+        """Fixed stepsize without the PL inequality; alpha=None takes the cap."""
         _validate_common(h1, smoothness, m1, m2, f_gap_initial)
         margin = cls._ratio_guard(params, h2, "h2")
         theta1 = 0.5 * min(params.gamma2, margin)
-        cap = 1.0 / (params.gamma1 * smoothness * m2)
-        if not 0.0 < alpha <= cap * (1.0 + 1e-12):
-            raise HypothesisError(
-                "stepsize_cap", f"alpha = {alpha:.6g} outside (0, {cap:.6g}]"
-            )
+        alpha = _capped(alpha, 1.0 / (params.gamma1 * smoothness * m2))
         theta2 = max(
             0.5 * params.gamma1**2 * smoothness * m1 * alpha**2,
             h1 * (params.gamma1 - params.gamma2) * alpha + 0.5 * smoothness * alpha**2,
@@ -605,6 +608,15 @@ class TheoremConstants:
         )
 
 
+def _capped(alpha: float | None, cap: float) -> float:
+    """A fixed stepsize checked against its cap; None takes the cap itself."""
+    if alpha is None:
+        return cap
+    if not 0.0 < alpha <= cap * (1.0 + 1e-12):
+        raise HypothesisError("stepsize_cap", f"alpha = {alpha:.6g} outside (0, {cap:.6g}]")
+    return alpha
+
+
 def _validate_common(h: float, smoothness: float, m_a: float, m_b: float, gap: float) -> None:
     if not h > 0.0:
         raise ValueError(f"h constant must be positive, got {h}")
@@ -614,6 +626,10 @@ def _validate_common(h: float, smoothness: float, m_a: float, m_b: float, gap: f
         raise ValueError(f"moment constants must be positive, got {m_a}, {m_b}")
     if gap < 0.0:
         raise ValueError(f"initial gap must be nonnegative, got {gap}")
+
+
+# Every bound below takes an int k or an integer array of them and then
+# returns a float or a float array of the same shape.
 
 
 def theorem1_bound(tc: TheoremConstants, k: int) -> float:
@@ -663,12 +679,14 @@ def theorem5_bound(tc: TheoremConstants, k: int) -> float:
     """Bound on sum_{j<=k} alpha_j E||grad f(x_j)||^2 for harmonic stepsizes.
 
     (gap_1 + beta2 * sum_{j<=k} alpha_j^2) / beta1, finite as k grows
-    because the squared stepsizes are summable.
+    because the squared stepsizes are summable.  One prefix sum up to
+    the largest k serves every k asked for.
     """
     _expect(tc, 5, k)
-    j = np.arange(1, k + 1)
-    alpha_sq_sum = float(np.sum((tc.a / (tc.b + j)) ** 2))
-    return (tc.f_gap_initial + tc.beta2 * alpha_sq_sum) / tc.beta1
+    j = np.arange(1, np.max(k) + 1)
+    alpha_sq_sums = np.cumsum((tc.a / (tc.b + j)) ** 2)[np.asarray(k) - 1]
+    bound = (tc.f_gap_initial + tc.beta2 * alpha_sq_sums) / tc.beta1
+    return float(bound) if np.ndim(k) == 0 else bound
 
 
 def theorem_bound(theorem_id: int, tc: TheoremConstants, k: int) -> float:
@@ -691,8 +709,8 @@ def _expect(tc: TheoremConstants, theorem_id: int, k: int) -> None:
         raise ValueError(
             f"constants were derived for guarantee {tc.theorem_id}, not {theorem_id}"
         )
-    if k < 1:
-        raise ValueError(f"iteration index is 1-based, got {k}")
+    if np.any(np.asarray(k) < 1):
+        raise ValueError(f"iteration index is 1-based, got {np.min(k)}")
 
 
 def sg_comparison_bound(

@@ -47,17 +47,7 @@ def _report(criterion: int, detail: str) -> None:
 
 def _run_setup(theorem_id: int, n_seeds: int = 2000):
     setup = verification_setup(theorem_id, n_seeds=n_seeds)
-    report = verify_theorem(
-        setup.tc,
-        setup.problem,
-        setup.oracle,
-        setup.params,
-        setup.schedule,
-        setup.x1,
-        setup.n_seeds,
-        setup.horizon,
-    )
-    return setup, report
+    return setup, verify_theorem(setup)
 
 
 def test_criterion_01_step_rule_continuity():

@@ -322,6 +322,22 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "theorem 1: horizon=200 seeds=40 violations=0" in out
 
+    @pytest.mark.parametrize("flag", ["--gamma1", "--gamma2"])
+    def test_zero_gamma_override_is_not_ignored(self, flag, capsys):
+        rc = main(["verify", "--theorem", "1", flag, "0", "--seeds", "5"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("trish: error: need gamma1 > gamma2 > 0")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("theorem", ["2", "5"])
+    def test_alpha_on_harmonic_theorem_is_usage(self, theorem, capsys):
+        rc = main(["verify", "--theorem", theorem, "--alpha", "5", "--seeds", "5"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"trish: error: guarantee {theorem} steps by a/(b+k)")
+        assert err.count("\n") == 1
+
 
 class TestStatsCommand:
     def test_bundled_train_stats(self, capsys):

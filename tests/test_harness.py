@@ -107,6 +107,24 @@ class TestExperimentConfig:
     def test_config_hash_tracks_parameters(self):
         assert synthetic_config().config_hash() != synthetic_config(alpha=0.2).config_hash()
 
+    def test_config_hash_reads_dataset_bytes_not_path(self, tmp_path):
+        data = Path(TRAIN).read_bytes()
+        (tmp_path / "sub").mkdir()
+        paths = [tmp_path / "a.libsvm", tmp_path / "sub" / "b.libsvm", tmp_path / "c.libsvm"]
+        paths[0].write_bytes(data)
+        paths[1].write_bytes(data)
+        changed = bytearray(data)
+        changed[len(data) // 2] ^= 1
+        paths[2].write_bytes(bytes(changed))
+        hashes = [
+            ExperimentConfig(
+                dataset=str(path), test_dataset=TEST, gamma1=2.0, gamma2=0.5, alpha=0.1
+            ).config_hash()
+            for path in paths
+        ]
+        assert hashes[0] == hashes[1]
+        assert hashes[2] != hashes[0]
+
 
 class TestCheckpointIterations:
     def test_ceil_and_floor_of_one(self):
@@ -371,10 +389,7 @@ class TestMarch:
 class TestVerifyTheorem:
     def test_theorem1_smoke_no_violations(self):
         setup = verification_setup(1, n_seeds=40)
-        report = verify_theorem(
-            setup.tc, setup.problem, setup.oracle, setup.params,
-            setup.schedule, setup.x1, n_seeds=40, horizon=10,
-        )
+        report = verify_theorem(dataclasses.replace(setup, horizon=10))
         assert report.ok
         assert report.n_violations == 0
         assert report.k.size == 10
@@ -384,21 +399,14 @@ class TestVerifyTheorem:
         assert report.standard_error[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_deterministic_given_base_seed(self):
-        setup = verification_setup(1, n_seeds=20)
-        args = (
-            setup.tc, setup.problem, setup.oracle, setup.params,
-            setup.schedule, setup.x1,
-        )
-        a = verify_theorem(*args, n_seeds=20, horizon=5, base_seed=3)
-        b = verify_theorem(*args, n_seeds=20, horizon=5, base_seed=3)
+        setup = dataclasses.replace(verification_setup(1, n_seeds=20), horizon=5)
+        a = verify_theorem(setup, base_seed=3)
+        b = verify_theorem(setup, base_seed=3)
         np.testing.assert_array_equal(a.empirical, b.empirical)
 
     def test_theorem5_reports_weighted_average(self):
         setup = verification_setup(5, n_seeds=20)
-        report = verify_theorem(
-            setup.tc, setup.problem, setup.oracle, setup.params,
-            setup.schedule, setup.x1, n_seeds=20, horizon=12,
-        )
+        report = verify_theorem(dataclasses.replace(setup, horizon=12))
         assert report.weighted_average is not None
         assert report.weighted_average.size == 12
         # partial sums are nondecreasing in k
@@ -406,24 +414,21 @@ class TestVerifyTheorem:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_trajectories_are_violations(self):
-        setup = verification_setup(1, n_seeds=20)
-        report = verify_theorem(
-            setup.tc, setup.problem, setup.oracle, setup.params,
-            StepsizeSchedule.fixed(1e300), setup.x1, n_seeds=20, horizon=10,
+        setup = dataclasses.replace(
+            verification_setup(1, n_seeds=20),
+            schedule=StepsizeSchedule.fixed(1e300),
+            horizon=10,
         )
+        report = verify_theorem(setup)
         assert not report.ok
         assert report.violated[1:].all()
 
     def test_validation(self):
         setup = verification_setup(1, n_seeds=10)
-        args = (
-            setup.tc, setup.problem, setup.oracle, setup.params,
-            setup.schedule, setup.x1,
-        )
         with pytest.raises(ValueError, match="horizon"):
-            verify_theorem(*args, n_seeds=10, horizon=0)
+            verify_theorem(dataclasses.replace(setup, horizon=0))
         with pytest.raises(ValueError, match="two trajectories"):
-            verify_theorem(*args, n_seeds=1, horizon=5)
+            verify_theorem(dataclasses.replace(setup, n_seeds=1, horizon=5))
 
 
 class TestVerificationSetup:
@@ -438,6 +443,8 @@ class TestVerificationSetup:
         assert setup.horizon == horizon
         assert setup.schedule.kind == kind
         assert setup.n_seeds == 10
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setup.horizon = 1
 
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="unknown theorem"):
@@ -448,6 +455,11 @@ class TestVerificationSetup:
             verification_setup(1, gamma1=2.0, gamma2=0.01)
         with pytest.raises(HypothesisError):
             verification_setup(1, alpha=0.6)
+
+    def test_overrides_replace_the_row(self):
+        setup = verification_setup(3, gamma1=2.5, gamma2=2.4, alpha=0.3)
+        assert setup.params == TrishParams(2.5, 2.4)
+        assert setup.schedule == StepsizeSchedule.fixed(0.3)
 
 
 def _record(seed, fraction, iteration, loss):

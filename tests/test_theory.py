@@ -12,6 +12,8 @@ import pytest
 from scipy import integrate
 
 from trish.core import StepCase, TrishParams
+from trish.harness import verification_setup
+from trish.oracles import SigmaSchedule
 from trish.theory import (
     AssumptionConstants,
     ConditionalInnerProductEstimate,
@@ -74,6 +76,15 @@ class TestAssumptionConstants:
         assert h.h5 == pytest.approx(2.0 / TWO_ROOT_2PI, rel=1e-15)
         assert h.h6 == pytest.approx(1.0 + 2.0 / TWO_ROOT_2PI, rel=1e-15)
         assert h.lam == 0.5
+
+    def test_for_schedule_follows_the_noise_kind(self):
+        pick = AssumptionConstants.for_schedule
+        fixed = AssumptionConstants.for_fixed_sigma(0.1)
+        assert pick(SigmaSchedule.constant(0.1)) == fixed
+        coupled = AssumptionConstants.for_coupled(alpha_max=0.5, multiplier=2.0)
+        assert pick(SigmaSchedule.coupled(2.0), alpha_max=0.5) == coupled
+        geometric = AssumptionConstants.for_geometric(m3=4.0, zeta=0.25)
+        assert pick(SigmaSchedule.geometric(4.0, 0.25)) == geometric
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -389,6 +400,14 @@ class TestTheoremConstants:
         tc = reference_theorem1()
         assert tc.alpha == 0.5
 
+    def test_no_alpha_takes_the_cap(self):
+        params = TrishParams(gamma1=2.0, gamma2=1.9)
+        h = AssumptionConstants.for_fixed_sigma(0.1)
+        tc1 = TheoremConstants.for_theorem1(params, h.h1, h.h2, 1.0, 1.0, 0.01, 1.0, None, 0.5)
+        assert tc1 == reference_theorem1()
+        tc4 = TheoremConstants.for_theorem4(params, h.h1, h.h2, 16.0, 0.01, 1.0, None, 3.12)
+        assert tc4.alpha == 1.0 / 32.0
+
     def test_theorem2_a_interval_guard(self):
         params = TrishParams(gamma1=0.2, gamma2=0.04)
         h = AssumptionConstants.for_coupled(alpha_max=40.0 / 1001.0)
@@ -542,6 +561,24 @@ class TestBounds:
             theorem_bound(2, tc, 1)
         with pytest.raises(ValueError, match="1-based"):
             theorem1_bound(tc, 0)
+        with pytest.raises(ValueError, match="1-based"):
+            theorem_bound(1, tc, np.array([1, 0, 2]))
+
+    @pytest.mark.parametrize("theorem_id", [1, 2, 3, 4, 5])
+    def test_array_k_matches_scalar_loop(self, theorem_id):
+        setup = verification_setup(theorem_id, n_seeds=2)
+        ks = np.arange(1, setup.horizon + 1)
+        curve = theorem_bound(theorem_id, setup.tc, ks)
+        scalars = [theorem_bound(theorem_id, setup.tc, int(k)) for k in ks]
+        assert all(type(value) is float for value in scalars)
+        np.testing.assert_allclose(curve, scalars, rtol=1e-15, atol=0.0)
+
+    def test_theorem5_prefix_sums_match_direct_sums(self):
+        tc = verification_setup(5, n_seeds=2).tc
+        ks = np.arange(1, 5001)
+        sums = [math.fsum((tc.a / (tc.b + j)) ** 2 for j in range(1, k + 1)) for k in ks[::97]]
+        direct = [(tc.f_gap_initial + tc.beta2 * total) / tc.beta1 for total in sums]
+        np.testing.assert_allclose(theorem5_bound(tc, ks)[::97], direct, rtol=1e-15, atol=0.0)
 
 
 class TestSgComparisonBound:
