@@ -146,7 +146,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = run_experiment(config)
     meta = result.metadata
     print(
-        f"config {meta['config_hash']} problem={meta['problem']} "
+        f"config {config.config_hash()} problem={meta['problem']} "
         f"method={meta['method']} iterations={meta['iterations']} "
         f"seeds={meta['n_seeds']}"
     )
@@ -247,8 +247,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    rows, _ = load_libsvm(args.dataset)
-    for key, value in dataset_stats(rows).as_dict().items():
+    data, _ = load_libsvm(args.dataset)
+    for key, value in dataset_stats(data).as_dict().items():
         if isinstance(value, float):
             print(f"{key}={value:.9g}")
         else:

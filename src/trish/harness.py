@@ -4,8 +4,8 @@ Reproducibility contract: every stochastic choice flows from
 numpy.random.default_rng(base_seed + seed_index), all seeds share the
 same starting point, and records are emitted in a fixed order, so a
 config run twice produces identical numbers and re-emitting the same
-records produces byte-identical files.  The config hash recorded in
-metadata deliberately excludes base_seed: reseeding changes the
+records produces byte-identical files.  The config hash that `trish run`
+prints deliberately excludes base_seed: reseeding changes the
 trajectories, not the experiment's identity.
 """
 
@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+import scipy.sparse as sp
 
 from .core import StepsizeSchedule, TrishParams, _trish_step_batch
-from .ingest import load_libsvm, to_matrix
+from .ingest import load_libsvm
 from .oracles import GaussianOracle, SigmaSchedule, finite_sum_minibatch
 from .problems import (
     LogisticProblem,
@@ -200,22 +201,25 @@ def _build_problem(config: ExperimentConfig):
     """The objective the config names; a logistic one parses its datasets."""
     if config.problem in _SYNTHETIC:
         return _SYNTHETIC[config.problem](config.dimension)
-    train_rows, train_max = load_libsvm(config.dataset)
-    if not train_rows:
+    train, train_max = load_libsvm(config.dataset)
+    if not train:
         raise ValueError(f"dataset {config.dataset} holds no examples")
-    test_rows, test_max = ([], 0)
+    test, test_max = (None, 0)
     if config.test_dataset is not None:
-        test_rows, test_max = load_libsvm(config.test_dataset)
+        test, test_max = load_libsvm(config.test_dataset)
     # One shared dimension so train and test live in the same space.
     dim = max(train_max, test_max, 1)
-    features, labels = to_matrix(train_rows, dim)
-    labels = normalize_binary_labels(labels)
-    if test_rows:
-        test_features, test_labels = to_matrix(test_rows, dim)
+
+    def widened(data):
+        f = data.features
+        return sp.csr_matrix((f.data, f.indices, f.indptr), shape=(len(data), dim))
+
+    labels = normalize_binary_labels(train.labels)
+    if test:
         return LogisticProblem(
-            features, labels, test_features, normalize_binary_labels(test_labels)
+            widened(train), labels, widened(test), normalize_binary_labels(test.labels)
         )
-    return LogisticProblem(features, labels)
+    return LogisticProblem(widened(train), labels)
 
 
 def _checkpoint_iterations(fractions: tuple[float, ...], total: int) -> list[int]:
@@ -314,7 +318,6 @@ def run_experiment(config: ExperimentConfig, problem=None) -> ExperimentResult:
     ]
 
     metadata = {
-        "config_hash": config.config_hash(),
         "generator": "numpy-pcg64",
         "method": config.method,
         "problem": config.problem,

@@ -8,32 +8,37 @@ ParseError carrying the exact line:column position; silent repairs
 on purpose, since they usually mean the file is not what the user
 thinks it is.
 
-Parsing streams line by line, so memory is one line plus the
-accumulated rows, and time is linear in the input size.
+Parsing streams line by line into four flat arrays (labels, row
+pointers, 0-based columns, values) that become one LibsvmData: the
+labels and one CSR matrix.  Memory is one line plus the four flat
+arrays, with no object per example, and time is linear in the input
+size.  A file that is not UTF-8 is a ParseError at its first bad byte.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from array import array
+from dataclasses import asdict, dataclass
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
     "ParseError",
-    "SparseRow",
+    "LibsvmData",
     "DatasetStats",
     "parse_libsvm",
     "load_libsvm",
     "serialize_libsvm",
     "dataset_stats",
-    "to_matrix",
 ]
 
 _TOKEN = re.compile(r"\S+")
 _INDEX = re.compile(r"[0-9]+\Z")
+# a byte that is not UTF-8, as the surrogateescape handler decodes it
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 class ParseError(ValueError):
@@ -47,27 +52,31 @@ class ParseError(ValueError):
         self.path: str | None = None  # filled in when parsing from disk
 
 
-@dataclass(eq=False)
-class SparseRow:
-    """One parsed example: label plus aligned index/value arrays (1-based)."""
+@dataclass(frozen=True, eq=False)
+class LibsvmData:
+    """Parsed examples: a label per row and one CSR matrix of 0-based columns."""
 
-    label: float
-    indices: np.ndarray
-    values: np.ndarray
+    labels: np.ndarray
+    features: sp.csr_matrix
 
     def __post_init__(self) -> None:
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.indices.shape != self.values.shape or self.indices.ndim != 1:
-            raise ValueError("indices and values must be aligned 1-d arrays")
+        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=float))
+        if self.labels.shape != self.features.shape[:1]:
+            raise ValueError(f"{self.features.shape[0]} rows but labels {self.labels.shape}")
+
+    def __len__(self) -> int:
+        return self.labels.size
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SparseRow):
+        if not isinstance(other, LibsvmData):
             return NotImplemented
+        a, b = self.features, other.features
         return (
-            self.label == other.label
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
+            a.shape == b.shape
+            and np.array_equal(self.labels, other.labels)
+            and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data)
         )
 
 
@@ -84,23 +93,24 @@ def _parse_float(token: str, lineno: int, column: int, what: str) -> float:
     return value
 
 
-def parse_libsvm(lines: Iterable[str]) -> tuple[list[SparseRow], int]:
-    """Parse an iterable of text lines; returns (rows, max_index).
+def parse_libsvm(lines: Iterable[str]) -> tuple[LibsvmData, int]:
+    """Parse an iterable of text lines; returns (data, max_index).
 
     max_index is the largest feature index seen anywhere, 0 for an empty
-    dataset.  The caller chooses the feature dimension; when a dataset
-    has train and test splits, take the max over both so the two agree.
+    dataset, and the width of data.features.  When a dataset has train
+    and test splits, take the max over both so the two agree.
     """
-    rows: list[SparseRow] = []
+    labels = array("d")
+    indptr = array("q", [0])
+    columns = array("q")
+    values = array("d")
     max_index = 0
     for lineno, line in enumerate(lines, start=1):
         tokens = _TOKEN.finditer(line)
         first = next(tokens, None)
         if first is None or first.group().startswith("#"):
             continue
-        label = _parse_float(first.group(), lineno, first.start() + 1, "label")
-        indices: list[int] = []
-        values: list[float] = []
+        labels.append(_parse_float(first.group(), lineno, first.start() + 1, "label"))
         prev = 0
         for tok in tokens:
             column = tok.start() + 1
@@ -120,46 +130,55 @@ def parse_libsvm(lines: Iterable[str]) -> tuple[list[SparseRow], int]:
                 raise ParseError(
                     lineno, column, f"non-increasing index {index} after {prev}"
                 )
-            value = _parse_float(tail, lineno, column + len(head) + 1, "value")
-            indices.append(index)
-            values.append(value)
+            values.append(_parse_float(tail, lineno, column + len(head) + 1, "value"))
+            columns.append(index - 1)
             prev = index
+        indptr.append(len(columns))
         if prev > max_index:
             max_index = prev
-        rows.append(
-            SparseRow(
-                label=label,
-                indices=np.asarray(indices, dtype=np.int64),
-                values=np.asarray(values, dtype=float),
-            )
-        )
-    return rows, max_index
+    # scipy and numpy wrap the buffers without copying them
+    features = sp.csr_matrix((values, columns, indptr), shape=(len(labels), max_index))
+    return LibsvmData(labels, features), max_index
 
 
-def load_libsvm(path: str) -> tuple[list[SparseRow], int]:
-    """parse_libsvm over a file on disk; parse errors carry the path."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+def load_libsvm(path: str) -> tuple[LibsvmData, int]:
+    """parse_libsvm over a UTF-8 file on disk; parse errors carry the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             return parse_libsvm(handle)
-        except ParseError as exc:
-            exc.path = path
-            raise
+    except ParseError as exc:
+        exc.path = path
+        raise
+    except UnicodeDecodeError:
+        _raise_undecodable(path)
+        raise
 
 
-def serialize_libsvm(rows: Iterable[SparseRow]) -> str:
+def _raise_undecodable(path: str) -> None:
+    """ParseError at the line:column of the first byte of path that is not UTF-8."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            found = _UNDECODED.search(line)
+            if found:
+                byte = ord(found.group()) - 0xDC00
+                exc = ParseError(lineno, found.start() + 1, f"byte 0x{byte:02x} is not UTF-8")
+                exc.path = path
+                raise exc from None
+
+
+def serialize_libsvm(data: LibsvmData) -> str:
     """Canonical text form: single spaces, shortest round-trip floats.
 
-    parse_libsvm(serialize_libsvm(rows)) reproduces rows exactly, and
+    parse_libsvm(serialize_libsvm(data)) reproduces data exactly, and
     serializing again yields byte-identical text.
     """
-    out: list[str] = []
-    for row in rows:
-        parts = [repr(float(row.label))]
-        parts.extend(
-            f"{int(i)}:{repr(float(v))}" for i, v in zip(row.indices, row.values)
-        )
-        out.append(" ".join(parts))
-    return "\n".join(out) + ("\n" if out else "")
+    f = data.features
+    pairs = [f"{j}:{v!r}" for j, v in zip((f.indices + 1).tolist(), f.data.tolist())]
+    bounds = f.indptr.tolist()
+    return "".join(
+        " ".join([repr(label), *pairs[lo:hi]]) + "\n"
+        for label, lo, hi in zip(data.labels.tolist(), bounds, bounds[1:])
+    )
 
 
 @dataclass(frozen=True)
@@ -172,43 +191,15 @@ class DatasetStats:
     label_balance: float
 
     def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "max_index": self.max_index,
-            "nnz": self.nnz,
-            "label_balance": self.label_balance,
-        }
+        return asdict(self)
 
 
-def dataset_stats(rows: list[SparseRow]) -> DatasetStats:
+def dataset_stats(data: LibsvmData) -> DatasetStats:
     """Summary statistics; an empty dataset reports zeros across the board."""
-    if not rows:
-        return DatasetStats(count=0, max_index=0, nnz=0, label_balance=0.0)
-    max_index = max((int(r.indices[-1]) for r in rows if r.indices.size), default=0)
-    nnz = sum(r.indices.size for r in rows)
-    positive = sum(1 for r in rows if r.label > 0)
+    columns, n = data.features.indices, len(data)
     return DatasetStats(
-        count=len(rows),
-        max_index=max_index,
-        nnz=nnz,
-        label_balance=positive / len(rows),
+        count=n,
+        max_index=int(columns.max()) + 1 if columns.size else 0,
+        nnz=columns.size,
+        label_balance=int(np.count_nonzero(data.labels > 0)) / n if n else 0.0,
     )
-
-
-def to_matrix(rows: list[SparseRow], dimension: int) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Assemble rows into a CSR matrix of the given width plus a label vector.
-
-    dimension must cover every stored index; rows are emitted in order,
-    and 1-based file indices become 0-based columns.
-    """
-    stats_max = max((int(r.indices[-1]) for r in rows if r.indices.size), default=0)
-    if dimension < max(stats_max, 1):
-        raise ValueError(f"dimension {dimension} below largest index {stats_max}")
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    for i, row in enumerate(rows):
-        indptr[i + 1] = indptr[i] + row.indices.size
-    indices = np.concatenate([r.indices for r in rows]) - 1 if rows else np.empty(0, np.int64)
-    data = np.concatenate([r.values for r in rows]) if rows else np.empty(0, float)
-    labels = np.asarray([r.label for r in rows], dtype=float)
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(len(rows), dimension))
-    return matrix, labels

@@ -220,7 +220,9 @@ class LogisticProblem:
     def metadata(self) -> ProblemMetadata:
         # Trace bound on the Hessian: sigmoid' <= 1/4, so
         # L <= (1/4n) sum ||z_i||^2.  Conservative but data-driven.
-        row_sq = np.asarray(self.features.multiply(self.features).sum())
+        row_sq = float(self.features.multiply(self.features).sum())
+        if not row_sq > 0.0:
+            raise ValueError("the training set has no nonzero feature value")
         return ProblemMetadata(
             dimension=self.features.shape[1],
             smoothness=0.25 * row_sq / self.n_components,

@@ -151,6 +151,29 @@ class TestExitCodes:
         assert f"{bad}:2:3:" in err
         assert "index 0 below 1" in err
 
+    @pytest.mark.parametrize(
+        "raw, line, column, byte",
+        [
+            (b"1 1:1.0\n\xff 2:1.0\n", 2, 1, 0xFF),
+            (b"# caf\xc3\xa9 \xfe\r\n1 1:1\n", 1, 8, 0xFE),
+            (b"1 1:1\r1 2:\x80\n", 2, 5, 0x80),
+        ],
+        ids=["line-start", "after-multibyte-char", "cr-newlines"],
+    )
+    def test_non_utf8_dataset_reports_position(self, tmp_path, capsys, raw, line, column, byte):
+        bad = tmp_path / "bad.libsvm"
+        bad.write_bytes(raw)
+        assert main(["stats", "--dataset", str(bad)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"trish: parse error: {bad}:{line}:{column}: byte 0x{byte:02x} is not UTF-8\n"
+
+    def test_non_utf8_training_set_is_a_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.libsvm"
+        bad.write_bytes(b"1 1:1.0\n-1 2:\xff\n")
+        rc = main(["run", "--dataset", str(bad), "--method", "sg", "--alpha", "0.5"])
+        assert rc == EXIT_DATA
+        assert f"{bad}:2:6: byte 0xff is not UTF-8" in capsys.readouterr().err
+
     def test_hypothesis_rejection(self, capsys):
         rc = main(["verify", "--theorem", "1", "--gamma2", "0.01", "--seeds", "5"])
         assert rc == EXIT_HYPOTHESIS
@@ -225,6 +248,46 @@ class TestRunCommand:
         )
         assert rc == EXIT_OK
         assert "problem=logistic" in capsys.readouterr().out
+
+
+    def test_training_set_without_nonzero_value(self, tmp_path, capsys):
+        labels_only = tmp_path / "labels.libsvm"
+        labels_only.write_text("1\n-1 3:0.0\n")
+        rc = main(["run", "--dataset", str(labels_only), "--method", "sg", "--alpha", "0.5"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "trish: error: the training set has no nonzero feature value\n"
+
+    def test_datasets_are_hashed_by_run_only(self, tmp_path, capsys, monkeypatch):
+        hashed = []
+        sha256 = trish.harness._file_sha256
+
+        def counting_sha256(path):
+            hashed.append(path)
+            return sha256(path)
+
+        monkeypatch.setattr(trish.harness, "_file_sha256", counting_sha256)
+        conf = tmp_path / "tune.conf"
+        conf.write_text(
+            "method = sg\n"
+            "problem = logistic\n"
+            f"dataset = {TRAIN}\n"
+            f"test_dataset = {TEST}\n"
+            "n_seeds = 1\n"
+            "tune_alpha = 0.5, 1.0\n"
+            "tune_batch_size = 100, 200\n"
+        )
+        assert main(["tune", "--config", str(conf)]) == EXIT_OK
+        assert hashed == []
+        rc = main(
+            [
+                "run", "--dataset", TRAIN, "--test-dataset", TEST, "--method", "sg",
+                "--alpha", "0.5", "--batch", "100", "--seeds", "1",
+            ]
+        )
+        assert rc == EXIT_OK
+        assert sorted(hashed) == sorted([TRAIN, TEST])
+        capsys.readouterr()
 
 
 class TestTuneCommand:

@@ -17,6 +17,7 @@ from trish.harness import (
     ExperimentConfig,
     RunRecord,
     TheoremReport,
+    _build_problem,
     _checkpoint_iterations,
     _march,
     _trish_step_batch,
@@ -171,7 +172,6 @@ class TestRunExperiment:
         a = run_experiment(synthetic_config(base_seed=0, **kwargs))
         b = run_experiment(synthetic_config(base_seed=77, **kwargs))
         assert a.records[0].train_loss != b.records[0].train_loss
-        assert a.metadata["config_hash"] == b.metadata["config_hash"]
 
     def test_normalized_step_hand_value(self):
         # x1 = 1, gradient 1, negligible noise: ||g|| sits inside the band
@@ -212,7 +212,6 @@ class TestRunExperiment:
     def test_metadata_fields(self):
         config = synthetic_config()
         meta = run_experiment(config).metadata
-        assert meta["config_hash"] == config.config_hash()
         assert meta["generator"] == "numpy-pcg64"
         assert meta["iterations"] == 10
         assert meta["x1_policy"] == "ones"
@@ -247,6 +246,35 @@ class TestRunExperiment:
         finals = result.final_records()
         assert [r.checkpoint_fraction for r in finals] == [1.0, 1.0]
         assert [r.seed for r in finals] == [0, 1]
+
+
+class TestBuildProblem:
+    def test_narrower_split_is_widened(self, tmp_path):
+        train, test = tmp_path / "train.libsvm", tmp_path / "test.libsvm"
+        train.write_text("1 1:1.0 2:2.0\n-1 2:0.5\n")
+        test.write_text("1 5:3.0\n")
+        problem = _build_problem(
+            ExperimentConfig(
+                problem="logistic", dataset=str(train), test_dataset=str(test),
+                gamma1=2.0, gamma2=0.5, alpha=0.1,
+            )
+        )
+        np.testing.assert_array_equal(
+            problem.features.toarray(), [[1.0, 2.0, 0, 0, 0], [0, 0.5, 0, 0, 0]]
+        )
+        np.testing.assert_array_equal(problem.test_features.toarray(), [[0, 0, 0, 0, 3.0]])
+        np.testing.assert_array_equal(problem.labels, [1.0, -1.0])
+
+    def test_label_only_data_gets_width_one(self, tmp_path):
+        train = tmp_path / "train.libsvm"
+        train.write_text("1\n-1\n")
+        problem = _build_problem(
+            ExperimentConfig(
+                problem="logistic", dataset=str(train), gamma1=2.0, gamma2=0.5, alpha=0.1
+            )
+        )
+        assert problem.features.shape == (2, 1)
+        assert problem.test_features is None
 
 
 class TestTuneGrid:

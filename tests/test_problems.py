@@ -257,6 +257,16 @@ class TestLogisticProblem:
         meta = problem.metadata
         assert meta.dimension == 2
         assert meta.smoothness == pytest.approx(0.25 * 5.0 / 2.0)
+        assert type(meta.smoothness) is float
+
+    def test_metadata_rejects_all_zero_features(self):
+        # explicit zeros are stored entries but still give L = 0
+        features = sp.csr_matrix(
+            (np.zeros(2), np.array([0, 1]), np.array([0, 1, 2])), shape=(2, 2)
+        )
+        problem = LogisticProblem(features, np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="no nonzero feature value"):
+            problem.metadata
 
     def test_full_component_gradient_matches_gradient(self):
         problem = self._small_problem()
