@@ -521,7 +521,7 @@ def verify_theorem(
     X = np.tile(x1, (n_seeds, 1))
     _march(X, horizon, schedule, draw, setup.params, observe, range(horizon))
 
-    bound = theorem_bound(tc.theorem_id, tc, ks)
+    bound = theorem_bound(tc, ks)
     guard = 1e-12 * np.maximum(1.0, np.abs(bound))
     # Written as "not within" so that a nan or inf point counts as violated.
     violated = ~(empirical <= bound + n_se * ses + guard) | frozen

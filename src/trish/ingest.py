@@ -1,12 +1,12 @@
 """Strict LIBSVM-format ingestion.
 
 One example per line: `<label> <index>:<value> ...` with 1-based,
-strictly increasing indices.  Blank lines and lines whose first
-non-space character is '#' are skipped.  Anything else malformed raises
-ParseError carrying the exact line:column position; silent repairs
-(duplicate indices, reordered indices, non-finite values) are refused
-on purpose, since they usually mean the file is not what the user
-thinks it is.
+strictly increasing indices no larger than 2^63 - 1.  Blank lines and
+lines whose first non-space character is '#' are skipped.  Anything
+else malformed raises ParseError carrying the exact line:column
+position; silent repairs (duplicate indices, reordered indices,
+non-finite values) are refused on purpose, since they usually mean the
+file is not what the user thinks it is.
 
 Parsing streams line by line into four flat arrays (labels, row
 pointers, 0-based columns, values) that become one LibsvmData: the
@@ -37,6 +37,7 @@ __all__ = [
 
 _TOKEN = re.compile(r"\S+")
 _INDEX = re.compile(r"[0-9]+\Z")
+_INDEX_MAX = str(2**63 - 1)  # columns are int64
 # a byte that is not UTF-8, as the surrogateescape handler decodes it
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
@@ -93,6 +94,12 @@ def _parse_float(token: str, lineno: int, column: int, what: str) -> float:
     return value
 
 
+def _above_index_max(digits: str) -> bool:
+    """Whether a digit string exceeds 2^63 - 1, decided without int() on it."""
+    digits = digits.lstrip("0")
+    return (len(digits), digits) > (len(_INDEX_MAX), _INDEX_MAX)
+
+
 def parse_libsvm(lines: Iterable[str]) -> tuple[LibsvmData, int]:
     """Parse an iterable of text lines; returns (data, max_index).
 
@@ -121,6 +128,8 @@ def parse_libsvm(lines: Iterable[str]) -> tuple[LibsvmData, int]:
                 )
             if not _INDEX.match(head):
                 raise ParseError(lineno, column, f"malformed index '{head}'")
+            if len(head) >= len(_INDEX_MAX) and _above_index_max(head):
+                raise ParseError(lineno, column, f"index above {_INDEX_MAX}")
             index = int(head)
             if index < 1:
                 raise ParseError(lineno, column, f"index {index} below 1")

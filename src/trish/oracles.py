@@ -207,20 +207,16 @@ def finite_sum_minibatch(
     x: np.ndarray,
     batch_size: int,
     rng: np.random.Generator,
-    full_batch: bool = False,
 ) -> np.ndarray:
     """Mini-batch gradient, sampling components uniformly with replacement.
 
     With-replacement sampling keeps every draw identically distributed,
-    so the estimator is unbiased for any batch size.  full_batch=True
-    bypasses sampling and averages all components, recovering the exact
-    gradient deterministically.
+    so the estimator is unbiased for any batch size.  For the exact
+    gradient, call the problem's gradient(x).
     """
     n = problem.n_components
     if n < 1:
         raise ValueError("problem has no components")
-    if full_batch:
-        return problem.component_gradient(np.arange(n), x)
     if batch_size < 1:
         raise ValueError(f"batch size must be at least 1, got {batch_size}")
     indices = rng.integers(0, n, size=batch_size)

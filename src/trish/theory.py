@@ -17,13 +17,17 @@ rates for the five convergence guarantees:
     3  geometrically decaying noise, PL: linear rate to the optimum
     4  fixed stepsize, no PL: bounded average squared gradient norm
     5  Robbins-Monro stepsizes, no PL: weighted gradient sums converge
+
+Guarantees 1 and 4 share one fixed-stepsize recipe and 2 and 5 one
+harmonic recipe, with and without a PL constant.  theorem_bound(tc, k)
+is the one entry point to all five bounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -40,12 +44,6 @@ __all__ = [
     "check_assumption6",
     "lemma1_rhs",
     "TheoremConstants",
-    "Theorem4Bound",
-    "theorem1_bound",
-    "theorem2_bound",
-    "theorem3_bound",
-    "theorem4_bound",
-    "theorem5_bound",
     "theorem_bound",
     "sg_comparison_bound",
 ]
@@ -381,20 +379,6 @@ class TheoremConstants:
     omega: float | None = None
     rho: float | None = None
 
-    @staticmethod
-    def _ratio_guard(params: TrishParams, h_grad: float, name: str) -> float:
-        """Check gamma1/gamma2 < h/(h-1); return gamma1 - h*(gamma1-gamma2) > 0."""
-        if not h_grad > 1.0:
-            raise ValueError(f"{name} must exceed 1, got {h_grad}")
-        margin = params.gamma1 - h_grad * (params.gamma1 - params.gamma2)
-        if not margin > 0.0:
-            raise HypothesisError(
-                "gamma_ratio",
-                f"gamma1/gamma2 = {params.gamma1 / params.gamma2:.6g} must be below "
-                f"{name}/({name}-1) = {h_grad / (h_grad - 1.0):.6g}",
-            )
-        return margin
-
     @classmethod
     def for_theorem1(
         cls,
@@ -409,26 +393,7 @@ class TheoremConstants:
         f_gap_initial: float,
     ) -> "TheoremConstants":
         """Fixed stepsize under the PL inequality; alpha=None takes the cap."""
-        _validate_common(h1, smoothness, m1, m2, f_gap_initial)
-        if not pl_constant > 0.0:
-            raise ValueError(f"PL constant must be positive, got {pl_constant}")
-        margin = cls._ratio_guard(params, h2, "h2")
-        theta1 = 0.5 * min(params.gamma2, margin)
-        cap = min(1.0 / (2.0 * pl_constant * theta1), 1.0 / (params.gamma1 * smoothness * m2))
-        alpha = _capped(alpha, cap)
-        theta2 = max(
-            0.5 * params.gamma1**2 * smoothness * m1 * alpha**2,
-            h1 * (params.gamma1 - params.gamma2) * alpha + 0.5 * smoothness * alpha**2,
-        )
-        return cls(
-            theorem_id=1,
-            f_gap_initial=f_gap_initial,
-            smoothness=smoothness,
-            alpha=alpha,
-            pl_constant=pl_constant,
-            theta1=theta1,
-            theta2=theta2,
-        )
+        return cls._fixed(1, params, h1, h2, pl_constant, smoothness, m1, m2, alpha, f_gap_initial)
 
     @classmethod
     def for_theorem2(
@@ -445,43 +410,8 @@ class TheoremConstants:
         f_gap_initial: float,
     ) -> "TheoremConstants":
         """Harmonic stepsizes a/(b+k) under the PL inequality."""
-        _validate_common(h3, smoothness, m1, m2, f_gap_initial)
-        if not pl_constant > 0.0:
-            raise ValueError(f"PL constant must be positive, got {pl_constant}")
-        if not b > 0.0:
-            raise ValueError(f"b must be positive, got {b}")
-        margin = cls._ratio_guard(params, h4, "h4")
-        beta1 = 0.5 * min(params.gamma2, margin)
-        lo = 1.0 / (2.0 * pl_constant * beta1)
-        if not lo < a < (b + 1.0) * lo:
-            raise HypothesisError(
-                "a_interval",
-                f"a = {a:.6g} outside ({lo:.6g}, {(b + 1.0) * lo:.6g})",
-            )
-        alpha1 = a / (b + 1.0)
-        cap = 1.0 / (params.gamma1 * smoothness * m2)
-        if alpha1 > cap * (1.0 + 1e-12):
-            raise HypothesisError(
-                "stepsize_cap", f"alpha_1 = {alpha1:.6g} exceeds {cap:.6g}"
-            )
-        beta2 = max(
-            h3 * (params.gamma1 - params.gamma2) + 0.5 * smoothness,
-            0.5 * params.gamma1**2 * smoothness * m1,
-        )
-        nu = max(
-            a**2 * beta2 / (2.0 * a * pl_constant * beta1 - 1.0),
-            (b + 1.0) * f_gap_initial,
-        )
-        return cls(
-            theorem_id=2,
-            f_gap_initial=f_gap_initial,
-            smoothness=smoothness,
-            pl_constant=pl_constant,
-            beta1=beta1,
-            beta2=beta2,
-            nu=nu,
-            a=a,
-            b=b,
+        return cls._harmonic(
+            2, params, h3, h4, pl_constant, smoothness, m1, m2, a, b, f_gap_initial
         )
 
     @classmethod
@@ -500,13 +430,10 @@ class TheoremConstants:
     ) -> "TheoremConstants":
         """Fixed stepsize, PL objective, geometrically decaying noise;
         alpha=None takes the cap."""
-        _validate_common(h5, smoothness, m3, 1.0, f_gap_initial)
-        if not pl_constant > 0.0:
-            raise ValueError(f"PL constant must be positive, got {pl_constant}")
+        _validate_common(h5, smoothness, (m3,), f_gap_initial, pl_constant)
         if not 0.0 < lam < 1.0 or not 0.0 < zeta < 1.0:
             raise ValueError(f"lam and zeta must lie in (0, 1), got {lam}, {zeta}")
-        margin = cls._ratio_guard(params, h6, "h6")
-        kappa1 = 0.5 * min(params.gamma2, margin)
+        margin, kappa1 = _ratio_guard(params, h6, "h6")
         cap = min(
             margin / (params.gamma1**2 * smoothness),
             1.0 / (params.gamma1 * smoothness),
@@ -546,22 +473,7 @@ class TheoremConstants:
         f_gap_initial: float,
     ) -> "TheoremConstants":
         """Fixed stepsize without the PL inequality; alpha=None takes the cap."""
-        _validate_common(h1, smoothness, m1, m2, f_gap_initial)
-        margin = cls._ratio_guard(params, h2, "h2")
-        theta1 = 0.5 * min(params.gamma2, margin)
-        alpha = _capped(alpha, 1.0 / (params.gamma1 * smoothness * m2))
-        theta2 = max(
-            0.5 * params.gamma1**2 * smoothness * m1 * alpha**2,
-            h1 * (params.gamma1 - params.gamma2) * alpha + 0.5 * smoothness * alpha**2,
-        )
-        return cls(
-            theorem_id=4,
-            f_gap_initial=f_gap_initial,
-            smoothness=smoothness,
-            alpha=alpha,
-            theta1=theta1,
-            theta2=theta2,
-        )
+        return cls._fixed(4, params, h1, h2, None, smoothness, m1, m2, alpha, f_gap_initial)
 
     @classmethod
     def for_theorem5(
@@ -582,11 +494,51 @@ class TheoremConstants:
         requirements for any a, b > 0; the initial stepsize must respect
         the usual cap so the per-step descent bound applies from k = 1.
         """
-        _validate_common(h3, smoothness, m1, m2, f_gap_initial)
+        return cls._harmonic(5, params, h3, h4, None, smoothness, m1, m2, a, b, f_gap_initial)
+
+    @classmethod
+    def _fixed(
+        cls, theorem_id, params, h1, h2, pl_constant, smoothness, m1, m2, alpha, f_gap_initial
+    ) -> "TheoremConstants":
+        """Guarantees 1 (PL) and 4 (pl_constant None): theta1, the stepsize
+        cap 1/(gamma1 L M2), tightened to 1/(2 c theta1) under PL, and theta2."""
+        _validate_common(h1, smoothness, (m1, m2), f_gap_initial, pl_constant)
+        _, theta1 = _ratio_guard(params, h2, "h2")
+        cap = 1.0 / (params.gamma1 * smoothness * m2)
+        if pl_constant is not None:
+            cap = min(1.0 / (2.0 * pl_constant * theta1), cap)
+        alpha = _capped(alpha, cap)
+        theta2 = max(
+            0.5 * params.gamma1**2 * smoothness * m1 * alpha**2,
+            h1 * (params.gamma1 - params.gamma2) * alpha + 0.5 * smoothness * alpha**2,
+        )
+        return cls(
+            theorem_id=theorem_id,
+            f_gap_initial=f_gap_initial,
+            smoothness=smoothness,
+            alpha=alpha,
+            pl_constant=pl_constant,
+            theta1=theta1,
+            theta2=theta2,
+        )
+
+    @classmethod
+    def _harmonic(
+        cls, theorem_id, params, h3, h4, pl_constant, smoothness, m1, m2, a, b, f_gap_initial
+    ) -> "TheoremConstants":
+        """Guarantees 2 (PL) and 5 (pl_constant None): beta1, under PL the interval
+        a must lie in and nu, the cap on alpha_1 = a/(b+1), and beta2."""
+        _validate_common(h3, smoothness, (m1, m2), f_gap_initial, pl_constant)
         if not (a > 0.0 and b > 0.0):
             raise ValueError(f"need a > 0 and b > 0, got a={a}, b={b}")
-        margin = cls._ratio_guard(params, h4, "h4")
-        beta1 = 0.5 * min(params.gamma2, margin)
+        _, beta1 = _ratio_guard(params, h4, "h4")
+        if pl_constant is not None:
+            lo = 1.0 / (2.0 * pl_constant * beta1)
+            if not lo < a < (b + 1.0) * lo:
+                raise HypothesisError(
+                    "a_interval",
+                    f"a = {a:.6g} outside ({lo:.6g}, {(b + 1.0) * lo:.6g})",
+                )
         alpha1 = a / (b + 1.0)
         cap = 1.0 / (params.gamma1 * smoothness * m2)
         if alpha1 > cap * (1.0 + 1e-12):
@@ -597,15 +549,38 @@ class TheoremConstants:
             h3 * (params.gamma1 - params.gamma2) + 0.5 * smoothness,
             0.5 * params.gamma1**2 * smoothness * m1,
         )
+        nu = None
+        if pl_constant is not None:
+            nu = max(
+                a**2 * beta2 / (2.0 * a * pl_constant * beta1 - 1.0),
+                (b + 1.0) * f_gap_initial,
+            )
         return cls(
-            theorem_id=5,
+            theorem_id=theorem_id,
             f_gap_initial=f_gap_initial,
             smoothness=smoothness,
+            pl_constant=pl_constant,
             beta1=beta1,
             beta2=beta2,
+            nu=nu,
             a=a,
             b=b,
         )
+
+
+def _ratio_guard(params: TrishParams, h_grad: float, name: str) -> tuple[float, float]:
+    """Check gamma1/gamma2 < h/(h-1); return the margin gamma1 - h*(gamma1-gamma2)
+    and the descent coefficient min(gamma2, margin)/2: theta1, beta1 or kappa1."""
+    if not h_grad > 1.0:
+        raise ValueError(f"{name} must exceed 1, got {h_grad}")
+    margin = params.gamma1 - h_grad * (params.gamma1 - params.gamma2)
+    if not margin > 0.0:
+        raise HypothesisError(
+            "gamma_ratio",
+            f"gamma1/gamma2 = {params.gamma1 / params.gamma2:.6g} must be below "
+            f"{name}/({name}-1) = {h_grad / (h_grad - 1.0):.6g}",
+        )
+    return margin, 0.5 * min(params.gamma2, margin)
 
 
 def _capped(alpha: float | None, cap: float) -> float:
@@ -617,100 +592,58 @@ def _capped(alpha: float | None, cap: float) -> float:
     return alpha
 
 
-def _validate_common(h: float, smoothness: float, m_a: float, m_b: float, gap: float) -> None:
+def _validate_common(
+    h: float, smoothness: float, moments: tuple, gap: float, pl_constant: float | None
+) -> None:
+    """Checks every guarantee makes; pl_constant None means no PL inequality."""
     if not h > 0.0:
         raise ValueError(f"h constant must be positive, got {h}")
     if not smoothness > 0.0:
         raise ValueError(f"L must be positive, got {smoothness}")
-    if not (m_a > 0.0 and m_b > 0.0):
-        raise ValueError(f"moment constants must be positive, got {m_a}, {m_b}")
+    if not all(m > 0.0 for m in moments):
+        raise ValueError(f"moment constants must be positive, got {', '.join(map(str, moments))}")
     if gap < 0.0:
         raise ValueError(f"initial gap must be nonnegative, got {gap}")
+    if pl_constant is not None and not pl_constant > 0.0:
+        raise ValueError(f"PL constant must be positive, got {pl_constant}")
 
 
-# Every bound below takes an int k or an integer array of them and then
-# returns a float or a float array of the same shape.
+def theorem_bound(tc: TheoremConstants, k: int | np.ndarray) -> float | np.ndarray:
+    """Guarantee tc.theorem_id's bound at k, an int (gives a float) or an int array:
 
+      1  E[f(x_k)] - f_star <= P + (1 - r)^(k-1) (gap_1 - P),  r = 2 c alpha theta1,
+         P = theta2/r the noise plateau; at k = 1 exactly the initial gap
+      2  E[f(x_k)] - f_star <= nu/(b + k)
+      3  E[f(x_k)] - f_star <= omega rho^(k-1)
+      4  (1/k) sum_{j<=k} E||grad f(x_j)||^2 <= (k theta2 + gap_1)/(k alpha theta1)
+      5  sum_{j<=k} alpha_j E||grad f(x_j)||^2 <= (gap_1 + beta2 sum_{j<=k} alpha_j^2)/beta1,
+         finite as k grows; one prefix sum up to the largest k serves every k
 
-def theorem1_bound(tc: TheoremConstants, k: int) -> float:
-    """Bound on E[f(x_k)] - f_star: plateau plus geometric transient.
-
-    theta2/(2 c alpha theta1) + (1 - 2 c alpha theta1)^(k-1) * (gap_1 - plateau).
-    At k = 1 this is exactly the initial gap.
+    >>> tc = TheoremConstants(theorem_id=2, f_gap_initial=1.0, smoothness=1.0, nu=10.0, b=4.0)
+    >>> theorem_bound(tc, 1)
+    2.0
+    >>> theorem_bound(tc, np.array([1, 6]))
+    array([2., 1.])
     """
-    _expect(tc, 1, k)
-    rate = 2.0 * tc.pl_constant * tc.alpha * tc.theta1
-    plateau = tc.theta2 / rate
-    return plateau + (1.0 - rate) ** (k - 1) * (tc.f_gap_initial - plateau)
-
-
-def theorem2_bound(tc: TheoremConstants, k: int) -> float:
-    """Bound on E[f(x_k)] - f_star: nu / (b + k)."""
-    _expect(tc, 2, k)
-    return tc.nu / (tc.b + k)
-
-
-def theorem3_bound(tc: TheoremConstants, k: int) -> float:
-    """Bound on E[f(x_k)] - f_star: omega * rho^(k-1)."""
-    _expect(tc, 3, k)
-    return tc.omega * tc.rho ** (k - 1)
-
-
-class Theorem4Bound(NamedTuple):
-    """Total and per-iteration bounds on the summed squared gradient norms."""
-
-    total: float
-    average: float
-
-
-def theorem4_bound(tc: TheoremConstants, k: int) -> Theorem4Bound:
-    """Bound on E[sum_{j<=k} ||grad f(x_j)||^2] and its average over k.
-
-    total  = k*theta2/(alpha theta1) + gap_1/(alpha theta1)
-    average = total / k
-    """
-    _expect(tc, 4, k)
-    denom = tc.alpha * tc.theta1
-    total = k * tc.theta2 / denom + tc.f_gap_initial / denom
-    return Theorem4Bound(total=total, average=total / k)
-
-
-def theorem5_bound(tc: TheoremConstants, k: int) -> float:
-    """Bound on sum_{j<=k} alpha_j E||grad f(x_j)||^2 for harmonic stepsizes.
-
-    (gap_1 + beta2 * sum_{j<=k} alpha_j^2) / beta1, finite as k grows
-    because the squared stepsizes are summable.  One prefix sum up to
-    the largest k serves every k asked for.
-    """
-    _expect(tc, 5, k)
-    j = np.arange(1, np.max(k) + 1)
-    alpha_sq_sums = np.cumsum((tc.a / (tc.b + j)) ** 2)[np.asarray(k) - 1]
-    bound = (tc.f_gap_initial + tc.beta2 * alpha_sq_sums) / tc.beta1
-    return float(bound) if np.ndim(k) == 0 else bound
-
-
-def theorem_bound(theorem_id: int, tc: TheoremConstants, k: int) -> float:
-    """Uniform entry point; the guarantee-4 value is the per-iteration average."""
-    if theorem_id == 1:
-        return theorem1_bound(tc, k)
-    if theorem_id == 2:
-        return theorem2_bound(tc, k)
-    if theorem_id == 3:
-        return theorem3_bound(tc, k)
-    if theorem_id == 4:
-        return theorem4_bound(tc, k).average
-    if theorem_id == 5:
-        return theorem5_bound(tc, k)
-    raise ValueError(f"unknown theorem id {theorem_id}")
-
-
-def _expect(tc: TheoremConstants, theorem_id: int, k: int) -> None:
-    if tc.theorem_id != theorem_id:
-        raise ValueError(
-            f"constants were derived for guarantee {tc.theorem_id}, not {theorem_id}"
-        )
     if np.any(np.asarray(k) < 1):
         raise ValueError(f"iteration index is 1-based, got {np.min(k)}")
+    if tc.theorem_id == 1:
+        rate = 2.0 * tc.pl_constant * tc.alpha * tc.theta1
+        plateau = tc.theta2 / rate
+        return plateau + (1.0 - rate) ** (k - 1) * (tc.f_gap_initial - plateau)
+    if tc.theorem_id == 2:
+        return tc.nu / (tc.b + k)
+    if tc.theorem_id == 3:
+        return tc.omega * tc.rho ** (k - 1)
+    if tc.theorem_id == 4:
+        denom = tc.alpha * tc.theta1
+        return (k * tc.theta2 / denom + tc.f_gap_initial / denom) / k
+    if tc.theorem_id == 5:
+        j = np.arange(1, np.max(k) + 1)
+        alpha_sq_sums = np.cumsum((tc.a / (tc.b + j)) ** 2)[np.asarray(k) - 1]
+        bound = (tc.f_gap_initial + tc.beta2 * alpha_sq_sums) / tc.beta1
+        return float(bound) if np.ndim(k) == 0 else bound
+    raise ValueError(f"unknown theorem id {tc.theorem_id}")
 
 
 def sg_comparison_bound(

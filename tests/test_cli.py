@@ -151,6 +151,13 @@ class TestExitCodes:
         assert f"{bad}:2:3:" in err
         assert "index 0 below 1" in err
 
+    def test_index_above_int64_is_a_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.libsvm"
+        bad.write_text("1 99999999999999999999:1\n")
+        assert main(["stats", "--dataset", str(bad)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"trish: parse error: {bad}:1:3: index above 9223372036854775807\n"
+
     @pytest.mark.parametrize(
         "raw, line, column, byte",
         [

@@ -117,6 +117,24 @@ class TestParseErrors:
     def test_duplicate_index(self):
         self._expect(["1 2:1 2:2"], 1, 7, "duplicate index 2")
 
+    @pytest.mark.parametrize(
+        "index",
+        ["9223372036854775808", "99999999999999999999", "0009223372036854775808", "9" * 5000],
+    )
+    def test_index_above_int64(self, index):
+        self._expect([f"1 1:1 {index}:1"], 1, 7, "index above 9223372036854775807")
+
+    @pytest.mark.parametrize("index", ["9223372036854775807", "0009223372036854775807"])
+    def test_largest_int64_index_accepted(self, index):
+        data, max_index = parse_libsvm([f"1 {index}:1"])
+        assert max_index == 2**63 - 1
+        assert data.features.indices.tolist() == [2**63 - 2]
+
+    def test_zero_padded_index(self):
+        data, max_index = parse_libsvm(["1 0001:1 02:2"])
+        assert max_index == 2
+        assert data.features.indices.tolist() == [0, 1]
+
     def test_non_increasing_index(self):
         self._expect(["1 3:1 2:2"], 1, 7, "non-increasing index 2 after 3")
 

@@ -147,12 +147,6 @@ class _TinySum:
 
 
 class TestFiniteSumMinibatch:
-    def test_full_batch_is_exact(self):
-        grad = finite_sum_minibatch(
-            _TinySum(), np.zeros(2), 2, np.random.default_rng(0), full_batch=True
-        )
-        np.testing.assert_allclose(grad, [0.5, 0.5])
-
     def test_sampling_is_unbiased(self):
         rng = np.random.default_rng(10)
         draws = np.array(

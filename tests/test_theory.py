@@ -26,11 +26,6 @@ from trish.theory import (
     gaussian_conditional_product,
     lemma1_rhs,
     sg_comparison_bound,
-    theorem1_bound,
-    theorem2_bound,
-    theorem3_bound,
-    theorem4_bound,
-    theorem5_bound,
     theorem_bound,
 )
 
@@ -487,13 +482,13 @@ class TestTheoremConstants:
 class TestBounds:
     def test_theorem1_starts_at_initial_gap(self):
         tc = reference_theorem1()
-        assert theorem1_bound(tc, 1) == pytest.approx(0.5, rel=1e-12)
+        assert theorem_bound(tc, 1) == pytest.approx(0.5, rel=1e-12)
 
     def test_theorem1_decays_to_plateau(self):
         tc = reference_theorem1()
         rate = 2.0 * tc.pl_constant * tc.alpha * tc.theta1
         plateau = tc.theta2 / rate
-        values = [theorem1_bound(tc, k) for k in range(1, 60)]
+        values = [theorem_bound(tc, k) for k in range(1, 60)]
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(plateau, rel=1e-2)
         assert all(v >= plateau - 1e-15 for v in values)
@@ -505,8 +500,8 @@ class TestBounds:
             params, h.h3, h.h4, 1.0, 1.0, 0.01, 1.0, a=40.0, b=1000.0,
             f_gap_initial=259.92,
         )
-        assert theorem2_bound(tc, 1) == pytest.approx(tc.nu / 1001.0, rel=1e-14)
-        assert theorem2_bound(tc, 1000) == pytest.approx(tc.nu / 2000.0, rel=1e-14)
+        assert theorem_bound(tc, 1) == pytest.approx(tc.nu / 1001.0, rel=1e-14)
+        assert theorem_bound(tc, 1000) == pytest.approx(tc.nu / 2000.0, rel=1e-14)
 
     def test_theorem3_geometric_decay(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
@@ -515,8 +510,8 @@ class TestBounds:
             params, h.h5, h.h6, h.lam, 0.25, 1.0, 1.0, m3=0.04, alpha=0.45,
             f_gap_initial=0.5,
         )
-        assert theorem3_bound(tc, 1) == pytest.approx(tc.omega, rel=1e-14)
-        assert theorem3_bound(tc, 11) == pytest.approx(tc.omega * tc.rho**10, rel=1e-12)
+        assert theorem_bound(tc, 1) == pytest.approx(tc.omega, rel=1e-14)
+        assert theorem_bound(tc, 11) == pytest.approx(tc.omega * tc.rho**10, rel=1e-12)
 
     def test_theorem4_average_is_total_over_k(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
@@ -524,12 +519,9 @@ class TestBounds:
         tc = TheoremConstants.for_theorem4(
             params, h.h1, h.h2, 16.0, 0.01, 1.0, alpha=1.0 / 32.0, f_gap_initial=3.12
         )
-        bound = theorem4_bound(tc, 10)
         denom = tc.alpha * tc.theta1
-        assert bound.total == pytest.approx(
-            10.0 * tc.theta2 / denom + 3.12 / denom, rel=1e-14
-        )
-        assert bound.average == pytest.approx(bound.total / 10.0, rel=1e-14)
+        total = 10.0 * tc.theta2 / denom + 3.12 / denom
+        assert theorem_bound(tc, 10) == pytest.approx(total / 10.0, rel=1e-14)
 
     def test_theorem5_matches_manual_prefix_sum(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
@@ -539,37 +531,25 @@ class TestBounds:
         )
         k = 7
         manual = sum((0.5 / (7.0 + j)) ** 2 for j in range(1, k + 1))
-        assert theorem5_bound(tc, k) == pytest.approx(
+        assert theorem_bound(tc, k) == pytest.approx(
             (3.12 + tc.beta2 * manual) / tc.beta1, rel=1e-12
         )
-
-    def test_dispatcher_agrees_with_direct_calls(self):
-        tc1 = reference_theorem1()
-        assert theorem_bound(1, tc1, 5) == theorem1_bound(tc1, 5)
-        params = TrishParams(gamma1=2.0, gamma2=1.9)
-        h = AssumptionConstants.for_fixed_sigma(0.1)
-        tc4 = TheoremConstants.for_theorem4(
-            params, h.h1, h.h2, 16.0, 0.01, 1.0, alpha=1.0 / 32.0, f_gap_initial=3.12
-        )
-        assert theorem_bound(4, tc4, 5) == theorem4_bound(tc4, 5).average
 
     def test_dispatcher_validation(self):
         tc = reference_theorem1()
         with pytest.raises(ValueError, match="unknown theorem"):
-            theorem_bound(6, tc, 1)
-        with pytest.raises(ValueError, match="derived for guarantee"):
-            theorem_bound(2, tc, 1)
+            theorem_bound(TheoremConstants(theorem_id=6, f_gap_initial=0.5, smoothness=1.0), 1)
         with pytest.raises(ValueError, match="1-based"):
-            theorem1_bound(tc, 0)
+            theorem_bound(tc, 0)
         with pytest.raises(ValueError, match="1-based"):
-            theorem_bound(1, tc, np.array([1, 0, 2]))
+            theorem_bound(tc, np.array([1, 0, 2]))
 
     @pytest.mark.parametrize("theorem_id", [1, 2, 3, 4, 5])
     def test_array_k_matches_scalar_loop(self, theorem_id):
         setup = verification_setup(theorem_id, n_seeds=2)
         ks = np.arange(1, setup.horizon + 1)
-        curve = theorem_bound(theorem_id, setup.tc, ks)
-        scalars = [theorem_bound(theorem_id, setup.tc, int(k)) for k in ks]
+        curve = theorem_bound(setup.tc, ks)
+        scalars = [theorem_bound(setup.tc, int(k)) for k in ks]
         assert all(type(value) is float for value in scalars)
         np.testing.assert_allclose(curve, scalars, rtol=1e-15, atol=0.0)
 
@@ -578,7 +558,66 @@ class TestBounds:
         ks = np.arange(1, 5001)
         sums = [math.fsum((tc.a / (tc.b + j)) ** 2 for j in range(1, k + 1)) for k in ks[::97]]
         direct = [(tc.f_gap_initial + tc.beta2 * total) / tc.beta1 for total in sums]
-        np.testing.assert_allclose(theorem5_bound(tc, ks)[::97], direct, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(theorem_bound(tc, ks)[::97], direct, rtol=1e-15, atol=0.0)
+
+
+# verification_setup(t).tc for the five reference guarantees and the bound
+# at k = 1, 2, 10 and the horizon, as exact floats.  Any change to a
+# constant's recipe, however small, shows up here.
+PINNED_GUARANTEES = {
+    1: (
+        TheoremConstants(
+            theorem_id=1, f_gap_initial=0.5, smoothness=1.0, alpha=0.5, pl_constant=1.0,
+            theta1=0.9490026442989964, theta2=0.1259973557010036,
+        ),
+        {1: 0.5, 2: 0.1514960335515054, 10: 0.13276818189994366, 200: 0.13276818189908687},
+    ),
+    2: (
+        TheoremConstants(
+            theorem_id=2, f_gap_initial=259.92, smoothness=1.0, pl_constant=1.0,
+            beta1=0.019362330021336374, beta2=0.5319153824321146, nu=260179.92,
+            a=40.0, b=1000.0,
+        ),
+        {1: 259.92, 2: 259.6605988023952, 10: 257.6038811881188, 500: 173.45328},
+    ),
+    3: (
+        TheoremConstants(
+            theorem_id=3, f_gap_initial=0.5, smoothness=1.0, alpha=0.45, pl_constant=1.0,
+            kappa1=0.9480052885979928, kappa2=0.03998942280401434, omega=0.5,
+            rho=0.5733976201309032,
+        ),
+        {1: 0.5, 2: 0.2866988100654516, 10: 0.003350217317009693, 100: 6.110865529154551e-25},
+    ),
+    4: (
+        TheoremConstants(
+            theorem_id=4, f_gap_initial=3.1242202548207136, smoothness=8.0, alpha=0.0625,
+            theta1=0.9490026442989964, theta2=0.01574966946262545,
+        ),
+        {1: 52.93928219309026, 2: 26.602409278444213, 10: 5.532910946727382,
+         200: 0.5289050929446342},
+    ),
+    5: (
+        TheoremConstants(
+            theorem_id=5, f_gap_initial=3.1242202548207136, smoothness=8.0,
+            beta1=0.9493766526868728, beta2=4.019947114020072, a=0.5, b=7.0,
+        ),
+        {1: 3.307352423664959, 2: 3.320421255876031, 10: 3.3712741704239026,
+         5000: 3.4315363547093494},
+    ),
+}
+
+
+class TestPinnedGuarantees:
+    @pytest.mark.parametrize("theorem_id", [1, 2, 3, 4, 5])
+    def test_reference_constants_and_bounds_are_exact(self, theorem_id):
+        expected_tc, expected_bounds = PINNED_GUARANTEES[theorem_id]
+        setup = verification_setup(theorem_id, n_seeds=2)
+        assert setup.tc == expected_tc
+        assert setup.horizon == max(expected_bounds)
+        ks = np.array(sorted(expected_bounds))
+        assert theorem_bound(setup.tc, ks).tolist() == [expected_bounds[k] for k in ks]
+        for k, value in expected_bounds.items():
+            assert theorem_bound(setup.tc, k) == value
 
 
 class TestSgComparisonBound:
