@@ -101,21 +101,22 @@ def step_norm(g_norm: float, alpha: float, params: TrishParams) -> float:
 
 
 def _trish_step_batch(
-    X: np.ndarray, G: np.ndarray, alpha: float, params: TrishParams
+    X: np.ndarray, G: np.ndarray, alpha, gamma1, gamma2
 ) -> tuple[np.ndarray, np.ndarray]:
     """Safeguarded step of every row of X along the matching row of G.
 
-    Returns (next iterates, case index 1-3 per row).  This is the one
+    alpha, gamma1 and gamma2 are scalars or per-row arrays.  Returns
+    (next iterates, case index 1-3 per row).  This is the one
     implementation of the three branches; trish_step is its 1-row case,
     and the harness marches whole blocks of trajectories through it.
     """
     norms = np.linalg.norm(G, axis=1)
-    case1 = norms < params.lower_threshold
-    case3 = norms > params.upper_threshold
+    case1 = norms < 1.0 / gamma1
+    case3 = norms > 1.0 / gamma2
     coeff = np.where(
         case1,
-        params.gamma1 * alpha,
-        np.where(case3, params.gamma2 * alpha, alpha / np.where(norms > 0.0, norms, 1.0)),
+        gamma1 * alpha,
+        np.where(case3, gamma2 * alpha, alpha / np.where(norms > 0.0, norms, 1.0)),
     )
     cases = 2 - case1 + case3  # 1 below the band, 2 inside, 3 above
     return X - coeff[:, None] * G, cases
@@ -143,7 +144,9 @@ def trish_step(
     shape as x.  A zero gradient falls in CASE1 and leaves x unchanged.
     """
     x, g = _checked(x, g, alpha)
-    x_next, cases = _trish_step_batch(x.reshape(1, -1), g.reshape(1, -1), alpha, params)
+    x_next, cases = _trish_step_batch(
+        x.reshape(1, -1), g.reshape(1, -1), alpha, params.gamma1, params.gamma2
+    )
     return x_next.reshape(x.shape), StepCase(int(cases[0]))
 
 

@@ -7,6 +7,12 @@ config run twice produces identical numbers and re-emitting the same
 records produces byte-identical files.  The config hash that `trish run`
 prints deliberately excludes base_seed: reseeding changes the
 trajectories, not the experiment's identity.
+
+One engine, _march, advances a (rows, dim) block in lockstep: the seeds
+of a verify setup, of a run's config, or of every tune grid point that
+differs only in _ROW_FIELDS, each row with its own stepsize and gamma
+pair.  A block's points share each seed's draws, so tune gives each
+point the numbers a run of it alone gives.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import scipy.sparse as sp
 
 from .core import StepsizeSchedule, TrishParams, _trish_step_batch
 from .ingest import load_libsvm
-from .oracles import GaussianOracle, SigmaSchedule, finite_sum_minibatch
+from .oracles import GaussianOracle, SigmaSchedule
 from .problems import (
     LogisticProblem,
     NonconvexPLProblem,
@@ -49,14 +55,14 @@ __all__ = [
     "emit_verify_csv",
 ]
 
-RUN_CSV_HEADER = (
-    "seed,checkpoint_fraction,iteration,train_loss,train_acc,"
-    "test_loss,test_acc,case1,case2,case3"
-)
 VERIFY_CSV_HEADER = "k,empirical_gap,standard_error,bound,violated"
 
 _METHODS = ("trish", "sg")
 _PROBLEMS = ("logistic", "quadratic", "nonconvex_pl")
+
+_ROW_FIELDS = ("alpha", "gamma1", "gamma2", "schedule_a", "schedule_b")  # see _run_block
+_MAX_BLOCK_BYTES = 1 << 30  # see _start_block
+_TUNE_BLOCK_BYTES = 1 << 26  # see _run_block
 
 
 @dataclass(frozen=True)
@@ -128,6 +134,7 @@ class ExperimentConfig:
                 raise ValueError("synthetic problems need max_iterations >= 1")
             if self.sigma is None:
                 raise ValueError("synthetic problems need the oracle sigma")
+            SigmaSchedule.constant(self.sigma)  # validates sigma
             if self.dimension < 1:
                 raise ValueError(f"dimension must be at least 1, got {self.dimension}")
 
@@ -179,6 +186,9 @@ class RunRecord:
     case3: int
 
 
+RUN_CSV_HEADER = ",".join(f.name for f in dataclasses.fields(RunRecord))
+
+
 @dataclass
 class ExperimentResult:
     records: list[RunRecord]
@@ -210,33 +220,41 @@ def _build_problem(config: ExperimentConfig):
     # One shared dimension so train and test live in the same space.
     dim = max(train_max, test_max, 1)
 
-    def widened(data):
+    def split(data):
         f = data.features
-        return sp.csr_matrix((f.data, f.indices, f.indptr), shape=(len(data), dim))
+        widened = sp.csr_matrix((f.data, f.indices, f.indptr), shape=(len(data), dim))
+        return widened, normalize_binary_labels(data.labels)
 
-    labels = normalize_binary_labels(train.labels)
-    if test:
-        return LogisticProblem(
-            widened(train), labels, widened(test), normalize_binary_labels(test.labels)
-        )
-    return LogisticProblem(widened(train), labels)
+    return LogisticProblem(*split(train), *(split(test) if test else ()))
 
 
 def _checkpoint_iterations(fractions: tuple[float, ...], total: int) -> list[int]:
     return [max(1, math.ceil(f * total)) for f in fractions]
 
 
-def _march(X, steps, schedule, draw, params, observe, at, counts=None) -> None:
+def _start_block(rows: int, dim: int, x1) -> np.ndarray:
+    """rows copies of x1 (a scalar fills every coordinate): every command's
+    iterate block, refused above _MAX_BLOCK_BYTES before it is allocated."""
+    if rows * dim * 8 > _MAX_BLOCK_BYTES:
+        raise ValueError(
+            f"{rows} trajectories (--seeds, times grid points) of dimension {dim} "
+            f"(the dataset width) pass the {_MAX_BLOCK_BYTES >> 30} GiB limit on iterates"
+        )
+    return np.full((rows, dim), x1, dtype=float)
+
+
+def _march(X, steps, alpha, draw, gammas, observe, at, counts=None) -> None:
     """Advance the (n_rows, dim) block X through `steps` iterations in lockstep.
 
-    Step k samples G = draw(X, k, alpha_k) and takes the safeguarded step,
-    or plain SG when params is None.  A row that goes non-finite stays
-    non-finite, because nan and inf absorb every later step; that is how
-    a diverged row is frozen.  observe(done, X) sees the block after each
-    `done` in `at` steps and may write nan into a row to freeze it.
-    counts, if given, tallies the branch of every step taken from a
-    finite row with a finite sample.  Overflow is how rows diverge, so
-    floating-point warnings are silenced.
+    Step k samples G = draw(X, k, alpha_k) at alpha_k = alpha(k) and takes
+    the safeguarded step with gammas = (gamma1, gamma2), or plain SG when
+    gammas is None; alpha_k and the gammas are scalars or per-row arrays.
+    A row that goes non-finite stays non-finite, because nan and inf
+    absorb every later step; that is how a diverged row is frozen.
+    observe(done, X) sees the block after each `done` in `at` steps and
+    may write nan into a row to freeze it.  counts, if given, tallies the
+    branch of every step taken from a finite row with a finite sample.
+    Overflow is how rows diverge, so floating-point warnings are silenced.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for done in range(steps + 1):
@@ -244,90 +262,101 @@ def _march(X, steps, schedule, draw, params, observe, at, counts=None) -> None:
                 observe(done, X)
             if done == steps:
                 break
-            alpha_k = schedule.alpha(done + 1)
+            alpha_k = alpha(done + 1)
             G = draw(X, done + 1, alpha_k)
-            if params is None:
-                X = X - alpha_k * G
+            if gammas is None:
+                X = X - np.reshape(alpha_k, (-1, 1)) * G
                 continue
-            X_next, cases = _trish_step_batch(X, G, alpha_k, params)
+            X_next, cases = _trish_step_batch(X, G, alpha_k, *gammas)
             if counts is not None:
                 live = np.isfinite(X).all(axis=1) & np.isfinite(G).all(axis=1)
                 counts[live, cases[live] - 1] += 1
             X = X_next
 
 
-def run_experiment(config: ExperimentConfig, problem=None) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run n_seeds trainings in lockstep and collect checkpoint metrics.
 
     Seed i draws from its own generator default_rng(base_seed + i), so
     its trajectory does not depend on n_seeds; all seeds share the
     starting point.  A run that produces a non-finite loss, gradient or
     iterate stops stepping and reports nan metrics from that checkpoint
-    on.  problem, when given, must be the one the config builds; it
-    lets tune_grid parse each dataset once for the whole grid.
+    on.
     """
-    if problem is None:
-        problem = _build_problem(config)
+    return _run_block([config], _build_problem(config))[0]
+
+
+def _run_block(configs: list[ExperimentConfig], problem) -> list[ExperimentResult]:
+    """Run configs that differ only in _ROW_FIELDS as one block, whose row
+    p*S + i is config p under seed i; one whose iterates and margins would
+    pass _TUNE_BLOCK_BYTES runs in parts."""
+    config = configs[0]
+    S = config.n_seeds
     logistic = config.problem == "logistic"
+    dim = problem.metadata.dimension
+    n = problem.n_components if logistic else 0
+    fits = max(1, _TUNE_BLOCK_BYTES // (8 * S * (dim + n)))
+    if len(configs) > fits:
+        parts = [configs[i:i + fits] for i in range(0, len(configs), fits)]
+        return [result for part in parts for result in _run_block(part, problem)]
+    P = len(configs)
+    X = _start_block(P * S, dim, 0.0 if logistic else 1.0)
+    rngs = [np.random.default_rng(config.base_seed + i) for i in range(S)]
     if logistic:
-        x1 = np.zeros(problem.metadata.dimension)
-        total = math.ceil(problem.n_components / config.batch_size) * config.epochs
+        total = math.ceil(n / config.batch_size) * config.epochs
 
-        def sample(x, k, alpha_k, rng):
-            return finite_sum_minibatch(problem, x, config.batch_size, rng)
+        def draw(X, k, alpha_k):
+            indices = np.array([rng.integers(0, n, size=config.batch_size) for rng in rngs])
+            return problem.block_gradient(indices, X)
     else:
-        x1 = np.ones(config.dimension)
         total = config.max_iterations
-        oracle = GaussianOracle(SigmaSchedule.constant(config.sigma))
 
-        def sample(x, k, alpha_k, rng):
-            return oracle.sample(problem.gradient(x), k, rng, alpha_k)
+        def draw(X, k, alpha_k):
+            noise = np.array([rng.standard_normal(dim) for rng in rngs])
+            return problem.gradient(X) + config.sigma * np.tile(noise, (P, 1))
 
-    seeds = [config.base_seed + i for i in range(config.n_seeds)]
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    schedules = [c.schedule() for c in configs]
 
-    def draw(X, k, alpha_k):
-        return np.array([sample(x, k, alpha_k, rng) for x, rng in zip(X, rngs)])
+    def alpha(k):
+        return np.repeat([s.alpha(k) for s in schedules], S)
 
-    nan = math.nan
-    counts = np.zeros((config.n_seeds, 3), dtype=int)  # SG runs leave these at zero
-    snapshots = {}
+    gammas = None  # plain SG, whose case counts stay zero
+    if config.method == "trish":
+        gammas = np.repeat([[c.gamma1 for c in configs], [c.gamma2 for c in configs]], S, axis=1)
+    counts = np.zeros((P * S, 3), dtype=int)
+    snapshots = {}  # per checkpoint, each row's four metrics and three case counts
 
     def observe(done, X):
-        metrics = []
-        for x in X:
-            if not np.isfinite(x).all():
-                metrics.append((nan,) * 4)
-            elif logistic:
-                metrics.append(problem.train_metrics(x) + problem.test_metrics(x))
-            else:
-                value = float(problem.value(x))
-                metrics.append((value, nan, nan, nan))
-                if not math.isfinite(value):
-                    x[:] = nan
-        snapshots[done] = (metrics, counts.tolist())
+        metrics = np.full((P * S, 4), math.nan)
+        live = np.isfinite(X).all(axis=1)
+        if logistic:
+            metrics[live, :2] = np.column_stack(problem.train_metrics(X[live]))
+            metrics[live, 2:] = np.column_stack(problem.test_metrics(X[live]))
+        else:
+            value = problem.value(X)
+            metrics[live, 0] = value[live]
+            X[~np.isfinite(value)] = math.nan
+        snapshots[done] = [m + c for m, c in zip(metrics.tolist(), counts.tolist())]
 
-    params = TrishParams(config.gamma1, config.gamma2) if config.method == "trish" else None
     targets = _checkpoint_iterations(config.checkpoint_fractions, total)
-    X = np.tile(x1, (config.n_seeds, 1))
-    _march(X, total, config.schedule(), draw, params, observe, set(targets), counts)
-    records = [
-        RunRecord(seed, frac, target, *snapshots[target][0][i], *snapshots[target][1][i])
-        for i, seed in enumerate(seeds)
-        for frac, target in zip(config.checkpoint_fractions, targets)
-    ]
-
+    _march(X, total, alpha, draw, gammas, observe, set(targets), counts)
     metadata = {
         "generator": "numpy-pcg64",
         "method": config.method,
         "problem": config.problem,
-        "dimension": problem.metadata.dimension,
+        "dimension": dim,
         "iterations": total,
         "x1_policy": "zeros" if logistic else "ones",
-        "n_seeds": config.n_seeds,
+        "n_seeds": S,
         "base_seed": config.base_seed,
     }
-    return ExperimentResult(records=records, metadata=metadata)
+    records = [
+        RunRecord(config.base_seed + r % S, frac, target, *snapshots[target][r])
+        for r in range(P * S)
+        for frac, target in zip(config.checkpoint_fractions, targets)
+    ]
+    size = S * len(targets)  # records per config
+    return [ExperimentResult(records[p * size:(p + 1) * size], dict(metadata)) for p in range(P)]
 
 
 @dataclass(frozen=True)
@@ -390,49 +419,48 @@ def tune_grid(base_config: ExperimentConfig, grid: dict) -> TuneResult:
     lexicographically first parameter combination.  Grid points whose
     runs go non-finite are kept in the table, flagged diverged, and
     excluded from selection.  Each problem is built once and shared by
-    every grid point that names it, and the winner's records come back
-    with the result.
+    every grid point that names it, and points that differ only in
+    _ROW_FIELDS march as rows of one block.  The winner's records come
+    back with the result.
     """
     normalized = _normalize_grid(grid)
     keys = list(normalized)
-    entries: list[TuneEntry] = []
-    candidates = []
+    combos = list(product(*(normalized[key] for key in keys)))
+    points = [
+        {field: value for fields, row in zip(keys, combo) for field, value in zip(fields, row)}
+        for combo in combos
+    ]
+    configs = [dataclasses.replace(base_config, **params) for params in points]
+    blocks: dict = {}  # grid point indices, by the repr of the fields their block shares
+    for index, config in enumerate(configs):
+        shared = repr([v for f, v in vars(config).items() if f not in _ROW_FIELDS])
+        blocks.setdefault(shared, []).append(index)
+    results: dict = {}
     problems: dict = {}  # keyed by the fields _build_problem reads
-    for combo in product(*(normalized[key] for key in keys)):
-        combo_params = {
-            field: value
-            for fields, row in zip(keys, combo)
-            for field, value in zip(fields, row)
-        }
-        config = dataclasses.replace(base_config, **combo_params)
+    for members in blocks.values():
+        config = configs[members[0]]
         key = (config.problem, config.dataset, config.test_dataset, config.dimension)
         if key not in problems:
             problems[key] = _build_problem(config)
-        result = run_experiment(config, problems[key])
-        finals = result.final_records()
+        results.update(zip(members, _run_block([configs[m] for m in members], problems[key])))
+    entries: list[TuneEntry] = []
+    candidates = []
+    for index, (combo, combo_params) in enumerate(zip(combos, points)):
+        finals = results[index].final_records()
         means = [
             float(np.mean([getattr(r, f) for r in finals]))
             for f in ("train_loss", "train_acc", "test_loss", "test_acc")
         ]
         diverged = not math.isfinite(means[0])
-        entry = TuneEntry(
-            params=combo_params,
-            mean_train_loss=means[0],
-            mean_train_acc=means[1],
-            mean_test_loss=means[2],
-            mean_test_acc=means[3],
-            diverged=diverged,
-        )
-        entries.append(entry)
+        entries.append(TuneEntry(combo_params, *means, diverged))
         if not diverged:
             acc = means[3] if math.isfinite(means[3]) else -math.inf
             loss = means[2] if math.isfinite(means[2]) else means[0]
-            candidates.append(((-acc, loss, combo), config, combo_params, result.records))
+            candidates.append(((-acc, loss, combo), index))
     if not candidates:
         raise GridDivergedError("every grid point diverged; nothing to select")
-    candidates.sort(key=lambda item: item[0])
-    _, best, best_params, best_records = candidates[0]
-    return TuneResult(best, best_params, entries, best_records)
+    best = min(candidates)[1]
+    return TuneResult(configs[best], points[best], entries, results[best].records)
 
 
 @dataclass
@@ -482,7 +510,7 @@ def verify_theorem(
         raise ValueError(f"need at least two trajectories, got {n_seeds}")
     meta = problem.metadata
     f_star = meta.f_star if meta.f_star is not None else 0.0
-    x1 = np.atleast_1d(np.asarray(setup.x1, dtype=float))
+    X = _start_block(n_seeds, np.size(setup.x1), setup.x1)
     rng = np.random.default_rng(base_seed)
 
     ks = np.arange(1, horizon + 1)
@@ -518,8 +546,8 @@ def verify_theorem(
     def draw(X, k, alpha_k):
         return setup.oracle.sample(grad, k, rng, alpha_k)
 
-    X = np.tile(x1, (n_seeds, 1))
-    _march(X, horizon, schedule, draw, setup.params, observe, range(horizon))
+    gammas = (setup.params.gamma1, setup.params.gamma2)
+    _march(X, horizon, schedule.alpha, draw, gammas, observe, range(horizon))
 
     bound = theorem_bound(tc, ks)
     guard = 1e-12 * np.maximum(1.0, np.abs(bound))
@@ -655,18 +683,7 @@ def emit_csv(records: list[RunRecord], path: str) -> None:
     ordered = sorted(
         records, key=lambda r: (r.seed, r.iteration, r.checkpoint_fraction)
     )
-    lines = [RUN_CSV_HEADER]
-    for r in ordered:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.seed, r.checkpoint_fraction, r.iteration,
-                    r.train_loss, r.train_acc, r.test_loss, r.test_acc,
-                    r.case1, r.case2, r.case3,
-                )
-            )
-        )
+    lines = [RUN_CSV_HEADER] + [",".join(map(_fmt, dataclasses.astuple(r))) for r in ordered]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -674,17 +691,9 @@ def emit_csv(records: list[RunRecord], path: str) -> None:
 def emit_verify_csv(report: TheoremReport, path: str) -> None:
     """Write the bound-check curve, one row per iteration index."""
     lines = [VERIFY_CSV_HEADER]
-    for i in range(report.k.size):
-        lines.append(
-            ",".join(
-                (
-                    str(int(report.k[i])),
-                    _fmt(float(report.empirical[i])),
-                    _fmt(float(report.standard_error[i])),
-                    _fmt(float(report.bound[i])),
-                    str(int(report.violated[i])),
-                )
-            )
-        )
+    curves = zip(report.empirical, report.standard_error, report.bound)
+    for k, values, violated in zip(report.k, curves, report.violated):
+        cells = [str(int(k)), *(_fmt(float(v)) for v in values), str(int(violated))]
+        lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")

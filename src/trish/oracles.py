@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -24,8 +23,6 @@ __all__ = [
     "SigmaSchedule",
     "GaussianOracle",
     "TwoPointOracle",
-    "FiniteSumProblem",
-    "finite_sum_minibatch",
 ]
 
 
@@ -191,33 +188,3 @@ class TwoPointOracle:
     def moments(self) -> OracleMoments:
         """(M1, M2) with M1 the variance and M2 = 1, tight for this oracle."""
         return OracleMoments(m1=self.second_moment() - self.mean**2, m2=1.0)
-
-
-class FiniteSumProblem(Protocol):
-    """Objective f(x) = (1/N) sum_i f_i(x) exposing per-component gradients."""
-
-    @property
-    def n_components(self) -> int: ...
-
-    def component_gradient(self, indices: np.ndarray, x: np.ndarray) -> np.ndarray: ...
-
-
-def finite_sum_minibatch(
-    problem: FiniteSumProblem,
-    x: np.ndarray,
-    batch_size: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Mini-batch gradient, sampling components uniformly with replacement.
-
-    With-replacement sampling keeps every draw identically distributed,
-    so the estimator is unbiased for any batch size.  For the exact
-    gradient, call the problem's gradient(x).
-    """
-    n = problem.n_components
-    if n < 1:
-        raise ValueError("problem has no components")
-    if batch_size < 1:
-        raise ValueError(f"batch size must be at least 1, got {batch_size}")
-    indices = rng.integers(0, n, size=batch_size)
-    return problem.component_gradient(indices, x)

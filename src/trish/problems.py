@@ -10,7 +10,8 @@ throughout is 2c(f(x) - f_star) <= ||grad f(x)||^2.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,6 +28,8 @@ __all__ = [
     "normalize_binary_labels",
     "verify_pl_constant",
 ]
+
+_DENSE_GATHER_BYTES = 1 << 25  # see LogisticProblem.block_gradient
 
 
 @dataclass(frozen=True)
@@ -137,8 +140,7 @@ def logistic_loss(w: np.ndarray, features: sp.spmatrix, labels: np.ndarray) -> f
     log(1 + e^t) is evaluated as logaddexp(0, t), i.e. t + log1p(e^-t)
     for t > 0, so large margins cannot overflow.
     """
-    t = -labels * (features @ w)
-    return float(np.mean(np.logaddexp(0.0, t)))
+    return float(_logistic_metrics(w, features, labels)[0])
 
 
 def logistic_gradient(w: np.ndarray, features: sp.spmatrix, labels: np.ndarray) -> np.ndarray:
@@ -153,8 +155,15 @@ def classification_accuracy(
     w: np.ndarray, features: sp.spmatrix, labels: np.ndarray
 ) -> float:
     """Fraction of rows with sign(z_i . w) = y_i; zero margins count as wrong."""
-    margins = features @ w
-    return float(np.mean(margins * labels > 0.0))
+    return float(_logistic_metrics(w, features, labels)[1])
+
+
+def _logistic_metrics(W: np.ndarray, features: sp.spmatrix, labels: np.ndarray) -> tuple:
+    """Mean logistic loss and accuracy at w, or at every row of W, from one product."""
+    # each row's margins contiguous, so its means sum in the 1-d order
+    margins = np.ascontiguousarray((features @ np.asarray(W).T).T)
+    loss = np.mean(np.logaddexp(0.0, -labels * margins), axis=-1)
+    return loss, np.mean(margins * labels > 0.0, axis=-1)
 
 
 def normalize_binary_labels(labels: np.ndarray) -> np.ndarray:
@@ -177,9 +186,9 @@ def normalize_binary_labels(labels: np.ndarray) -> np.ndarray:
 class LogisticProblem:
     """Binary logistic regression over sparse features, labels in {-1, +1}.
 
-    Doubles as a finite sum: component i is the loss on pair i, so the
-    mini-batch machinery can subsample rows uniformly.  An optional
-    held-out split rides along for test metrics.
+    Doubles as a finite sum: component i is the loss on pair i, and
+    block_gradient averages the components a mini-batch draws.  An
+    optional held-out split rides along for test metrics.
     """
 
     def __init__(
@@ -234,28 +243,47 @@ class LogisticProblem:
     def gradient(self, w: np.ndarray) -> np.ndarray:
         return logistic_gradient(w, self.features, self.labels)
 
-    def component_gradient(self, indices: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Mean gradient over the selected rows, duplicates included."""
-        rows = self.features[indices]
+    @cached_property
+    def _dense_features(self) -> np.ndarray:
+        return self.features.toarray()
+
+    def block_gradient(self, indices: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """Mean mini-batch gradients of a (P*S, d) block W, one gather per call.
+
+        Row p*S + i of W takes seed i's mini-batch, row i of the (S, b)
+        indices, duplicates counted.  The gather is dense while the
+        matrix and the batch fit in _DENSE_GATHER_BYTES, else sparse.
+        """
+        indices = np.asarray(indices)
+        S, b = indices.shape
+        if b < 1:
+            raise ValueError(f"batch size must be at least 1, got {b}")
+        d = W.shape[1]
+        W3 = W.reshape(-1, S, d)
         y = self.labels[indices]
-        t = -y * (rows @ w)
-        coeff = -y * expit(t)
-        grad = rows.T @ coeff / y.size
-        return np.asarray(grad).ravel()
+        if (self.n_components + indices.size) * d * 8 <= _DENSE_GATHER_BYTES:
+            rows = self._dense_features[indices]
+            coeff = -y * expit(-y * np.einsum("sbd,psd->psb", rows, W3))
+            grad = np.einsum("psb,sbd->psd", coeff, rows)
+        else:
+            rows = self.features[indices.ravel()]
+            # Seed i's rows act on columns i*d .. (i+1)*d - 1 of the stacked iterates.
+            shift = np.repeat(np.arange(S * b) // b * d, np.diff(rows.indptr))
+            rows = sp.csr_matrix((rows.data, rows.indices + shift, rows.indptr), (S * b, S * d))
+            stacked = W3.transpose(1, 2, 0).reshape(S * d, -1)
+            y = y.reshape(-1, 1)
+            coeff = -y * expit(-y * (rows @ stacked))
+            grad = (rows.T @ coeff).reshape(S, d, -1).transpose(2, 0, 1)
+        return grad.reshape(-1, d) / b
 
-    def train_metrics(self, w: np.ndarray) -> tuple[float, float]:
-        return (
-            logistic_loss(w, self.features, self.labels),
-            classification_accuracy(w, self.features, self.labels),
-        )
+    def train_metrics(self, W: np.ndarray) -> tuple:
+        """(mean loss, accuracy) at w, or arrays of both over the rows of a block W."""
+        return _logistic_metrics(W, self.features, self.labels)
 
-    def test_metrics(self, w: np.ndarray) -> tuple[float, float]:
+    def test_metrics(self, W: np.ndarray) -> tuple:
         if self.test_features is None:
             return (float("nan"), float("nan"))
-        return (
-            logistic_loss(w, self.test_features, self.test_labels),
-            classification_accuracy(w, self.test_features, self.test_labels),
-        )
+        return _logistic_metrics(W, self.test_features, self.test_labels)
 
 
 def verify_pl_constant(problem, points: np.ndarray) -> tuple[bool, float]:

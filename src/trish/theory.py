@@ -434,15 +434,17 @@ class TheoremConstants:
         if not 0.0 < lam < 1.0 or not 0.0 < zeta < 1.0:
             raise ValueError(f"lam and zeta must lie in (0, 1), got {lam}, {zeta}")
         margin, kappa1 = _ratio_guard(params, h6, "h6")
+        # gamma1 is never squared on its own: gamma1**2 overflows for
+        # gamma1 above ~1e154, while these constants stay finite.
         cap = min(
-            margin / (params.gamma1**2 * smoothness),
+            margin / params.gamma1 / (params.gamma1 * smoothness),
             1.0 / (params.gamma1 * smoothness),
             1.0 / (pl_constant * kappa1),
         )
         alpha = _capped(alpha, cap)
         kappa2 = (
             h5 * (params.gamma1 - params.gamma2)
-            + 0.5 * params.gamma1**2 * alpha * smoothness * m3
+            + 0.5 * params.gamma1 * (params.gamma1 * alpha) * smoothness * m3
         )
         omega = max(f_gap_initial, kappa2 / (pl_constant * kappa1))
         rho = max(1.0 - alpha * pl_constant * kappa1, lam, zeta)
@@ -508,8 +510,8 @@ class TheoremConstants:
         if pl_constant is not None:
             cap = min(1.0 / (2.0 * pl_constant * theta1), cap)
         alpha = _capped(alpha, cap)
-        theta2 = max(
-            0.5 * params.gamma1**2 * smoothness * m1 * alpha**2,
+        theta2 = max(  # (gamma1 alpha)^2 stays finite where gamma1**2 overflows
+            0.5 * smoothness * m1 * (params.gamma1 * alpha) ** 2,
             h1 * (params.gamma1 - params.gamma2) * alpha + 0.5 * smoothness * alpha**2,
         )
         return cls(

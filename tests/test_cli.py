@@ -192,6 +192,52 @@ class TestExitCodes:
         assert main(["verify", "--theorem", "1", "--seeds", "1"]) == EXIT_USAGE
         assert "two trajectories" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["verify", "--theorem", "1"],
+            ["run", "--dataset", TRAIN, "--method", "sg", "--alpha", "0.5"],
+            ["tune", "--config", "CONFIG"],
+        ],
+        ids=["verify", "run", "tune"],
+    )
+    def test_seed_count_too_large_for_memory(self, command, synthetic_config, capsys):
+        command = [synthetic_config if arg == "CONFIG" else arg for arg in command]
+        if command[0] == "tune":
+            with open(synthetic_config, "a") as handle:
+                handle.write("tune_alpha = 0.1, 0.2\n")
+        assert main(command + ["--seeds", "100000000000"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("trish: error: 100000000000 trajectories (--seeds")
+        assert err.endswith("pass the 1 GiB limit on iterates\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("index", [100000000000, 2**62])
+    def test_dataset_too_wide_for_memory(self, index, tmp_path, capsys):
+        wide = tmp_path / "wide.libsvm"
+        wide.write_text(f"1 1:1.0 {index}:2.0\n-1 2:0.5\n")
+        rc = main(["run", "--dataset", str(wide), "--method", "sg", "--alpha", "0.5"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"of dimension {index} (the dataset width) pass the 1 GiB limit" in err
+        assert err.startswith("trish: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "theorem, code, fragment",
+        [
+            ("1", EXIT_OK, "violations=0"),
+            ("2", EXIT_HYPOTHESIS, "a = 40 outside"),
+            ("3", EXIT_HYPOTHESIS, "alpha = 0.45 outside"),
+            ("4", EXIT_OK, "violations=0"),
+            ("5", EXIT_HYPOTHESIS, "alpha_1 = 0.0625 exceeds"),
+        ],
+    )
+    def test_huge_gammas_do_not_overflow(self, theorem, code, fragment, capsys):
+        # gamma1**2 is not a float here, but every guarantee constant is
+        argv = ["verify", "--theorem", theorem, "--gamma1", "1e300", "--gamma2", "1e299"]
+        assert main(argv + ["--seeds", "40"]) == code
+        captured = capsys.readouterr()
+        assert fragment in captured.out + captured.err
+
     def test_violations_exit_code(self, monkeypatch, capsys, tmp_path):
         report = TheoremReport(
             theorem_id=1,

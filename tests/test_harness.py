@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from trish import harness
 from trish.core import StepsizeSchedule, TrishParams, classify_case, step_norm
 from trish.harness import (
     RUN_CSV_HEADER,
@@ -330,6 +331,87 @@ class TestTuneGrid:
             _rows(result.best_records), _rows(run_experiment(result.best).records)
         )
 
+    @pytest.mark.parametrize(
+        "stepsize, grid",
+        [
+            (
+                dict(alpha=1.0),
+                {
+                    ("gamma1", "gamma2"): [(2.0, 0.8), (8.0, 3.2)],
+                    "alpha": [0.25, 2.0],
+                    "batch_size": [10, 40],
+                },
+            ),
+            (
+                dict(schedule_a=20.0, schedule_b=10.0),
+                {"schedule_a": [5.0, 20.0], "schedule_b": [10.0, 40.0], "batch_size": [30]},
+            ),
+        ],
+        ids=["fixed", "harmonic"],
+    )
+    def test_every_entry_matches_its_own_run(self, monkeypatch, stepsize, grid):
+        base = ExperimentConfig(
+            problem="logistic", dataset=TRAIN, test_dataset=TEST, gamma1=4.0, gamma2=1.6,
+            n_seeds=3, checkpoint_fractions=[0.5, 1.0], **stepsize,
+        )
+        blocks = []
+        run_block = harness._run_block
+
+        def counted(configs, problem):
+            blocks.append(len(configs))
+            return run_block(configs, problem)
+
+        monkeypatch.setattr(harness, "_run_block", counted)
+        result = tune_grid(base, grid)
+        monkeypatch.undo()
+        # one block per batch size, holding every other combination
+        assert blocks == [len(result.entries) // len(grid["batch_size"])] * len(grid["batch_size"])
+        for entry in result.entries:
+            finals = run_experiment(dataclasses.replace(base, **entry.params)).final_records()
+            assert not entry.diverged
+            assert [entry.mean_train_loss, entry.mean_train_acc, entry.mean_test_loss,
+                    entry.mean_test_acc] == [
+                float(np.mean([getattr(r, f) for r in finals]))
+                for f in ("train_loss", "train_acc", "test_loss", "test_acc")
+            ]
+        np.testing.assert_array_equal(
+            _rows(result.best_records), _rows(run_experiment(result.best).records)
+        )
+
+    def test_block_past_the_byte_budget_runs_in_parts(self, monkeypatch):
+        base = ExperimentConfig(
+            problem="logistic", dataset=TRAIN, test_dataset=TEST, gamma1=4.0, gamma2=1.6,
+            alpha=1.0, batch_size=20, n_seeds=2,
+        )
+        grid = {"alpha": [0.1, 0.25, 0.5, 1.0, 2.0]}
+        whole = tune_grid(base, grid)
+        rows = []
+        start_block = harness._start_block
+
+        def recorded(n_rows, dim, x1):
+            rows.append(n_rows)
+            return start_block(n_rows, dim, x1)
+
+        monkeypatch.setattr(harness, "_start_block", recorded)
+        # room for two points of 2 seeds, 120 columns and 600 training rows
+        monkeypatch.setattr(harness, "_TUNE_BLOCK_BYTES", 2 * 8 * 2 * (120 + 600))
+        parts = tune_grid(base, grid)
+        assert rows == [4, 4, 2]
+        assert parts.entries == whole.entries
+        assert parts.best_records == whole.best_records
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_row_leaves_its_block_alone(self):
+        base = ExperimentConfig(
+            method="sg", problem="logistic", dataset=TRAIN, test_dataset=TEST,
+            alpha=1.0, batch_size=20, n_seeds=3,
+        )
+        clean = tune_grid(base, {"alpha": [0.25, 1.0]})
+        poisoned = tune_grid(base, {"alpha": [0.25, 1e308, 1.0]})
+        assert [e.params["alpha"] for e in poisoned.entries if e.diverged] == [1e308]
+        assert [e for e in poisoned.entries if not e.diverged] == clean.entries
+        np.testing.assert_array_equal(_rows(poisoned.best_records), _rows(clean.best_records))
+
     def test_grid_validation(self):
         base = synthetic_config()
         with pytest.raises(ValueError, match="empty candidate"):
@@ -366,7 +448,7 @@ class TestTrishStepBatch:
     @given(_step_blocks())
     def test_matches_scalar_step(self, block):
         params, alpha, X, G = block
-        X_next, cases = _trish_step_batch(X, G, alpha, params)
+        X_next, cases = _trish_step_batch(X, G, alpha, params.gamma1, params.gamma2)
         assert list(cases[-4:]) == [1, 2, 2, 3]  # the band edges are normalized
         for x, x_next, g, case in zip(X, X_next, G, cases):
             g_norm = float(np.linalg.norm(g))
@@ -379,12 +461,27 @@ class TestTrishStepBatch:
             assert np.linalg.norm(x - x_next) == pytest.approx(length, rel=1e-9, abs=10 * tol)
         np.testing.assert_array_equal(X_next[-4], X[-4])  # zero sample, no move
 
+    def test_per_row_parameters_match_one_call_per_row(self):
+        rng = np.random.default_rng(4)
+        X, G = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+        G *= (np.array([0.1, 0.5, 0.9, 2.0, 10.0, 0.3]) / np.linalg.norm(G, axis=1))[:, None]
+        alpha = rng.uniform(0.1, 1.0, size=6)
+        gamma1 = np.array([4.0, 4.0, 2.0, 2.0, 3.0, 8.0])
+        gamma2 = np.array([1.0, 1.0, 0.5, 0.4, 2.0, 4.0])
+        X_next, cases = _trish_step_batch(X, G, alpha, gamma1, gamma2)
+        assert list(cases) == [1, 2, 2, 2, 3, 3]
+        for r in range(6):
+            row = slice(r, r + 1)
+            row_next, row_case = _trish_step_batch(X[row], G[row], alpha[r], gamma1[r], gamma2[r])
+            np.testing.assert_array_equal(X_next[r], row_next[0])
+            assert cases[r] == row_case[0]
+
 
 class TestMarch:
     def test_diverging_row_leaves_the_others_alone(self):
         problem = QuadraticProblem(np.ones(2))
         oracle = GaussianOracle(SigmaSchedule.constant(0.5))
-        params = TrishParams(2.0, 0.5)
+        gammas = (2.0, 0.5)
 
         def march(poisoned_row):
             rngs = [np.random.default_rng(seed) for seed in range(3)]
@@ -401,7 +498,7 @@ class TestMarch:
                 seen.append((X.copy(), counts.copy()))
 
             schedule = StepsizeSchedule.fixed(0.1)
-            _march(np.ones((3, 2)), 8, schedule, draw, params, observe, range(9), counts)
+            _march(np.ones((3, 2)), 8, schedule.alpha, draw, gammas, observe, range(9), counts)
             return seen
 
         clean, poisoned = march(None), march(1)
@@ -519,7 +616,10 @@ class TestEmitCsv:
         ]
         emit_csv(records, str(path))
         lines = path.read_text().splitlines()
-        assert lines[0] == RUN_CSV_HEADER
+        assert lines[0] == RUN_CSV_HEADER == (
+            "seed,checkpoint_fraction,iteration,train_loss,train_acc,"
+            "test_loss,test_acc,case1,case2,case3"
+        )
         assert len(lines) == 4
         seeds = [int(line.split(",")[0]) for line in lines[1:]]
         iters = [int(line.split(",")[2]) for line in lines[1:]]

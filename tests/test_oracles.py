@@ -1,6 +1,4 @@
-"""Noise schedules, the Gaussian and two-point oracles, mini-batching."""
-
-import math
+"""Noise schedules and the Gaussian and two-point oracles."""
 
 import numpy as np
 import pytest
@@ -10,7 +8,6 @@ from trish.oracles import (
     OracleMoments,
     SigmaSchedule,
     TwoPointOracle,
-    finite_sum_minibatch,
 )
 
 
@@ -131,37 +128,3 @@ class TestTwoPointOracle:
         oracle = TwoPointOracle()
         value = oracle.sample(np.random.default_rng(0))
         assert value in (6.0, -1.5)
-
-
-class _TinySum:
-    """Two components with gradients (1, 0) and (0, 1); mean is (0.5, 0.5)."""
-
-    @property
-    def n_components(self):
-        return 2
-
-    def component_gradient(self, indices, x):
-        out = np.zeros((len(indices), 2))
-        out[np.arange(len(indices)), np.asarray(indices)] = 1.0
-        return out.mean(axis=0)
-
-
-class TestFiniteSumMinibatch:
-    def test_sampling_is_unbiased(self):
-        rng = np.random.default_rng(10)
-        draws = np.array(
-            [finite_sum_minibatch(_TinySum(), np.zeros(2), 1, rng) for _ in range(4000)]
-        )
-        np.testing.assert_allclose(draws.mean(axis=0), [0.5, 0.5], atol=0.03)
-
-    def test_draws_with_replacement(self):
-        # batches larger than the component count are legal and must
-        # repeat components, which only replacement sampling allows
-        grad = finite_sum_minibatch(_TinySum(), np.zeros(2), 64, np.random.default_rng(1))
-        assert grad.shape == (2,)
-        assert grad.sum() == pytest.approx(1.0)
-        assert not math.isclose(float(grad[0]), 0.5, abs_tol=1e-12)
-
-    def test_batch_size_validation(self):
-        with pytest.raises(ValueError):
-            finite_sum_minibatch(_TinySum(), np.zeros(2), 0, np.random.default_rng(0))

@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import expit
 
+from trish import problems
 from trish.problems import (
     LogisticProblem,
     NonconvexPLProblem,
@@ -271,14 +273,14 @@ class TestLogisticProblem:
     def test_full_component_gradient_matches_gradient(self):
         problem = self._small_problem()
         w = np.random.default_rng(1).normal(size=3)
-        full = problem.component_gradient(np.arange(12), w)
-        np.testing.assert_allclose(full, problem.gradient(w), rtol=1e-12)
+        full = problem.block_gradient(np.arange(12)[None], w[None])
+        np.testing.assert_allclose(full[0], problem.gradient(w), rtol=1e-12)
 
     def test_component_gradient_counts_duplicates(self):
         problem = self._small_problem()
-        w = np.zeros(3)
-        single = problem.component_gradient(np.array([4]), w)
-        doubled = problem.component_gradient(np.array([4, 4]), w)
+        w = np.zeros((1, 3))
+        single = problem.block_gradient(np.array([[4]]), w)
+        doubled = problem.block_gradient(np.array([[4, 4]]), w)
         np.testing.assert_allclose(doubled, single)
 
     def test_train_and_test_metrics(self):
@@ -313,6 +315,73 @@ class TestLogisticProblem:
                 test_features=sp.csr_matrix(np.eye(4)),
                 test_labels=np.ones(4),
             )
+
+
+def _reference_gradient(problem, indices, w):
+    """The per-seed formula: mean gradient over the selected rows, duplicates counted."""
+    rows = problem.features[indices]
+    y = problem.labels[indices]
+    coeff = -y * expit(-y * (rows @ w))
+    return np.asarray(rows.T @ coeff).ravel() / y.size
+
+
+@pytest.fixture(params=["dense", "sparse"])
+def gather(request, monkeypatch):
+    """Run a test once per gather; the sparse one is forced by a zero byte budget."""
+    if request.param == "sparse":
+        monkeypatch.setattr(problems, "_DENSE_GATHER_BYTES", 0)
+    return request.param
+
+
+class TestBlockGradient:
+    @staticmethod
+    def _problem(n=40, d=7, seed=3):
+        rng = np.random.default_rng(seed)
+        dense = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.4)
+        dense[5] = 0.0  # a row with no stored entry
+        labels = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        return LogisticProblem(sp.csr_matrix(dense), labels)
+
+    def test_matches_per_seed_reference(self, gather):
+        problem = self._problem()
+        rng = np.random.default_rng(0)
+        points, seeds, batch = 3, 4, 6
+        indices = rng.integers(0, 40, size=(seeds, batch))
+        indices[1, :3] = indices[1, 3:]  # duplicates within one batch
+        indices[2, 0] = 5  # the empty row
+        W = rng.normal(size=(points * seeds, 7))
+        block = problem.block_gradient(indices, W)
+        assert block.shape == W.shape
+        for row, w in enumerate(W):
+            expected = _reference_gradient(problem, indices[row % seeds], w)
+            if gather == "sparse":  # the same sparse products, in the same order
+                np.testing.assert_array_equal(block[row], expected)
+            else:  # dense sums of d terms round differently, by a few ulps
+                np.testing.assert_allclose(block[row], expected, rtol=1e-12, atol=1e-15)
+        assert ("_dense_features" in vars(problem)) == (gather == "dense")
+
+    def test_sampling_is_unbiased(self):
+        problem = self._problem()
+        w = np.random.default_rng(1).normal(size=7)
+        indices = np.random.default_rng(10).integers(0, 40, size=(4000, 1))
+        draws = problem.block_gradient(indices, np.tile(w, (4000, 1)))
+        se = draws.std(axis=0, ddof=1) / np.sqrt(4000)
+        assert np.all(np.abs(draws.mean(axis=0) - problem.gradient(w)) <= 4.0 * se)
+
+    def test_draws_with_replacement(self):
+        # batches larger than the component count are legal and must
+        # repeat components, which only replacement sampling allows
+        problem = self._problem()
+        w = np.random.default_rng(2).normal(size=7)
+        indices = np.random.default_rng(1).integers(0, 40, size=(1, 64))
+        grad = problem.block_gradient(indices, w[None])
+        assert grad.shape == (1, 7)
+        np.testing.assert_allclose(grad[0], _reference_gradient(problem, indices[0], w), rtol=1e-12)
+        assert not np.allclose(grad[0], problem.gradient(w))
+
+    def test_batch_size_validation(self):
+        with pytest.raises(ValueError, match="batch size"):
+            self._problem().block_gradient(np.zeros((1, 0), dtype=int), np.zeros((1, 7)))
 
 
 class TestGradientConsistency:

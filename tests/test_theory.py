@@ -444,6 +444,23 @@ class TestTheoremConstants:
         assert tc.kappa2 == pytest.approx(expected_kappa2, rel=1e-14)
         assert tc.omega == pytest.approx(max(0.5, tc.kappa2 / kappa1), rel=1e-14)
 
+    def test_huge_gamma1_gives_finite_constants(self):
+        # gamma1**2 overflows a float here; the constants it enters do not
+        params = TrishParams(gamma1=1e300, gamma2=1e299)
+        h = AssumptionConstants.for_fixed_sigma(0.1)
+        tc = TheoremConstants.for_theorem1(params, h.h1, h.h2, 1.0, 1.0, 100.0, 1.0, None, 0.5)
+        assert tc.alpha == pytest.approx(1e-300, rel=1e-14, abs=0.0)
+        assert tc.theta2 == pytest.approx(0.5 * 100.0 * (1e300 * tc.alpha) ** 2, rel=1e-14)
+        g = AssumptionConstants.for_geometric(m3=0.04, zeta=0.25)
+        tc3 = TheoremConstants.for_theorem3(
+            params, g.h5, g.h6, g.lam, 0.25, 1.0, 1.0, m3=0.04, alpha=None, f_gap_initial=0.5
+        )
+        margin = 1e300 - g.h6 * 9e299
+        assert tc3.alpha == pytest.approx(margin / 1e300 / 1e300, rel=1e-12, abs=0.0)
+        expected_kappa2 = g.h5 * 9e299 + 0.5 * 1e300 * (1e300 * tc3.alpha) * 0.04
+        assert tc3.kappa2 == pytest.approx(expected_kappa2, rel=1e-12)
+        assert all(math.isfinite(v) for v in (tc3.omega, tc3.rho))
+
     def test_theorem4_skips_pl_requirement(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
         h = AssumptionConstants.for_fixed_sigma(0.1)
