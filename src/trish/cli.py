@@ -150,21 +150,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"method={meta['method']} iterations={meta['iterations']} "
         f"seeds={meta['n_seeds']}"
     )
-    finals = result.final_records()
-    for r in finals:
+    for r in result.final_records():
         print(
             f"seed {r.seed}: iter={r.iteration} "
             f"train_loss={_float6(r.train_loss)} train_acc={_float6(r.train_acc)} "
             f"test_loss={_float6(r.test_loss)} test_acc={_float6(r.test_acc)} "
             f"cases={r.case1}/{r.case2}/{r.case3}"
         )
-    means = {
-        f: float(np.mean([getattr(r, f) for r in finals]))
-        for f in ("train_loss", "train_acc", "test_loss", "test_acc")
-    }
     print(
         "final mean: "
-        + " ".join(f"{name}={_float6(value)}" for name, value in means.items())
+        + " ".join(f"{name}={_float6(value)}" for name, value in result.final_means().items())
     )
     if args.out:
         emit_csv(result.records, args.out)

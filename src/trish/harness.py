@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import inspect
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -199,6 +198,14 @@ class ExperimentResult:
         last = max(r.checkpoint_fraction for r in self.records)
         return [r for r in self.records if r.checkpoint_fraction == last]
 
+    def final_means(self) -> dict[str, float]:
+        """Mean over seeds of each final-checkpoint metric, by RunRecord field."""
+        finals = self.final_records()
+        return {
+            f: float(np.mean([getattr(r, f) for r in finals]))
+            for f in ("train_loss", "train_acc", "test_loss", "test_acc")
+        }
+
 
 # The synthetic objectives by name, each built from its dimension.
 _SYNTHETIC = {
@@ -333,9 +340,8 @@ def _run_block(configs: list[ExperimentConfig], problem) -> list[ExperimentResul
             metrics[live, :2] = np.column_stack(problem.train_metrics(X[live]))
             metrics[live, 2:] = np.column_stack(problem.test_metrics(X[live]))
         else:
-            value = problem.value(X)
-            metrics[live, 0] = value[live]
-            X[~np.isfinite(value)] = math.nan
+            metrics[live, 0] = problem.value(X)[live]
+        X[~np.isfinite(metrics[:, 0])] = math.nan  # a non-finite train loss freezes its row
         snapshots[done] = [m + c for m, c in zip(metrics.tolist(), counts.tolist())]
 
     targets = _checkpoint_iterations(config.checkpoint_fractions, total)
@@ -446,16 +452,12 @@ def tune_grid(base_config: ExperimentConfig, grid: dict) -> TuneResult:
     entries: list[TuneEntry] = []
     candidates = []
     for index, (combo, combo_params) in enumerate(zip(combos, points)):
-        finals = results[index].final_records()
-        means = [
-            float(np.mean([getattr(r, f) for r in finals]))
-            for f in ("train_loss", "train_acc", "test_loss", "test_acc")
-        ]
-        diverged = not math.isfinite(means[0])
-        entries.append(TuneEntry(combo_params, *means, diverged))
+        means = results[index].final_means()
+        diverged = not math.isfinite(means["train_loss"])
+        entries.append(TuneEntry(combo_params, *means.values(), diverged))
         if not diverged:
-            acc = means[3] if math.isfinite(means[3]) else -math.inf
-            loss = means[2] if math.isfinite(means[2]) else means[0]
+            acc = means["test_acc"] if math.isfinite(means["test_acc"]) else -math.inf
+            loss = means["test_loss"] if math.isfinite(means["test_loss"]) else means["train_loss"]
             candidates.append(((-acc, loss, combo), index))
     if not candidates:
         raise GridDivergedError("every grid point diverged; nothing to select")
@@ -584,11 +586,14 @@ class VerificationSetup:
 class _Guarantee:
     """The regime one guarantee is checked in: one row of _GUARANTEES.
 
-    stepsize is a fixed alpha, a harmonic pair (a, b) for a/(b+k), or
-    None for the largest fixed alpha the guarantee's hypotheses allow.
+    pl is whether the guarantee assumes the PL inequality, and so reads
+    the problem's PL constant.  stepsize is a fixed alpha, a harmonic
+    pair (a, b) for a/(b+k), or None for the largest fixed alpha the
+    guarantee's hypotheses allow.
     """
 
     problem: str
+    pl: bool
     noise: SigmaSchedule
     gammas: tuple[float, float]
     stepsize: float | tuple[float, float] | None
@@ -603,11 +608,17 @@ class _Guarantee:
 # wide normalized band and a slow crawl through it: the gap then genuinely
 # tracks the 1/k envelope over the fitted window.
 _GUARANTEES = {
-    1: _Guarantee("quadratic", SigmaSchedule.constant(0.1), (2.0, 1.9), None, 1.0, 200),
-    2: _Guarantee("quadratic", SigmaSchedule.coupled(1.0), (0.2, 0.04), (40.0, 1000.0), 22.8, 500),
-    3: _Guarantee("quadratic", SigmaSchedule.geometric(0.04, 0.25), (2.0, 1.9), 0.45, 1.0, 100),
-    4: _Guarantee("nonconvex_pl", SigmaSchedule.constant(0.1), (2.0, 1.9), None, 1.0, 200),
-    5: _Guarantee("nonconvex_pl", SigmaSchedule.coupled(1.0), (2.0, 1.9), (0.5, 7.0), 1.0, 5000),
+    1: _Guarantee("quadratic", True, SigmaSchedule.constant(0.1), (2.0, 1.9), None, 1.0, 200),
+    2: _Guarantee(
+        "quadratic", True, SigmaSchedule.coupled(1.0), (0.2, 0.04), (40.0, 1000.0), 22.8, 500
+    ),
+    3: _Guarantee(
+        "quadratic", True, SigmaSchedule.geometric(0.04, 0.25), (2.0, 1.9), 0.45, 1.0, 100
+    ),
+    4: _Guarantee("nonconvex_pl", False, SigmaSchedule.constant(0.1), (2.0, 1.9), None, 1.0, 200),
+    5: _Guarantee(
+        "nonconvex_pl", False, SigmaSchedule.coupled(1.0), (2.0, 1.9), (0.5, 7.0), 1.0, 5000
+    ),
 }
 
 
@@ -643,25 +654,30 @@ def verification_setup(
     x1 = np.array([row.x1])
     if harmonic:
         schedule = StepsizeSchedule.harmonic(*row.stepsize)
-        step = {"a": schedule.a, "b": schedule.b}
         alpha_max = schedule.alpha(1)
     else:
         alpha_max = row.stepsize if alpha is None else alpha
-        step = {"alpha": alpha_max}
-    oracle = GaussianOracle(row.noise)
-    # Every constant a guarantee may read, under the name its for_theoremN
-    # constructor gives that parameter; each constructor takes what it names.
-    known = {
-        **vars(AssumptionConstants.for_schedule(row.noise, alpha_max)),
-        **vars(oracle.moments(meta.dimension, alpha_max)),
-        **step,
-        "params": params,
-        "pl_constant": meta.pl_constant,
-        "smoothness": meta.smoothness,
-        "f_gap_initial": float(problem.value(x1)) - meta.f_star,
-    }
-    build = getattr(TheoremConstants, f"for_theorem{theorem_id}")
-    tc = build(**{name: known[name] for name in inspect.signature(build).parameters})
+    noise, L = row.noise, meta.smoothness
+    oracle = GaussianOracle(noise)
+    moments = oracle.moments(meta.dimension, alpha_max)
+    pl_constant = meta.pl_constant if row.pl else None
+    gap = float(problem.value(x1)) - meta.f_star
+    # Each recipe takes the (h_a, h_b) pair of the row's noise kind.
+    if harmonic:
+        h = AssumptionConstants.for_coupled(alpha_max, noise.multiplier)
+        tc = TheoremConstants.for_harmonic_stepsize(
+            params, h.h3, h.h4, pl_constant, L, moments.m1, moments.m2, *row.stepsize, gap
+        )
+    elif noise.kind == "geometric":
+        h = AssumptionConstants.for_geometric(noise.m3, noise.zeta)
+        tc = TheoremConstants.for_geometric_noise(
+            params, h.h5, h.h6, h.lam, moments.zeta, pl_constant, L, moments.m3, alpha_max, gap
+        )
+    else:
+        h = AssumptionConstants.for_fixed_sigma(noise.sigma0)
+        tc = TheoremConstants.for_fixed_stepsize(
+            params, h.h1, h.h2, pl_constant, L, moments.m1, moments.m2, alpha_max, gap
+        )
     if not harmonic:
         schedule = StepsizeSchedule.fixed(tc.alpha)
     return VerificationSetup(tc, problem, oracle, params, schedule, x1, row.horizon, n_seeds)

@@ -18,9 +18,10 @@ rates for the five convergence guarantees:
     4  fixed stepsize, no PL: bounded average squared gradient norm
     5  Robbins-Monro stepsizes, no PL: weighted gradient sums converge
 
-Guarantees 1 and 4 share one fixed-stepsize recipe and 2 and 5 one
-harmonic recipe, with and without a PL constant.  theorem_bound(tc, k)
-is the one entry point to all five bounds.
+Three TheoremConstants recipes build the five: for_fixed_stepsize for
+1 and 4 and for_harmonic_stepsize for 2 and 5, each given a PL constant
+or None, and for_geometric_noise for 3.  theorem_bound(tc, k) is the one
+entry point to all five bounds.
 """
 
 from __future__ import annotations
@@ -124,18 +125,6 @@ class AssumptionConstants:
             raise ValueError(f"zeta must lie in (0, 1), got {zeta}")
         h5 = math.sqrt(m3) / _TWO_ROOT_2PI
         return cls(h5=h5, h6=1.0 + h5, lam=math.sqrt(zeta))
-
-    @classmethod
-    def for_schedule(cls, schedule, alpha_max: float | None = None) -> "AssumptionConstants":
-        """The constructor matching a Gaussian SigmaSchedule's kind.
-
-        Coupled noise needs the largest stepsize alpha_max it scales with.
-        """
-        if schedule.kind == "constant":
-            return cls.for_fixed_sigma(schedule.sigma0)
-        if schedule.kind == "coupled":
-            return cls.for_coupled(alpha_max, schedule.multiplier)
-        return cls.for_geometric(schedule.m3, schedule.zeta)
 
 
 def gaussian_conditional_product(grad_norm: float, sigma: float) -> float:
@@ -357,9 +346,10 @@ def lemma1_rhs(
 class TheoremConstants:
     """Derived constants for one convergence guarantee.
 
-    Populated by the for_theoremN constructors, which also validate the
-    guarantee's hypotheses and raise HypothesisError when one fails.
-    Fields irrelevant to the chosen guarantee stay None.
+    Populated by the recipes for_fixed_stepsize, for_harmonic_stepsize and
+    for_geometric_noise, which set theorem_id, validate the guarantee's
+    hypotheses and raise HypothesisError when one fails.  Fields
+    irrelevant to the chosen guarantee stay None.
     """
 
     theorem_id: int
@@ -380,42 +370,7 @@ class TheoremConstants:
     rho: float | None = None
 
     @classmethod
-    def for_theorem1(
-        cls,
-        params: TrishParams,
-        h1: float,
-        h2: float,
-        pl_constant: float,
-        smoothness: float,
-        m1: float,
-        m2: float,
-        alpha: float | None,
-        f_gap_initial: float,
-    ) -> "TheoremConstants":
-        """Fixed stepsize under the PL inequality; alpha=None takes the cap."""
-        return cls._fixed(1, params, h1, h2, pl_constant, smoothness, m1, m2, alpha, f_gap_initial)
-
-    @classmethod
-    def for_theorem2(
-        cls,
-        params: TrishParams,
-        h3: float,
-        h4: float,
-        pl_constant: float,
-        smoothness: float,
-        m1: float,
-        m2: float,
-        a: float,
-        b: float,
-        f_gap_initial: float,
-    ) -> "TheoremConstants":
-        """Harmonic stepsizes a/(b+k) under the PL inequality."""
-        return cls._harmonic(
-            2, params, h3, h4, pl_constant, smoothness, m1, m2, a, b, f_gap_initial
-        )
-
-    @classmethod
-    def for_theorem3(
+    def for_geometric_noise(
         cls,
         params: TrishParams,
         h5: float,
@@ -428,8 +383,11 @@ class TheoremConstants:
         alpha: float | None,
         f_gap_initial: float,
     ) -> "TheoremConstants":
-        """Fixed stepsize, PL objective, geometrically decaying noise;
-        alpha=None takes the cap."""
+        """Guarantee 3: fixed stepsize, PL objective, geometrically decaying
+        noise with pair (h5, h6); alpha=None takes the cap.  There is no
+        form without PL, so pl_constant None raises ValueError."""
+        if pl_constant is None:
+            raise ValueError("geometric noise has a guarantee only under PL; got no PL constant")
         _validate_common(h5, smoothness, (m3,), f_gap_initial, pl_constant)
         if not 0.0 < lam < 1.0 or not 0.0 < zeta < 1.0:
             raise ValueError(f"lam and zeta must lie in (0, 1), got {lam}, {zeta}")
@@ -463,50 +421,19 @@ class TheoremConstants:
         )
 
     @classmethod
-    def for_theorem4(
-        cls,
-        params: TrishParams,
-        h1: float,
-        h2: float,
-        smoothness: float,
-        m1: float,
-        m2: float,
-        alpha: float | None,
-        f_gap_initial: float,
+    def for_fixed_stepsize(
+        cls, params: TrishParams, h1: float, h2: float, pl_constant: float | None,
+        smoothness: float, m1: float, m2: float, alpha: float | None, f_gap_initial: float,
     ) -> "TheoremConstants":
-        """Fixed stepsize without the PL inequality; alpha=None takes the cap."""
-        return cls._fixed(4, params, h1, h2, None, smoothness, m1, m2, alpha, f_gap_initial)
-
-    @classmethod
-    def for_theorem5(
-        cls,
-        params: TrishParams,
-        h3: float,
-        h4: float,
-        smoothness: float,
-        m1: float,
-        m2: float,
-        a: float,
-        b: float,
-        f_gap_initial: float,
-    ) -> "TheoremConstants":
-        """Harmonic stepsizes without the PL inequality.
-
-        a/(b+k) satisfies the divergent-sum / convergent-square-sum
-        requirements for any a, b > 0; the initial stepsize must respect
-        the usual cap so the per-step descent bound applies from k = 1.
-        """
-        return cls._harmonic(5, params, h3, h4, None, smoothness, m1, m2, a, b, f_gap_initial)
-
-    @classmethod
-    def _fixed(
-        cls, theorem_id, params, h1, h2, pl_constant, smoothness, m1, m2, alpha, f_gap_initial
-    ) -> "TheoremConstants":
-        """Guarantees 1 (PL) and 4 (pl_constant None): theta1, the stepsize
-        cap 1/(gamma1 L M2), tightened to 1/(2 c theta1) under PL, and theta2."""
+        """Guarantees 1 (PL) and 4 (pl_constant None): fixed stepsize alpha,
+        fixed-sigma pair (h1, h2).  Sets theta1, the stepsize cap
+        1/(gamma1 L M2), tightened to 1/(2 c theta1) under PL, and theta2;
+        alpha=None takes the cap."""
         _validate_common(h1, smoothness, (m1, m2), f_gap_initial, pl_constant)
         _, theta1 = _ratio_guard(params, h2, "h2")
         cap = 1.0 / (params.gamma1 * smoothness * m2)
+        if not cap > 0.0:  # gamma1 L M2 overflowed
+            raise HypothesisError("stepsize_cap", "stepsize cap 1/(gamma1 L M2) rounds to 0")
         if pl_constant is not None:
             cap = min(1.0 / (2.0 * pl_constant * theta1), cap)
         alpha = _capped(alpha, cap)
@@ -515,7 +442,7 @@ class TheoremConstants:
             h1 * (params.gamma1 - params.gamma2) * alpha + 0.5 * smoothness * alpha**2,
         )
         return cls(
-            theorem_id=theorem_id,
+            theorem_id=4 if pl_constant is None else 1,
             f_gap_initial=f_gap_initial,
             smoothness=smoothness,
             alpha=alpha,
@@ -525,11 +452,18 @@ class TheoremConstants:
         )
 
     @classmethod
-    def _harmonic(
-        cls, theorem_id, params, h3, h4, pl_constant, smoothness, m1, m2, a, b, f_gap_initial
+    def for_harmonic_stepsize(
+        cls, params: TrishParams, h3: float, h4: float, pl_constant: float | None,
+        smoothness: float, m1: float, m2: float, a: float, b: float, f_gap_initial: float,
     ) -> "TheoremConstants":
-        """Guarantees 2 (PL) and 5 (pl_constant None): beta1, under PL the interval
-        a must lie in and nu, the cap on alpha_1 = a/(b+1), and beta2."""
+        """Guarantees 2 (PL) and 5 (pl_constant None): harmonic stepsizes
+        a/(b+k), coupled pair (h3, h4).  Sets beta1, under PL the interval
+        a must lie in and nu, the cap on alpha_1 = a/(b+1), and beta2.
+
+        Without PL, a/(b+k) satisfies the divergent-sum / convergent-square-sum
+        requirements for any a, b > 0; the initial stepsize must respect
+        the usual cap so the per-step descent bound applies from k = 1.
+        """
         _validate_common(h3, smoothness, (m1, m2), f_gap_initial, pl_constant)
         if not (a > 0.0 and b > 0.0):
             raise ValueError(f"need a > 0 and b > 0, got a={a}, b={b}")
@@ -558,7 +492,7 @@ class TheoremConstants:
                 (b + 1.0) * f_gap_initial,
             )
         return cls(
-            theorem_id=theorem_id,
+            theorem_id=5 if pl_constant is None else 2,
             f_gap_initial=f_gap_initial,
             smoothness=smoothness,
             pl_constant=pl_constant,

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line: exit codes, output, config files."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -222,18 +223,33 @@ class TestExitCodes:
         assert err.startswith("trish: error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "theorem, code, fragment",
+        "theorem, code, fragment, gamma1, gamma2",
         [
-            ("1", EXIT_OK, "violations=0"),
-            ("2", EXIT_HYPOTHESIS, "a = 40 outside"),
-            ("3", EXIT_HYPOTHESIS, "alpha = 0.45 outside"),
-            ("4", EXIT_OK, "violations=0"),
-            ("5", EXIT_HYPOTHESIS, "alpha_1 = 0.0625 exceeds"),
+            # gamma1**2 is not a float here, but every guarantee constant is
+            pytest.param("1", EXIT_OK, "violations=0", "1e300", "1e299", id="1-0-violations=0"),
+            pytest.param("2", EXIT_HYPOTHESIS, "a = 40 outside", "1e300", "1e299",
+                         id="2-3-a = 40 outside"),
+            pytest.param("3", EXIT_HYPOTHESIS, "alpha = 0.45 outside", "1e300", "1e299",
+                         id="3-3-alpha = 0.45 outside"),
+            pytest.param("4", EXIT_OK, "violations=0", "1e300", "1e299", id="4-0-violations=0"),
+            pytest.param("5", EXIT_HYPOTHESIS, "alpha_1 = 0.0625 exceeds", "1e300", "1e299",
+                         id="5-3-alpha_1 = 0.0625 exceeds"),
+            # gamma1 L M2 is inf for theorems 4 and 5 (L = 8), so their cap is 0
+            *(
+                pytest.param(*case, *gammas)
+                for gammas in [("1e308", "1e307"), ("1.7e308", "1e308")]
+                for case in [
+                    ("1", EXIT_OK, "violations=0"),
+                    ("2", EXIT_HYPOTHESIS, "a = 40 outside"),
+                    ("3", EXIT_HYPOTHESIS, "alpha = 0.45 outside"),
+                    ("4", EXIT_HYPOTHESIS, "stepsize cap 1/(gamma1 L M2) rounds to 0"),
+                    ("5", EXIT_HYPOTHESIS, "alpha_1 = 0.0625 exceeds 0"),
+                ]
+            ),
         ],
     )
-    def test_huge_gammas_do_not_overflow(self, theorem, code, fragment, capsys):
-        # gamma1**2 is not a float here, but every guarantee constant is
-        argv = ["verify", "--theorem", theorem, "--gamma1", "1e300", "--gamma2", "1e299"]
+    def test_huge_gammas_do_not_overflow(self, theorem, code, fragment, gamma1, gamma2, capsys):
+        argv = ["verify", "--theorem", theorem, "--gamma1", gamma1, "--gamma2", gamma2]
         assert main(argv + ["--seeds", "40"]) == code
         captured = capsys.readouterr()
         assert fragment in captured.out + captured.err
@@ -453,6 +469,26 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"trish: error: guarantee {theorem} steps by a/(b+k)")
         assert err.count("\n") == 1
+
+    def test_overrides_at_edge_values_end_in_a_documented_exit(self, capsys):
+        values = ["0", "-0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "1e308", "1.7e308",
+                  "1e-320", "0.5", "3"]
+        documented = {EXIT_OK, EXIT_USAGE, EXIT_HYPOTHESIS, EXIT_VIOLATION}
+        bad = []
+        for theorem in "12345":
+            for flag in ("--gamma1", "--gamma2", "--alpha"):
+                for value in values:
+                    argv = ["verify", "--theorem", theorem, "--seeds", "4", f"{flag}={value}"]
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        try:
+                            rc = main(argv)
+                        except Exception as exc:  # would end the command in a traceback
+                            rc = repr(exc)
+                    err = capsys.readouterr().err
+                    if rc not in documented or caught or err.count("\n") > 1:
+                        bad.append((argv, rc, err, [str(w.message) for w in caught]))
+        assert bad == []
 
 
 class TestStatsCommand:

@@ -210,6 +210,21 @@ class TestRunExperiment:
         records = run_experiment(config).records
         assert math.isnan(records[-1].train_loss)
 
+    def test_logistic_divergence_freezes_the_row(self):
+        # gamma2 * alpha * g overflows the margins while the iterates stay finite
+        config = ExperimentConfig(
+            problem="logistic", dataset=TRAIN, test_dataset=TEST, gamma1=1e308, gamma2=1e307,
+            alpha=0.5, n_seeds=2, checkpoint_fractions=(0.1, 0.5, 1.0),
+        )
+        records = run_experiment(config).records
+        for seed in (0, 1):
+            first, *later = [r for r in records if r.seed == seed]
+            assert first.train_loss == math.inf
+            for r in later:
+                metrics = (r.train_loss, r.train_acc, r.test_loss, r.test_acc)
+                assert all(math.isnan(v) for v in metrics)
+                assert (r.case1, r.case2, r.case3) == (first.case1, first.case2, first.case3)
+
     def test_metadata_fields(self):
         config = synthetic_config()
         meta = run_experiment(config).metadata

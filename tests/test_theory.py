@@ -13,7 +13,6 @@ from scipy import integrate
 
 from trish.core import StepCase, TrishParams
 from trish.harness import verification_setup
-from trish.oracles import SigmaSchedule
 from trish.theory import (
     AssumptionConstants,
     ConditionalInnerProductEstimate,
@@ -71,15 +70,6 @@ class TestAssumptionConstants:
         assert h.h5 == pytest.approx(2.0 / TWO_ROOT_2PI, rel=1e-15)
         assert h.h6 == pytest.approx(1.0 + 2.0 / TWO_ROOT_2PI, rel=1e-15)
         assert h.lam == 0.5
-
-    def test_for_schedule_follows_the_noise_kind(self):
-        pick = AssumptionConstants.for_schedule
-        fixed = AssumptionConstants.for_fixed_sigma(0.1)
-        assert pick(SigmaSchedule.constant(0.1)) == fixed
-        coupled = AssumptionConstants.for_coupled(alpha_max=0.5, multiplier=2.0)
-        assert pick(SigmaSchedule.coupled(2.0), alpha_max=0.5) == coupled
-        geometric = AssumptionConstants.for_geometric(m3=4.0, zeta=0.25)
-        assert pick(SigmaSchedule.geometric(4.0, 0.25)) == geometric
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -346,7 +336,7 @@ def reference_theorem1() -> TheoremConstants:
     """Frozen 1-d quadratic setup: c = L = 1, sigma = 0.1, alpha = 0.5."""
     params = TrishParams(gamma1=2.0, gamma2=1.9)
     h = AssumptionConstants.for_fixed_sigma(0.1)
-    return TheoremConstants.for_theorem1(
+    return TheoremConstants.for_fixed_stepsize(
         params,
         h1=h.h1,
         h2=h.h2,
@@ -375,7 +365,7 @@ class TestTheoremConstants:
         params = TrishParams(gamma1=2.0, gamma2=0.02)
         h = AssumptionConstants.for_fixed_sigma(0.1)
         with pytest.raises(HypothesisError) as exc_info:
-            TheoremConstants.for_theorem1(
+            TheoremConstants.for_fixed_stepsize(
                 params, h.h1, h.h2, 1.0, 1.0, 0.01, 1.0, 0.1, 0.5
             )
         assert exc_info.value.condition == "gamma_ratio"
@@ -385,7 +375,7 @@ class TestTheoremConstants:
         params = TrishParams(gamma1=2.0, gamma2=1.9)
         h = AssumptionConstants.for_fixed_sigma(0.1)
         with pytest.raises(HypothesisError) as exc_info:
-            TheoremConstants.for_theorem1(
+            TheoremConstants.for_fixed_stepsize(
                 params, h.h1, h.h2, 1.0, 1.0, 0.01, 1.0, 0.6, 0.5
             )
         assert exc_info.value.condition == "stepsize_cap"
@@ -398,16 +388,21 @@ class TestTheoremConstants:
     def test_no_alpha_takes_the_cap(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
         h = AssumptionConstants.for_fixed_sigma(0.1)
-        tc1 = TheoremConstants.for_theorem1(params, h.h1, h.h2, 1.0, 1.0, 0.01, 1.0, None, 0.5)
+        tc1 = TheoremConstants.for_fixed_stepsize(
+            params, h.h1, h.h2, 1.0, 1.0, 0.01, 1.0, None, 0.5
+        )
         assert tc1 == reference_theorem1()
-        tc4 = TheoremConstants.for_theorem4(params, h.h1, h.h2, 16.0, 0.01, 1.0, None, 3.12)
+        tc4 = TheoremConstants.for_fixed_stepsize(
+            params, h.h1, h.h2, None, 16.0, 0.01, 1.0, None, 3.12
+        )
         assert tc4.alpha == 1.0 / 32.0
+        assert tc4.theorem_id == 4
 
     def test_theorem2_a_interval_guard(self):
         params = TrishParams(gamma1=0.2, gamma2=0.04)
         h = AssumptionConstants.for_coupled(alpha_max=40.0 / 1001.0)
         with pytest.raises(HypothesisError) as exc_info:
-            TheoremConstants.for_theorem2(
+            TheoremConstants.for_harmonic_stepsize(
                 params, h.h3, h.h4, 1.0, 1.0, 0.01, 1.0, a=10.0, b=1000.0,
                 f_gap_initial=1.0,
             )
@@ -416,7 +411,7 @@ class TestTheoremConstants:
     def test_theorem2_reference_constants(self):
         params = TrishParams(gamma1=0.2, gamma2=0.04)
         h = AssumptionConstants.for_coupled(alpha_max=40.0 / 1001.0)
-        tc = TheoremConstants.for_theorem2(
+        tc = TheoremConstants.for_harmonic_stepsize(
             params, h.h3, h.h4, 1.0, 1.0, 0.01, 1.0, a=40.0, b=1000.0,
             f_gap_initial=259.92,
         )
@@ -432,7 +427,7 @@ class TestTheoremConstants:
     def test_theorem3_reference_constants(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
         h = AssumptionConstants.for_geometric(m3=0.04, zeta=0.25)
-        tc = TheoremConstants.for_theorem3(
+        tc = TheoremConstants.for_geometric_noise(
             params, h.h5, h.h6, h.lam, 0.25, 1.0, 1.0, m3=0.04, alpha=0.45,
             f_gap_initial=0.5,
         )
@@ -448,11 +443,13 @@ class TestTheoremConstants:
         # gamma1**2 overflows a float here; the constants it enters do not
         params = TrishParams(gamma1=1e300, gamma2=1e299)
         h = AssumptionConstants.for_fixed_sigma(0.1)
-        tc = TheoremConstants.for_theorem1(params, h.h1, h.h2, 1.0, 1.0, 100.0, 1.0, None, 0.5)
+        tc = TheoremConstants.for_fixed_stepsize(
+            params, h.h1, h.h2, 1.0, 1.0, 100.0, 1.0, None, 0.5
+        )
         assert tc.alpha == pytest.approx(1e-300, rel=1e-14, abs=0.0)
         assert tc.theta2 == pytest.approx(0.5 * 100.0 * (1e300 * tc.alpha) ** 2, rel=1e-14)
         g = AssumptionConstants.for_geometric(m3=0.04, zeta=0.25)
-        tc3 = TheoremConstants.for_theorem3(
+        tc3 = TheoremConstants.for_geometric_noise(
             params, g.h5, g.h6, g.lam, 0.25, 1.0, 1.0, m3=0.04, alpha=None, f_gap_initial=0.5
         )
         margin = 1e300 - g.h6 * 9e299
@@ -464,8 +461,8 @@ class TestTheoremConstants:
     def test_theorem4_skips_pl_requirement(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
         h = AssumptionConstants.for_fixed_sigma(0.1)
-        tc = TheoremConstants.for_theorem4(
-            params, h.h1, h.h2, smoothness=16.0, m1=0.01, m2=1.0,
+        tc = TheoremConstants.for_fixed_stepsize(
+            params, h.h1, h.h2, pl_constant=None, smoothness=16.0, m1=0.01, m2=1.0,
             alpha=1.0 / 32.0, f_gap_initial=3.12,
         )
         assert tc.pl_constant is None
@@ -474,26 +471,44 @@ class TestTheoremConstants:
     def test_theorem5_accepts_any_harmonic_pair(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
         h = AssumptionConstants.for_coupled(alpha_max=0.5 / 8.0)
-        tc = TheoremConstants.for_theorem5(
-            params, h.h3, h.h4, smoothness=8.0, m1=0.01, m2=1.0, a=0.5, b=7.0,
-            f_gap_initial=3.12,
+        tc = TheoremConstants.for_harmonic_stepsize(
+            params, h.h3, h.h4, pl_constant=None, smoothness=8.0, m1=0.01, m2=1.0,
+            a=0.5, b=7.0, f_gap_initial=3.12,
         )
+        assert tc.theorem_id == 5
         assert tc.beta1 is not None and tc.beta2 is not None
         with pytest.raises(ValueError, match="a > 0"):
-            TheoremConstants.for_theorem5(
-                params, h.h3, h.h4, 8.0, 0.01, 1.0, a=-1.0, b=7.0, f_gap_initial=1.0
+            TheoremConstants.for_harmonic_stepsize(
+                params, h.h3, h.h4, None, 8.0, 0.01, 1.0, a=-1.0, b=7.0, f_gap_initial=1.0
+            )
+
+    def test_geometric_noise_needs_a_pl_constant(self):
+        params = TrishParams(gamma1=2.0, gamma2=1.9)
+        g = AssumptionConstants.for_geometric(m3=0.04, zeta=0.25)
+        with pytest.raises(ValueError, match="PL constant"):
+            TheoremConstants.for_geometric_noise(
+                params, g.h5, g.h6, g.lam, 0.25, None, 1.0, m3=0.04, alpha=0.45,
+                f_gap_initial=0.5,
             )
 
     def test_common_validation(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
         with pytest.raises(ValueError, match="h constant"):
-            TheoremConstants.for_theorem1(params, -1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 0.1, 0.5)
+            TheoremConstants.for_fixed_stepsize(
+                params, -1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 0.1, 0.5
+            )
         with pytest.raises(ValueError, match="h2 must exceed 1"):
-            TheoremConstants.for_theorem1(params, 0.1, 0.9, 1.0, 1.0, 1.0, 1.0, 0.1, 0.5)
+            TheoremConstants.for_fixed_stepsize(
+                params, 0.1, 0.9, 1.0, 1.0, 1.0, 1.0, 0.1, 0.5
+            )
         with pytest.raises(ValueError, match="PL constant"):
-            TheoremConstants.for_theorem1(params, 0.1, 1.1, 0.0, 1.0, 1.0, 1.0, 0.1, 0.5)
+            TheoremConstants.for_fixed_stepsize(
+                params, 0.1, 1.1, 0.0, 1.0, 1.0, 1.0, 0.1, 0.5
+            )
         with pytest.raises(ValueError, match="gap"):
-            TheoremConstants.for_theorem1(params, 0.1, 1.1, 1.0, 1.0, 1.0, 1.0, 0.1, -0.5)
+            TheoremConstants.for_fixed_stepsize(
+                params, 0.1, 1.1, 1.0, 1.0, 1.0, 1.0, 0.1, -0.5
+            )
 
 
 class TestBounds:
@@ -513,7 +528,7 @@ class TestBounds:
     def test_theorem2_decay(self):
         params = TrishParams(gamma1=0.2, gamma2=0.04)
         h = AssumptionConstants.for_coupled(alpha_max=40.0 / 1001.0)
-        tc = TheoremConstants.for_theorem2(
+        tc = TheoremConstants.for_harmonic_stepsize(
             params, h.h3, h.h4, 1.0, 1.0, 0.01, 1.0, a=40.0, b=1000.0,
             f_gap_initial=259.92,
         )
@@ -523,7 +538,7 @@ class TestBounds:
     def test_theorem3_geometric_decay(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
         h = AssumptionConstants.for_geometric(m3=0.04, zeta=0.25)
-        tc = TheoremConstants.for_theorem3(
+        tc = TheoremConstants.for_geometric_noise(
             params, h.h5, h.h6, h.lam, 0.25, 1.0, 1.0, m3=0.04, alpha=0.45,
             f_gap_initial=0.5,
         )
@@ -533,8 +548,8 @@ class TestBounds:
     def test_theorem4_average_is_total_over_k(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
         h = AssumptionConstants.for_fixed_sigma(0.1)
-        tc = TheoremConstants.for_theorem4(
-            params, h.h1, h.h2, 16.0, 0.01, 1.0, alpha=1.0 / 32.0, f_gap_initial=3.12
+        tc = TheoremConstants.for_fixed_stepsize(
+            params, h.h1, h.h2, None, 16.0, 0.01, 1.0, alpha=1.0 / 32.0, f_gap_initial=3.12
         )
         denom = tc.alpha * tc.theta1
         total = 10.0 * tc.theta2 / denom + 3.12 / denom
@@ -543,8 +558,8 @@ class TestBounds:
     def test_theorem5_matches_manual_prefix_sum(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
         h = AssumptionConstants.for_coupled(alpha_max=0.5 / 8.0)
-        tc = TheoremConstants.for_theorem5(
-            params, h.h3, h.h4, 8.0, 0.01, 1.0, a=0.5, b=7.0, f_gap_initial=3.12
+        tc = TheoremConstants.for_harmonic_stepsize(
+            params, h.h3, h.h4, None, 8.0, 0.01, 1.0, a=0.5, b=7.0, f_gap_initial=3.12
         )
         k = 7
         manual = sum((0.5 / (7.0 + j)) ** 2 for j in range(1, k + 1))
