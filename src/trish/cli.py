@@ -42,10 +42,6 @@ _STR_FIELDS = {"method", "problem", "dataset", "test_dataset"}
 _TUNABLE = _FLOAT_FIELDS | _INT_FIELDS
 
 
-class _UsageError(Exception):
-    """Bad flags or config file contents; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse parser whose error exit code is 1 instead of 2."""
 
@@ -65,8 +61,8 @@ def _convert(field: str, text: str, where: str):
         if field == "checkpoint_fractions":
             return tuple(float(tok.strip()) for tok in text.split(","))
     except ValueError:
-        raise _UsageError(f"{where}: cannot parse value '{text}' for '{field}'")
-    raise _UsageError(f"{where}: unknown key '{field}'")
+        raise ValueError(f"{where}: cannot parse value '{text}' for '{field}'")
+    raise ValueError(f"{where}: unknown key '{field}'")
 
 
 def parse_config_file(path: str) -> dict:
@@ -81,24 +77,24 @@ def parse_config_file(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError as exc:
-        raise _UsageError(f"cannot read config file {path}: {exc}")
+        raise ValueError(f"cannot read config file {path}: {exc}")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         where = f"{path}:{lineno}"
         if "=" not in line:
-            raise _UsageError(f"{where}: expected 'key = value', got '{line}'")
+            raise ValueError(f"{where}: expected 'key = value', got '{line}'")
         key, _, text = line.partition("=")
         key, text = key.strip(), text.strip()
         if not key or not text:
-            raise _UsageError(f"{where}: expected 'key = value', got '{line}'")
+            raise ValueError(f"{where}: expected 'key = value', got '{line}'")
         if key in values:
-            raise _UsageError(f"{where}: duplicate key '{key}'")
+            raise ValueError(f"{where}: duplicate key '{key}'")
         if key.startswith("tune_"):
             field = key[len("tune_"):]
             if field not in _TUNABLE:
-                raise _UsageError(f"{where}: '{field}' is not a tunable field")
+                raise ValueError(f"{where}: '{field}' is not a tunable field")
             values[key] = [_convert(field, tok.strip(), where) for tok in text.split(",")]
         else:
             values[key] = _convert(key, text, where)
@@ -106,42 +102,28 @@ def parse_config_file(path: str) -> dict:
 
 
 def _experiment_config(args: argparse.Namespace, values: dict) -> ExperimentConfig:
-    """Given config-file values, apply explicit flags on top and build."""
-    values = dict(values)
-    for flag, field in (
-        ("dataset", "dataset"),
-        ("test_dataset", "test_dataset"),
-        ("method", "method"),
-        ("gamma1", "gamma1"),
-        ("gamma2", "gamma2"),
-        ("alpha", "alpha"),
-        ("batch", "batch_size"),
-        ("epochs", "epochs"),
-        ("seeds", "n_seeds"),
-        ("seed", "base_seed"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            values[field] = value
-    try:
-        return ExperimentConfig(**values)
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(str(exc))
+    """Given config-file values, apply explicit flags on top and build.
+
+    A flag's dest is the field it sets, and an unset flag is None.
+    """
+    fields = _TUNABLE | _STR_FIELDS
+    flags = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    return ExperimentConfig(**{**values, **flags})
 
 
 def _float6(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _cells(params: dict) -> list[str]:
+    """`field=value` cells of a grid point, floats at 6 digits."""
+    return [f"{k}={_float6(v) if isinstance(v, float) else v}" for k, v in params.items()]
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    values: dict = {}
-    if args.config:
-        values = parse_config_file(args.config)
-        for key in values:
-            if key.startswith("tune_"):
-                raise _UsageError(
-                    f"{args.config}: tune_* keys only make sense for the tune command"
-                )
+    values = parse_config_file(args.config) if args.config else {}
+    if any(key.startswith("tune_") for key in values):
+        raise ValueError(f"{args.config}: tune_* keys only make sense for the tune command")
     config = _experiment_config(args, values)
     result = run_experiment(config)
     meta = result.metadata
@@ -175,7 +157,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         if key.startswith("tune_")
     }
     if not grid_fields:
-        raise _UsageError(f"{args.config}: tune needs at least one tune_<field> key")
+        raise ValueError(f"{args.config}: tune needs at least one tune_<field> key")
     base_values = {k: v for k, v in file_values.items() if not k.startswith("tune_")}
 
     grid: dict = {}
@@ -188,14 +170,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         grid[field] = candidates
         base_values.setdefault(field, candidates[0])
 
-    base = _experiment_config(args, base_values)
-    try:
-        result = tune_grid(base, grid)
-    except GridDivergedError as exc:
-        raise _UsageError(str(exc))
+    result = tune_grid(_experiment_config(args, base_values), grid)
     for entry in result.entries:
-        cells = [f"{k}={_float6(v) if isinstance(v, float) else v}" for k, v in entry.params.items()]
-        cells += [
+        cells = _cells(entry.params) + [
             f"train_loss={_float6(entry.mean_train_loss)}",
             f"train_acc={_float6(entry.mean_train_acc)}",
             f"test_loss={_float6(entry.mean_test_loss)}",
@@ -204,11 +181,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         if entry.diverged:
             cells.append("DIVERGED")
         print(" ".join(cells))
-    best_cells = [
-        f"{k}={_float6(v) if isinstance(v, float) else v}"
-        for k, v in result.best_params.items()
-    ]
-    print("best: " + " ".join(best_cells))
+    print("best: " + " ".join(_cells(result.best_params)))
     if args.out:
         emit_csv(result.best_records, args.out)
         print(f"wrote {args.out}")
@@ -255,33 +228,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="trish", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    run = sub.add_parser("run", help="run a seeded experiment")
+    # Flags that set an ExperimentConfig field carry its name as their dest.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--dataset", help="training data in LIBSVM format")
+    shared.add_argument("--test-dataset", help="held-out data")
+    shared.add_argument("--seeds", dest="n_seeds", type=int, help="number of seeds")
+    shared.add_argument("--seed", dest="base_seed", type=int, help="base seed")
+    shared.add_argument("--out", help="write the (winning) run's per-checkpoint records as CSV")
+
+    run = sub.add_parser("run", parents=[shared], help="run a seeded experiment")
     run.add_argument("--config", help="key = value config file")
-    run.add_argument("--dataset", help="training data in LIBSVM format")
-    run.add_argument("--test-dataset", dest="test_dataset", help="held-out data")
     run.add_argument("--method", choices=["trish", "sg"])
     run.add_argument("--gamma1", type=float)
     run.add_argument("--gamma2", type=float)
     run.add_argument("--alpha", type=float)
-    run.add_argument("--batch", type=int, help="mini-batch size")
+    run.add_argument("--batch", dest="batch_size", type=int, help="mini-batch size")
     run.add_argument("--epochs", type=int)
-    run.add_argument("--seeds", type=int, help="number of seeds")
-    run.add_argument("--seed", type=int, help="base seed")
-    run.add_argument("--out", help="write per-checkpoint records as CSV")
     run.set_defaults(func=_cmd_run)
 
-    tune = sub.add_parser("tune", help="grid-search a config")
+    tune = sub.add_parser("tune", parents=[shared], help="grid-search a config")
     tune.add_argument("--config", required=True, help="config file with tune_<field> lists")
-    tune.add_argument("--dataset")
-    tune.add_argument("--test-dataset", dest="test_dataset")
-    tune.add_argument("--seeds", type=int)
-    tune.add_argument("--seed", type=int)
-    tune.add_argument("--out", help="write the winner's records as CSV")
     tune.set_defaults(func=_cmd_tune)
 
-    verify = sub.add_parser(
-        "verify", help="check one guarantee empirically"
-    )
+    verify = sub.add_parser("verify", help="check one guarantee empirically")
     verify.add_argument("--theorem", type=int, choices=[1, 2, 3, 4, 5], required=True)
     verify.add_argument("--seeds", type=int, default=2000, help="trajectories to average")
     verify.add_argument("--seed", type=int, default=0, help="base seed")
@@ -293,9 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", help="write the bound-check curve as CSV")
     verify.set_defaults(func=_cmd_verify)
 
-    stats = sub.add_parser(
-        "stats", help="summarize a LIBSVM dataset"
-    )
+    stats = sub.add_parser("stats", help="summarize a LIBSVM dataset")
     stats.add_argument("--dataset", required=True)
     stats.set_defaults(func=_cmd_stats)
     return parser
@@ -309,9 +276,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"trish: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except HypothesisError as exc:
         print(f"trish: hypothesis rejected: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
@@ -322,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"trish: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
+    except (ValueError, GridDivergedError) as exc:
         print(f"trish: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

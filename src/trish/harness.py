@@ -119,6 +119,8 @@ class ExperimentConfig:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.n_seeds < 1:
             raise ValueError(f"n_seeds must be at least 1, got {self.n_seeds}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be at least 0, got {self.base_seed}")
         if not self.checkpoint_fractions:
             raise ValueError("need at least one checkpoint fraction")
         if list(self.checkpoint_fractions) != sorted(set(self.checkpoint_fractions)):
@@ -217,6 +219,7 @@ _SYNTHETIC = {
 def _build_problem(config: ExperimentConfig):
     """The objective the config names; a logistic one parses its datasets."""
     if config.problem in _SYNTHETIC:
+        _check_block(config.n_seeds, config.dimension)  # before the problem allocates
         return _SYNTHETIC[config.problem](config.dimension)
     train, train_max = load_libsvm(config.dataset)
     if not train:
@@ -239,14 +242,19 @@ def _checkpoint_iterations(fractions: tuple[float, ...], total: int) -> list[int
     return [max(1, math.ceil(f * total)) for f in fractions]
 
 
-def _start_block(rows: int, dim: int, x1) -> np.ndarray:
-    """rows copies of x1 (a scalar fills every coordinate): every command's
-    iterate block, refused above _MAX_BLOCK_BYTES before it is allocated."""
+def _check_block(rows: int, dim: int) -> None:
+    """Refuse a (rows, dim) iterate block above _MAX_BLOCK_BYTES."""
     if rows * dim * 8 > _MAX_BLOCK_BYTES:
         raise ValueError(
             f"{rows} trajectories (--seeds, times grid points) of dimension {dim} "
             f"(the dataset width) pass the {_MAX_BLOCK_BYTES >> 30} GiB limit on iterates"
         )
+
+
+def _start_block(rows: int, dim: int, x1) -> np.ndarray:
+    """rows copies of x1 (a scalar fills every coordinate): every command's
+    iterate block, refused above _MAX_BLOCK_BYTES before it is allocated."""
+    _check_block(rows, dim)
     return np.full((rows, dim), x1, dtype=float)
 
 
@@ -310,10 +318,17 @@ def _run_block(configs: list[ExperimentConfig], problem) -> list[ExperimentResul
     X = _start_block(P * S, dim, 0.0 if logistic else 1.0)
     rngs = [np.random.default_rng(config.base_seed + i) for i in range(S)]
     if logistic:
-        total = math.ceil(n / config.batch_size) * config.epochs
+        b = config.batch_size
+        # One step draws S*b indices and gathers S*b rows of nnz/n stored entries.
+        if 8 * S * b * (n + problem.features.nnz) > _MAX_BLOCK_BYTES * n:
+            raise ValueError(
+                f"{b}-example mini-batches (--batch) for {S} seeds (--seeds) pass "
+                f"the {_MAX_BLOCK_BYTES >> 30} GiB limit on one step's draw"
+            )
+        total = math.ceil(n / b) * config.epochs
 
         def draw(X, k, alpha_k):
-            indices = np.array([rng.integers(0, n, size=config.batch_size) for rng in rngs])
+            indices = np.array([rng.integers(0, n, size=b) for rng in rngs])
             return problem.block_gradient(indices, X)
     else:
         total = config.max_iterations
@@ -510,6 +525,8 @@ def verify_theorem(
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     if n_seeds < 2:
         raise ValueError(f"need at least two trajectories, got {n_seeds}")
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be at least 0, got {base_seed}")
     meta = problem.metadata
     f_star = meta.f_star if meta.f_star is not None else 0.0
     X = _start_block(n_seeds, np.size(setup.x1), setup.x1)

@@ -431,11 +431,11 @@ class TheoremConstants:
         alpha=None takes the cap."""
         _validate_common(h1, smoothness, (m1, m2), f_gap_initial, pl_constant)
         _, theta1 = _ratio_guard(params, h2, "h2")
-        cap = 1.0 / (params.gamma1 * smoothness * m2)
-        if not cap > 0.0:  # gamma1 L M2 overflowed
-            raise HypothesisError("stepsize_cap", "stepsize cap 1/(gamma1 L M2) rounds to 0")
-        if pl_constant is not None:
-            cap = min(1.0 / (2.0 * pl_constant * theta1), cap)
+        cap, name = 1.0 / (params.gamma1 * smoothness * m2), "1/(gamma1 L M2)"
+        if pl_constant is not None and 1.0 / (2.0 * pl_constant * theta1) < cap:
+            cap, name = 1.0 / (2.0 * pl_constant * theta1), "1/(2 c theta1)"
+        if not cap > 0.0:  # the product under it overflowed
+            raise HypothesisError("stepsize_cap", f"stepsize cap {name} rounds to 0")
         alpha = _capped(alpha, cap)
         theta2 = max(  # (gamma1 alpha)^2 stays finite where gamma1**2 overflows
             0.5 * smoothness * m1 * (params.gamma1 * alpha) ** 2,

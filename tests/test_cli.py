@@ -1,10 +1,15 @@
 """End-to-end tests for the command line: exit codes, output, config files."""
 
+import dataclasses
+import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trish.cli as cli
 import trish.harness
@@ -14,12 +19,12 @@ from trish.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
-    _UsageError,
     main,
     parse_config_file,
 )
-from trish.harness import RUN_CSV_HEADER, VERIFY_CSV_HEADER, TheoremReport
+from trish.harness import RUN_CSV_HEADER, VERIFY_CSV_HEADER, ExperimentConfig, TheoremReport
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "trish" / "data"
 TRAIN = str(DATA_DIR / "train.libsvm")
 TEST = str(DATA_DIR / "test.libsvm")
@@ -83,23 +88,23 @@ class TestParseConfigFile:
     def test_rejections(self, tmp_path, line, fragment):
         path = tmp_path / "bad.conf"
         path.write_text(line + "\n")
-        with pytest.raises(_UsageError, match=fragment):
+        with pytest.raises(ValueError, match=fragment):
             parse_config_file(str(path))
 
     def test_duplicate_key(self, tmp_path):
         path = tmp_path / "dup.conf"
         path.write_text("alpha = 0.5\nalpha = 0.6\n")
-        with pytest.raises(_UsageError, match="duplicate key"):
+        with pytest.raises(ValueError, match="duplicate key"):
             parse_config_file(str(path))
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(_UsageError, match="cannot read config file"):
+        with pytest.raises(ValueError, match="cannot read config file"):
             parse_config_file(str(tmp_path / "absent.conf"))
 
     def test_error_carries_position(self, tmp_path):
         path = tmp_path / "bad.conf"
         path.write_text("alpha = 0.5\nfoo = 1\n")
-        with pytest.raises(_UsageError, match=rf"{path}:2"):
+        with pytest.raises(ValueError, match=rf"{path}:2"):
             parse_config_file(str(path))
 
 
@@ -211,6 +216,58 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("trish: error: 100000000000 trajectories (--seeds")
         assert err.endswith("pass the 1 GiB limit on iterates\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("problem", ["quadratic", "nonconvex_pl"])
+    def test_synthetic_dimension_too_large_for_memory(self, problem, tmp_path, capsys):
+        # Refused before the quadratic's 745 GiB diagonal is allocated.
+        conf = tmp_path / "wide.conf"
+        conf.write_text(
+            SYNTHETIC_CONFIG.replace("quadratic", problem) + "dimension = 100000000000\n"
+        )
+        assert main(["run", "--config", str(conf), "--seeds", "1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("trish: error: 1 trajectories (--seeds, times grid points) of ")
+        assert err.endswith("pass the 1 GiB limit on iterates\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run", "tune"])
+    def test_batch_too_large_for_memory(self, command, tmp_path, capsys):
+        # At 1e11 one step's draw would need 745 GiB of indices alone.
+        if command == "run":
+            argv = ["run", "--dataset", TRAIN, "--method", "sg", "--alpha", "0.1",
+                    "--seeds", "1", "--batch", "100000000000"]
+        else:
+            conf = tmp_path / "tune.conf"
+            conf.write_text(
+                f"method = sg\nalpha = 0.1\ndataset = {TRAIN}\nn_seeds = 1\n"
+                "tune_batch_size = 10, 100000000000\n"
+            )
+            argv = ["tune", "--config", str(conf)]
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_USAGE
+        assert peak < 64 << 20
+        err = capsys.readouterr().err
+        assert err == (
+            "trish: error: 100000000000-example mini-batches (--batch) for 1 seeds (--seeds) "
+            "pass the 1 GiB limit on one step's draw\n"
+        )
+
+    @pytest.mark.parametrize("command", ["run", "tune", "verify"])
+    def test_negative_seed_names_the_field(self, command, synthetic_config, capsys):
+        if command == "tune":
+            with open(synthetic_config, "a") as handle:
+                handle.write("base_seed = -1\ntune_alpha = 0.1, 0.2\n")
+            argv = ["tune", "--config", synthetic_config]
+        elif command == "run":
+            argv = ["run", "--config", synthetic_config, "--seed", "-1"]
+        else:
+            argv = ["verify", "--theorem", "1", "--seeds", "4", "--seed", "-1"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "trish: error: base_seed must be at least 0, got -1\n"
 
     @pytest.mark.parametrize("index", [100000000000, 2**62])
     def test_dataset_too_wide_for_memory(self, index, tmp_path, capsys):
@@ -505,3 +562,137 @@ class TestStatsCommand:
         rc = main(["stats", "--dataset", str(tmp_path / "none.libsvm")])
         assert rc == EXIT_DATA
         capsys.readouterr()
+
+
+class TestConfigSchema:
+    """cli.py types config values by field-name sets that mirror ExperimentConfig."""
+
+    FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    def test_typed_field_sets_cover_every_field(self):
+        typed = cli._FLOAT_FIELDS | cli._INT_FIELDS | cli._STR_FIELDS | {"checkpoint_fractions"}
+        assert typed == self.FIELDS
+
+    @pytest.mark.parametrize("argv", [["run"], ["tune", "--config", "c.conf"]])
+    def test_run_and_tune_flags_are_named_by_field(self, argv):
+        dests = set(vars(cli.build_parser().parse_args(argv)))
+        assert dests - self.FIELDS <= {"config", "out", "command", "func"}
+
+    def test_readme_lists_every_field(self):
+        text = README.read_text(encoding="utf-8")
+        section = text.split("### Config files", 1)[1].split("###", 1)[0]
+        assert self.FIELDS <= set(re.findall(r"`(\w+)`", section))
+
+
+# The edge pool; each drawn value is a valid one or one of these, evenly.
+EDGE = ["0", "-0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", str(2**63), "7" * 5000, "", "x"]
+# Sizes are small (at most 5) or refused before anything is allocated:
+# 2**63 seeds, mini-batch rows or dimensions pass the 1 GiB checks, and a
+# 5000-digit or non-integer text fails to parse.  Epochs and iterations
+# have no memory to check, so 2**63 of them is a genuine 2**63-step run
+# and is left out; so are sizes in between, which are genuinely long or
+# large runs with nothing to refuse.
+STEP_EDGE = [v for v in EDGE if v != str(2**63)]
+TINY_DATA = "tiny.libsvm"  # four rows, written into the working directory
+VALID = {
+    **{field: ["0.1", "2"] for field in cli._FLOAT_FIELDS},
+    **{field: ["1", "2", "5"] for field in cli._INT_FIELDS},
+    "n_seeds": ["1", "2", "4"],  # verify needs two; 5 seeds of its theorem 5 take 0.3 s
+    "method": ["trish", "sg"],
+    "problem": ["logistic", "quadratic", "nonconvex_pl"],
+    "dataset": [TINY_DATA],
+    "test_dataset": [TINY_DATA],
+    "checkpoint_fractions": ["0.5, 1.0"],
+    "config": ["run.conf"],
+    "out": ["out.csv"],
+    "theorem": list("12345"),
+}
+
+
+@st.composite
+def _value(draw, field: str) -> str:
+    """A valid value of the field two times in three, else an edge one."""
+    if draw(st.sampled_from([True, True, False])):
+        return draw(st.sampled_from(VALID.get(field, ["x"])))
+    return draw(st.sampled_from(STEP_EDGE if field in ("epochs", "max_iterations") else EDGE))
+
+
+# flag -> the field whose pool it draws from, per subcommand
+_SHARED_FLAGS = {"--dataset": "dataset", "--test-dataset": "test_dataset",
+                 "--seeds": "n_seeds", "--seed": "base_seed", "--out": "out"}
+FLAGS = {
+    "run": {**_SHARED_FLAGS, "--config": "config", "--method": "method", "--gamma1": "gamma1",
+            "--gamma2": "gamma2", "--alpha": "alpha", "--batch": "batch_size",
+            "--epochs": "epochs"},
+    "tune": {**_SHARED_FLAGS, "--config": "config"},
+    "verify": {"--theorem": "theorem", "--seeds": "n_seeds", "--seed": "base_seed",
+               "--gamma1": "gamma1", "--gamma2": "gamma2", "--alpha": "alpha", "--out": "out"},
+    "stats": {"--dataset": "dataset"},
+}
+# Drawn nine times in ten; verify always gets --seeds, since its default
+# of 2000 is a genuine long run.  Hypothesis leans to the first of a
+# sampled list, so the common case comes first.
+USUAL = {"run": ["--config"], "tune": ["--config"], "verify": ["--theorem", "--seeds"],
+         "stats": ["--dataset"]}
+# A config that runs as it stands; drawn lines replace, drop or add keys.
+BASE_CONFIG = {"method": "trish", "problem": "quadratic", "dataset": TINY_DATA,
+               "gamma1": "2", "gamma2": "0.8", "alpha": "0.1", "sigma": "0.1",
+               "max_iterations": "3", "n_seeds": "2"}
+CONFIG_KEYS = sorted(TestConfigSchema.FIELDS) + [
+    "tune_alpha", "tune_gamma1", "tune_batch_size", "tune_n_seeds", "tune_dimension",
+    "tune_max_iterations", "tune_method", "frobnicate",
+]
+
+
+@st.composite
+def _config_value(draw, key):
+    if key.startswith("tune_"):
+        return ", ".join(draw(st.lists(_value(key[len("tune_"):]), min_size=1, max_size=2)))
+    return draw(_value(key))
+
+
+@st.composite
+def _command(draw):
+    """(argv, config text or None) from the subcommand grammar."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = FLAGS[command]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=3))
+    usual = USUAL[command][draw(st.sampled_from([0] * 9 + [1])):]
+    argv = [command]
+    for flag in usual + [flag for flag in chosen if flag not in usual]:
+        value = draw(_value(flags[flag]))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    if draw(st.sampled_from([False] * 9 + [True])):
+        argv.append("--bogus")
+    config = None
+    if command in ("run", "tune"):
+        lines = dict(BASE_CONFIG)
+        for key in draw(st.lists(st.sampled_from(CONFIG_KEYS), unique=True, max_size=3)):
+            lines[key] = draw(_config_value(key))
+        if command == "tune" and not any(key.startswith("tune_") for key in lines):
+            lines["tune_alpha"] = "0.05, 0.1"
+        for key in draw(st.lists(st.sampled_from(sorted(lines)), unique=True, max_size=1)):
+            del lines[key]
+        config = "".join(f"{key} = {value}\n" for key, value in lines.items())
+    return argv, config
+
+
+class TestNoTraceback:
+    def test_drawn_commands_end_in_a_documented_exit(self, tmp_path, capsys, monkeypatch):
+        """ROADMAP item 3 as a property: whatever the argv or config file,
+        main() returns 0-4 and prints no traceback.  Runs in-process."""
+        monkeypatch.chdir(tmp_path)
+        Path(TINY_DATA).write_text("1 1:0.5 2:1\n-1 2:0.3\n1 1:2\n-1 3:1\n")
+
+        @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+        @given(_command())
+        def check(case):
+            argv, config = case
+            if config is not None:
+                Path("run.conf").write_text(config)
+            rc = main(argv)
+            err = capsys.readouterr().err
+            assert isinstance(rc, int) and 0 <= rc <= 4, (argv, config, rc)
+            assert "Traceback" not in err
+
+        check()

@@ -380,6 +380,15 @@ class TestTheoremConstants:
             )
         assert exc_info.value.condition == "stepsize_cap"
 
+    def test_pl_cap_that_rounds_to_zero_is_rejected(self):
+        # 1/(2 c theta1) underflows to 0 with c = 1e300 and theta1 near 4e306
+        params = TrishParams(gamma1=1e308, gamma2=1e307)
+        h = AssumptionConstants.for_fixed_sigma(0.1)
+        with pytest.raises(HypothesisError, match=r"stepsize cap 1/\(2 c theta1\) rounds to 0"):
+            TheoremConstants.for_fixed_stepsize(
+                params, h.h1, h.h2, 1e300, 1.0, 0.01, 1.0, None, 0.5
+            )
+
     def test_boundary_stepsize_accepted(self):
         # cap is min(1/(2 c theta1), 1/(gamma1 L M2)) = 0.5 here; equality passes
         tc = reference_theorem1()
