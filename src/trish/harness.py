@@ -35,7 +35,7 @@ from .problems import (
     QuadraticProblem,
     normalize_binary_labels,
 )
-from .theory import AssumptionConstants, TheoremConstants, theorem_bound
+from .theory import SE_MARGIN, AssumptionConstants, TheoremConstants, standard_error, theorem_bound
 
 __all__ = [
     "ExperimentConfig",
@@ -60,7 +60,8 @@ _METHODS = ("trish", "sg")
 _PROBLEMS = ("logistic", "quadratic", "nonconvex_pl")
 
 _ROW_FIELDS = ("alpha", "gamma1", "gamma2", "schedule_a", "schedule_b")  # see _run_block
-_MAX_BLOCK_BYTES = 1 << 30  # see _start_block
+_MAX_BLOCK_BYTES = 1 << 30  # see _check_block
+_MAX_STEPS = 1 << 63  # the case counts are int64
 _TUNE_BLOCK_BYTES = 1 << 26  # see _run_block
 
 
@@ -219,7 +220,7 @@ _SYNTHETIC = {
 def _build_problem(config: ExperimentConfig):
     """The objective the config names; a logistic one parses its datasets."""
     if config.problem in _SYNTHETIC:
-        _check_block(config.n_seeds, config.dimension)  # before the problem allocates
+        _check_block(config.n_seeds, config.dimension, "the dimension field")  # before allocating
         return _SYNTHETIC[config.problem](config.dimension)
     train, train_max = load_libsvm(config.dataset)
     if not train:
@@ -242,19 +243,44 @@ def _checkpoint_iterations(fractions: tuple[float, ...], total: int) -> list[int
     return [max(1, math.ceil(f * total)) for f in fractions]
 
 
-def _check_block(rows: int, dim: int) -> None:
-    """Refuse a (rows, dim) iterate block above _MAX_BLOCK_BYTES."""
+def _check_block(rows: int, dim: int, width: str) -> None:
+    """Refuse a (rows, dim) iterate block above _MAX_BLOCK_BYTES; width names
+    what set dim."""
     if rows * dim * 8 > _MAX_BLOCK_BYTES:
         raise ValueError(
             f"{rows} trajectories (--seeds, times grid points) of dimension {dim} "
-            f"(the dataset width) pass the {_MAX_BLOCK_BYTES >> 30} GiB limit on iterates"
+            f"({width}) pass the {_MAX_BLOCK_BYTES >> 30} GiB limit on iterates"
         )
+
+
+def _block_steps(config: ExperimentConfig, problem) -> int:
+    """The iteration count of config's block on problem.  Raises ValueError
+    before anything is allocated when the block's iterates, one step's draw
+    or the iteration count passes its limit.  A block that _run_block splits
+    keeps each part's iterates under _TUNE_BLOCK_BYTES, so one config's
+    n_seeds rows are the ones to check."""
+    S = config.n_seeds
+    if config.problem != "logistic":
+        _check_block(S, config.dimension, "the dimension field")
+        steps, source = config.max_iterations, "max_iterations"
+    else:
+        n, b = problem.n_components, config.batch_size
+        _check_block(S, problem.metadata.dimension, "the dataset width")
+        # One step draws S*b indices and gathers S*b rows of nnz/n stored entries.
+        if 8 * S * b * (n + problem.features.nnz) > _MAX_BLOCK_BYTES * n:
+            raise ValueError(
+                f"{b}-example mini-batches (--batch) for {S} seeds (--seeds) pass "
+                f"the {_MAX_BLOCK_BYTES >> 30} GiB limit on one step's draw"
+            )
+        steps, source = math.ceil(n / b) * config.epochs, "--epochs"
+    if steps >= _MAX_STEPS:
+        raise ValueError(f"{steps} iterations ({source}) pass the limit of 2**63 - 1 iterations")
+    return steps
 
 
 def _start_block(rows: int, dim: int, x1) -> np.ndarray:
     """rows copies of x1 (a scalar fills every coordinate): every command's
-    iterate block, refused above _MAX_BLOCK_BYTES before it is allocated."""
-    _check_block(rows, dim)
+    iterate block, allocated once _check_block has passed its size."""
     return np.full((rows, dim), x1, dtype=float)
 
 
@@ -315,23 +341,16 @@ def _run_block(configs: list[ExperimentConfig], problem) -> list[ExperimentResul
         parts = [configs[i:i + fits] for i in range(0, len(configs), fits)]
         return [result for part in parts for result in _run_block(part, problem)]
     P = len(configs)
+    total = _block_steps(config, problem)
     X = _start_block(P * S, dim, 0.0 if logistic else 1.0)
     rngs = [np.random.default_rng(config.base_seed + i) for i in range(S)]
     if logistic:
         b = config.batch_size
-        # One step draws S*b indices and gathers S*b rows of nnz/n stored entries.
-        if 8 * S * b * (n + problem.features.nnz) > _MAX_BLOCK_BYTES * n:
-            raise ValueError(
-                f"{b}-example mini-batches (--batch) for {S} seeds (--seeds) pass "
-                f"the {_MAX_BLOCK_BYTES >> 30} GiB limit on one step's draw"
-            )
-        total = math.ceil(n / b) * config.epochs
 
         def draw(X, k, alpha_k):
             indices = np.array([rng.integers(0, n, size=b) for rng in rngs])
             return problem.block_gradient(indices, X)
     else:
-        total = config.max_iterations
 
         def draw(X, k, alpha_k):
             noise = np.array([rng.standard_normal(dim) for rng in rngs])
@@ -456,14 +475,18 @@ def tune_grid(base_config: ExperimentConfig, grid: dict) -> TuneResult:
     for index, config in enumerate(configs):
         shared = repr([v for f, v in vars(config).items() if f not in _ROW_FIELDS])
         blocks.setdefault(shared, []).append(index)
-    results: dict = {}
     problems: dict = {}  # keyed by the fields _build_problem reads
+    block_problems = []
     for members in blocks.values():
         config = configs[members[0]]
         key = (config.problem, config.dataset, config.test_dataset, config.dimension)
         if key not in problems:
             problems[key] = _build_problem(config)
-        results.update(zip(members, _run_block([configs[m] for m in members], problems[key])))
+        _block_steps(config, problems[key])  # every block is refused before any marches
+        block_problems.append((members, problems[key]))
+    results: dict = {}
+    for members, problem in block_problems:
+        results.update(zip(members, _run_block([configs[m] for m in members], problem)))
     entries: list[TuneEntry] = []
     candidates = []
     for index, (combo, combo_params) in enumerate(zip(combos, points)):
@@ -495,8 +518,6 @@ class TheoremReport:
     standard_error: np.ndarray
     bound: np.ndarray
     violated: np.ndarray
-    n_seeds: int
-    n_se: float
     weighted_average: np.ndarray | None = None
 
     @property
@@ -508,13 +529,11 @@ class TheoremReport:
         return self.n_violations == 0
 
 
-def verify_theorem(
-    setup: VerificationSetup, base_seed: int = 0, n_se: float = 3.0
-) -> TheoremReport:
+def verify_theorem(setup: VerificationSetup, base_seed: int = 0) -> TheoremReport:
     """March setup.n_seeds trajectories and compare the empirical quantity
     against the guarantee's bound at every k up to setup.horizon.
 
-    A point violates when empirical > bound + n_se * SE (plus a 1e-12
+    A point violates when empirical > bound + SE_MARGIN * SE (plus a 1e-12
     relative float guard for exact-equality points such as k = 1, where
     the bound reproduces the deterministic initial gap), when it is not
     finite, or when some trajectory has gone non-finite.
@@ -529,6 +548,7 @@ def verify_theorem(
         raise ValueError(f"base_seed must be at least 0, got {base_seed}")
     meta = problem.metadata
     f_star = meta.f_star if meta.f_star is not None else 0.0
+    _check_block(n_seeds, np.size(setup.x1), "the guarantee's setup")
     X = _start_block(n_seeds, np.size(setup.x1), setup.x1)
     rng = np.random.default_rng(base_seed)
 
@@ -558,7 +578,7 @@ def verify_theorem(
             alpha_running += alpha_k
             curve = cumulative
         empirical[done] = curve.mean()
-        ses[done] = curve.std(ddof=1) / math.sqrt(n_seeds)
+        ses[done] = standard_error(curve)
         if weighted is not None:
             weighted[done] = empirical[done] / alpha_running
 
@@ -571,7 +591,7 @@ def verify_theorem(
     bound = theorem_bound(tc, ks)
     guard = 1e-12 * np.maximum(1.0, np.abs(bound))
     # Written as "not within" so that a nan or inf point counts as violated.
-    violated = ~(empirical <= bound + n_se * ses + guard) | frozen
+    violated = ~(empirical <= bound + SE_MARGIN * ses + guard) | frozen
     return TheoremReport(
         theorem_id=tc.theorem_id,
         k=ks,
@@ -579,8 +599,6 @@ def verify_theorem(
         standard_error=ses,
         bound=bound,
         violated=violated,
-        n_seeds=n_seeds,
-        n_se=n_se,
         weighted_average=weighted,
     )
 

@@ -21,7 +21,8 @@ rates for the five convergence guarantees:
 Three TheoremConstants recipes build the five: for_fixed_stepsize for
 1 and 4 and for_harmonic_stepsize for 2 and 5, each given a PL constant
 or None, and for_geometric_noise for 3.  theorem_bound(tc, k) is the one
-entry point to all five bounds.
+entry point to all five bounds.  Every empirical check, here and in the
+harness, passes a Monte Carlo mean when mean <= bound + SE_MARGIN * SE.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ import numpy as np
 from .core import StepCase, TrishParams
 
 __all__ = [
+    "SE_MARGIN",
+    "standard_error",
     "HypothesisError",
     "AssumptionConstants",
     "ConditionalInnerProductEstimate",
@@ -50,6 +53,14 @@ __all__ = [
 ]
 
 _TWO_ROOT_2PI = 2.0 * math.sqrt(2.0 * math.pi)
+
+SE_MARGIN = 3.0  # standard errors a mean may sit above its bound and still pass
+
+
+def standard_error(samples: np.ndarray) -> float:
+    """SE of the mean of independent samples, sd/sqrt(n) with ddof=1; 0 for one sample."""
+    n = samples.size
+    return float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
 
 class HypothesisError(ValueError):
@@ -150,7 +161,7 @@ class ConditionalInnerProductEstimate:
     """Monte Carlo estimate of the conditional inner product.
 
     product = prob_event * conditional_mean is the quantity the
-    assumption checks bound; standard_error is its bootstrap SE.
+    assumption checks bound; standard_error is its SE (inf if E never occurred).
     mean_inner estimates the raw E[grad . g], which the law of total
     expectation pins to ||grad||^2 for an unbiased oracle.
     """
@@ -175,21 +186,16 @@ def estimate_conditional_inner_product(
     draw: Callable[[np.random.Generator, int], np.ndarray],
     n_samples: int,
     rng: np.random.Generator,
-    n_bootstrap: int = 1000,
 ) -> ConditionalInnerProductEstimate:
     """Estimate P[E], E[grad . g | E], and their product from oracle draws.
 
     draw(rng, n) must return n independent oracle samples, shaped (n,)
     for scalar problems or (n, dim) otherwise.  The event is
-    grad . g >= 0, with ties counted in.  Standard errors come from a
-    resampling bootstrap; above 10^4 samples the draws are aggregated
-    into equal blocks first, which leaves the estimated SE unchanged for
-    independent samples while keeping the bootstrap cost flat.
+    grad . g >= 0, with ties counted in.  The product is the mean of the
+    positive part of grad . g, so its SE is that of a plain mean.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
-    if n_bootstrap < 2:
-        raise ValueError(f"need at least two resamples, got {n_bootstrap}")
     grad = np.atleast_1d(np.asarray(grad_true, dtype=float))
     samples = np.asarray(draw(rng, n_samples), dtype=float)
     if samples.ndim == 1:
@@ -199,53 +205,18 @@ def estimate_conditional_inner_product(
             f"draw returned shape {samples.shape}, expected ({n_samples}, {grad.size})"
         )
     inner = samples @ grad
-
     event = inner >= 0.0
     n_event = int(event.sum())
     pos_part = np.where(event, inner, 0.0)
-    prob = n_event / n_samples
     product = float(pos_part.mean())
-    conditional = product * n_samples / n_event if n_event else 0.0
-    complement = float(inner[~event].mean()) if n_event < n_samples else 0.0
-    mean_inner = float(inner.mean())
-    mean_inner_se = float(inner.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-
-    if n_event == 0:
-        return ConditionalInnerProductEstimate(
-            prob_event=0.0,
-            conditional_mean=0.0,
-            complement_mean=complement,
-            product=0.0,
-            standard_error=math.inf,
-            mean_inner=mean_inner,
-            mean_inner_se=mean_inner_se,
-            n_samples=n_samples,
-        )
-
-    # Bootstrap over blocks of consecutive draws.  For iid samples the
-    # blocks are iid, so resampling blocks estimates the same SE as
-    # resampling raw draws at a fraction of the cost.
-    block = max(1, n_samples // 10_000)
-    starts = np.arange(0, n_samples, block)
-    block_sums = np.add.reduceat(pos_part, starts)
-    block_sizes = np.diff(np.append(starts, n_samples))
-    n_blocks = starts.size
-    resampled = np.empty(n_bootstrap)
-    chunk = 250
-    for lo in range(0, n_bootstrap, chunk):
-        hi = min(lo + chunk, n_bootstrap)
-        idx = rng.integers(0, n_blocks, size=(hi - lo, n_blocks))
-        resampled[lo:hi] = block_sums[idx].sum(axis=1) / block_sizes[idx].sum(axis=1)
-    se = float(resampled.std(ddof=1))
-
     return ConditionalInnerProductEstimate(
-        prob_event=prob,
-        conditional_mean=conditional,
-        complement_mean=complement,
+        prob_event=n_event / n_samples,
+        conditional_mean=product * n_samples / n_event if n_event else 0.0,
+        complement_mean=float(inner[~event].mean()) if n_event < n_samples else 0.0,
         product=product,
-        standard_error=se,
-        mean_inner=mean_inner,
-        mean_inner_se=mean_inner_se,
+        standard_error=standard_error(pos_part) if n_event else math.inf,
+        mean_inner=float(inner.mean()),
+        mean_inner_se=standard_error(inner),
         n_samples=n_samples,
     )
 
@@ -255,10 +226,9 @@ def check_assumption4(
     h1: float,
     h2: float,
     grad_norm_sq: float,
-    n_se: float = 3.0,
 ) -> bool:
-    """Empirical product within n_se standard errors of h1 + h2*||grad||^2."""
-    return estimate.product <= h1 + h2 * grad_norm_sq + n_se * estimate.standard_error
+    """Empirical product within SE_MARGIN standard errors of h1 + h2*||grad||^2."""
+    return estimate.product <= h1 + h2 * grad_norm_sq + SE_MARGIN * estimate.standard_error
 
 
 def check_assumption5(
@@ -267,12 +237,11 @@ def check_assumption5(
     h4: float,
     grad_norm_sq: float,
     alpha_k: float,
-    n_se: float = 3.0,
 ) -> bool:
     """Same check with the constant term scaled by the current stepsize."""
     return (
         estimate.product
-        <= h3 * alpha_k + h4 * grad_norm_sq + n_se * estimate.standard_error
+        <= h3 * alpha_k + h4 * grad_norm_sq + SE_MARGIN * estimate.standard_error
     )
 
 
@@ -283,14 +252,13 @@ def check_assumption6(
     lam: float,
     k: int,
     grad_norm_sq: float,
-    n_se: float = 3.0,
 ) -> bool:
     """Same check with the constant term decaying geometrically in k."""
     if k < 1:
         raise ValueError(f"iteration index is 1-based, got {k}")
     return (
         estimate.product
-        <= h5 * lam ** (k - 1) + h6 * grad_norm_sq + n_se * estimate.standard_error
+        <= h5 * lam ** (k - 1) + h6 * grad_norm_sq + SE_MARGIN * estimate.standard_error
     )
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import trish.cli as cli
 import trish.harness
+import trish.problems
 from trish.cli import (
     EXIT_DATA,
     EXIT_HYPOTHESIS,
@@ -228,6 +229,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("trish: error: 1 trajectories (--seeds, times grid points) of ")
         assert err.endswith("pass the 1 GiB limit on iterates\n") and err.count("\n") == 1
+        assert "(the dimension field)" in err and "dataset" not in err
+
+    @pytest.mark.parametrize("source", ["--epochs", "max_iterations"])
+    def test_iteration_count_past_int64_is_refused(self, source, tmp_path, capsys):
+        # A 400-digit count used to overflow a float when the checkpoints were placed.
+        count = "1" + "0" * 400
+        if source == "--epochs":
+            argv = ["run", "--dataset", TRAIN, "--method", "sg", "--alpha", "0.1",
+                    "--epochs", count]
+        else:
+            conf = tmp_path / "long.conf"
+            conf.write_text(SYNTHETIC_CONFIG.replace("= 8\n", f"= {count}\n"))
+            argv = ["run", "--config", str(conf)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("trish: error: ") and err.count("\n") == 1
+        assert err.endswith(f" iterations ({source}) pass the limit of 2**63 - 1 iterations\n")
 
     @pytest.mark.parametrize("command", ["run", "tune"])
     def test_batch_too_large_for_memory(self, command, tmp_path, capsys):
@@ -255,6 +273,26 @@ class TestExitCodes:
             "trish: error: 100000000000-example mini-batches (--batch) for 1 seeds (--seeds) "
             "pass the 1 GiB limit on one step's draw\n"
         )
+
+    def test_tune_refuses_an_oversized_block_before_any_block_marches(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        block_gradient = trish.problems.LogisticProblem.block_gradient
+
+        def counting(self, *args):
+            calls.append(1)
+            return block_gradient(self, *args)
+
+        monkeypatch.setattr(trish.problems.LogisticProblem, "block_gradient", counting)
+        conf = tmp_path / "tune.conf"
+        conf.write_text(
+            f"method = sg\nalpha = 0.1\ndataset = {TRAIN}\nn_seeds = 1\n"
+            "tune_batch_size = 10, 100000000000\n"
+        )
+        assert main(["tune", "--config", str(conf)]) == EXIT_USAGE
+        assert "limit on one step's draw" in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize("command", ["run", "tune", "verify"])
     def test_negative_seed_names_the_field(self, command, synthetic_config, capsys):
@@ -319,8 +357,6 @@ class TestExitCodes:
             standard_error=np.array([0.0, 0.01]),
             bound=np.array([0.5, 0.4]),
             violated=np.array([False, True]),
-            n_seeds=5,
-            n_se=3.0,
         )
         monkeypatch.setattr(cli, "verify_theorem", lambda *a, **kw: report)
         out_path = tmp_path / "verify.csv"
@@ -585,14 +621,14 @@ class TestConfigSchema:
 
 
 # The edge pool; each drawn value is a valid one or one of these, evenly.
-EDGE = ["0", "-0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", str(2**63), "7" * 5000, "", "x"]
-# Sizes are small (at most 5) or refused before anything is allocated:
-# 2**63 seeds, mini-batch rows or dimensions pass the 1 GiB checks, and a
-# 5000-digit or non-integer text fails to parse.  Epochs and iterations
-# have no memory to check, so 2**63 of them is a genuine 2**63-step run
-# and is left out; so are sizes in between, which are genuinely long or
-# large runs with nothing to refuse.
-STEP_EDGE = [v for v in EDGE if v != str(2**63)]
+EDGE = ["0", "-0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", str(2**63), "7" * 400,
+        "7" * 5000, "", "x"]
+# Sizes are small (at most 5) or refused before anything is allocated or
+# run: 2**63 or 400-digit seeds, mini-batch rows or dimensions pass the
+# 1 GiB checks, as many epochs or iterations pass the 2**63 - 1 limit on
+# the iteration count, and a 5000-digit or non-integer text fails to
+# parse.  Sizes in between are genuinely long or large runs with nothing
+# to refuse, so the pool leaves them out.
 TINY_DATA = "tiny.libsvm"  # four rows, written into the working directory
 VALID = {
     **{field: ["0.1", "2"] for field in cli._FLOAT_FIELDS},
@@ -614,7 +650,7 @@ def _value(draw, field: str) -> str:
     """A valid value of the field two times in three, else an edge one."""
     if draw(st.sampled_from([True, True, False])):
         return draw(st.sampled_from(VALID.get(field, ["x"])))
-    return draw(st.sampled_from(STEP_EDGE if field in ("epochs", "max_iterations") else EDGE))
+    return draw(st.sampled_from(EDGE))
 
 
 # flag -> the field whose pool it draws from, per subcommand

@@ -671,8 +671,6 @@ class TestEmitVerifyCsv:
             standard_error=np.array([0.0, 0.01]),
             bound=np.array([0.5, 0.4]),
             violated=np.array([False, False]),
-            n_seeds=100,
-            n_se=3.0,
         )
         path = tmp_path / "verify.csv"
         emit_verify_csv(report, str(path))

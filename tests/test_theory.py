@@ -25,6 +25,7 @@ from trish.theory import (
     gaussian_conditional_product,
     lemma1_rhs,
     sg_comparison_bound,
+    standard_error,
     theorem_bound,
 )
 
@@ -186,8 +187,7 @@ class TestEstimateConditionalInnerProduct:
         analytic = float(check.std() / math.sqrt(n))
         assert 0.6 * analytic <= est.standard_error <= 1.6 * analytic
 
-    def test_blocked_bootstrap_matches_plain(self):
-        # above the block threshold the SE stays on the same scale
+    def test_quadrupling_samples_halves_the_se(self):
         closed = gaussian_conditional_product(1.0, 1.0)
         small = estimate_conditional_inner_product(
             np.array([1.0]), gaussian_draw(1.0, 1.0), 8000, np.random.default_rng(11)
@@ -200,6 +200,17 @@ class TestEstimateConditionalInnerProduct:
         # quadrupling n roughly halves the SE
         ratio = small.standard_error / large.standard_error
         assert 1.4 <= ratio <= 2.9
+
+    def test_standard_error_is_sd_over_root_n(self):
+        n = 5000
+        est = estimate_conditional_inner_product(
+            np.array([1.0]), gaussian_draw(1.0, 1.0), n, np.random.default_rng(4)
+        )
+        inner = gaussian_draw(1.0, 1.0)(np.random.default_rng(4), n)
+        pos_part = np.where(inner >= 0.0, inner, 0.0)
+        assert est.standard_error == np.std(pos_part, ddof=1) / math.sqrt(n)
+        assert est.mean_inner_se == np.std(inner, ddof=1) / math.sqrt(n)
+        assert standard_error(inner[:1]) == 0.0
 
     def test_degenerate_event(self):
         est = estimate_conditional_inner_product(
@@ -232,10 +243,6 @@ class TestEstimateConditionalInnerProduct:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="at least one sample"):
             estimate_conditional_inner_product(np.array([1.0]), gaussian_draw(1, 1), 0, rng)
-        with pytest.raises(ValueError, match="resamples"):
-            estimate_conditional_inner_product(
-                np.array([1.0]), gaussian_draw(1, 1), 10, rng, n_bootstrap=1
-            )
         with pytest.raises(ValueError, match="shape"):
             estimate_conditional_inner_product(
                 np.array([1.0, 2.0]), lambda r, n: np.zeros((n, 3)), 10, rng
