@@ -35,7 +35,13 @@ from .problems import (
     QuadraticProblem,
     normalize_binary_labels,
 )
-from .theory import SE_MARGIN, AssumptionConstants, TheoremConstants, standard_error, theorem_bound
+from .theory import (
+    AssumptionConstants,
+    TheoremConstants,
+    standard_error,
+    theorem_bound,
+    within_margin,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -248,7 +254,7 @@ def _check_block(rows: int, dim: int, width: str) -> None:
     what set dim."""
     if rows * dim * 8 > _MAX_BLOCK_BYTES:
         raise ValueError(
-            f"{rows} trajectories (--seeds, times grid points) of dimension {dim} "
+            f"{rows} trajectories (--seeds) of dimension {dim} "
             f"({width}) pass the {_MAX_BLOCK_BYTES >> 30} GiB limit on iterates"
         )
 
@@ -591,7 +597,7 @@ def verify_theorem(setup: VerificationSetup, base_seed: int = 0) -> TheoremRepor
     bound = theorem_bound(tc, ks)
     guard = 1e-12 * np.maximum(1.0, np.abs(bound))
     # Written as "not within" so that a nan or inf point counts as violated.
-    violated = ~(empirical <= bound + SE_MARGIN * ses + guard) | frozen
+    violated = ~within_margin(empirical, ses, bound + guard) | frozen
     return TheoremReport(
         theorem_id=tc.theorem_id,
         k=ks,

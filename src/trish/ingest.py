@@ -12,7 +12,8 @@ Parsing streams line by line into four flat arrays (labels, row
 pointers, 0-based columns, values) that become one LibsvmData: the
 labels and one CSR matrix.  Memory is one line plus the four flat
 arrays, with no object per example, and time is linear in the input
-size.  A file that is not UTF-8 is a ParseError at its first bad byte.
+size.  Each file is read once, and the first error in file order is the
+one reported; a byte that is not UTF-8 is an error like any other.
 """
 
 from __future__ import annotations
@@ -105,7 +106,9 @@ def parse_libsvm(lines: Iterable[str]) -> tuple[LibsvmData, int]:
 
     max_index is the largest feature index seen anywhere, 0 for an empty
     dataset, and the width of data.features.  When a dataset has train
-    and test splits, take the max over both so the two agree.
+    and test splits, take the max over both so the two agree.  A byte
+    that is not UTF-8, as errors="surrogateescape" decodes it, is a
+    ParseError on any line, comment lines included.
     """
     labels = array("d")
     indptr = array("q", [0])
@@ -113,6 +116,9 @@ def parse_libsvm(lines: Iterable[str]) -> tuple[LibsvmData, int]:
     values = array("d")
     max_index = 0
     for lineno, line in enumerate(lines, start=1):
+        if not line.isascii() and (found := _UNDECODED.search(line)):
+            byte = ord(found.group()) - 0xDC00
+            raise ParseError(lineno, found.start() + 1, f"byte 0x{byte:02x} is not UTF-8")
         tokens = _TOKEN.finditer(line)
         first = next(tokens, None)
         if first is None or first.group().startswith("#"):
@@ -151,28 +157,13 @@ def parse_libsvm(lines: Iterable[str]) -> tuple[LibsvmData, int]:
 
 
 def load_libsvm(path: str) -> tuple[LibsvmData, int]:
-    """parse_libsvm over a UTF-8 file on disk; parse errors carry the path."""
+    """parse_libsvm over a file on disk, read once; parse errors carry the path."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
             return parse_libsvm(handle)
     except ParseError as exc:
         exc.path = path
         raise
-    except UnicodeDecodeError:
-        _raise_undecodable(path)
-        raise
-
-
-def _raise_undecodable(path: str) -> None:
-    """ParseError at the line:column of the first byte of path that is not UTF-8."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            found = _UNDECODED.search(line)
-            if found:
-                byte = ord(found.group()) - 0xDC00
-                exc = ParseError(lineno, found.start() + 1, f"byte 0x{byte:02x} is not UTF-8")
-                exc.path = path
-                raise exc from None
 
 
 def serialize_libsvm(data: LibsvmData) -> str:

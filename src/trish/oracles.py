@@ -68,26 +68,32 @@ class SigmaSchedule:
     m3: float = 0.0
     zeta: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.kind == "constant":
+            # sigma = 0 is the exact gradient; use it directly, not as an oracle.
+            if not (self.sigma0 > 0.0 and math.isfinite(self.sigma0)):
+                raise ValueError(f"constant sigma must be positive, got {self.sigma0}")
+        elif self.kind == "coupled":
+            if not (self.multiplier > 0.0 and math.isfinite(self.multiplier)):
+                raise ValueError(f"multiplier must be positive, got {self.multiplier}")
+        elif self.kind == "geometric":
+            if not self.m3 > 0.0:
+                raise ValueError(f"M3 must be positive, got {self.m3}")
+            if not 0.0 < self.zeta < 1.0:
+                raise ValueError(f"zeta must lie in (0, 1), got {self.zeta}")
+        else:
+            raise ValueError(f"unknown sigma schedule kind '{self.kind}'")
+
     @classmethod
     def constant(cls, sigma: float) -> "SigmaSchedule":
-        # sigma = 0 would degenerate to a deterministic oracle; use the
-        # true gradient directly instead of pretending it is stochastic.
-        if not (sigma > 0.0 and math.isfinite(sigma)):
-            raise ValueError(f"constant sigma must be positive, got {sigma}")
         return cls(kind="constant", sigma0=sigma)
 
     @classmethod
     def coupled(cls, multiplier: float = 1.0) -> "SigmaSchedule":
-        if not (multiplier > 0.0 and math.isfinite(multiplier)):
-            raise ValueError(f"multiplier must be positive, got {multiplier}")
         return cls(kind="coupled", multiplier=multiplier)
 
     @classmethod
     def geometric(cls, m3: float, zeta: float) -> "SigmaSchedule":
-        if not m3 > 0.0:
-            raise ValueError(f"M3 must be positive, got {m3}")
-        if not 0.0 < zeta < 1.0:
-            raise ValueError(f"zeta must lie in (0, 1), got {zeta}")
         return cls(kind="geometric", m3=m3, zeta=zeta)
 
     def sigma(self, k: int, alpha_k: float | None = None) -> float:
@@ -164,16 +170,14 @@ class TwoPointOracle:
     value_pos: float = 6.0
     value_neg: float = -1.5
     prob_pos: float = 1.0 / 3.0
-    mean: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.prob_pos < 1.0:
             raise ValueError(f"prob_pos must lie in (0, 1), got {self.prob_pos}")
-        implied = self.prob_pos * self.value_pos + (1.0 - self.prob_pos) * self.value_neg
-        if abs(implied - self.mean) > 1e-12:
-            raise ValueError(
-                f"declared mean {self.mean} but outcomes imply {implied}"
-            )
+
+    @property
+    def mean(self) -> float:
+        return self.prob_pos * self.value_pos + (1.0 - self.prob_pos) * self.value_neg
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> float | np.ndarray:
         """One draw, or a vector of independent draws when size is given."""

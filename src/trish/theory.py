@@ -21,8 +21,13 @@ rates for the five convergence guarantees:
 Three TheoremConstants recipes build the five: for_fixed_stepsize for
 1 and 4 and for_harmonic_stepsize for 2 and 5, each given a PL constant
 or None, and for_geometric_noise for 3.  theorem_bound(tc, k) is the one
-entry point to all five bounds.  Every empirical check, here and in the
-harness, passes a Monte Carlo mean when mean <= bound + SE_MARGIN * SE.
+entry point to all five bounds.  within_margin(mean, se, bound), that is
+mean <= bound + SE_MARGIN * se, is the one empirical check: verify_theorem
+applies it at each k, and Assumptions 4-6 are one call around their bound:
+
+    within_margin(est.product, est.standard_error, h.h1 + h.h2 * grad_norm_sq)
+
+with h.h3 * alpha_k (5) or h.h5 * h.lam ** (k - 1) (6) in place of h.h1.
 """
 
 from __future__ import annotations
@@ -38,14 +43,12 @@ from .core import StepCase, TrishParams
 __all__ = [
     "SE_MARGIN",
     "standard_error",
+    "within_margin",
     "HypothesisError",
     "AssumptionConstants",
     "ConditionalInnerProductEstimate",
     "gaussian_conditional_product",
     "estimate_conditional_inner_product",
-    "check_assumption4",
-    "check_assumption5",
-    "check_assumption6",
     "lemma1_rhs",
     "TheoremConstants",
     "theorem_bound",
@@ -61,6 +64,11 @@ def standard_error(samples: np.ndarray) -> float:
     """SE of the mean of independent samples, sd/sqrt(n) with ddof=1; 0 for one sample."""
     n = samples.size
     return float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+
+
+def within_margin(mean, se, bound):
+    """Whether mean <= bound + SE_MARGIN * se; elementwise, and False wherever mean is nan."""
+    return mean <= bound + SE_MARGIN * se
 
 
 class HypothesisError(ValueError):
@@ -218,47 +226,6 @@ def estimate_conditional_inner_product(
         mean_inner=float(inner.mean()),
         mean_inner_se=standard_error(inner),
         n_samples=n_samples,
-    )
-
-
-def check_assumption4(
-    estimate: ConditionalInnerProductEstimate,
-    h1: float,
-    h2: float,
-    grad_norm_sq: float,
-) -> bool:
-    """Empirical product within SE_MARGIN standard errors of h1 + h2*||grad||^2."""
-    return estimate.product <= h1 + h2 * grad_norm_sq + SE_MARGIN * estimate.standard_error
-
-
-def check_assumption5(
-    estimate: ConditionalInnerProductEstimate,
-    h3: float,
-    h4: float,
-    grad_norm_sq: float,
-    alpha_k: float,
-) -> bool:
-    """Same check with the constant term scaled by the current stepsize."""
-    return (
-        estimate.product
-        <= h3 * alpha_k + h4 * grad_norm_sq + SE_MARGIN * estimate.standard_error
-    )
-
-
-def check_assumption6(
-    estimate: ConditionalInnerProductEstimate,
-    h5: float,
-    h6: float,
-    lam: float,
-    k: int,
-    grad_norm_sq: float,
-) -> bool:
-    """Same check with the constant term decaying geometrically in k."""
-    if k < 1:
-        raise ValueError(f"iteration index is 1-based, got {k}")
-    return (
-        estimate.product
-        <= h5 * lam ** (k - 1) + h6 * grad_norm_sq + SE_MARGIN * estimate.standard_error
     )
 
 

@@ -34,6 +34,7 @@ from trish.theory import (
     estimate_conditional_inner_product,
     gaussian_conditional_product,
     lemma1_rhs,
+    within_margin,
 )
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "trish" / "data"
@@ -102,6 +103,7 @@ def test_criterion_03_conditional_inner_product():
     bound = h.h1 + h.h2 * 1.0
     assert bound == pytest.approx(0.19947114020071635 + 1.1994711402007163, rel=1e-12)
     assert bound > closed
+    assert within_margin(estimate.product, estimate.standard_error, h.h1 + h.h2 * 1.0)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     _report(

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trish.cli as cli
@@ -181,6 +181,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"trish: parse error: {bad}:{line}:{column}: byte 0x{byte:02x} is not UTF-8\n"
 
+    def test_first_error_in_file_order_is_reported(self, tmp_path, capsys):
+        bad = tmp_path / "bad.libsvm"
+        bad.write_bytes(b"1 2:x\n1 2:\xff\n")
+        assert main(["stats", "--dataset", str(bad)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"trish: parse error: {bad}:1:5: malformed value 'x'\n"
+
     def test_non_utf8_training_set_is_a_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.libsvm"
         bad.write_bytes(b"1 1:1.0\n-1 2:\xff\n")
@@ -215,8 +222,9 @@ class TestExitCodes:
                 handle.write("tune_alpha = 0.1, 0.2\n")
         assert main(command + ["--seeds", "100000000000"]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("trish: error: 100000000000 trajectories (--seeds")
+        assert err.startswith("trish: error: 100000000000 trajectories (--seeds) of ")
         assert err.endswith("pass the 1 GiB limit on iterates\n") and err.count("\n") == 1
+        assert "grid point" not in err
 
     @pytest.mark.parametrize("problem", ["quadratic", "nonconvex_pl"])
     def test_synthetic_dimension_too_large_for_memory(self, problem, tmp_path, capsys):
@@ -227,7 +235,7 @@ class TestExitCodes:
         )
         assert main(["run", "--config", str(conf), "--seeds", "1"]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("trish: error: 1 trajectories (--seeds, times grid points) of ")
+        assert err.startswith("trish: error: 1 trajectories (--seeds) of ")
         assert err.endswith("pass the 1 GiB limit on iterates\n") and err.count("\n") == 1
         assert "(the dimension field)" in err and "dataset" not in err
 
@@ -674,6 +682,12 @@ USUAL = {"run": ["--config"], "tune": ["--config"], "verify": ["--theorem", "--s
 BASE_CONFIG = {"method": "trish", "problem": "quadratic", "dataset": TINY_DATA,
                "gamma1": "2", "gamma2": "0.8", "alpha": "0.1", "sigma": "0.1",
                "max_iterations": "3", "n_seeds": "2"}
+# The drawn commands never reach the iteration-count refusal, so this
+# example does.  A 400-digit count, not 2**63: without the refusal the run
+# then fails at once instead of looping for 2**63 steps.
+PAST_INT64_RUN = (["run", "--config", "run.conf"], "".join(
+    f"{key} = {value}\n" for key, value in {**BASE_CONFIG, "max_iterations": "7" * 400}.items()
+))
 CONFIG_KEYS = sorted(TestConfigSchema.FIELDS) + [
     "tune_alpha", "tune_gamma1", "tune_batch_size", "tune_n_seeds", "tune_dimension",
     "tune_max_iterations", "tune_method", "frobnicate",
@@ -722,6 +736,7 @@ class TestNoTraceback:
 
         @settings(derandomize=True, max_examples=200, deadline=None, database=None)
         @given(_command())
+        @example(PAST_INT64_RUN)
         def check(case):
             argv, config = case
             if config is not None:

@@ -152,6 +152,15 @@ class TestParseErrors:
     def test_column_tracks_extra_whitespace(self):
         self._expect(["1  5:x"], 1, 6, "malformed value 'x'")
 
+    @pytest.mark.parametrize(
+        "lines, line, column, byte",
+        [(["1 1:1", "1 2:\udcff"], 2, 5, "ff"), (["# caf\u00e9 \udcfe", "1 1:1"], 1, 8, "fe")],
+        ids=["pair", "comment"],
+    )
+    def test_undecoded_byte(self, lines, line, column, byte):
+        # \udcXX is byte 0xXX as open(..., errors="surrogateescape") decodes it.
+        self._expect(lines, line, column, f"byte 0x{byte} is not UTF-8")
+
 
 class TestLoadLibsvm:
     def test_parse_error_carries_path(self, tmp_path):
@@ -161,6 +170,16 @@ class TestLoadLibsvm:
             load_libsvm(str(path))
         assert exc_info.value.path == str(path)
         assert exc_info.value.line == 2
+
+    @pytest.mark.parametrize("head", [0, 3001], ids=["lines-1-2", "lines-3002-3003"])
+    def test_errors_are_reported_in_file_order(self, tmp_path, head):
+        # A malformed value before a byte that is not UTF-8 is the error reported.
+        path = tmp_path / "bad.libsvm"
+        path.write_bytes(b"1 2:1\n" * head + b"1 2:x\n1 2:\xff\n")
+        with pytest.raises(ParseError) as exc_info:
+            load_libsvm(str(path))
+        assert (exc_info.value.line, exc_info.value.column) == (head + 1, 5)
+        assert exc_info.value.reason == "malformed value 'x'"
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

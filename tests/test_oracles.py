@@ -1,5 +1,8 @@
 """Noise schedules and the Gaussian and two-point oracles."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +39,24 @@ class TestSigmaSchedule:
     def test_one_based(self):
         with pytest.raises(ValueError, match="1-based"):
             SigmaSchedule.constant(1.0).sigma(0)
+
+    def test_unknown_kind_is_rejected(self):
+        # It used to build an oracle whose sigma(k) was 0.0: the exact gradient.
+        with pytest.raises(ValueError, match="unknown sigma schedule kind 'bogus'"):
+            SigmaSchedule("bogus")
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(kind="constant", sigma0=-1.0), "constant sigma must be positive, got -1.0"),
+            (dict(kind="constant"), "constant sigma must be positive, got 0.0"),
+            (dict(kind="coupled", multiplier=math.inf), "multiplier must be positive, got inf"),
+            (dict(kind="geometric", m3=1.0, zeta=1.0), "zeta must lie in \\(0, 1\\), got 1.0"),
+        ],
+    )
+    def test_direct_construction_is_validated(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            SigmaSchedule(**fields)
 
 
 class TestGaussianOracle:
@@ -111,9 +132,11 @@ class TestTwoPointOracle:
         moments = oracle.moments()
         assert moments.m1 == pytest.approx(13.5 - 1.0)
 
-    def test_rejects_zero_mean(self):
-        with pytest.raises(ValueError):
-            TwoPointOracle(value_pos=1.0, value_neg=-1.0, prob_pos=0.5)
+    def test_mean_follows_the_outcomes(self):
+        assert TwoPointOracle().mean == 1.0
+        assert TwoPointOracle(value_pos=1.0, value_neg=-1.0, prob_pos=0.5).mean == 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            TwoPointOracle().mean = 2.0
 
     def test_sample_frequencies(self):
         oracle = TwoPointOracle()

@@ -14,19 +14,17 @@ from scipy import integrate
 from trish.core import StepCase, TrishParams
 from trish.harness import verification_setup
 from trish.theory import (
+    SE_MARGIN,
     AssumptionConstants,
-    ConditionalInnerProductEstimate,
     HypothesisError,
     TheoremConstants,
-    check_assumption4,
-    check_assumption5,
-    check_assumption6,
     estimate_conditional_inner_product,
     gaussian_conditional_product,
     lemma1_rhs,
     sg_comparison_bound,
     standard_error,
     theorem_bound,
+    within_margin,
 )
 
 TWO_ROOT_2PI = 2.0 * math.sqrt(2.0 * math.pi)
@@ -249,45 +247,45 @@ class TestEstimateConditionalInnerProduct:
             )
 
 
-def _fake_estimate(product: float, se: float = 0.01) -> ConditionalInnerProductEstimate:
-    return ConditionalInnerProductEstimate(
-        prob_event=0.9,
-        conditional_mean=product / 0.9,
-        complement_mean=-0.1,
-        product=product,
-        standard_error=se,
-        mean_inner=product - 0.01,
-        mean_inner_se=se,
-        n_samples=1000,
-    )
-
-
 class TestAssumptionChecks:
+    # An Assumption 4-6 check is within_margin around the bound its caller builds.
     def test_check4(self):
-        est = _fake_estimate(1.0)
-        assert check_assumption4(est, h1=0.2, h2=1.2, grad_norm_sq=1.0)
-        assert not check_assumption4(_fake_estimate(2.0), h1=0.2, h2=1.2, grad_norm_sq=1.0)
+        h1, h2, grad_norm_sq = 0.2, 1.2, 1.0
+        assert within_margin(1.0, 0.01, h1 + h2 * grad_norm_sq)
+        assert not within_margin(2.0, 0.01, h1 + h2 * grad_norm_sq)
         # the SE allowance rescues borderline estimates
-        assert check_assumption4(
-            _fake_estimate(1.4 + 0.02, se=0.01), h1=0.2, h2=1.2, grad_norm_sq=1.0
-        )
+        assert within_margin(1.4 + 0.02, 0.01, h1 + h2 * grad_norm_sq)
 
     def test_check5(self):
-        est = _fake_estimate(1.0)
-        assert check_assumption5(est, h3=0.5, h4=1.2, grad_norm_sq=1.0, alpha_k=0.1)
-        assert not check_assumption5(
-            _fake_estimate(1.5), h3=0.5, h4=1.2, grad_norm_sq=1.0, alpha_k=0.1
-        )
+        h3, h4, grad_norm_sq, alpha_k = 0.5, 1.2, 1.0, 0.1
+        assert within_margin(1.0, 0.01, h3 * alpha_k + h4 * grad_norm_sq)
+        assert not within_margin(1.5, 0.01, h3 * alpha_k + h4 * grad_norm_sq)
 
     def test_check6(self):
-        est = _fake_estimate(1.0)
-        assert check_assumption6(est, h5=0.5, h6=1.2, lam=0.5, k=1, grad_norm_sq=1.0)
+        h5, h6, lam, grad_norm_sq = 0.5, 1.2, 0.5, 1.0
+        assert within_margin(1.0, 0.01, h5 * lam ** (1 - 1) + h6 * grad_norm_sq)
         # the decaying term shrinks the budget as k grows
-        assert not check_assumption6(
-            _fake_estimate(1.5), h5=0.5, h6=1.2, lam=0.5, k=10, grad_norm_sq=1.0
+        assert not within_margin(1.5, 0.01, h5 * lam ** (10 - 1) + h6 * grad_norm_sq)
+
+    def test_the_margin_is_se_margin_standard_errors(self):
+        assert within_margin(1.0 + SE_MARGIN * 0.01, 0.01, 1.0)
+        assert not within_margin(np.nextafter(1.0 + SE_MARGIN * 0.01, 2.0), 0.01, 1.0)
+
+    def test_elementwise_on_arrays(self):
+        mean = np.array([1.0, 1.02, 1.04, 0.5])
+        se = np.array([0.01, 0.01, 0.01, 0.0])
+        bound = np.array([1.0, 1.0, 1.0, 0.5])
+        np.testing.assert_array_equal(
+            within_margin(mean, se, bound), [True, True, False, True]
         )
-        with pytest.raises(ValueError, match="1-based"):
-            check_assumption6(est, h5=0.5, h6=1.2, lam=0.5, k=0, grad_norm_sq=1.0)
+        np.testing.assert_array_equal(within_margin(mean, 0.01, 1.0), [True, True, False, True])
+
+    def test_nan_mean_fails(self):
+        assert not within_margin(math.nan, 0.01, 1.0)
+        assert not within_margin(math.nan, math.inf, math.inf)
+        np.testing.assert_array_equal(
+            within_margin(np.array([math.nan, 1.0]), np.array([0.01, 0.01]), 1.0), [False, True]
+        )
 
 
 class TestLemma1Rhs:
