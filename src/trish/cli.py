@@ -1,8 +1,8 @@
 """Command line front end: run, tune, verify, and stats subcommands.
 
-Exit codes: 0 success; 1 usage or configuration problems; 2 unreadable
-or malformed datasets; 3 rejected guarantee hypotheses; 4 an empirical
-bound check failed.
+Exit codes: 0 success; 1 usage or configuration problems, or an --out
+path that cannot be written; 2 unreadable or malformed datasets; 3
+rejected guarantee hypotheses; 4 an empirical bound check failed.
 """
 
 from __future__ import annotations
@@ -120,6 +120,15 @@ def _cells(params: dict) -> list[str]:
     return [f"{k}={_float6(v) if isinstance(v, float) else v}" for k, v in params.items()]
 
 
+def _write(emit, content, path: str) -> None:
+    """emit(content, path), where a path that cannot be written is a usage error."""
+    try:
+        emit(content, path)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    print(f"wrote {path}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     values = parse_config_file(args.config) if args.config else {}
     if any(key.startswith("tune_") for key in values):
@@ -144,8 +153,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         + " ".join(f"{name}={_float6(value)}" for name, value in result.final_means().items())
     )
     if args.out:
-        emit_csv(result.records, args.out)
-        print(f"wrote {args.out}")
+        _write(emit_csv, result.records, args.out)
     return EXIT_OK
 
 
@@ -183,8 +191,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         print(" ".join(cells))
     print("best: " + " ".join(_cells(result.best_params)))
     if args.out:
-        emit_csv(result.best_records, args.out)
-        print(f"wrote {args.out}")
+        _write(emit_csv, result.best_records, args.out)
     return EXIT_OK
 
 
@@ -209,8 +216,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"bound={_float6(float(report.bound[first]))}"
         )
     if args.out:
-        emit_verify_csv(report, args.out)
-        print(f"wrote {args.out}")
+        _write(emit_verify_csv, report, args.out)
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 

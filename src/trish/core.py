@@ -178,8 +178,8 @@ class StepsizeSchedule:
             if not (self.a > 0.0 and math.isfinite(self.a)):
                 raise ValueError(f"fixed stepsize must be positive, got {self.a}")
         elif self.kind == "harmonic":
-            if not (self.a > 0.0 and self.b > 0.0):
-                raise ValueError(f"need a > 0 and b > 0, got a={self.a}, b={self.b}")
+            if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+                raise ValueError(f"need finite a > 0 and b > 0, got a={self.a}, b={self.b}")
         else:
             raise ValueError(f"unknown schedule kind '{self.kind}'")
 

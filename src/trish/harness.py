@@ -28,7 +28,7 @@ import scipy.sparse as sp
 
 from .core import StepsizeSchedule, TrishParams, _trish_step_batch
 from .ingest import load_libsvm
-from .oracles import GaussianOracle, SigmaSchedule
+from .oracles import GaussianOracle
 from .problems import (
     LogisticProblem,
     NonconvexPLProblem,
@@ -120,6 +120,7 @@ class ExperimentConfig:
             raise ValueError("no stepsize given: set alpha or (schedule_a, schedule_b)")
         if harmonic and (self.schedule_a is None or self.schedule_b is None):
             raise ValueError("harmonic schedule needs both schedule_a and schedule_b")
+        self.schedule()  # validates the stepsize
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.epochs < 1:
@@ -128,6 +129,7 @@ class ExperimentConfig:
             raise ValueError(f"n_seeds must be at least 1, got {self.n_seeds}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be at least 0, got {self.base_seed}")
+        object.__setattr__(self, "checkpoint_fractions", tuple(self.checkpoint_fractions))
         if not self.checkpoint_fractions:
             raise ValueError("need at least one checkpoint fraction")
         if list(self.checkpoint_fractions) != sorted(set(self.checkpoint_fractions)):
@@ -142,7 +144,7 @@ class ExperimentConfig:
                 raise ValueError("synthetic problems need max_iterations >= 1")
             if self.sigma is None:
                 raise ValueError("synthetic problems need the oracle sigma")
-            SigmaSchedule.constant(self.sigma)  # validates sigma
+            GaussianOracle.constant(self.sigma)  # validates sigma
             if self.dimension < 1:
                 raise ValueError(f"dimension must be at least 1, got {self.dimension}")
 
@@ -635,7 +637,7 @@ class _Guarantee:
 
     problem: str
     pl: bool
-    noise: SigmaSchedule
+    noise: GaussianOracle
     gammas: tuple[float, float]
     stepsize: float | tuple[float, float] | None
     x1: float
@@ -649,16 +651,18 @@ class _Guarantee:
 # wide normalized band and a slow crawl through it: the gap then genuinely
 # tracks the 1/k envelope over the fitted window.
 _GUARANTEES = {
-    1: _Guarantee("quadratic", True, SigmaSchedule.constant(0.1), (2.0, 1.9), None, 1.0, 200),
+    1: _Guarantee("quadratic", True, GaussianOracle.constant(0.1), (2.0, 1.9), None, 1.0, 200),
     2: _Guarantee(
-        "quadratic", True, SigmaSchedule.coupled(1.0), (0.2, 0.04), (40.0, 1000.0), 22.8, 500
+        "quadratic", True, GaussianOracle.coupled(1.0), (0.2, 0.04), (40.0, 1000.0), 22.8, 500
     ),
     3: _Guarantee(
-        "quadratic", True, SigmaSchedule.geometric(0.04, 0.25), (2.0, 1.9), 0.45, 1.0, 100
+        "quadratic", True, GaussianOracle.geometric(0.04, 0.25), (2.0, 1.9), 0.45, 1.0, 100
     ),
-    4: _Guarantee("nonconvex_pl", False, SigmaSchedule.constant(0.1), (2.0, 1.9), None, 1.0, 200),
+    4: _Guarantee(
+        "nonconvex_pl", False, GaussianOracle.constant(0.1), (2.0, 1.9), None, 1.0, 200
+    ),
     5: _Guarantee(
-        "nonconvex_pl", False, SigmaSchedule.coupled(1.0), (2.0, 1.9), (0.5, 7.0), 1.0, 5000
+        "nonconvex_pl", False, GaussianOracle.coupled(1.0), (2.0, 1.9), (0.5, 7.0), 1.0, 5000
     ),
 }
 
@@ -672,7 +676,7 @@ def verification_setup(
 ) -> VerificationSetup:
     """Reference configuration of one guarantee, built from its table row.
 
-    The oracle supplies (M1, M2, M3) and the noise kind the (h_a, h_b)
+    The row's oracle supplies (M1, M2) and its noise kind the (h_a, h_b)
     pair.  An override that is not None replaces the row's gamma or fixed
     alpha and is re-validated against the hypotheses, so a bad override
     raises HypothesisError rather than silently checking a vacuous bound.
@@ -699,8 +703,7 @@ def verification_setup(
     else:
         alpha_max = row.stepsize if alpha is None else alpha
     noise, L = row.noise, meta.smoothness
-    oracle = GaussianOracle(noise)
-    moments = oracle.moments(meta.dimension, alpha_max)
+    moments = noise.moments(meta.dimension, alpha_max)
     pl_constant = meta.pl_constant if row.pl else None
     gap = float(problem.value(x1)) - meta.f_star
     # Each recipe takes the (h_a, h_b) pair of the row's noise kind.
@@ -712,7 +715,7 @@ def verification_setup(
     elif noise.kind == "geometric":
         h = AssumptionConstants.for_geometric(noise.m3, noise.zeta)
         tc = TheoremConstants.for_geometric_noise(
-            params, h.h5, h.h6, h.lam, moments.zeta, pl_constant, L, moments.m3, alpha_max, gap
+            params, h.h5, h.h6, h.lam, noise.zeta, pl_constant, L, moments.m1, alpha_max, gap
         )
     else:
         h = AssumptionConstants.for_fixed_sigma(noise.sigma0)
@@ -721,7 +724,7 @@ def verification_setup(
         )
     if not harmonic:
         schedule = StepsizeSchedule.fixed(tc.alpha)
-    return VerificationSetup(tc, problem, oracle, params, schedule, x1, row.horizon, n_seeds)
+    return VerificationSetup(tc, problem, noise, params, schedule, x1, row.horizon, n_seeds)
 
 
 def _fmt(value) -> str:

@@ -6,9 +6,11 @@ Each one also declares constants (M1, M2) such that
     E ||g||^2  <=  M1 + M2 * ||grad f(x)||^2,
 
 which is what the convergence analysis consumes.  The Gaussian oracle
-supports three noise schedules; the two-point oracle is the scalar
-counterexample showing an unbiased estimator whose normalized step is an
-ascent direction most of the time.
+owns its noise regime: constant, coupled to the stepsize, or decaying
+geometrically, whose decay the analysis reads from the oracle's own
+(m3, zeta).  The two-point oracle is the scalar counterexample showing
+an unbiased estimator whose normalized step is an ascent direction most
+of the time.
 """
 
 from __future__ import annotations
@@ -18,45 +20,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "OracleMoments",
-    "SigmaSchedule",
-    "GaussianOracle",
-    "TwoPointOracle",
-]
+__all__ = ["OracleMoments", "GaussianOracle", "TwoPointOracle"]
 
 
 @dataclass(frozen=True)
 class OracleMoments:
-    """Constants bounding the oracle's second moment.
-
-    m3 and zeta are set only for geometrically decaying noise, where
-    E ||g||^2 <= m3 * zeta**(k-1) + ||grad f||^2.
-    """
+    """Constants (M1, M2) bounding the oracle's second moment."""
 
     m1: float
     m2: float
-    m3: float | None = None
-    zeta: float | None = None
 
     def __post_init__(self) -> None:
         if not self.m1 > 0.0:
             raise ValueError(f"M1 must be positive, got {self.m1}")
         if not self.m2 > 0.0:
             raise ValueError(f"M2 must be positive, got {self.m2}")
-        if (self.m3 is None) != (self.zeta is None):
-            raise ValueError("m3 and zeta must be set together")
-        if self.m3 is not None and not self.m3 > 0.0:
-            raise ValueError(f"M3 must be positive, got {self.m3}")
-        if self.zeta is not None and not 0.0 < self.zeta < 1.0:
-            raise ValueError(f"zeta must lie in (0, 1), got {self.zeta}")
 
 
 @dataclass(frozen=True)
-class SigmaSchedule:
-    """Noise level sigma_k for the Gaussian oracle, indexed from k = 1.
+class GaussianOracle:
+    """g = grad f(x) + sigma_k * z with z ~ N(0, I), isotropic noise.
 
-    Three variants:
+    The noise level sigma_k, indexed from k = 1, has three regimes:
       constant(sigma)            sigma_k = sigma  (sigma > 0 required)
       coupled(multiplier)        sigma_k = multiplier * alpha_k
       geometric(m3, zeta)        sigma_k = sqrt(m3 * zeta**(k-1))
@@ -85,19 +70,19 @@ class SigmaSchedule:
             raise ValueError(f"unknown sigma schedule kind '{self.kind}'")
 
     @classmethod
-    def constant(cls, sigma: float) -> "SigmaSchedule":
+    def constant(cls, sigma: float) -> "GaussianOracle":
         return cls(kind="constant", sigma0=sigma)
 
     @classmethod
-    def coupled(cls, multiplier: float = 1.0) -> "SigmaSchedule":
+    def coupled(cls, multiplier: float = 1.0) -> "GaussianOracle":
         return cls(kind="coupled", multiplier=multiplier)
 
     @classmethod
-    def geometric(cls, m3: float, zeta: float) -> "SigmaSchedule":
+    def geometric(cls, m3: float, zeta: float) -> "GaussianOracle":
         return cls(kind="geometric", m3=m3, zeta=zeta)
 
     def sigma(self, k: int, alpha_k: float | None = None) -> float:
-        """Noise level at iteration k; coupled schedules need alpha_k."""
+        """Noise level at iteration k; coupled noise needs alpha_k."""
         if k < 1:
             raise ValueError(f"iteration index is 1-based, got {k}")
         if self.kind == "constant":
@@ -108,13 +93,6 @@ class SigmaSchedule:
             return self.multiplier * alpha_k
         # geometric: sigma_k^2 = m3 * zeta**(k-1), strictly decreasing
         return math.sqrt(self.m3 * self.zeta ** (k - 1))
-
-
-@dataclass(frozen=True)
-class GaussianOracle:
-    """g = grad f(x) + sigma_k * z with z ~ N(0, I), isotropic noise."""
-
-    schedule: SigmaSchedule
 
     def sample(
         self,
@@ -129,7 +107,7 @@ class GaussianOracle:
         case each row gets an independent perturbation.
         """
         grad_true = np.asarray(grad_true, dtype=float)
-        sig = self.schedule.sigma(k, alpha_k)
+        sig = self.sigma(k, alpha_k)
         return grad_true + sig * rng.standard_normal(grad_true.shape)
 
     def moments(self, dim: int, alpha_max: float | None = None) -> OracleMoments:
@@ -137,25 +115,19 @@ class GaussianOracle:
 
         E ||g||^2 = ||grad f||^2 + dim * sigma_k^2 exactly, so M2 = 1 and
         M1 is dim times the largest squared noise level.  For coupled
-        schedules that requires the stepsize upper bound alpha_max; for
-        geometric ones, (m3, zeta) are carried along for analyses that
-        can exploit the decay.
+        noise that requires the stepsize upper bound alpha_max; geometric
+        noise is largest at k = 1, so its M1 = dim * m3 is also the scale
+        of its decaying envelope.
         """
         if dim < 1:
             raise ValueError(f"dimension must be at least 1, got {dim}")
-        if self.schedule.kind == "constant":
-            return OracleMoments(m1=dim * self.schedule.sigma0**2, m2=1.0)
-        if self.schedule.kind == "coupled":
+        if self.kind == "constant":
+            return OracleMoments(m1=dim * self.sigma0**2, m2=1.0)
+        if self.kind == "coupled":
             if alpha_max is None:
                 raise ValueError("coupled schedule needs alpha_max for moments")
-            sig_max = self.schedule.multiplier * alpha_max
-            return OracleMoments(m1=dim * sig_max**2, m2=1.0)
-        return OracleMoments(
-            m1=dim * self.schedule.m3,
-            m2=1.0,
-            m3=dim * self.schedule.m3,
-            zeta=self.schedule.zeta,
-        )
+            return OracleMoments(m1=dim * (self.multiplier * alpha_max) ** 2, m2=1.0)
+        return OracleMoments(m1=dim * self.m3, m2=1.0)
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,53 @@ class TestExitCodes:
         assert rc == EXIT_DATA
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "command, alpha", [("run", "-1"), ("run", "nan"), ("tune", "-1")]
+    )
+    def test_bad_stepsize_is_refused_before_the_dataset_loads(
+        self, command, alpha, tmp_path, capsys, monkeypatch
+    ):
+        loads = []
+        load = trish.harness.load_libsvm
+
+        def counting_load(path):
+            loads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(trish.harness, "load_libsvm", counting_load)
+        if command == "run":
+            argv = ["run", "--dataset", TRAIN, "--method", "sg", "--alpha", alpha]
+        else:
+            conf = tmp_path / "tune.conf"
+            conf.write_text(
+                f"method = sg\nproblem = logistic\ndataset = {TRAIN}\ntune_alpha = 0.5, {alpha}\n"
+            )
+            argv = ["tune", "--config", str(conf)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"trish: error: fixed stepsize must be positive, got {float(alpha)}\n"
+        assert loads == []
+
+    @pytest.mark.parametrize("command", ["run", "tune", "verify"])
+    def test_unwritable_out_is_a_usage_error(self, command, synthetic_config, tmp_path, capsys):
+        out = str(tmp_path / "absent" / "out.csv")
+        tune_config = tmp_path / "tune.conf"
+        tune_config.write_text(SYNTHETIC_CONFIG + "tune_alpha = 0.1, 0.2\n")
+        argv = {
+            "run": ["run", "--config", synthetic_config],
+            "tune": ["tune", "--config", str(tune_config)],
+            "verify": ["verify", "--theorem", "1", "--seeds", "10"],
+        }[command]
+        assert main(argv + ["--out", out]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"trish: error: cannot write {out}: No such file or directory\n"
+        assert "wrote" not in captured.out
+        # A dataset that cannot be read is still a data error.
+        missing = ["run", "--dataset", str(tmp_path / "absent.libsvm"), "--method", "sg",
+                   "--alpha", "0.5", "--out", out]
+        assert main(missing) == EXIT_DATA
+        capsys.readouterr()
+
     def test_malformed_dataset_reports_position(self, tmp_path, capsys):
         bad = tmp_path / "bad.libsvm"
         bad.write_text("1 1:1.0\n1 0:5\n")

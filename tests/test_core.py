@@ -181,6 +181,11 @@ class TestStepsizeSchedule:
         with pytest.raises(ValueError, match="unknown schedule kind"):
             StepsizeSchedule("custom", 1.0)
 
+    @pytest.mark.parametrize("a, b", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+    def test_harmonic_rejects_non_finite_parameters(self, a, b):
+        with pytest.raises(ValueError, match="need finite a > 0 and b > 0"):
+            StepsizeSchedule.harmonic(a=a, b=b)
+
     def test_positivity_enforced_per_call(self):
         # a / (b + k) underflows to zero for a tiny enough a
         schedule = StepsizeSchedule.harmonic(a=5e-324, b=1.0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from trish.harness import (
     verification_setup,
     verify_theorem,
 )
-from trish.oracles import GaussianOracle, SigmaSchedule
+from trish.oracles import GaussianOracle
 from trish.problems import QuadraticProblem
 from trish.theory import HypothesisError
 
@@ -94,6 +95,31 @@ class TestExperimentConfig:
     def test_rejections(self, overrides, fragment):
         with pytest.raises(ValueError, match=fragment):
             synthetic_config(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(alpha=-1.0), "fixed stepsize must be positive, got -1.0"),
+            (dict(alpha=math.nan), "fixed stepsize must be positive, got nan"),
+            (
+                dict(alpha=None, schedule_a=math.inf, schedule_b=1.0),
+                "need finite a > 0 and b > 0, got a=inf, b=1.0",
+            ),
+        ],
+    )
+    def test_stepsize_is_validated_at_construction(self, overrides, message):
+        # These used to pass construction and fail only once a run asked
+        # for its schedule, after the dataset had been loaded.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            synthetic_config(**overrides)
+
+    def test_checkpoint_fractions_are_stored_as_a_tuple(self):
+        as_list = synthetic_config(checkpoint_fractions=[0.5, 1.0])
+        as_tuple = synthetic_config(checkpoint_fractions=(0.5, 1.0))
+        assert as_list.checkpoint_fractions == (0.5, 1.0)
+        assert as_list == as_tuple
+        assert hash(as_list) == hash(as_tuple)
+        assert as_list.config_hash() == as_tuple.config_hash()
 
     def test_logistic_needs_dataset(self):
         with pytest.raises(ValueError, match="dataset"):
@@ -495,7 +521,7 @@ class TestTrishStepBatch:
 class TestMarch:
     def test_diverging_row_leaves_the_others_alone(self):
         problem = QuadraticProblem(np.ones(2))
-        oracle = GaussianOracle(SigmaSchedule.constant(0.5))
+        oracle = GaussianOracle.constant(0.5)
         gammas = (2.0, 0.5)
 
         def march(poisoned_row):
@@ -585,6 +611,11 @@ class TestVerificationSetup:
         assert setup.n_seeds == 10
         with pytest.raises(dataclasses.FrozenInstanceError):
             setup.horizon = 1
+
+    @pytest.mark.parametrize("theorem_id", [1, 2, 3, 4, 5])
+    def test_the_oracle_is_the_rows_own(self, theorem_id):
+        setup = verification_setup(theorem_id, n_seeds=10)
+        assert setup.oracle is harness._GUARANTEES[theorem_id].noise
 
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="unknown theorem"):

@@ -1,4 +1,4 @@
-"""Noise schedules and the Gaussian and two-point oracles."""
+"""The Gaussian oracle's noise regimes, and the two-point oracle."""
 
 import dataclasses
 import math
@@ -9,41 +9,40 @@ import pytest
 from trish.oracles import (
     GaussianOracle,
     OracleMoments,
-    SigmaSchedule,
     TwoPointOracle,
 )
 
 
-class TestSigmaSchedule:
+class TestNoiseRegime:
     def test_constant(self):
-        schedule = SigmaSchedule.constant(0.3)
-        assert schedule.sigma(1) == 0.3
-        assert schedule.sigma(1000) == 0.3
+        oracle = GaussianOracle.constant(0.3)
+        assert oracle.sigma(1) == 0.3
+        assert oracle.sigma(1000) == 0.3
 
     def test_constant_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            SigmaSchedule.constant(0.0)
+            GaussianOracle.constant(0.0)
 
     def test_coupled_needs_stepsize(self):
-        schedule = SigmaSchedule.coupled(2.0)
-        assert schedule.sigma(5, alpha_k=0.1) == pytest.approx(0.2)
+        oracle = GaussianOracle.coupled(2.0)
+        assert oracle.sigma(5, alpha_k=0.1) == pytest.approx(0.2)
         with pytest.raises(ValueError, match="stepsize"):
-            schedule.sigma(5)
+            oracle.sigma(5)
 
     def test_geometric_hand_values(self):
-        schedule = SigmaSchedule.geometric(m3=4.0, zeta=0.25)
-        assert schedule.sigma(1) == 2.0
-        assert schedule.sigma(2) == 1.0
-        assert schedule.sigma(3) == 0.5
+        oracle = GaussianOracle.geometric(m3=4.0, zeta=0.25)
+        assert oracle.sigma(1) == 2.0
+        assert oracle.sigma(2) == 1.0
+        assert oracle.sigma(3) == 0.5
 
     def test_one_based(self):
         with pytest.raises(ValueError, match="1-based"):
-            SigmaSchedule.constant(1.0).sigma(0)
+            GaussianOracle.constant(1.0).sigma(0)
 
     def test_unknown_kind_is_rejected(self):
         # It used to build an oracle whose sigma(k) was 0.0: the exact gradient.
         with pytest.raises(ValueError, match="unknown sigma schedule kind 'bogus'"):
-            SigmaSchedule("bogus")
+            GaussianOracle("bogus")
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -53,15 +52,16 @@ class TestSigmaSchedule:
             (dict(kind="coupled", multiplier=math.inf), "multiplier must be positive, got inf"),
             (dict(kind="geometric", m3=1.0, zeta=1.0), "zeta must lie in \\(0, 1\\), got 1.0"),
         ],
+        ids=["constant-negative", "constant-unset", "coupled-inf", "geometric-zeta-one"],
     )
     def test_direct_construction_is_validated(self, fields, message):
         with pytest.raises(ValueError, match=message):
-            SigmaSchedule(**fields)
+            GaussianOracle(**fields)
 
 
 class TestGaussianOracle:
     def test_unbiased(self):
-        oracle = GaussianOracle(SigmaSchedule.constant(2.0))
+        oracle = GaussianOracle.constant(2.0)
         rng = np.random.default_rng(5)
         grad = np.array([1.0, -2.0])
         draws = np.array([oracle.sample(grad, 1, rng) for _ in range(20000)])
@@ -69,7 +69,7 @@ class TestGaussianOracle:
         np.testing.assert_allclose(draws.std(axis=0), 2.0, rtol=0.05)
 
     def test_batched_rows_are_independent(self):
-        oracle = GaussianOracle(SigmaSchedule.constant(1.0))
+        oracle = GaussianOracle.constant(1.0)
         rng = np.random.default_rng(6)
         batch = oracle.sample(np.zeros((50000, 1)), 1, rng)
         assert batch.shape == (50000, 1)
@@ -77,34 +77,32 @@ class TestGaussianOracle:
         assert float(batch.std()) == pytest.approx(1.0, rel=0.02)
 
     def test_coupled_noise_scales_with_stepsize(self):
-        oracle = GaussianOracle(SigmaSchedule.coupled(1.0))
+        oracle = GaussianOracle.coupled(1.0)
         rng = np.random.default_rng(7)
         draws = oracle.sample(np.zeros((40000, 1)), 3, rng, alpha_k=0.05)
         assert float(draws.std()) == pytest.approx(0.05, rel=0.05)
 
     def test_moments_constant(self):
-        oracle = GaussianOracle(SigmaSchedule.constant(0.5))
+        oracle = GaussianOracle.constant(0.5)
         moments = oracle.moments(dim=4)
         assert moments.m1 == pytest.approx(4 * 0.25)
         assert moments.m2 == 1.0
 
     def test_moments_coupled_requires_alpha_max(self):
-        oracle = GaussianOracle(SigmaSchedule.coupled(2.0))
+        oracle = GaussianOracle.coupled(2.0)
         with pytest.raises(ValueError, match="alpha_max"):
             oracle.moments(dim=1)
         moments = oracle.moments(dim=3, alpha_max=0.1)
         assert moments.m1 == pytest.approx(3 * (2.0 * 0.1) ** 2)
 
     def test_moments_geometric_carries_decay(self):
-        oracle = GaussianOracle(SigmaSchedule.geometric(m3=0.04, zeta=0.25))
+        oracle = GaussianOracle.geometric(m3=0.04, zeta=0.25)
         moments = oracle.moments(dim=2)
         assert moments.m1 == pytest.approx(0.08)
-        assert moments.m3 == pytest.approx(0.08)
-        assert moments.zeta == 0.25
 
     def test_second_moment_identity(self):
         # E||g||^2 = ||grad||^2 + dim * sigma^2 for isotropic noise
-        oracle = GaussianOracle(SigmaSchedule.constant(0.7))
+        oracle = GaussianOracle.constant(0.7)
         rng = np.random.default_rng(8)
         grad = np.array([0.6, -0.8, 0.0])
         draws = oracle.sample(np.tile(grad, (200000, 1)), 1, rng)
@@ -119,9 +117,6 @@ class TestOracleMoments:
             OracleMoments(m1=-1.0, m2=1.0)
         with pytest.raises(ValueError):
             OracleMoments(m1=1.0, m2=0.0)
-        # m3 and zeta travel together
-        with pytest.raises(ValueError):
-            OracleMoments(m1=1.0, m2=1.0, m3=0.5)
 
 
 class TestTwoPointOracle:
