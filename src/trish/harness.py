@@ -36,7 +36,6 @@ from .problems import (
     normalize_binary_labels,
 )
 from .theory import (
-    AssumptionConstants,
     TheoremConstants,
     standard_error,
     theorem_bound,
@@ -676,11 +675,11 @@ def verification_setup(
 ) -> VerificationSetup:
     """Reference configuration of one guarantee, built from its table row.
 
-    The row's oracle supplies (M1, M2) and its noise kind the (h_a, h_b)
-    pair.  An override that is not None replaces the row's gamma or fixed
-    alpha and is re-validated against the hypotheses, so a bad override
-    raises HypothesisError rather than silently checking a vacuous bound.
-    The harmonic guarantees 2 and 5 take no alpha.
+    The row's oracle supplies (M1, M2) and the (h_a, h_b) pair.  An
+    override that is not None replaces the row's gamma or fixed alpha and
+    is re-validated against the hypotheses, so a bad override raises
+    HypothesisError rather than silently checking a vacuous bound.  The
+    harmonic guarantees 2 and 5 take no alpha.
     """
     if theorem_id not in _GUARANTEES:
         raise ValueError(f"unknown theorem id {theorem_id}")
@@ -706,21 +705,18 @@ def verification_setup(
     moments = noise.moments(meta.dimension, alpha_max)
     pl_constant = meta.pl_constant if row.pl else None
     gap = float(problem.value(x1)) - meta.f_star
-    # Each recipe takes the (h_a, h_b) pair of the row's noise kind.
+    h_a, h_b = noise.assumption_pair(alpha_max)
     if harmonic:
-        h = AssumptionConstants.for_coupled(alpha_max, noise.multiplier)
         tc = TheoremConstants.for_harmonic_stepsize(
-            params, h.h3, h.h4, pl_constant, L, moments.m1, moments.m2, *row.stepsize, gap
+            params, h_a, h_b, pl_constant, L, moments.m1, moments.m2, *row.stepsize, gap
         )
     elif noise.kind == "geometric":
-        h = AssumptionConstants.for_geometric(noise.m3, noise.zeta)
         tc = TheoremConstants.for_geometric_noise(
-            params, h.h5, h.h6, h.lam, noise.zeta, pl_constant, L, moments.m1, alpha_max, gap
+            params, h_a, h_b, noise.zeta, pl_constant, L, moments.m1, alpha_max, gap
         )
     else:
-        h = AssumptionConstants.for_fixed_sigma(noise.sigma0)
         tc = TheoremConstants.for_fixed_stepsize(
-            params, h.h1, h.h2, pl_constant, L, moments.m1, moments.m2, alpha_max, gap
+            params, h_a, h_b, pl_constant, L, moments.m1, moments.m2, alpha_max, gap
         )
     if not harmonic:
         schedule = StepsizeSchedule.fixed(tc.alpha)

@@ -7,8 +7,8 @@ Each one also declares constants (M1, M2) such that
 
 which is what the convergence analysis consumes.  The Gaussian oracle
 owns its noise regime: constant, coupled to the stepsize, or decaying
-geometrically, whose decay the analysis reads from the oracle's own
-(m3, zeta).  The two-point oracle is the scalar counterexample showing
+geometrically, and gives both its (M1, M2) and its pair (h_a, h_b) of
+Assumptions 4-6.  The two-point oracle is the scalar counterexample showing
 an unbiased estimator whose normalized step is an ascent direction most
 of the time.
 """
@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["OracleMoments", "GaussianOracle", "TwoPointOracle"]
+
+_TWO_ROOT_2PI = 2.0 * math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -62,12 +64,12 @@ class GaussianOracle:
             if not (self.multiplier > 0.0 and math.isfinite(self.multiplier)):
                 raise ValueError(f"multiplier must be positive, got {self.multiplier}")
         elif self.kind == "geometric":
-            if not self.m3 > 0.0:
+            if not (self.m3 > 0.0 and math.isfinite(self.m3)):
                 raise ValueError(f"M3 must be positive, got {self.m3}")
             if not 0.0 < self.zeta < 1.0:
                 raise ValueError(f"zeta must lie in (0, 1), got {self.zeta}")
         else:
-            raise ValueError(f"unknown sigma schedule kind '{self.kind}'")
+            raise ValueError(f"unknown noise kind '{self.kind}'")
 
     @classmethod
     def constant(cls, sigma: float) -> "GaussianOracle":
@@ -124,10 +126,34 @@ class GaussianOracle:
         if self.kind == "constant":
             return OracleMoments(m1=dim * self.sigma0**2, m2=1.0)
         if self.kind == "coupled":
-            if alpha_max is None:
-                raise ValueError("coupled schedule needs alpha_max for moments")
+            alpha_max = _checked_alpha_max(alpha_max)
             return OracleMoments(m1=dim * (self.multiplier * alpha_max) ** 2, m2=1.0)
         return OracleMoments(m1=dim * self.m3, m2=1.0)
+
+    def assumption_pair(self, alpha_max: float | None = None) -> tuple[float, float]:
+        """(h_a, h_b) with P[E] E[grad f . g | E] <= h_a d_k + h_b ||grad f||^2.
+
+        Each regime has a scale s, and h_a = s/(2 sqrt(2 pi)):
+          constant   s = sigma,        d_k = 1,                    h_b = 1 + h_a
+          coupled    s = multiplier,   d_k = alpha_k <= alpha_max, h_b = 1 + h_a alpha_max
+          geometric  s = sqrt(M3),     d_k = sqrt(zeta)**(k-1),    h_b = 1 + h_a
+
+        >>> GaussianOracle.constant(2.0 * math.sqrt(2.0 * math.pi)).assumption_pair()
+        (1.0, 2.0)
+        """
+        if self.kind == "coupled":
+            h_b = 1.0 + self.multiplier * _checked_alpha_max(alpha_max) / _TWO_ROOT_2PI
+            return self.multiplier / _TWO_ROOT_2PI, h_b
+        scale = self.sigma0 if self.kind == "constant" else math.sqrt(self.m3)
+        h_a = scale / _TWO_ROOT_2PI
+        return h_a, 1.0 + h_a
+
+
+def _checked_alpha_max(alpha_max: float | None) -> float:
+    """The bound alpha_k <= alpha_max that coupled noise needs, validated."""
+    if alpha_max is None or not (alpha_max > 0.0 and math.isfinite(alpha_max)):
+        raise ValueError(f"coupled noise needs a finite alpha_max > 0, got {alpha_max}")
+    return alpha_max
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,14 @@ The analysis revolves around the event E = {grad f(x) . g >= 0} that the
 sampled gradient is not an ascent direction.  Everything downstream is
 phrased through bounds of the form
 
-    P[E] * E[grad f(x) . g | E]  <=  h_a * (decaying term) + h_b * ||grad f(x)||^2,
+    P[E] * E[grad f(x) . g | E]  <=  h_a * d_k + h_b * ||grad f(x)||^2,
 
-with one (h_a, h_b) pair per noise regime, plus second-moment constants
-(M1, M2) from the oracle.  This module computes the h pairs for Gaussian
-noise, estimates the conditional inner product by Monte Carlo, evaluates
-the per-branch expected-decrease bounds, and assembles the constants and
+with d_k = 1, alpha_k or sqrt(zeta)**(k-1) and one (h_a, h_b) pair per
+noise regime, which the Gaussian oracle gives
+(GaussianOracle.assumption_pair), plus its second-moment constants
+(M1, M2).  This module gives the conditional inner product in closed form
+for Gaussian noise and estimates it by Monte Carlo, evaluates the
+per-branch expected-decrease bounds, and assembles the constants and
 rates for the five convergence guarantees:
 
     1  fixed stepsize, PL objective: linear rate to a noise plateau
@@ -25,9 +27,9 @@ entry point to all five bounds.  within_margin(mean, se, bound), that is
 mean <= bound + SE_MARGIN * se, is the one empirical check: verify_theorem
 applies it at each k, and Assumptions 4-6 are one call around their bound:
 
-    within_margin(est.product, est.standard_error, h.h1 + h.h2 * grad_norm_sq)
+    within_margin(est.product, est.standard_error, h_a + h_b * grad_norm_sq)
 
-with h.h3 * alpha_k (5) or h.h5 * h.lam ** (k - 1) (6) in place of h.h1.
+with h_a * alpha_k (5) or h_a * sqrt(zeta) ** (k - 1) (6) in place of h_a.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "standard_error",
     "within_margin",
     "HypothesisError",
-    "AssumptionConstants",
     "ConditionalInnerProductEstimate",
     "gaussian_conditional_product",
     "estimate_conditional_inner_product",
@@ -54,8 +55,6 @@ __all__ = [
     "theorem_bound",
     "sg_comparison_bound",
 ]
-
-_TWO_ROOT_2PI = 2.0 * math.sqrt(2.0 * math.pi)
 
 SE_MARGIN = 3.0  # standard errors a mean may sit above its bound and still pass
 
@@ -91,59 +90,6 @@ def _phi(u: float) -> float:
 def _Phi(u: float) -> float:
     """Standard normal distribution function."""
     return 0.5 * (1.0 + math.erf(u / math.sqrt(2.0)))
-
-
-@dataclass(frozen=True)
-class AssumptionConstants:
-    """An (h_a, h_b) pair for one noise regime, Gaussian oracle.
-
-    Exactly one constructor applies per regime:
-
-      for_fixed_sigma:   h1 = sigma/(2 sqrt(2 pi)),      h2 = 1 + h1
-      for_coupled:       h3 = m/(2 sqrt(2 pi)),          h4 = 1 + m*alpha_max/(2 sqrt(2 pi))
-      for_geometric:     h5 = sqrt(M3)/(2 sqrt(2 pi)),   h6 = 1 + h5, lam = sqrt(zeta)
-
-    The fixed pair bounds the conditional product by h1 + h2*||grad||^2;
-    the coupled pair replaces the constant term by h3*alpha_k; the
-    geometric pair by h5*lam**(k-1).
-    """
-
-    h1: float | None = None
-    h2: float | None = None
-    h3: float | None = None
-    h4: float | None = None
-    h5: float | None = None
-    h6: float | None = None
-    lam: float | None = None
-
-    @classmethod
-    def for_fixed_sigma(cls, sigma: float) -> "AssumptionConstants":
-        if not sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
-        h1 = sigma / _TWO_ROOT_2PI
-        return cls(h1=h1, h2=1.0 + h1)
-
-    @classmethod
-    def for_coupled(cls, alpha_max: float, multiplier: float = 1.0) -> "AssumptionConstants":
-        """Noise sigma_k = multiplier * alpha_k with alpha_k <= alpha_max."""
-        if not alpha_max > 0.0:
-            raise ValueError(f"alpha_max must be positive, got {alpha_max}")
-        if not multiplier > 0.0:
-            raise ValueError(f"multiplier must be positive, got {multiplier}")
-        return cls(
-            h3=multiplier / _TWO_ROOT_2PI,
-            h4=1.0 + multiplier * alpha_max / _TWO_ROOT_2PI,
-        )
-
-    @classmethod
-    def for_geometric(cls, m3: float, zeta: float) -> "AssumptionConstants":
-        """Noise sigma_k^2 = M3 * zeta**(k-1)."""
-        if not m3 > 0.0:
-            raise ValueError(f"M3 must be positive, got {m3}")
-        if not 0.0 < zeta < 1.0:
-            raise ValueError(f"zeta must lie in (0, 1), got {zeta}")
-        h5 = math.sqrt(m3) / _TWO_ROOT_2PI
-        return cls(h5=h5, h6=1.0 + h5, lam=math.sqrt(zeta))
 
 
 def gaussian_conditional_product(grad_norm: float, sigma: float) -> float:
@@ -310,7 +256,6 @@ class TheoremConstants:
         params: TrishParams,
         h5: float,
         h6: float,
-        lam: float,
         zeta: float,
         pl_constant: float,
         smoothness: float,
@@ -318,14 +263,15 @@ class TheoremConstants:
         alpha: float | None,
         f_gap_initial: float,
     ) -> "TheoremConstants":
-        """Guarantee 3: fixed stepsize, PL objective, geometrically decaying
-        noise with pair (h5, h6); alpha=None takes the cap.  There is no
-        form without PL, so pl_constant None raises ValueError."""
+        """Guarantee 3: fixed stepsize, PL objective, noise decaying as
+        M3 zeta**(k-1) with pair (h5, h6), whose h5 term decays as
+        lam**(k-1), lam = sqrt(zeta); alpha=None takes the cap.  There is
+        no form without PL, so pl_constant None raises ValueError."""
         if pl_constant is None:
             raise ValueError("geometric noise has a guarantee only under PL; got no PL constant")
         _validate_common(h5, smoothness, (m3,), f_gap_initial, pl_constant)
-        if not 0.0 < lam < 1.0 or not 0.0 < zeta < 1.0:
-            raise ValueError(f"lam and zeta must lie in (0, 1), got {lam}, {zeta}")
+        if not 0.0 < zeta < 1.0:
+            raise ValueError(f"zeta must lie in (0, 1), got {zeta}")
         margin, kappa1 = _ratio_guard(params, h6, "h6")
         # gamma1 is never squared on its own: gamma1**2 overflows for
         # gamma1 above ~1e154, while these constants stay finite.
@@ -340,7 +286,7 @@ class TheoremConstants:
             + 0.5 * params.gamma1 * (params.gamma1 * alpha) * smoothness * m3
         )
         omega = max(f_gap_initial, kappa2 / (pl_constant * kappa1))
-        rho = max(1.0 - alpha * pl_constant * kappa1, lam, zeta)
+        rho = max(1.0 - alpha * pl_constant * kappa1, math.sqrt(zeta), zeta)
         if not 0.0 < rho < 1.0:
             raise HypothesisError("contraction", f"rate rho = {rho:.6g} not in (0, 1)")
         return cls(

@@ -23,14 +23,13 @@ from trish.harness import (
     verify_theorem,
 )
 from trish.ingest import ParseError, load_libsvm, parse_libsvm, serialize_libsvm
-from trish.oracles import TwoPointOracle
+from trish.oracles import GaussianOracle, TwoPointOracle
 from trish.problems import (
     LogisticProblem,
     NonconvexPLProblem,
     QuadraticProblem,
 )
 from trish.theory import (
-    AssumptionConstants,
     estimate_conditional_inner_product,
     gaussian_conditional_product,
     lemma1_rhs,
@@ -99,11 +98,11 @@ def test_criterion_03_conditional_inner_product():
     )
     assert abs(estimate.product - closed) <= 3.0 * estimate.standard_error
 
-    h = AssumptionConstants.for_fixed_sigma(1.0)
-    bound = h.h1 + h.h2 * 1.0
+    h1, h2 = GaussianOracle.constant(1.0).assumption_pair()
+    bound = h1 + h2 * 1.0
     assert bound == pytest.approx(0.19947114020071635 + 1.1994711402007163, rel=1e-12)
     assert bound > closed
-    assert within_margin(estimate.product, estimate.standard_error, h.h1 + h.h2 * 1.0)
+    assert within_margin(estimate.product, estimate.standard_error, h1 + h2 * 1.0)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     _report(

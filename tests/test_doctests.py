@@ -21,6 +21,6 @@ def test_docstring_examples_pass(name):
     assert results.failed == 0, f"{results.failed} of {results.attempted} examples failed"
 
 
-@pytest.mark.parametrize("name", ["trish.core", "trish.theory"])
+@pytest.mark.parametrize("name", ["trish.core", "trish.oracles", "trish.theory"])
 def test_documented_modules_have_examples(name):
     assert doctest.testmod(importlib.import_module(name), report=False).attempted > 0

@@ -11,6 +11,9 @@ from trish.oracles import (
     OracleMoments,
     TwoPointOracle,
 )
+from trish.theory import gaussian_conditional_product
+
+TWO_ROOT_2PI = 2.0 * math.sqrt(2.0 * math.pi)
 
 
 class TestNoiseRegime:
@@ -41,7 +44,7 @@ class TestNoiseRegime:
 
     def test_unknown_kind_is_rejected(self):
         # It used to build an oracle whose sigma(k) was 0.0: the exact gradient.
-        with pytest.raises(ValueError, match="unknown sigma schedule kind 'bogus'"):
+        with pytest.raises(ValueError, match="unknown noise kind 'bogus'"):
             GaussianOracle("bogus")
 
     @pytest.mark.parametrize(
@@ -50,9 +53,20 @@ class TestNoiseRegime:
             (dict(kind="constant", sigma0=-1.0), "constant sigma must be positive, got -1.0"),
             (dict(kind="constant"), "constant sigma must be positive, got 0.0"),
             (dict(kind="coupled", multiplier=math.inf), "multiplier must be positive, got inf"),
+            (dict(kind="coupled"), "multiplier must be positive, got 0.0"),
             (dict(kind="geometric", m3=1.0, zeta=1.0), "zeta must lie in \\(0, 1\\), got 1.0"),
+            (dict(kind="geometric", zeta=0.5), "M3 must be positive, got 0.0"),
+            (dict(kind="geometric", m3=math.inf, zeta=0.5), "M3 must be positive, got inf"),
         ],
-        ids=["constant-negative", "constant-unset", "coupled-inf", "geometric-zeta-one"],
+        ids=[
+            "constant-negative",
+            "constant-unset",
+            "coupled-inf",
+            "coupled-unset",
+            "geometric-zeta-one",
+            "geometric-m3-unset",
+            "geometric-m3-inf",
+        ],
     )
     def test_direct_construction_is_validated(self, fields, message):
         with pytest.raises(ValueError, match=message):
@@ -109,6 +123,63 @@ class TestGaussianOracle:
         emp = float(np.mean(np.sum(draws**2, axis=1)))
         expected = 1.0 + 3 * 0.49
         assert emp == pytest.approx(expected, rel=0.01)
+
+
+class TestAssumptionPair:
+    def test_constant_hand_values(self):
+        h1, h2 = GaussianOracle.constant(TWO_ROOT_2PI).assumption_pair()
+        assert h1 == pytest.approx(1.0, rel=1e-15)
+        assert h2 == pytest.approx(2.0, rel=1e-15)
+        h1, h2 = GaussianOracle.constant(1.0).assumption_pair()
+        assert h1 == pytest.approx(0.19947114020071635, rel=1e-14)
+        assert h2 == pytest.approx(1.1994711402007163, rel=1e-14)
+
+    def test_coupled_hand_values(self):
+        h3, h4 = GaussianOracle.coupled(2.0).assumption_pair(alpha_max=0.5)
+        assert h3 == pytest.approx(2.0 * 0.19947114020071635, rel=1e-14)
+        assert h4 == pytest.approx(1.0 + 0.19947114020071635, rel=1e-14)
+
+    def test_geometric_hand_values(self):
+        h5, h6 = GaussianOracle.geometric(m3=4.0, zeta=0.25).assumption_pair()
+        assert h5 == pytest.approx(2.0 / TWO_ROOT_2PI, rel=1e-15)
+        assert h6 == pytest.approx(1.0 + 2.0 / TWO_ROOT_2PI, rel=1e-15)
+
+    @pytest.mark.parametrize("alpha_max", [None, -0.5, math.inf, math.nan])
+    @pytest.mark.parametrize("method", ["moments", "assumption_pair"])
+    def test_coupled_alpha_max_must_be_finite_and_positive(self, method, alpha_max):
+        oracle = GaussianOracle.coupled(1.0)
+        args = (1, alpha_max) if method == "moments" else (alpha_max,)
+        with pytest.raises(ValueError, match="alpha_max"):
+            getattr(oracle, method)(*args)
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            GaussianOracle.constant(0.05),
+            GaussianOracle.constant(0.5),
+            GaussianOracle.constant(1.0),
+            GaussianOracle.constant(5.0),
+            GaussianOracle.coupled(2.0),
+            GaussianOracle.geometric(m3=4.0, zeta=0.25),
+        ],
+        ids=[
+            "constant-0.05", "constant-0.5", "constant-1.0", "constant-5.0", "coupled", "geometric"
+        ],
+    )
+    def test_pair_bounds_the_conditional_product(self, oracle):
+        # sigma_k comes from the oracle itself: the level sample() draws at
+        alpha_max = 0.7
+        h_a, h_b = oracle.assumption_pair(alpha_max)
+        for k, alpha_k in ((1, 0.01), (2, 0.2), (5, alpha_max), (20, alpha_max)):
+            sigma_k = oracle.sigma(k, alpha_k)
+            d_k = {
+                "constant": 1.0,
+                "coupled": alpha_k,
+                "geometric": math.sqrt(oracle.zeta) ** (k - 1),
+            }[oracle.kind]
+            for m in np.geomspace(1e-4, 100.0, 60):
+                product = gaussian_conditional_product(m, sigma_k)
+                assert product <= h_a * d_k + h_b * m * m + 1e-12
 
 
 class TestOracleMoments:

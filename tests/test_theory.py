@@ -1,4 +1,4 @@
-"""Tests for the assumption constants, descent bounds, and convergence rates.
+"""Tests for the conditional product, descent bounds, and convergence rates.
 
 Closed-form quantities are cross-checked against independent quadrature,
 Monte Carlo estimators against the closed forms, and every guarantee's
@@ -13,9 +13,9 @@ from scipy import integrate
 
 from trish.core import StepCase, TrishParams
 from trish.harness import verification_setup
+from trish.oracles import GaussianOracle
 from trish.theory import (
     SE_MARGIN,
-    AssumptionConstants,
     HypothesisError,
     TheoremConstants,
     estimate_conditional_inner_product,
@@ -50,39 +50,6 @@ def quadrature_product(m: float, sigma: float) -> float:
     return value
 
 
-class TestAssumptionConstants:
-    def test_fixed_sigma_hand_values(self):
-        h = AssumptionConstants.for_fixed_sigma(TWO_ROOT_2PI)
-        assert h.h1 == pytest.approx(1.0, rel=1e-15)
-        assert h.h2 == pytest.approx(2.0, rel=1e-15)
-        h = AssumptionConstants.for_fixed_sigma(1.0)
-        assert h.h1 == pytest.approx(0.19947114020071635, rel=1e-14)
-        assert h.h2 == pytest.approx(1.1994711402007163, rel=1e-14)
-
-    def test_coupled_hand_values(self):
-        h = AssumptionConstants.for_coupled(alpha_max=0.5, multiplier=2.0)
-        assert h.h3 == pytest.approx(2.0 * 0.19947114020071635, rel=1e-14)
-        assert h.h4 == pytest.approx(1.0 + 0.19947114020071635, rel=1e-14)
-
-    def test_geometric_hand_values(self):
-        h = AssumptionConstants.for_geometric(m3=4.0, zeta=0.25)
-        assert h.h5 == pytest.approx(2.0 / TWO_ROOT_2PI, rel=1e-15)
-        assert h.h6 == pytest.approx(1.0 + 2.0 / TWO_ROOT_2PI, rel=1e-15)
-        assert h.lam == 0.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AssumptionConstants.for_fixed_sigma(0.0)
-        with pytest.raises(ValueError):
-            AssumptionConstants.for_coupled(alpha_max=-1.0)
-        with pytest.raises(ValueError):
-            AssumptionConstants.for_coupled(alpha_max=1.0, multiplier=0.0)
-        with pytest.raises(ValueError):
-            AssumptionConstants.for_geometric(m3=0.0, zeta=0.5)
-        with pytest.raises(ValueError):
-            AssumptionConstants.for_geometric(m3=1.0, zeta=1.0)
-
-
 class TestGaussianConditionalProduct:
     def test_frozen_value_at_unit_parameters(self):
         assert gaussian_conditional_product(1.0, 1.0) == pytest.approx(
@@ -109,35 +76,6 @@ class TestGaussianConditionalProduct:
             gaussian_conditional_product(-1.0, 1.0)
         with pytest.raises(ValueError):
             gaussian_conditional_product(1.0, 0.0)
-
-
-class TestAssumptionInequalities:
-    """The h pairs really do dominate the closed-form conditional product."""
-
-    @pytest.mark.parametrize("sigma", [0.05, 0.5, 1.0, 5.0])
-    def test_fixed_sigma_pair(self, sigma):
-        h = AssumptionConstants.for_fixed_sigma(sigma)
-        for m in np.geomspace(1e-4, 100.0, 60):
-            product = gaussian_conditional_product(m, sigma)
-            assert product <= h.h1 + h.h2 * m * m + 1e-12
-
-    def test_coupled_pair(self):
-        multiplier, alpha_max = 2.0, 0.7
-        h = AssumptionConstants.for_coupled(alpha_max=alpha_max, multiplier=multiplier)
-        for alpha_k in (0.01, 0.2, alpha_max):
-            sigma_k = multiplier * alpha_k
-            for m in np.geomspace(1e-4, 100.0, 40):
-                product = gaussian_conditional_product(m, sigma_k)
-                assert product <= h.h3 * alpha_k + h.h4 * m * m + 1e-12
-
-    def test_geometric_pair(self):
-        m3, zeta = 4.0, 0.25
-        h = AssumptionConstants.for_geometric(m3=m3, zeta=zeta)
-        for k in (1, 2, 5, 20):
-            sigma_k = math.sqrt(m3 * zeta ** (k - 1))
-            for m in np.geomspace(1e-4, 100.0, 40):
-                product = gaussian_conditional_product(m, sigma_k)
-                assert product <= h.h5 * h.lam ** (k - 1) + h.h6 * m * m + 1e-12
 
 
 def gaussian_draw(m: float, sigma: float):
@@ -340,11 +278,11 @@ class TestLemma1Rhs:
 def reference_theorem1() -> TheoremConstants:
     """Frozen 1-d quadratic setup: c = L = 1, sigma = 0.1, alpha = 0.5."""
     params = TrishParams(gamma1=2.0, gamma2=1.9)
-    h = AssumptionConstants.for_fixed_sigma(0.1)
+    h1, h2 = GaussianOracle.constant(0.1).assumption_pair()
     return TheoremConstants.for_fixed_stepsize(
         params,
-        h1=h.h1,
-        h2=h.h2,
+        h1=h1,
+        h2=h2,
         pl_constant=1.0,
         smoothness=1.0,
         m1=0.01,
@@ -368,30 +306,30 @@ class TestTheoremConstants:
 
     def test_gamma_ratio_guard(self):
         params = TrishParams(gamma1=2.0, gamma2=0.02)
-        h = AssumptionConstants.for_fixed_sigma(0.1)
+        h1, h2 = GaussianOracle.constant(0.1).assumption_pair()
         with pytest.raises(HypothesisError) as exc_info:
             TheoremConstants.for_fixed_stepsize(
-                params, h.h1, h.h2, 1.0, 1.0, 0.01, 1.0, 0.1, 0.5
+                params, h1, h2, 1.0, 1.0, 0.01, 1.0, 0.1, 0.5
             )
         assert exc_info.value.condition == "gamma_ratio"
         assert "must be below" in str(exc_info.value)
 
     def test_stepsize_cap_guard(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
-        h = AssumptionConstants.for_fixed_sigma(0.1)
+        h1, h2 = GaussianOracle.constant(0.1).assumption_pair()
         with pytest.raises(HypothesisError) as exc_info:
             TheoremConstants.for_fixed_stepsize(
-                params, h.h1, h.h2, 1.0, 1.0, 0.01, 1.0, 0.6, 0.5
+                params, h1, h2, 1.0, 1.0, 0.01, 1.0, 0.6, 0.5
             )
         assert exc_info.value.condition == "stepsize_cap"
 
     def test_pl_cap_that_rounds_to_zero_is_rejected(self):
         # 1/(2 c theta1) underflows to 0 with c = 1e300 and theta1 near 4e306
         params = TrishParams(gamma1=1e308, gamma2=1e307)
-        h = AssumptionConstants.for_fixed_sigma(0.1)
+        h1, h2 = GaussianOracle.constant(0.1).assumption_pair()
         with pytest.raises(HypothesisError, match=r"stepsize cap 1/\(2 c theta1\) rounds to 0"):
             TheoremConstants.for_fixed_stepsize(
-                params, h.h1, h.h2, 1e300, 1.0, 0.01, 1.0, None, 0.5
+                params, h1, h2, 1e300, 1.0, 0.01, 1.0, None, 0.5
             )
 
     def test_boundary_stepsize_accepted(self):
@@ -401,37 +339,37 @@ class TestTheoremConstants:
 
     def test_no_alpha_takes_the_cap(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
-        h = AssumptionConstants.for_fixed_sigma(0.1)
+        h1, h2 = GaussianOracle.constant(0.1).assumption_pair()
         tc1 = TheoremConstants.for_fixed_stepsize(
-            params, h.h1, h.h2, 1.0, 1.0, 0.01, 1.0, None, 0.5
+            params, h1, h2, 1.0, 1.0, 0.01, 1.0, None, 0.5
         )
         assert tc1 == reference_theorem1()
         tc4 = TheoremConstants.for_fixed_stepsize(
-            params, h.h1, h.h2, None, 16.0, 0.01, 1.0, None, 3.12
+            params, h1, h2, None, 16.0, 0.01, 1.0, None, 3.12
         )
         assert tc4.alpha == 1.0 / 32.0
         assert tc4.theorem_id == 4
 
     def test_theorem2_a_interval_guard(self):
         params = TrishParams(gamma1=0.2, gamma2=0.04)
-        h = AssumptionConstants.for_coupled(alpha_max=40.0 / 1001.0)
+        h3, h4 = GaussianOracle.coupled(1.0).assumption_pair(40.0 / 1001.0)
         with pytest.raises(HypothesisError) as exc_info:
             TheoremConstants.for_harmonic_stepsize(
-                params, h.h3, h.h4, 1.0, 1.0, 0.01, 1.0, a=10.0, b=1000.0,
+                params, h3, h4, 1.0, 1.0, 0.01, 1.0, a=10.0, b=1000.0,
                 f_gap_initial=1.0,
             )
         assert exc_info.value.condition == "a_interval"
 
     def test_theorem2_reference_constants(self):
         params = TrishParams(gamma1=0.2, gamma2=0.04)
-        h = AssumptionConstants.for_coupled(alpha_max=40.0 / 1001.0)
+        h3, h4 = GaussianOracle.coupled(1.0).assumption_pair(40.0 / 1001.0)
         tc = TheoremConstants.for_harmonic_stepsize(
-            params, h.h3, h.h4, 1.0, 1.0, 0.01, 1.0, a=40.0, b=1000.0,
+            params, h3, h4, 1.0, 1.0, 0.01, 1.0, a=40.0, b=1000.0,
             f_gap_initial=259.92,
         )
-        margin = 0.2 - h.h4 * 0.16
+        margin = 0.2 - h4 * 0.16
         assert tc.beta1 == pytest.approx(0.5 * min(0.04, margin), rel=1e-14)
-        expected_beta2 = max(h.h3 * 0.16 + 0.5, 0.5 * 0.04 * 0.01)
+        expected_beta2 = max(h3 * 0.16 + 0.5, 0.5 * 0.04 * 0.01)
         assert tc.beta2 == pytest.approx(expected_beta2, rel=1e-14)
         expected_nu = max(
             1600.0 * tc.beta2 / (80.0 * tc.beta1 - 1.0), 1001.0 * 259.92
@@ -440,43 +378,56 @@ class TestTheoremConstants:
 
     def test_theorem3_reference_constants(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
-        h = AssumptionConstants.for_geometric(m3=0.04, zeta=0.25)
+        h5, h6 = GaussianOracle.geometric(0.04, 0.25).assumption_pair()
         tc = TheoremConstants.for_geometric_noise(
-            params, h.h5, h.h6, h.lam, 0.25, 1.0, 1.0, m3=0.04, alpha=0.45,
+            params, h5, h6, 0.25, 1.0, 1.0, m3=0.04, alpha=0.45,
             f_gap_initial=0.5,
         )
-        margin = 2.0 - h.h6 * 0.1
+        margin = 2.0 - h6 * 0.1
         kappa1 = 0.5 * min(1.9, margin)
         assert tc.kappa1 == pytest.approx(kappa1, rel=1e-14)
         assert tc.rho == pytest.approx(max(1.0 - 0.45 * kappa1, 0.5, 0.25), rel=1e-14)
-        expected_kappa2 = h.h5 * 0.1 + 0.5 * 4.0 * 0.45 * 1.0 * 0.04
+        expected_kappa2 = h5 * 0.1 + 0.5 * 4.0 * 0.45 * 1.0 * 0.04
         assert tc.kappa2 == pytest.approx(expected_kappa2, rel=1e-14)
         assert tc.omega == pytest.approx(max(0.5, tc.kappa2 / kappa1), rel=1e-14)
+
+    def test_theorem3_rate_is_floored_at_sqrt_zeta(self):
+        # at c = 2 the contraction 1 - alpha c kappa1 ~ 0.11 drops below lam = sqrt(0.25)
+        params = TrishParams(gamma1=2.0, gamma2=1.9)
+        h5, h6 = GaussianOracle.geometric(0.04, 0.25).assumption_pair()
+        tc = TheoremConstants.for_geometric_noise(
+            params, h5, h6, 0.25, 2.0, 1.0, m3=0.04, alpha=None, f_gap_initial=0.5
+        )
+        assert tc.rho == 0.5
+        with pytest.raises(ValueError, match=r"zeta must lie in \(0, 1\), got 1.0"):
+            TheoremConstants.for_geometric_noise(
+                params, h5, h6, 1.0, 2.0, 1.0, m3=0.04, alpha=None, f_gap_initial=0.5
+            )
 
     def test_huge_gamma1_gives_finite_constants(self):
         # gamma1**2 overflows a float here; the constants it enters do not
         params = TrishParams(gamma1=1e300, gamma2=1e299)
-        h = AssumptionConstants.for_fixed_sigma(0.1)
+        h1, h2 = GaussianOracle.constant(0.1).assumption_pair()
         tc = TheoremConstants.for_fixed_stepsize(
-            params, h.h1, h.h2, 1.0, 1.0, 100.0, 1.0, None, 0.5
+            params, h1, h2, 1.0, 1.0, 100.0, 1.0, None, 0.5
         )
         assert tc.alpha == pytest.approx(1e-300, rel=1e-14, abs=0.0)
         assert tc.theta2 == pytest.approx(0.5 * 100.0 * (1e300 * tc.alpha) ** 2, rel=1e-14)
-        g = AssumptionConstants.for_geometric(m3=0.04, zeta=0.25)
+        h5, h6 = GaussianOracle.geometric(0.04, 0.25).assumption_pair()
         tc3 = TheoremConstants.for_geometric_noise(
-            params, g.h5, g.h6, g.lam, 0.25, 1.0, 1.0, m3=0.04, alpha=None, f_gap_initial=0.5
+            params, h5, h6, 0.25, 1.0, 1.0, m3=0.04, alpha=None, f_gap_initial=0.5
         )
-        margin = 1e300 - g.h6 * 9e299
+        margin = 1e300 - h6 * 9e299
         assert tc3.alpha == pytest.approx(margin / 1e300 / 1e300, rel=1e-12, abs=0.0)
-        expected_kappa2 = g.h5 * 9e299 + 0.5 * 1e300 * (1e300 * tc3.alpha) * 0.04
+        expected_kappa2 = h5 * 9e299 + 0.5 * 1e300 * (1e300 * tc3.alpha) * 0.04
         assert tc3.kappa2 == pytest.approx(expected_kappa2, rel=1e-12)
         assert all(math.isfinite(v) for v in (tc3.omega, tc3.rho))
 
     def test_theorem4_skips_pl_requirement(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
-        h = AssumptionConstants.for_fixed_sigma(0.1)
+        h1, h2 = GaussianOracle.constant(0.1).assumption_pair()
         tc = TheoremConstants.for_fixed_stepsize(
-            params, h.h1, h.h2, pl_constant=None, smoothness=16.0, m1=0.01, m2=1.0,
+            params, h1, h2, pl_constant=None, smoothness=16.0, m1=0.01, m2=1.0,
             alpha=1.0 / 32.0, f_gap_initial=3.12,
         )
         assert tc.pl_constant is None
@@ -484,24 +435,24 @@ class TestTheoremConstants:
 
     def test_theorem5_accepts_any_harmonic_pair(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
-        h = AssumptionConstants.for_coupled(alpha_max=0.5 / 8.0)
+        h3, h4 = GaussianOracle.coupled(1.0).assumption_pair(0.5 / 8.0)
         tc = TheoremConstants.for_harmonic_stepsize(
-            params, h.h3, h.h4, pl_constant=None, smoothness=8.0, m1=0.01, m2=1.0,
+            params, h3, h4, pl_constant=None, smoothness=8.0, m1=0.01, m2=1.0,
             a=0.5, b=7.0, f_gap_initial=3.12,
         )
         assert tc.theorem_id == 5
         assert tc.beta1 is not None and tc.beta2 is not None
         with pytest.raises(ValueError, match="a > 0"):
             TheoremConstants.for_harmonic_stepsize(
-                params, h.h3, h.h4, None, 8.0, 0.01, 1.0, a=-1.0, b=7.0, f_gap_initial=1.0
+                params, h3, h4, None, 8.0, 0.01, 1.0, a=-1.0, b=7.0, f_gap_initial=1.0
             )
 
     def test_geometric_noise_needs_a_pl_constant(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
-        g = AssumptionConstants.for_geometric(m3=0.04, zeta=0.25)
+        h5, h6 = GaussianOracle.geometric(0.04, 0.25).assumption_pair()
         with pytest.raises(ValueError, match="PL constant"):
             TheoremConstants.for_geometric_noise(
-                params, g.h5, g.h6, g.lam, 0.25, None, 1.0, m3=0.04, alpha=0.45,
+                params, h5, h6, 0.25, None, 1.0, m3=0.04, alpha=0.45,
                 f_gap_initial=0.5,
             )
 
@@ -541,9 +492,9 @@ class TestBounds:
 
     def test_theorem2_decay(self):
         params = TrishParams(gamma1=0.2, gamma2=0.04)
-        h = AssumptionConstants.for_coupled(alpha_max=40.0 / 1001.0)
+        h3, h4 = GaussianOracle.coupled(1.0).assumption_pair(40.0 / 1001.0)
         tc = TheoremConstants.for_harmonic_stepsize(
-            params, h.h3, h.h4, 1.0, 1.0, 0.01, 1.0, a=40.0, b=1000.0,
+            params, h3, h4, 1.0, 1.0, 0.01, 1.0, a=40.0, b=1000.0,
             f_gap_initial=259.92,
         )
         assert theorem_bound(tc, 1) == pytest.approx(tc.nu / 1001.0, rel=1e-14)
@@ -551,9 +502,9 @@ class TestBounds:
 
     def test_theorem3_geometric_decay(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
-        h = AssumptionConstants.for_geometric(m3=0.04, zeta=0.25)
+        h5, h6 = GaussianOracle.geometric(0.04, 0.25).assumption_pair()
         tc = TheoremConstants.for_geometric_noise(
-            params, h.h5, h.h6, h.lam, 0.25, 1.0, 1.0, m3=0.04, alpha=0.45,
+            params, h5, h6, 0.25, 1.0, 1.0, m3=0.04, alpha=0.45,
             f_gap_initial=0.5,
         )
         assert theorem_bound(tc, 1) == pytest.approx(tc.omega, rel=1e-14)
@@ -561,9 +512,9 @@ class TestBounds:
 
     def test_theorem4_average_is_total_over_k(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
-        h = AssumptionConstants.for_fixed_sigma(0.1)
+        h1, h2 = GaussianOracle.constant(0.1).assumption_pair()
         tc = TheoremConstants.for_fixed_stepsize(
-            params, h.h1, h.h2, None, 16.0, 0.01, 1.0, alpha=1.0 / 32.0, f_gap_initial=3.12
+            params, h1, h2, None, 16.0, 0.01, 1.0, alpha=1.0 / 32.0, f_gap_initial=3.12
         )
         denom = tc.alpha * tc.theta1
         total = 10.0 * tc.theta2 / denom + 3.12 / denom
@@ -571,9 +522,9 @@ class TestBounds:
 
     def test_theorem5_matches_manual_prefix_sum(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
-        h = AssumptionConstants.for_coupled(alpha_max=0.5 / 8.0)
+        h3, h4 = GaussianOracle.coupled(1.0).assumption_pair(0.5 / 8.0)
         tc = TheoremConstants.for_harmonic_stepsize(
-            params, h.h3, h.h4, None, 8.0, 0.01, 1.0, a=0.5, b=7.0, f_gap_initial=3.12
+            params, h3, h4, None, 8.0, 0.01, 1.0, a=0.5, b=7.0, f_gap_initial=3.12
         )
         k = 7
         manual = sum((0.5 / (7.0 + j)) ** 2 for j in range(1, k + 1))
