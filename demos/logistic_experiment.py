@@ -29,8 +29,8 @@ def fmt(entry) -> str:
     cells = " ".join(f"{k}={v:g}" for k, v in entry.params.items())
     flag = "  DIVERGED" if entry.diverged else ""
     return (
-        f"  {cells:<40} train_loss={entry.mean_train_loss:.4f} "
-        f"test_acc={entry.mean_test_acc:.4f}{flag}"
+        f"  {cells:<40} train_loss={entry.means['train_loss']:.4f} "
+        f"test_acc={entry.means['test_acc']:.4f}{flag}"
     )
 
 
@@ -70,8 +70,8 @@ def main() -> None:
                 f"test_acc={r.test_acc:.4f}"
             )
 
-    sg_best = min(e.mean_train_loss for e in sg.entries if not e.diverged)
-    trish_best = min(e.mean_train_loss for e in trish.entries if not e.diverged)
+    sg_best = min(e.means["train_loss"] for e in sg.entries if not e.diverged)
+    trish_best = min(e.means["train_loss"] for e in trish.entries if not e.diverged)
     print(
         f"\nbest mean train loss anywhere on the grids: "
         f"safeguarded {trish_best:.4f} vs plain {sg_best:.4f}"

@@ -8,6 +8,8 @@ rejected guarantee hypotheses; 4 an empirical bound check failed.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 import numpy as np
@@ -115,9 +117,21 @@ def _float6(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _cells(params: dict) -> list[str]:
-    """`field=value` cells of a grid point, floats at 6 digits."""
-    return [f"{k}={_float6(v) if isinstance(v, float) else v}" for k, v in params.items()]
+def _cells(values: dict) -> list[str]:
+    """`name=value` cells of a grid point or of mean metrics, floats at 6 digits."""
+    return [f"{k}={_float6(v) if isinstance(v, float) else v}" for k, v in values.items()]
+
+
+def _check_out(path: str) -> None:
+    """Refuse, before any work and without opening it, an --out path whose
+    directory is missing or a file, or that is a directory."""
+    try:
+        # The trailing separator makes stat fail with ENOTDIR on a file.
+        os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _write(emit, content, path: str) -> None:
@@ -135,11 +149,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.config}: tune_* keys only make sense for the tune command")
     config = _experiment_config(args, values)
     result = run_experiment(config)
-    meta = result.metadata
     print(
-        f"config {config.config_hash()} problem={meta['problem']} "
-        f"method={meta['method']} iterations={meta['iterations']} "
-        f"seeds={meta['n_seeds']}"
+        f"config {config.config_hash()} problem={config.problem} method={config.method} "
+        f"iterations={result.iterations} seeds={config.n_seeds}"
     )
     for r in result.final_records():
         print(
@@ -148,10 +160,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"test_loss={_float6(r.test_loss)} test_acc={_float6(r.test_acc)} "
             f"cases={r.case1}/{r.case2}/{r.case3}"
         )
-    print(
-        "final mean: "
-        + " ".join(f"{name}={_float6(value)}" for name, value in result.final_means().items())
-    )
+    print("final mean: " + " ".join(_cells(result.final_means())))
     if args.out:
         _write(emit_csv, result.records, args.out)
     return EXIT_OK
@@ -180,12 +189,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
     result = tune_grid(_experiment_config(args, base_values), grid)
     for entry in result.entries:
-        cells = _cells(entry.params) + [
-            f"train_loss={_float6(entry.mean_train_loss)}",
-            f"train_acc={_float6(entry.mean_train_acc)}",
-            f"test_loss={_float6(entry.mean_test_loss)}",
-            f"test_acc={_float6(entry.mean_test_acc)}",
-        ]
+        cells = _cells(entry.params) + _cells(entry.means)
         if entry.diverged:
             cells.append("DIVERGED")
         print(" ".join(cells))
@@ -281,6 +285,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.func(args)
     except HypothesisError as exc:
         print(f"trish: hypothesis rejected: {exc}", file=sys.stderr)

@@ -8,11 +8,14 @@ records produces byte-identical files.  The config hash that `trish run`
 prints deliberately excludes base_seed: reseeding changes the
 trajectories, not the experiment's identity.
 
-One engine, _march, advances a (rows, dim) block in lockstep: the seeds
-of a verify setup, of a run's config, or of every tune grid point that
-differs only in _ROW_FIELDS, each row with its own stepsize and gamma
-pair.  A block's points share each seed's draws, so tune gives each
-point the numbers a run of it alone gives.
+One engine, _march, advances a (rows, dim) block in lockstep up to its
+last observation: the seeds of a verify setup, of a run's config, or of
+every tune grid point that differs only in _ROW_FIELDS, each row with
+its own stepsize and gamma pair.  A block's points share each seed's
+draws, so tune gives each point the numbers a run of it alone gives.
+
+Results hold what their computation produced and nothing that their
+config already says.
 """
 
 from __future__ import annotations
@@ -79,9 +82,10 @@ class ExperimentConfig:
     required for the safeguarded method and ignored by plain SG.
 
     Synthetic problems (quadratic, nonconvex_pl) use a Gaussian oracle
-    with the given constant sigma and run for max_iterations; the
-    logistic problem draws mini-batches from the dataset and runs for
-    epochs * ceil(n_train / batch_size) iterations from w = 0.
+    with the given constant sigma and run for max_iterations from x = 1
+    in every coordinate; the logistic problem draws mini-batches from the
+    dataset and runs for epochs * ceil(n_train / batch_size) iterations
+    from w = 0.
     """
 
     method: str = "trish"
@@ -200,8 +204,10 @@ RUN_CSV_HEADER = ",".join(f.name for f in dataclasses.fields(RunRecord))
 
 @dataclass
 class ExperimentResult:
+    """One config's records, by seed then checkpoint, and its iteration count."""
+
     records: list[RunRecord]
-    metadata: dict
+    iterations: int
 
     def final_records(self) -> list[RunRecord]:
         """The last-checkpoint record of each seed, in seed order."""
@@ -291,8 +297,8 @@ def _start_block(rows: int, dim: int, x1) -> np.ndarray:
     return np.full((rows, dim), x1, dtype=float)
 
 
-def _march(X, steps, alpha, draw, gammas, observe, at, counts=None) -> None:
-    """Advance the (n_rows, dim) block X through `steps` iterations in lockstep.
+def _march(X, alpha, draw, gammas, observe, at, counts=None) -> None:
+    """Advance the (n_rows, dim) block X in lockstep through max(at) iterations.
 
     Step k samples G = draw(X, k, alpha_k) at alpha_k = alpha(k) and takes
     the safeguarded step with gammas = (gamma1, gamma2), or plain SG when
@@ -304,11 +310,12 @@ def _march(X, steps, alpha, draw, gammas, observe, at, counts=None) -> None:
     branch of every step taken from a finite row with a finite sample.
     Overflow is how rows diverge, so floating-point warnings are silenced.
     """
+    last = max(at)
     with np.errstate(over="ignore", invalid="ignore"):
-        for done in range(steps + 1):
+        for done in range(last + 1):
             if done in at:
                 observe(done, X)
-            if done == steps:
+            if done == last:
                 break
             alpha_k = alpha(done + 1)
             G = draw(X, done + 1, alpha_k)
@@ -386,35 +393,22 @@ def _run_block(configs: list[ExperimentConfig], problem) -> list[ExperimentResul
         snapshots[done] = [m + c for m, c in zip(metrics.tolist(), counts.tolist())]
 
     targets = _checkpoint_iterations(config.checkpoint_fractions, total)
-    _march(X, total, alpha, draw, gammas, observe, set(targets), counts)
-    metadata = {
-        "generator": "numpy-pcg64",
-        "method": config.method,
-        "problem": config.problem,
-        "dimension": dim,
-        "iterations": total,
-        "x1_policy": "zeros" if logistic else "ones",
-        "n_seeds": S,
-        "base_seed": config.base_seed,
-    }
+    _march(X, alpha, draw, gammas, observe, set(targets), counts)
     records = [
         RunRecord(config.base_seed + r % S, frac, target, *snapshots[target][r])
         for r in range(P * S)
         for frac, target in zip(config.checkpoint_fractions, targets)
     ]
     size = S * len(targets)  # records per config
-    return [ExperimentResult(records[p * size:(p + 1) * size], dict(metadata)) for p in range(P)]
+    return [ExperimentResult(records[p * size:(p + 1) * size], total) for p in range(P)]
 
 
 @dataclass(frozen=True)
 class TuneEntry:
-    """Mean final-checkpoint metrics for one grid point over all seeds."""
+    """One grid point: its params, and ExperimentResult.final_means() of its run."""
 
     params: dict
-    mean_train_loss: float
-    mean_train_acc: float
-    mean_test_loss: float
-    mean_test_acc: float
+    means: dict[str, float]
     diverged: bool
 
 
@@ -499,7 +493,7 @@ def tune_grid(base_config: ExperimentConfig, grid: dict) -> TuneResult:
     for index, (combo, combo_params) in enumerate(zip(combos, points)):
         means = results[index].final_means()
         diverged = not math.isfinite(means["train_loss"])
-        entries.append(TuneEntry(combo_params, *means.values(), diverged))
+        entries.append(TuneEntry(combo_params, means, diverged))
         if not diverged:
             acc = means["test_acc"] if math.isfinite(means["test_acc"]) else -math.inf
             loss = means["test_loss"] if math.isfinite(means["test_loss"]) else means["train_loss"]
@@ -593,7 +587,7 @@ def verify_theorem(setup: VerificationSetup, base_seed: int = 0) -> TheoremRepor
         return setup.oracle.sample(grad, k, rng, alpha_k)
 
     gammas = (setup.params.gamma1, setup.params.gamma2)
-    _march(X, horizon, schedule.alpha, draw, gammas, observe, range(horizon))
+    _march(X, schedule.alpha, draw, gammas, observe, range(horizon))
 
     bound = theorem_bound(tc, ks)
     guard = 1e-12 * np.maximum(1.0, np.abs(bound))
@@ -676,8 +670,8 @@ def verification_setup(
     """Reference configuration of one guarantee, built from its table row.
 
     The row's oracle supplies (M1, M2) and the (h_a, h_b) pair.  An
-    override that is not None replaces the row's gamma or fixed alpha and
-    is re-validated against the hypotheses, so a bad override raises
+    override that is not None replaces the row's gamma or fixed alpha: a
+    malformed one raises ValueError, one that breaks a hypothesis raises
     HypothesisError rather than silently checking a vacuous bound.  The
     harmonic guarantees 2 and 5 take no alpha.
     """
@@ -700,7 +694,7 @@ def verification_setup(
         schedule = StepsizeSchedule.harmonic(*row.stepsize)
         alpha_max = schedule.alpha(1)
     else:
-        alpha_max = row.stepsize if alpha is None else alpha
+        alpha_max = row.stepsize if alpha is None else StepsizeSchedule.fixed(alpha).a
     noise, L = row.noise, meta.smoothness
     moments = noise.moments(meta.dimension, alpha_max)
     pl_constant = meta.pl_constant if row.pl else None

@@ -235,7 +235,6 @@ class TheoremConstants:
 
     theorem_id: int
     f_gap_initial: float
-    smoothness: float
     alpha: float | None = None
     pl_constant: float | None = None
     theta1: float | None = None
@@ -292,7 +291,6 @@ class TheoremConstants:
         return cls(
             theorem_id=3,
             f_gap_initial=f_gap_initial,
-            smoothness=smoothness,
             alpha=alpha,
             pl_constant=pl_constant,
             kappa1=kappa1,
@@ -325,7 +323,6 @@ class TheoremConstants:
         return cls(
             theorem_id=4 if pl_constant is None else 1,
             f_gap_initial=f_gap_initial,
-            smoothness=smoothness,
             alpha=alpha,
             pl_constant=pl_constant,
             theta1=theta1,
@@ -375,7 +372,6 @@ class TheoremConstants:
         return cls(
             theorem_id=5 if pl_constant is None else 2,
             f_gap_initial=f_gap_initial,
-            smoothness=smoothness,
             pl_constant=pl_constant,
             beta1=beta1,
             beta2=beta2,
@@ -436,7 +432,7 @@ def theorem_bound(tc: TheoremConstants, k: int | np.ndarray) -> float | np.ndarr
       5  sum_{j<=k} alpha_j E||grad f(x_j)||^2 <= (gap_1 + beta2 sum_{j<=k} alpha_j^2)/beta1,
          finite as k grows; one prefix sum up to the largest k serves every k
 
-    >>> tc = TheoremConstants(theorem_id=2, f_gap_initial=1.0, smoothness=1.0, nu=10.0, b=4.0)
+    >>> tc = TheoremConstants(theorem_id=2, f_gap_initial=1.0, nu=10.0, b=4.0)
     >>> theorem_bound(tc, 1)
     2.0
     >>> theorem_bound(tc, np.array([1, 6]))

@@ -280,8 +280,8 @@ def test_criterion_10_logistic_tuning_comparison():
         assert len(match) == 1
         return match[0]
 
-    sg_loss = best_entry(sg_result).mean_train_loss
-    trish_loss = best_entry(trish_result).mean_train_loss
+    sg_loss = best_entry(sg_result).means["train_loss"]
+    trish_loss = best_entry(trish_result).means["train_loss"]
     assert trish_loss <= sg_loss
 
     # per-seed determinism of the winning configurations

@@ -172,7 +172,16 @@ class TestExitCodes:
         assert loads == []
 
     @pytest.mark.parametrize("command", ["run", "tune", "verify"])
-    def test_unwritable_out_is_a_usage_error(self, command, synthetic_config, tmp_path, capsys):
+    def test_unwritable_out_is_a_usage_error(
+        self, command, synthetic_config, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        for name in ("run_experiment", "tune_grid", "verify_theorem"):
+            def counted(*args, _command=getattr(cli, name), **kwargs):
+                calls.append(_command)
+                return _command(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
         out = str(tmp_path / "absent" / "out.csv")
         tune_config = tmp_path / "tune.conf"
         tune_config.write_text(SYNTHETIC_CONFIG + "tune_alpha = 0.1, 0.2\n")
@@ -184,12 +193,29 @@ class TestExitCodes:
         assert main(argv + ["--out", out]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.err == f"trish: error: cannot write {out}: No such file or directory\n"
-        assert "wrote" not in captured.out
+        assert captured.out == ""
+        assert calls == []  # refused before anything runs
         # A dataset that cannot be read is still a data error.
         missing = ["run", "--dataset", str(tmp_path / "absent.libsvm"), "--method", "sg",
-                   "--alpha", "0.5", "--out", out]
+                   "--alpha", "0.5", "--out", str(tmp_path / "out.csv")]
         assert main(missing) == EXIT_DATA
         capsys.readouterr()
+
+    def test_out_that_is_a_directory_or_under_a_file_is_refused(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        for out, reason in [(tmp_path, "Is a directory"), (blocker / "out.csv", "Not a directory")]:
+            argv = ["verify", "--theorem", "1", "--seeds", "10", "--out", str(out)]
+            assert main(argv) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.err == f"trish: error: cannot write {out}: {reason}\n"
+            assert captured.out == ""
+        # The check opens nothing: a writable path that a failing command names stays as it was.
+        argv = ["verify", "--theorem", "2", "--alpha", "5", "--out", str(blocker)]
+        assert main(argv) == EXIT_USAGE
+        capsys.readouterr()
+        assert blocker.read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
 
     def test_malformed_dataset_reports_position(self, tmp_path, capsys):
         bad = tmp_path / "bad.libsvm"
@@ -617,6 +643,14 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"trish: error: guarantee {theorem} steps by a/(b+k)")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("theorem", ["1", "3", "4"])
+    def test_alpha_that_is_not_positive_and_finite_is_usage(self, theorem, alpha, capsys):
+        rc = main(["verify", "--theorem", theorem, "--alpha", alpha, "--seeds", "5"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"trish: error: fixed stepsize must be positive, got {float(alpha)}\n"
 
     def test_overrides_at_edge_values_end_in_a_documented_exit(self, capsys):
         values = ["0", "-0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "1e308", "1.7e308",

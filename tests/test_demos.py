@@ -2,7 +2,9 @@
 
 The demos call the library's public API but are not imported by any other
 test, so an API change could break one silently.  Each demo is imported
-from its file, and the cheapest one that marches trajectories is run.
+from its file, and the cheap ones that march trajectories or tune a grid
+are run; ascent_counterexample takes tens of seconds, so it is only
+imported.
 """
 
 import importlib.util
@@ -31,3 +33,10 @@ def test_convergence_bounds_show_runs(capsys):
     out = capsys.readouterr().out
     assert "guarantee 1: mean optimality gap, horizon 200" in out
     assert "-> all k within bound" in out
+
+
+def test_logistic_experiment_runs(capsys):
+    _load("logistic_experiment").main()
+    out = capsys.readouterr().out
+    assert "winner: {" in out
+    assert "best mean train loss anywhere on the grids: safeguarded " in out

@@ -251,13 +251,8 @@ class TestRunExperiment:
                 assert all(math.isnan(v) for v in metrics)
                 assert (r.case1, r.case2, r.case3) == (first.case1, first.case2, first.case3)
 
-    def test_metadata_fields(self):
-        config = synthetic_config()
-        meta = run_experiment(config).metadata
-        assert meta["generator"] == "numpy-pcg64"
-        assert meta["iterations"] == 10
-        assert meta["x1_policy"] == "ones"
-        assert meta["n_seeds"] == 2
+    def test_result_iterations(self):
+        assert run_experiment(synthetic_config()).iterations == 10
 
     def test_logistic_run(self):
         config = ExperimentConfig(
@@ -273,8 +268,7 @@ class TestRunExperiment:
         )
         result = run_experiment(config)
         # 600 examples / batch 20 = 30 iterations, checkpoints at 15 and 30
-        assert result.metadata["iterations"] == 30
-        assert result.metadata["x1_policy"] == "zeros"
+        assert result.iterations == 30
         finals = result.final_records()
         assert len(finals) == 2
         for record in finals:
@@ -336,7 +330,7 @@ class TestTuneGrid:
         assert len(result.entries) == 3
         live = [e for e in result.entries if not e.diverged]
         expected = min(
-            live, key=lambda e: (-e.mean_test_acc, e.mean_test_loss)
+            live, key=lambda e: (-e.means["test_acc"], e.means["test_loss"])
         )
         assert result.best_params == expected.params
         assert result.best.alpha == expected.params["alpha"]
@@ -410,9 +404,8 @@ class TestTuneGrid:
         for entry in result.entries:
             finals = run_experiment(dataclasses.replace(base, **entry.params)).final_records()
             assert not entry.diverged
-            assert [entry.mean_train_loss, entry.mean_train_acc, entry.mean_test_loss,
-                    entry.mean_test_acc] == [
-                float(np.mean([getattr(r, f) for r in finals]))
+            assert list(entry.means.items()) == [
+                (f, float(np.mean([getattr(r, f) for r in finals])))
                 for f in ("train_loss", "train_acc", "test_loss", "test_acc")
             ]
         np.testing.assert_array_equal(
@@ -539,7 +532,7 @@ class TestMarch:
                 seen.append((X.copy(), counts.copy()))
 
             schedule = StepsizeSchedule.fixed(0.1)
-            _march(np.ones((3, 2)), 8, schedule.alpha, draw, gammas, observe, range(9), counts)
+            _march(np.ones((3, 2)), schedule.alpha, draw, gammas, observe, range(9), counts)
             return seen
 
         clean, poisoned = march(None), march(1)
@@ -550,6 +543,24 @@ class TestMarch:
             # the poisoned row goes non-finite at its third step, and stays so
             assert np.isfinite(Xp[1]).all() == (done < 3)
             assert countsp[1].sum() == min(done, 2)
+
+    def test_march_stops_at_its_last_observation(self, monkeypatch):
+        steps = []
+
+        def counted(X, G, *rest):
+            steps.append(len(X))
+            return _trish_step_batch(X, G, *rest)
+
+        monkeypatch.setattr(harness, "_trish_step_batch", counted)
+        config = synthetic_config(max_iterations=20, checkpoint_fractions=(0.25, 0.5))
+        result = run_experiment(config)
+        assert [r.iteration for r in result.records[:2]] == [5, 10]
+        assert result.iterations == 20  # the configured count, not the steps taken
+        assert len(steps) == 10
+        steps.clear()
+        setup = dataclasses.replace(verification_setup(1, n_seeds=4), horizon=5)
+        assert verify_theorem(setup).k.tolist() == [1, 2, 3, 4, 5]
+        assert len(steps) == 4  # x_5 is observed before the step that would make x_6
 
 
 class TestVerifyTheorem:

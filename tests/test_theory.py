@@ -535,7 +535,7 @@ class TestBounds:
     def test_dispatcher_validation(self):
         tc = reference_theorem1()
         with pytest.raises(ValueError, match="unknown theorem"):
-            theorem_bound(TheoremConstants(theorem_id=6, f_gap_initial=0.5, smoothness=1.0), 1)
+            theorem_bound(TheoremConstants(theorem_id=6, f_gap_initial=0.5), 1)
         with pytest.raises(ValueError, match="1-based"):
             theorem_bound(tc, 0)
         with pytest.raises(ValueError, match="1-based"):
@@ -564,14 +564,14 @@ class TestBounds:
 PINNED_GUARANTEES = {
     1: (
         TheoremConstants(
-            theorem_id=1, f_gap_initial=0.5, smoothness=1.0, alpha=0.5, pl_constant=1.0,
+            theorem_id=1, f_gap_initial=0.5, alpha=0.5, pl_constant=1.0,
             theta1=0.9490026442989964, theta2=0.1259973557010036,
         ),
         {1: 0.5, 2: 0.1514960335515054, 10: 0.13276818189994366, 200: 0.13276818189908687},
     ),
     2: (
         TheoremConstants(
-            theorem_id=2, f_gap_initial=259.92, smoothness=1.0, pl_constant=1.0,
+            theorem_id=2, f_gap_initial=259.92, pl_constant=1.0,
             beta1=0.019362330021336374, beta2=0.5319153824321146, nu=260179.92,
             a=40.0, b=1000.0,
         ),
@@ -579,7 +579,7 @@ PINNED_GUARANTEES = {
     ),
     3: (
         TheoremConstants(
-            theorem_id=3, f_gap_initial=0.5, smoothness=1.0, alpha=0.45, pl_constant=1.0,
+            theorem_id=3, f_gap_initial=0.5, alpha=0.45, pl_constant=1.0,
             kappa1=0.9480052885979928, kappa2=0.03998942280401434, omega=0.5,
             rho=0.5733976201309032,
         ),
@@ -587,7 +587,7 @@ PINNED_GUARANTEES = {
     ),
     4: (
         TheoremConstants(
-            theorem_id=4, f_gap_initial=3.1242202548207136, smoothness=8.0, alpha=0.0625,
+            theorem_id=4, f_gap_initial=3.1242202548207136, alpha=0.0625,
             theta1=0.9490026442989964, theta2=0.01574966946262545,
         ),
         {1: 52.93928219309026, 2: 26.602409278444213, 10: 5.532910946727382,
@@ -595,7 +595,7 @@ PINNED_GUARANTEES = {
     ),
     5: (
         TheoremConstants(
-            theorem_id=5, f_gap_initial=3.1242202548207136, smoothness=8.0,
+            theorem_id=5, f_gap_initial=3.1242202548207136,
             beta1=0.9493766526868728, beta2=4.019947114020072, a=0.5, b=7.0,
         ),
         {1: 3.307352423664959, 2: 3.320421255876031, 10: 3.3712741704239026,
