@@ -124,8 +124,10 @@ def _cells(values: dict) -> list[str]:
 
 def _check_out(path: str) -> None:
     """Refuse, before any work and without opening it, an --out path whose
-    directory is missing or a file, or that is a directory."""
+    directory is missing or a file, or that is a directory or empty."""
     try:
+        if not path:  # open('') fails, but only after the work
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
         # The trailing separator makes stat fail with ENOTDIR on a file.
         os.stat(os.path.join(os.path.dirname(path) or ".", ""))
         if os.path.isdir(path):
@@ -161,7 +163,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"cases={r.case1}/{r.case2}/{r.case3}"
         )
     print("final mean: " + " ".join(_cells(result.final_means())))
-    if args.out:
+    if args.out is not None:
         _write(emit_csv, result.records, args.out)
     return EXIT_OK
 
@@ -194,7 +196,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             cells.append("DIVERGED")
         print(" ".join(cells))
     print("best: " + " ".join(_cells(result.best_params)))
-    if args.out:
+    if args.out is not None:
         _write(emit_csv, result.best_records, args.out)
     return EXIT_OK
 
@@ -219,7 +221,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"empirical={_float6(float(report.empirical[first]))} "
             f"bound={_float6(float(report.bound[first]))}"
         )
-    if args.out:
+    if args.out is not None:
         _write(emit_verify_csv, report, args.out)
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
@@ -285,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "out", None):
+        if getattr(args, "out", None) is not None:
             _check_out(args.out)
         return args.func(args)
     except HypothesisError as exc:

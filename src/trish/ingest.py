@@ -8,12 +8,20 @@ position; silent repairs (duplicate indices, reordered indices,
 non-finite values) are refused on purpose, since they usually mean the
 file is not what the user thinks it is.
 
-Parsing streams line by line into four flat arrays (labels, row
-pointers, 0-based columns, values) that become one LibsvmData: the
-labels and one CSR matrix.  Memory is one line plus the four flat
-arrays, with no object per example, and time is linear in the input
-size.  Each file is read once, and the first error in file order is the
-one reported; a byte that is not UTF-8 is an error like any other.
+Lines are read in blocks of 256 (_BLOCK_LINES) into four flat arrays
+(labels, row pointers, 0-based columns, values) that become one
+LibsvmData: the labels and one CSR matrix.  A plain block, ASCII lines
+that are each blank or a label and index:value pairs of digits, signs,
+'.', 'e' and 'E' separated by spaces, tabs or carriage returns, is
+parsed with numpy in one pass.  Every other block goes through the line
+parser, and so does a plain block whose numbers fail a check: a
+non-finite number, an index below 1 or from 2^53 up, indices that do
+not rise within a row.  The line parser is the reference: both paths give
+the same arrays, and only the line parser reports errors, so the first
+error in file order is the one reported, at its exact position.  Memory
+is one 256-line block plus the four flat arrays, with no object per
+example, and time is linear in the input size.  Each file is read once;
+a byte that is not UTF-8 is an error like any other.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import asdict, dataclass
+from itertools import islice, repeat
 from typing import Iterable
 
 import numpy as np
@@ -41,6 +50,15 @@ _INDEX = re.compile(r"[0-9]+\Z")
 _INDEX_MAX = str(2**63 - 1)  # columns are int64
 # a byte that is not UTF-8, as the surrogateescape handler decodes it
 _UNDECODED = re.compile("[\udc80-\udcff]")
+
+_BLOCK_LINES = 256  # the lines parsed at once; bounds the token strings alive
+# A plain block: each line blank or `label index:value ...`, every line
+# ending in '\n'.  A line can match in one way only, so a failed match
+# backtracks in linear time.
+_PLAIN = re.compile(
+    r"(?:[ \t\r]*(?:[-+.0-9eE]+(?:[ \t\r]+[0-9]+:[-+.0-9eE]+)*[ \t\r]*)?\n)*"
+)
+_EXACT_INDEX = 2.0**53  # every integer below it is exact as a float
 
 
 class ParseError(ValueError):
@@ -101,21 +119,12 @@ def _above_index_max(digits: str) -> bool:
     return (len(digits), digits) > (len(_INDEX_MAX), _INDEX_MAX)
 
 
-def parse_libsvm(lines: Iterable[str]) -> tuple[LibsvmData, int]:
-    """Parse an iterable of text lines; returns (data, max_index).
-
-    max_index is the largest feature index seen anywhere, 0 for an empty
-    dataset, and the width of data.features.  When a dataset has train
-    and test splits, take the max over both so the two agree.  A byte
-    that is not UTF-8, as errors="surrogateescape" decodes it, is a
-    ParseError on any line, comment lines included.
-    """
-    labels = array("d")
-    indptr = array("q", [0])
-    columns = array("q")
-    values = array("d")
+def _parse_lines(lines: list[str], first_lineno: int, out: tuple[array, ...]) -> int:
+    """The line parser: append `lines`, the first numbered `first_lineno`,
+    to the four buffers in `out`; returns the largest index among them."""
+    labels, indptr, columns, values = out
     max_index = 0
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, start=first_lineno):
         if not line.isascii() and (found := _UNDECODED.search(line)):
             byte = ord(found.group()) - 0xDC00
             raise ParseError(lineno, found.start() + 1, f"byte 0x{byte:02x} is not UTF-8")
@@ -151,6 +160,83 @@ def parse_libsvm(lines: Iterable[str]) -> tuple[LibsvmData, int]:
         indptr.append(len(columns))
         if prev > max_index:
             max_index = prev
+    return max_index
+
+
+def _joined(block: list[str]) -> str | None:
+    """The block as one text in which each element is one line ending in a
+    newline, or None when an element holds a newline before its end."""
+    text = "".join(block)
+    newlines = text.count("\n")
+    if newlines == 0:  # elements without line ends, as from a list
+        return "\n".join(block) + "\n"
+    if not text.endswith("\n"):  # the last line of a file without a final newline
+        text += "\n"
+        newlines += 1
+    # each element ends in '\n', so a count of one per element leaves none inside
+    if newlines == len(block) and all(map(str.endswith, block[:-1], repeat("\n"))):
+        return text
+    return None
+
+
+def _parse_plain(block: list[str], out: tuple[array, ...]) -> int | None:
+    """Parse a plain block with numpy, appending it to the buffers in
+    `out`; returns its largest index, or None, having appended nothing,
+    to leave the block to the line parser."""
+    text = _joined(block)
+    if text is None or not text.isascii() or not _PLAIN.fullmatch(text):
+        return None
+    try:
+        numbers = np.array(text.replace(":", " ").split(), dtype=float)
+    except ValueError:  # a token that float() refuses, such as '.' or '1-2'
+        return None
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    starts = np.concatenate(([0], np.flatnonzero(raw[:-1] == ord("\n")) + 1))
+    # the regex leaves only separators at or below ' ', so a line with a
+    # byte above it has a label, and each ':' is one index:value pair
+    has_label = np.logical_or.reduceat(raw > ord(" "), starts)
+    pairs = np.add.reduceat(raw == ord(":"), starts, dtype=np.int64)[has_label]
+    row_ends = np.cumsum(pairs)
+    row_starts = row_ends - pairs
+    n_pairs = int(pairs.sum())
+    if numbers.size != pairs.size + 2 * n_pairs or not np.isfinite(numbers).all():
+        return None
+    at_label = np.arange(pairs.size) + 2 * row_starts
+    index_value = np.delete(numbers, at_label)
+    index, value = index_value[0::2], index_value[1::2]
+    if not ((index >= 1) & (index < _EXACT_INDEX)).all():
+        return None
+    first_in_row = np.zeros(n_pairs, dtype=bool)
+    first_in_row[row_starts[pairs > 0]] = True
+    if not (first_in_row[1:] | (np.diff(index) > 0)).all():
+        return None
+    labels, indptr, columns, values = out
+    indptr.frombytes((row_ends + len(columns)).tobytes())
+    columns.frombytes((index.astype(np.int64) - 1).tobytes())
+    labels.frombytes(numbers[at_label].tobytes())
+    values.frombytes(value.tobytes())
+    return int(index.max()) if n_pairs else 0
+
+
+def parse_libsvm(lines: Iterable[str]) -> tuple[LibsvmData, int]:
+    """Parse an iterable of text lines; returns (data, max_index).
+
+    max_index is the largest feature index seen anywhere, 0 for an empty
+    dataset, and the width of data.features.  When a dataset has train
+    and test splits, take the max over both so the two agree.  A byte
+    that is not UTF-8, as errors="surrogateescape" decodes it, is a
+    ParseError on any line, comment lines included.
+    """
+    out = labels, indptr, columns, values = array("d"), array("q", [0]), array("q"), array("d")
+    max_index = 0
+    lines = iter(lines)
+    lineno = 1
+    while block := list(islice(lines, _BLOCK_LINES)):
+        block_max = _parse_plain(block, out)
+        if block_max is None:
+            block_max = _parse_lines(block, lineno, out)
+        max_index = max(max_index, block_max)
+        lineno += len(block)
     # scipy and numpy wrap the buffers without copying them
     features = sp.csr_matrix((values, columns, indptr), shape=(len(labels), max_index))
     return LibsvmData(labels, features), max_index

@@ -225,11 +225,19 @@ class LogisticProblem:
     def n_components(self) -> int:
         return self.features.shape[0]
 
+    @cached_property
+    def _row_sq(self) -> float:
+        """sum ||z_i||^2, from the stored values alone when the matrix is canonical."""
+        f = self.features
+        if f.has_canonical_format:
+            return float(np.dot(f.data, f.data))
+        return float(f.multiply(f).sum())  # duplicates add before squaring
+
     @property
     def metadata(self) -> ProblemMetadata:
         # Trace bound on the Hessian: sigmoid' <= 1/4, so
         # L <= (1/4n) sum ||z_i||^2.  Conservative but data-driven.
-        row_sq = float(self.features.multiply(self.features).sum())
+        row_sq = self._row_sq
         if not row_sq > 0.0:
             raise ValueError("the training set has no nonzero feature value")
         return ProblemMetadata(

@@ -201,6 +201,21 @@ class TestExitCodes:
         assert main(missing) == EXIT_DATA
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["run", "tune", "verify"])
+    def test_empty_out_is_refused(self, command, synthetic_config, tmp_path, capsys):
+        # An unset shell variable gives --out ''; it must not mean "no --out".
+        tune_config = tmp_path / "tune.conf"
+        tune_config.write_text(SYNTHETIC_CONFIG + "tune_alpha = 0.1, 0.2\n")
+        argv = {
+            "run": ["run", "--config", synthetic_config],
+            "tune": ["tune", "--config", str(tune_config)],
+            "verify": ["verify", "--theorem", "1", "--seeds", "10"],
+        }[command]
+        assert main(argv + ["--out", ""]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "trish: error: cannot write : No such file or directory\n"
+        assert captured.out == ""
+
     def test_out_that_is_a_directory_or_under_a_file_is_refused(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("kept")

@@ -1,8 +1,11 @@
 """Tests for the strict LIBSVM reader, writer, and dataset statistics."""
 
+import contextlib
 import dataclasses
 import importlib.util
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from trish import ingest
 from trish.ingest import (
     DatasetStats,
     LibsvmData,
@@ -25,6 +29,45 @@ from trish.ingest import (
 ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = ROOT / "src" / "trish" / "data"
 SCRIPTS_DIR = ROOT / "scripts"
+
+
+@contextlib.contextmanager
+def _line_parser_only():
+    """Leave every block to the line parser, the reference for the block path."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_parse_plain", lambda block, out: None)
+        yield
+
+
+@pytest.fixture(scope="class")
+def line_path():
+    """Run a class's tests on the line parser alone."""
+    with _line_parser_only():
+        yield
+
+
+def _outcome(lines):
+    """parse_libsvm's (data, max_index), or its error as (line, column, reason)."""
+    try:
+        return parse_libsvm(lines)
+    except ParseError as exc:
+        return exc.line, exc.column, exc.reason
+
+
+def _assert_same_as_line_parser(lines):
+    """The outcome of parse_libsvm(lines), checked against the line parser's."""
+    got = _outcome(lines)
+    with _line_parser_only():
+        want = _outcome(lines)
+    assert type(got[0]) is type(want[0]), (got, want)
+    if isinstance(want[0], LibsvmData):
+        (data, max_index), (want_data, want_max) = got, want
+        assert data == want_data and max_index == want_max
+        assert data.labels.tobytes() == want_data.labels.tobytes()
+        assert data.features.data.tobytes() == want_data.features.data.tobytes()
+    else:
+        assert got == want
+    return got
 
 
 class TestParseLibsvm:
@@ -162,6 +205,11 @@ class TestParseErrors:
         self._expect(lines, line, column, f"byte 0x{byte} is not UTF-8")
 
 
+@pytest.mark.usefixtures("line_path")
+class TestParseErrorsLinePath(TestParseErrors):
+    """TestParseErrors again, with every block left to the line parser."""
+
+
 class TestLoadLibsvm:
     def test_parse_error_carries_path(self, tmp_path):
         path = tmp_path / "bad.libsvm"
@@ -190,6 +238,11 @@ class TestLoadLibsvm:
         assert len(data) == 600
         assert max_index == 120
         assert data.features.shape == (600, 120)
+
+
+@pytest.mark.usefixtures("line_path")
+class TestLoadLibsvmLinePath(TestLoadLibsvm):
+    """TestLoadLibsvm again, with every block left to the line parser."""
 
 
 class TestSerializeLibsvm:
@@ -329,7 +382,7 @@ class TestReaderProperties:
     def test_parse_inverts_serialize(self, drawn):
         rows, lines = drawn
         data = _as_data(rows)
-        parsed, max_index = parse_libsvm(lines)
+        parsed, max_index = _assert_same_as_line_parser(lines)
         assert parsed == data
         assert max_index == data.features.shape[1]
         assert serialize_libsvm(parsed) == serialize_libsvm(data)
@@ -340,7 +393,7 @@ class TestReaderProperties:
         rows, lines = drawn
         indices = [index for _, row in rows for index, _ in row]
         positive = sum(label > 0 for label, _ in rows)
-        assert dataset_stats(parse_libsvm(lines)[0]) == DatasetStats(
+        assert dataset_stats(_assert_same_as_line_parser(lines)[0]) == DatasetStats(
             count=len(rows),
             max_index=max(indices, default=0),
             nnz=len(indices),
@@ -370,10 +423,124 @@ class TestReaderProperties:
                 tokens[which], reason = f"{index}:nan", "non-finite value 'nan'"
                 column += len(index) + 1
         lines[at] = " ".join(tokens)
-        with pytest.raises(ParseError) as exc_info:
-            parse_libsvm(lines)
-        assert (exc_info.value.line, exc_info.value.column) == (at + 1, column)
-        assert exc_info.value.reason == reason
+        assert _assert_same_as_line_parser(lines) == (at + 1, column, reason)
+
+
+_PLAIN_LINE = "-1 2:0.25 7:1.5e-3 19:+4"
+
+
+def _plain_lines(n, at=None, line=None, end=""):
+    """n plain lines, with `line` in place of line number `at` (1-based)."""
+    lines = [_PLAIN_LINE + end] * n
+    if at is not None:
+        lines[at - 1] = line
+    return lines
+
+
+class TestBlockPath:
+    """The block path gives the line parser's arrays and errors, whatever a block holds."""
+
+    def test_plain_input_never_reaches_the_line_parser(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a plain block went to the line parser")
+
+        monkeypatch.setattr(ingest, "_parse_lines", refused)
+        for lines in (
+            _plain_lines(600),
+            _plain_lines(600, end="\n"),
+            _plain_lines(600, end="\r\n"),
+            _plain_lines(599, end="\n") + [_PLAIN_LINE],  # no final newline
+            _plain_lines(300, at=5, line="  \t ") + ["1", "\t-2.5  3:1\t"],
+        ):
+            assert parse_libsvm(lines)[1] == 19
+
+    def test_index_that_rounds_to_2_pow_53_as_a_float(self):
+        data, max_index = _assert_same_as_line_parser(
+            _plain_lines(300, at=100, line="1 9007199254740993:1")
+        )
+        assert max_index == 9007199254740993
+        assert data.features.indices.max() == 2**53
+
+    def test_value_that_overflows(self):
+        got = _assert_same_as_line_parser(_plain_lines(300, at=100, line="1 1:1e999"))
+        assert got == (100, 5, "non-finite value '1e999'")
+
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c"])
+    def test_whitespace_outside_the_plain_separators(self, separator):
+        lines = _plain_lines(300, at=100, line=f"1{separator}3:2")
+        data, _ = _assert_same_as_line_parser(lines)
+        assert data.features[99].toarray().tolist() == [[0.0, 0.0, 2.0] + [0.0] * 16]
+
+    @pytest.mark.parametrize("end", ["", "\n"], ids=["bare", "newline"])
+    @pytest.mark.parametrize(
+        "line, want",
+        [("1 1:1\n2:2", None), ("1 1:1\n-1 2:2", (100, 7, "malformed index:value pair '-1'"))],
+        ids=["joins-pairs", "joins-rows"],
+    )
+    def test_list_element_with_an_embedded_newline(self, line, want, end):
+        # an element is one line, so its '\n' separates tokens and not rows
+        got = _assert_same_as_line_parser(_plain_lines(300, at=100, line=line + end, end=end))
+        if want is None:
+            assert len(got[0]) == 300
+        else:
+            assert got == want
+
+    def test_element_without_a_line_end_before_one_with_two(self):
+        # as many '\n' as elements, but joined they would make other rows
+        lines = _plain_lines(300, end="\n")
+        lines[99:101] = ["-1 2:0.25", " 3:1\n-1 2:2\n"]
+        assert _assert_same_as_line_parser(lines) == (101, 2, "malformed label '3:1'")
+
+    def test_crlf_endings(self):
+        data, _ = _assert_same_as_line_parser(_plain_lines(600, end="\r\n"))
+        assert len(data) == 600
+
+    def test_comment_inside_a_block(self):
+        data, _ = _assert_same_as_line_parser(
+            _plain_lines(600, at=300, line="# 1 1:1", end="\n")
+        )
+        assert len(data) == 599
+
+    @pytest.mark.parametrize("at", [256, 257, 600])
+    def test_error_position_across_block_boundaries(self, at):
+        got = _assert_same_as_line_parser(_plain_lines(700, at=at, line="1 2:0.5 3:x"))
+        assert got == (at, 11, "malformed value 'x'")
+
+    @pytest.mark.parametrize(
+        "line",
+        ["1 3:1 2:1", "1 2:1 2:2", "1 0:1", ". 1:1", "1 1:1-2", "1 1:.", "1 1:1:2", "11:1"],
+    )
+    def test_plain_looking_errors(self, line):
+        # errors made only of characters a plain block may hold
+        got = _assert_same_as_line_parser(_plain_lines(300, at=258, line=line))
+        assert got[0] == 258
+
+    def test_generated_wide_file(self, tmp_path):
+        script = ROOT / "perfbench" / "gen_wide.py"
+        spec = importlib.util.spec_from_file_location("gen_wide", script)
+        gen_wide = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen_wide)
+        path = tmp_path / "wide.libsvm"
+        gen_wide.generate(str(path), 3000, seed=3)
+        with open(path, encoding="utf-8") as handle:
+            _assert_same_as_line_parser(handle.readlines())
+
+
+class TestIngestScalingScript:
+    def test_small_run(self):
+        script = SCRIPTS_DIR / "ingest_scaling.py"
+        done = subprocess.run(
+            [sys.executable, str(script), "--rows", "2000"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        header, row = done.stdout.splitlines()
+        assert header.split() == ["rows", "MB", "seconds", "lines/s", "MB/s", "peak_rss_mb"]
+        cells = row.split()
+        assert cells[0] == "2000"
+        assert all(float(cell) > 0 for cell in cells[1:])
 
 
 class TestParsePerformance:

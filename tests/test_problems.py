@@ -261,6 +261,14 @@ class TestLogisticProblem:
         assert meta.smoothness == pytest.approx(0.25 * 5.0 / 2.0)
         assert type(meta.smoothness) is float
 
+    def test_metadata_sums_duplicate_entries_before_squaring(self):
+        # row 0 stores column 0 twice: z_0 = (1 + 2, 0), so sum ||z_i||^2 = 9 + 9
+        features = sp.csr_matrix(
+            (np.array([1.0, 2.0, 3.0]), np.array([0, 0, 1]), np.array([0, 2, 3])), shape=(2, 2)
+        )
+        problem = LogisticProblem(features, np.array([1.0, -1.0]))
+        assert problem.metadata.smoothness == 0.25 * 18.0 / 2.0
+
     def test_metadata_rejects_all_zero_features(self):
         # explicit zeros are stored entries but still give L = 0
         features = sp.csr_matrix(
