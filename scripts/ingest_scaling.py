@@ -5,7 +5,9 @@ temporary directory, and a new Python process loads it once with
 trish.ingest.load_libsvm.  Each size prints one row: the file's rows
 and MB, the load's seconds, lines/s and MB/s, and the peak RSS
 (ru_maxrss) of the process that loaded it.  The file is deleted before
-the next size is written.
+the next size is written.  trish imports scipy.sparse on first use, so
+the child imports it before its timer starts: the seconds are the
+parse's, not the import's.
 
     python scripts/ingest_scaling.py               # 1e5, 3e5 and 1e6 rows
     python scripts/ingest_scaling.py --rows 2000   # a quick check
@@ -31,6 +33,7 @@ SEED = 1  # gen_wide's seed for every size
 # Run in a new process, so that its peak RSS is the load's alone.
 _CHILD = """
 import json, resource, sys, time
+import scipy.sparse
 from trish.ingest import load_libsvm
 start = time.perf_counter()
 data, _ = load_libsvm(sys.argv[1])

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import StepsizeSchedule, TrishParams, _trish_step_batch
 from .ingest import load_libsvm
@@ -245,6 +244,8 @@ def _build_problem(config: ExperimentConfig):
     dim = max(train_max, test_max, 1)
 
     def split(data):
+        import scipy.sparse as sp
+
         f = data.features
         widened = sp.csr_matrix((f.data, f.indices, f.indptr), shape=(len(data), dim))
         return widened, normalize_binary_labels(data.labels)

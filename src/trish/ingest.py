@@ -33,7 +33,6 @@ from itertools import islice, repeat
 from typing import Iterable
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "ParseError",
@@ -237,6 +236,10 @@ def parse_libsvm(lines: Iterable[str]) -> tuple[LibsvmData, int]:
             block_max = _parse_lines(block, lineno, out)
         max_index = max(max_index, block_max)
         lineno += len(block)
+    # scipy is imported only in the functions that build a CSR matrix or call
+    # expit, so that verify and the synthetic problems never load it.
+    import scipy.sparse as sp
+
     # scipy and numpy wrap the buffers without copying them
     features = sp.csr_matrix((values, columns, indptr), shape=(len(labels), max_index))
     return LibsvmData(labels, features), max_index

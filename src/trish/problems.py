@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
 __all__ = [
     "ProblemMetadata",
@@ -145,6 +143,8 @@ def logistic_loss(w: np.ndarray, features: sp.spmatrix, labels: np.ndarray) -> f
 
 def logistic_gradient(w: np.ndarray, features: sp.spmatrix, labels: np.ndarray) -> np.ndarray:
     """Gradient of the mean logistic loss; dense vector."""
+    from scipy.special import expit
+
     t = -labels * (features @ w)
     coeff = -labels * expit(t)
     grad = features.T @ coeff / labels.size
@@ -198,6 +198,8 @@ class LogisticProblem:
         test_features: sp.spmatrix | None = None,
         test_labels: np.ndarray | None = None,
     ):
+        import scipy.sparse as sp
+
         self.features = sp.csr_matrix(features, dtype=float)
         self.labels = np.asarray(labels, dtype=float)
         if self.labels.ndim != 1 or self.labels.size != self.features.shape[0]:
@@ -262,6 +264,9 @@ class LogisticProblem:
         indices, duplicates counted.  The gather is dense while the
         matrix and the batch fit in _DENSE_GATHER_BYTES, else sparse.
         """
+        import scipy.sparse as sp
+        from scipy.special import expit
+
         indices = np.asarray(indices)
         S, b = indices.shape
         if b < 1:

@@ -318,8 +318,13 @@ class TheoremConstants:
         alpha = _capped(alpha, cap)
         theta2 = max(  # (gamma1 alpha)^2 stays finite where gamma1**2 overflows
             0.5 * smoothness * m1 * (params.gamma1 * alpha) ** 2,
-            h1 * (params.gamma1 - params.gamma2) * alpha + 0.5 * smoothness * alpha**2,
+            # alpha * alpha, unlike alpha**2, gives inf rather than raising
+            h1 * (params.gamma1 - params.gamma2) * alpha + 0.5 * smoothness * (alpha * alpha),
         )
+        if not math.isfinite(theta2):  # a bound of inf would hold vacuously
+            raise HypothesisError(
+                "theta2", f"theta2 = {theta2:.6g} at alpha = {alpha:.6g} is not finite"
+            )
         return cls(
             theorem_id=4 if pl_constant is None else 1,
             f_gap_initial=f_gap_initial,
@@ -443,7 +448,13 @@ def theorem_bound(tc: TheoremConstants, k: int | np.ndarray) -> float | np.ndarr
     if tc.theorem_id == 1:
         rate = 2.0 * tc.pl_constant * tc.alpha * tc.theta1
         plateau = tc.theta2 / rate
-        return plateau + (1.0 - rate) ** (k - 1) * (tc.f_gap_initial - plateau)
+        # at k = 1 the gap itself: gap - plateau can cancel it when plateau >> gap
+        bound = np.where(
+            np.asarray(k) == 1,
+            tc.f_gap_initial,
+            plateau + (1.0 - rate) ** (k - 1) * (tc.f_gap_initial - plateau),
+        )
+        return float(bound) if np.ndim(k) == 0 else bound
     if tc.theorem_id == 2:
         return tc.nu / (tc.b + k)
     if tc.theorem_id == 3:

@@ -1,7 +1,11 @@
 """End-to-end tests for the command line: exit codes, output, config files."""
 
 import dataclasses
+import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -26,7 +30,8 @@ from trish.cli import (
 from trish.harness import RUN_CSV_HEADER, VERIFY_CSV_HEADER, ExperimentConfig, TheoremReport
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "trish" / "data"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+DATA_DIR = SRC_DIR / "trish" / "data"
 TRAIN = str(DATA_DIR / "train.libsvm")
 TEST = str(DATA_DIR / "test.libsvm")
 
@@ -437,6 +442,11 @@ class TestExitCodes:
                     ("5", EXIT_HYPOTHESIS, "alpha_1 = 0.0625 exceeds 0"),
                 ]
             ),
+            # the cap 1/(gamma1 L M2) is ~1e199 here, and its square is inf
+            *(
+                pytest.param(theorem, EXIT_HYPOTHESIS, "theta2 = inf", "1e-200", "1e-201")
+                for theorem in "14"
+            ),
         ],
     )
     def test_huge_gammas_do_not_overflow(self, theorem, code, fragment, gamma1, gamma2, capsys):
@@ -643,6 +653,12 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "theorem 1: horizon=200 seeds=40 violations=0" in out
 
+    def test_tiny_gammas_give_no_false_violation(self, capsys):
+        # the plateau is ~6e301 here, so plateau + (gap - plateau) would read 0 at k = 1
+        argv = ["verify", "--theorem", "1", "--gamma1", "1e-150", "--gamma2", "1e-151"]
+        assert main(argv + ["--seeds", "10"]) == EXIT_OK
+        assert "violations=0" in capsys.readouterr().out
+
     @pytest.mark.parametrize("flag", ["--gamma1", "--gamma2"])
     def test_zero_gamma_override_is_not_ignored(self, flag, capsys):
         rc = main(["verify", "--theorem", "1", flag, "0", "--seeds", "5"])
@@ -702,6 +718,34 @@ class TestStatsCommand:
         rc = main(["stats", "--dataset", str(tmp_path / "none.libsvm")])
         assert rc == EXIT_DATA
         capsys.readouterr()
+
+
+class TestImports:
+    """verify and a synthetic run load no scipy module; a LIBSVM command
+    loads scipy.sparse.  Each case runs in a new interpreter, since the
+    test process has imported scipy already."""
+
+    @staticmethod
+    def _scipy_modules_after(*commands) -> list:
+        code = (
+            "import json, sys\n"
+            "from trish.cli import main\n"
+            f"for argv in {list(commands)!r}:\n"
+            "    main(argv)\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        child = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        return json.loads(child.stdout.splitlines()[-1])
+
+    def test_verify_and_synthetic_run_load_no_scipy(self, synthetic_config):
+        verify = ["verify", "--theorem", "1", "--seeds", "10"]
+        assert self._scipy_modules_after(verify, ["run", "--config", synthetic_config]) == []
+
+    def test_stats_loads_scipy_sparse(self):
+        assert "scipy.sparse" in self._scipy_modules_after(["stats", "--dataset", TRAIN])
 
 
 class TestConfigSchema:
@@ -784,6 +828,11 @@ BASE_CONFIG = {"method": "trish", "problem": "quadratic", "dataset": TINY_DATA,
 PAST_INT64_RUN = (["run", "--config", "run.conf"], "".join(
     f"{key} = {value}\n" for key, value in {**BASE_CONFIG, "max_iterations": "7" * 400}.items()
 ))
+# A stepsize cap so large that theta2 overflows, refused with exit 3.
+TINY_GAMMAS_VERIFY = (
+    ["verify", "--theorem", "4", "--gamma1", "1e-200", "--gamma2", "1e-201", "--seeds", "4"],
+    None,
+)
 CONFIG_KEYS = sorted(TestConfigSchema.FIELDS) + [
     "tune_alpha", "tune_gamma1", "tune_batch_size", "tune_n_seeds", "tune_dimension",
     "tune_max_iterations", "tune_method", "frobnicate",
@@ -833,6 +882,7 @@ class TestNoTraceback:
         @settings(derandomize=True, max_examples=200, deadline=None, database=None)
         @given(_command())
         @example(PAST_INT64_RUN)
+        @example(TINY_GAMMAS_VERIFY)
         def check(case):
             argv, config = case
             if config is not None:

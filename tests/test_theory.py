@@ -541,6 +541,13 @@ class TestBounds:
         with pytest.raises(ValueError, match="1-based"):
             theorem_bound(tc, np.array([1, 0, 2]))
 
+    def test_theorem1_is_the_initial_gap_at_k1_under_a_huge_plateau(self):
+        # plateau + (gap - plateau) would cancel the gap to 0 here
+        tc = verification_setup(1, n_seeds=2, gamma1=1e-150, gamma2=1e-151).tc
+        assert tc.theta2 / (2.0 * tc.pl_constant * tc.alpha * tc.theta1) > 1e300
+        assert theorem_bound(tc, 1) == tc.f_gap_initial
+        assert theorem_bound(tc, np.array([1, 2]))[0] == tc.f_gap_initial
+
     @pytest.mark.parametrize("theorem_id", [1, 2, 3, 4, 5])
     def test_array_k_matches_scalar_loop(self, theorem_id):
         setup = verification_setup(theorem_id, n_seeds=2)
