@@ -1,10 +1,12 @@
-"""Time trish's start-up and the five verify commands, each in a new process.
+"""Time trish's start-up and its first commands, each in a new process.
 
 Each command runs --repeats times, and the script prints one JSON object:
-for `import trish.cli` and for each `trish verify --theorem N --seeds
-2000`, the median wall time in seconds and the largest peak RSS (the
-child's own ru_maxrss, from os.wait4) in MB, plus the sum of the five
-verify medians.
+for `import trish.cli`, for each `trish verify --theorem N --seeds 2000`,
+for `trish stats` on the bundled training set and for `trish tune` on the
+criterion-10 safeguarded grid, the median wall time in seconds and the
+largest peak RSS (the child's own ru_maxrss, from os.wait4) in MB, plus
+the sum of the five verify medians.  The last two are a fresh process's
+first LIBSVM commands, so they include the one-time import of scipy.
 
     python scripts/startup_time.py               # 5 runs of each command
     python scripts/startup_time.py --repeats 11
@@ -18,10 +20,23 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "src" / "trish" / "data"
+# The criterion-10 safeguarded grid; gamma2 follows gamma1 at the tune command's ratio.
+TUNE_CONFIG = f"""method = trish
+problem = logistic
+dataset = {DATA / "train.libsvm"}
+test_dataset = {DATA / "test.libsvm"}
+epochs = 1
+n_seeds = 5
+tune_gamma1 = 2, 4, 8, 16
+tune_alpha = 0.1, 0.25, 0.5, 1, 2
+tune_batch_size = 5, 10, 20
+"""
 
 
 def run_once(argv: list[str], env: dict) -> tuple[float, float]:
@@ -46,11 +61,16 @@ def main(argv: list[str] | None = None) -> int:
     for theorem in "12345":
         commands[f"verify_{theorem}"] = ["-m", "trish.cli", "verify", "--theorem", theorem,
                                          "--seeds", "2000"]
+    commands["stats"] = ["-m", "trish.cli", "stats", "--dataset", str(DATA / "train.libsvm")]
     report = {"python": sys.version.split()[0], "repeats": args.repeats}
-    for name, command in commands.items():
-        runs = [run_once([sys.executable, *command], env) for _ in range(args.repeats)]
-        report[name] = {"median_s": round(statistics.median(s for s, _ in runs), 4),
-                        "peak_rss_mb": round(max(mb for _, mb in runs), 1)}
+    with tempfile.TemporaryDirectory() as work:
+        config = Path(work) / "tune.conf"
+        config.write_text(TUNE_CONFIG, encoding="utf-8")
+        commands["tune"] = ["-m", "trish.cli", "tune", "--config", str(config)]
+        for name, command in commands.items():
+            runs = [run_once([sys.executable, *command], env) for _ in range(args.repeats)]
+            report[name] = {"median_s": round(statistics.median(s for s, _ in runs), 4),
+                            "peak_rss_mb": round(max(mb for _, mb in runs), 1)}
     report["verify_total_s"] = round(sum(report[f"verify_{t}"]["median_s"] for t in "12345"), 4)
     print(json.dumps(report, indent=1))
     return 0

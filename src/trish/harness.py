@@ -240,6 +240,8 @@ def _build_problem(config: ExperimentConfig):
     test, test_max = (None, 0)
     if config.test_dataset is not None:
         test, test_max = load_libsvm(config.test_dataset)
+        if not test:
+            raise ValueError(f"dataset {config.test_dataset} holds no examples")
     # One shared dimension so train and test live in the same space.
     dim = max(train_max, test_max, 1)
 
@@ -250,7 +252,7 @@ def _build_problem(config: ExperimentConfig):
         widened = sp.csr_matrix((f.data, f.indices, f.indptr), shape=(len(data), dim))
         return widened, normalize_binary_labels(data.labels)
 
-    return LogisticProblem(*split(train), *(split(test) if test else ()))
+    return LogisticProblem(*split(train), *(split(test) if test is not None else ()))
 
 
 def _checkpoint_iterations(fractions: tuple[float, ...], total: int) -> list[int]:
@@ -342,10 +344,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return _run_block([config], _build_problem(config))[0]
 
 
-def _run_block(configs: list[ExperimentConfig], problem) -> list[ExperimentResult]:
+def _run_block(
+    configs: list[ExperimentConfig], problem, final_only: bool = False
+) -> list[ExperimentResult]:
     """Run configs that differ only in _ROW_FIELDS as one block, whose row
     p*S + i is config p under seed i; one whose iterates and margins would
-    pass _TUNE_BLOCK_BYTES runs in parts."""
+    pass _TUNE_BLOCK_BYTES runs in parts.
+
+    With final_only, each result holds only its final-checkpoint records,
+    and an earlier checkpoint computes no metrics beyond what the freeze
+    rule needs: a logistic row that LogisticProblem.finite_loss_rows
+    clears has a finite train loss, and only the others take the product.
+    Every row then freezes exactly where it would with every metric.
+    """
     config = configs[0]
     S = config.n_seeds
     logistic = config.problem == "logistic"
@@ -354,7 +365,7 @@ def _run_block(configs: list[ExperimentConfig], problem) -> list[ExperimentResul
     fits = max(1, _TUNE_BLOCK_BYTES // (8 * S * (dim + n)))
     if len(configs) > fits:
         parts = [configs[i:i + fits] for i in range(0, len(configs), fits)]
-        return [result for part in parts for result in _run_block(part, problem)]
+        return [result for part in parts for result in _run_block(part, problem, final_only)]
     P = len(configs)
     total = _block_steps(config, problem)
     X = _start_block(P * S, dim, 0.0 if logistic else 1.0)
@@ -381,10 +392,21 @@ def _run_block(configs: list[ExperimentConfig], problem) -> list[ExperimentResul
         gammas = np.repeat([[c.gamma1 for c in configs], [c.gamma2 for c in configs]], S, axis=1)
     counts = np.zeros((P * S, 3), dtype=int)
     snapshots = {}  # per checkpoint, each row's four metrics and three case counts
+    targets = _checkpoint_iterations(config.checkpoint_fractions, total)
+    checkpoints = list(zip(config.checkpoint_fractions, targets))
+    if final_only:
+        checkpoints = checkpoints[-1:]
+    read = {target for _, target in checkpoints}  # the checkpoints whose records are returned
 
     def observe(done, X):
-        metrics = np.full((P * S, 4), math.nan)
         live = np.isfinite(X).all(axis=1)
+        if logistic and done not in read:
+            # The freeze rule alone: only rows the margin bound does not clear take the product.
+            unsure = np.flatnonzero(live & ~problem.finite_loss_rows(X))
+            if unsure.size:
+                X[unsure[~np.isfinite(problem.train_metrics(X[unsure])[0])]] = math.nan
+            return
+        metrics = np.full((P * S, 4), math.nan)
         if logistic:
             metrics[live, :2] = np.column_stack(problem.train_metrics(X[live]))
             metrics[live, 2:] = np.column_stack(problem.test_metrics(X[live]))
@@ -393,14 +415,13 @@ def _run_block(configs: list[ExperimentConfig], problem) -> list[ExperimentResul
         X[~np.isfinite(metrics[:, 0])] = math.nan  # a non-finite train loss freezes its row
         snapshots[done] = [m + c for m, c in zip(metrics.tolist(), counts.tolist())]
 
-    targets = _checkpoint_iterations(config.checkpoint_fractions, total)
     _march(X, alpha, draw, gammas, observe, set(targets), counts)
     records = [
         RunRecord(config.base_seed + r % S, frac, target, *snapshots[target][r])
         for r in range(P * S)
-        for frac, target in zip(config.checkpoint_fractions, targets)
+        for frac, target in checkpoints
     ]
-    size = S * len(targets)  # records per config
+    size = S * len(checkpoints)  # records per config
     return [ExperimentResult(records[p * size:(p + 1) * size], total) for p in range(P)]
 
 
@@ -462,8 +483,10 @@ def tune_grid(base_config: ExperimentConfig, grid: dict) -> TuneResult:
     runs go non-finite are kept in the table, flagged diverged, and
     excluded from selection.  Each problem is built once and shared by
     every grid point that names it, and points that differ only in
-    _ROW_FIELDS march as rows of one block.  The winner's records come
-    back with the result.
+    _ROW_FIELDS march as rows of one block, which measures each point at
+    its final checkpoint alone.  The winner then runs once more by
+    itself, and that run's records, at every checkpoint, come back with
+    the result.
     """
     normalized = _normalize_grid(grid)
     keys = list(normalized)
@@ -478,17 +501,19 @@ def tune_grid(base_config: ExperimentConfig, grid: dict) -> TuneResult:
         shared = repr([v for f, v in vars(config).items() if f not in _ROW_FIELDS])
         blocks.setdefault(shared, []).append(index)
     problems: dict = {}  # keyed by the fields _build_problem reads
-    block_problems = []
+    point_problems = {}  # each grid point's problem, by index
     for members in blocks.values():
         config = configs[members[0]]
         key = (config.problem, config.dataset, config.test_dataset, config.dimension)
         if key not in problems:
             problems[key] = _build_problem(config)
         _block_steps(config, problems[key])  # every block is refused before any marches
-        block_problems.append((members, problems[key]))
+        point_problems.update(dict.fromkeys(members, problems[key]))
     results: dict = {}
-    for members, problem in block_problems:
-        results.update(zip(members, _run_block([configs[m] for m in members], problem)))
+    for members in blocks.values():
+        problem = point_problems[members[0]]
+        block = _run_block([configs[m] for m in members], problem, final_only=True)
+        results.update(zip(members, block))
     entries: list[TuneEntry] = []
     candidates = []
     for index, (combo, combo_params) in enumerate(zip(combos, points)):
@@ -502,7 +527,8 @@ def tune_grid(base_config: ExperimentConfig, grid: dict) -> TuneResult:
     if not candidates:
         raise GridDivergedError("every grid point diverged; nothing to select")
     best = min(candidates)[1]
-    return TuneResult(configs[best], points[best], entries, results[best].records)
+    records = _run_block([configs[best]], point_problems[best])[0].records
+    return TuneResult(configs[best], points[best], entries, records)
 
 
 @dataclass

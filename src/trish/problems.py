@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _DENSE_GATHER_BYTES = 1 << 25  # see LogisticProblem.block_gradient
+_FINITE_LOSS_CAP = 1e300  # see LogisticProblem.finite_loss_rows
 
 
 @dataclass(frozen=True)
@@ -235,6 +236,11 @@ class LogisticProblem:
             return float(np.dot(f.data, f.data))
         return float(f.multiply(f).sum())  # duplicates add before squaring
 
+    @cached_property
+    def _row_l1_max(self) -> float:
+        """max_i ||z_i||_1, or an upper bound on it when duplicates are stored."""
+        return float(np.asarray(abs(self.features).sum(axis=1)).max(initial=0.0))
+
     @property
     def metadata(self) -> ProblemMetadata:
         # Trace bound on the Hessian: sigmoid' <= 1/4, so
@@ -288,6 +294,17 @@ class LogisticProblem:
             coeff = -y * expit(-y * (rows @ stacked))
             grad = (rows.T @ coeff).reshape(S, d, -1).transpose(2, 0, 1)
         return grad.reshape(-1, d) / b
+
+    def finite_loss_rows(self, W: np.ndarray) -> np.ndarray:
+        """Which rows of the block W the margin bound proves a finite train loss.
+
+        Every margin obeys |z_i . w| <= max_i ||z_i||_1 ||w||_inf, and each
+        loss term is at most its margin's size plus log 2, so the n terms
+        sum to a finite mean while n times that bound stays under
+        _FINITE_LOSS_CAP.  A row the bound does not clear may still be finite.
+        """
+        bound = self.n_components * self._row_l1_max * np.max(np.abs(W), axis=1)
+        return bound < _FINITE_LOSS_CAP
 
     def train_metrics(self, W: np.ndarray) -> tuple:
         """(mean loss, accuracy) at w, or arrays of both over the rows of a block W."""

@@ -526,6 +526,18 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err == "trish: error: the training set has no nonzero feature value\n"
 
+    def test_empty_test_set_is_refused(self, tmp_path, capsys):
+        empty = tmp_path / "empty.libsvm"
+        empty.write_text("# a comment and a blank line hold no example\n\n")
+        rc = main(
+            ["run", "--dataset", TRAIN, "--test-dataset", str(empty), "--method", "sg",
+             "--alpha", "0.1"]
+        )
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"trish: error: dataset {empty} holds no examples\n"
+
     def test_datasets_are_hashed_by_run_only(self, tmp_path, capsys, monkeypatch):
         hashed = []
         sha256 = trish.harness._file_sha256
@@ -640,6 +652,20 @@ class TestTuneCommand:
         assert rc == EXIT_OK
         capsys.readouterr()
         assert sorted(loads) == sorted([TRAIN, TEST])
+
+    def test_empty_test_set_is_refused(self, tmp_path, capsys):
+        # selecting by train loss instead would hide the missing test set
+        empty = tmp_path / "empty.libsvm"
+        empty.write_text("")
+        conf = tmp_path / "tune.conf"
+        conf.write_text(
+            f"method = sg\nproblem = logistic\ndataset = {TRAIN}\ntest_dataset = {empty}\n"
+            "n_seeds = 1\ntune_alpha = 0.5, 1.0\n"
+        )
+        assert main(["tune", "--config", str(conf)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"trish: error: dataset {empty} holds no examples\n"
 
     def test_tune_without_grid_keys(self, synthetic_config, capsys):
         assert main(["tune", "--config", synthetic_config]) == EXIT_USAGE

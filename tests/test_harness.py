@@ -392,15 +392,17 @@ class TestTuneGrid:
         blocks = []
         run_block = harness._run_block
 
-        def counted(configs, problem):
-            blocks.append(len(configs))
-            return run_block(configs, problem)
+        def counted(configs, problem, final_only=False):
+            blocks.append((len(configs), final_only))
+            return run_block(configs, problem, final_only)
 
         monkeypatch.setattr(harness, "_run_block", counted)
         result = tune_grid(base, grid)
         monkeypatch.undo()
-        # one block per batch size, holding every other combination
-        assert blocks == [len(result.entries) // len(grid["batch_size"])] * len(grid["batch_size"])
+        # one final-only block per batch size, holding every other
+        # combination, then the winner's lone run at every checkpoint
+        per_block = len(result.entries) // len(grid["batch_size"])
+        assert blocks == [(per_block, True)] * len(grid["batch_size"]) + [(1, False)]
         for entry in result.entries:
             finals = run_experiment(dataclasses.replace(base, **entry.params)).final_records()
             assert not entry.diverged
@@ -430,7 +432,7 @@ class TestTuneGrid:
         # room for two points of 2 seeds, 120 columns and 600 training rows
         monkeypatch.setattr(harness, "_TUNE_BLOCK_BYTES", 2 * 8 * 2 * (120 + 600))
         parts = tune_grid(base, grid)
-        assert rows == [4, 4, 2]
+        assert rows == [4, 4, 2, 2]  # three parts, then the winner's lone run
         assert parts.entries == whole.entries
         assert parts.best_records == whole.best_records
 
@@ -445,6 +447,22 @@ class TestTuneGrid:
         assert [e.params["alpha"] for e in poisoned.entries if e.diverged] == [1e308]
         assert [e for e in poisoned.entries if not e.diverged] == clean.entries
         np.testing.assert_array_equal(_rows(poisoned.best_records), _rows(clean.best_records))
+
+    def test_freeze_at_an_unread_checkpoint_stays_exact(self):
+        # At alpha = 1e306 some seeds' train loss overflows at the first
+        # checkpoint while their iterate is still finite; unfrozen, they
+        # would come back to a finite loss and the point would not diverge.
+        # At 1e303 the margin bound clears no row, yet every loss is finite.
+        base = ExperimentConfig(
+            problem="logistic", dataset=TRAIN, test_dataset=TEST, gamma1=2.0, gamma2=0.8,
+            alpha=0.5, n_seeds=3,
+        )
+        result = tune_grid(base, {"alpha": [0.5, 1e303, 1e306]})
+        for entry in result.entries:
+            alone = run_experiment(dataclasses.replace(base, **entry.params)).final_means()
+            np.testing.assert_array_equal(list(entry.means.values()), list(alone.values()))
+            assert entry.diverged == (not math.isfinite(alone["train_loss"]))
+        assert [e.diverged for e in result.entries] == [False, False, True]
 
     def test_grid_validation(self):
         base = synthetic_config()

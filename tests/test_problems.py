@@ -5,6 +5,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
 from trish import problems
@@ -323,6 +326,36 @@ class TestLogisticProblem:
                 test_features=sp.csr_matrix(np.eye(4)),
                 test_labels=np.ones(4),
             )
+
+    def test_row_l1_max_bounds_rows_with_duplicates(self):
+        # row 0 stores column 0 twice, as 3 and -1: ||z_0||_1 = 2, the largest
+        features = sp.csr_matrix(
+            (np.array([3.0, -1.0, 1.5]), np.array([0, 0, 1]), np.array([0, 2, 3, 3])),
+            shape=(3, 2),
+        )
+        assert LogisticProblem(features, np.array([1.0, -1.0, 1.0]))._row_l1_max >= 2.0
+        problem = self._small_problem()
+        assert problem._row_l1_max == pytest.approx(
+            np.abs(problem.features.toarray()).sum(axis=1).max(), rel=1e-15
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rows_the_margin_bound_clears_have_a_finite_loss(self, data):
+        n, d, rows = (data.draw(st.integers(1, top)) for top in (6, 4, 5))
+        features = data.draw(arrays(float, (n, d), elements=st.floats(-1.0, 1.0)))
+        features *= 10.0 ** data.draw(st.integers(0, 300))
+        labels = data.draw(arrays(float, n, elements=st.sampled_from([-1.0, 1.0])))
+        problem = LogisticProblem(sp.csr_matrix(features), labels)
+        # each row of W at its own scale, up to the largest finite powers of ten
+        W = data.draw(arrays(float, (rows, d), elements=st.floats(-1.0, 1.0)))
+        W *= 10.0 ** data.draw(arrays(np.int64, (rows, 1), elements=st.integers(-300, 308)))
+        W = np.vstack([W, np.full(d, np.inf), np.full(d, np.nan)])
+        with np.errstate(over="ignore", invalid="ignore"):  # as inside a march
+            cleared = problem.finite_loss_rows(W)
+            loss = problem.train_metrics(W)[0]
+        assert not cleared[-2:].any()
+        assert np.isfinite(loss[cleared]).all()
 
 
 def _reference_gradient(problem, indices, w):
