@@ -38,7 +38,9 @@ from .problems import (
     normalize_binary_labels,
 )
 from .theory import (
-    TheoremConstants,
+    FixedStepsizeConstants,
+    GeometricNoiseConstants,
+    HarmonicStepsizeConstants,
     standard_error,
     theorem_bound,
     within_margin,
@@ -635,7 +637,7 @@ def verify_theorem(setup: VerificationSetup, base_seed: int = 0) -> TheoremRepor
 class VerificationSetup:
     """A frozen, hypothesis-checked configuration for one guarantee."""
 
-    tc: TheoremConstants
+    tc: FixedStepsizeConstants | HarmonicStepsizeConstants | GeometricNoiseConstants
     problem: object
     oracle: GaussianOracle
     params: TrishParams
@@ -728,15 +730,15 @@ def verification_setup(
     gap = float(problem.value(x1)) - meta.f_star
     h_a, h_b = noise.assumption_pair(alpha_max)
     if harmonic:
-        tc = TheoremConstants.for_harmonic_stepsize(
+        tc = HarmonicStepsizeConstants.for_harmonic_stepsize(
             params, h_a, h_b, pl_constant, L, moments.m1, moments.m2, *row.stepsize, gap
         )
     elif noise.kind == "geometric":
-        tc = TheoremConstants.for_geometric_noise(
+        tc = GeometricNoiseConstants.for_geometric_noise(
             params, h_a, h_b, noise.zeta, pl_constant, L, moments.m1, alpha_max, gap
         )
     else:
-        tc = TheoremConstants.for_fixed_stepsize(
+        tc = FixedStepsizeConstants.for_fixed_stepsize(
             params, h_a, h_b, pl_constant, L, moments.m1, moments.m2, alpha_max, gap
         )
     if not harmonic:

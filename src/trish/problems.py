@@ -1,9 +1,9 @@
 """Benchmark objectives: quadratics, a nonconvex PL family, and logistic loss.
 
 Each problem evaluates values and gradients, optionally batched over
-rows of iterates, and reports the smoothness constant L, the
-Polyak-Lojasiewicz constant c when one is known, and the optimal value
-f_star when it is available in closed form.  The PL inequality used
+rows of iterates, and reports its dimension and whichever of the
+smoothness constant L, the Polyak-Lojasiewicz constant c and the optimal
+value f_star it knows in closed form.  The PL inequality used
 throughout is 2c(f(x) - f_star) <= ||grad f(x)||^2.
 """
 
@@ -20,11 +20,8 @@ __all__ = [
     "QuadraticProblem",
     "NonconvexPLProblem",
     "LogisticProblem",
-    "logistic_loss",
     "logistic_gradient",
-    "classification_accuracy",
     "normalize_binary_labels",
-    "verify_pl_constant",
 ]
 
 _DENSE_GATHER_BYTES = 1 << 25  # see LogisticProblem.block_gradient
@@ -133,15 +130,6 @@ class NonconvexPLProblem:
         return 2.0 * x + 3.0 * np.sin(2.0 * x)
 
 
-def logistic_loss(w: np.ndarray, features: sp.spmatrix, labels: np.ndarray) -> float:
-    """Mean logistic loss (1/n) sum log(1 + exp(-y_i z_i . w)).
-
-    log(1 + e^t) is evaluated as logaddexp(0, t), i.e. t + log1p(e^-t)
-    for t > 0, so large margins cannot overflow.
-    """
-    return float(_logistic_metrics(w, features, labels)[0])
-
-
 def logistic_gradient(w: np.ndarray, features: sp.spmatrix, labels: np.ndarray) -> np.ndarray:
     """Gradient of the mean logistic loss; dense vector."""
     from scipy.special import expit
@@ -150,13 +138,6 @@ def logistic_gradient(w: np.ndarray, features: sp.spmatrix, labels: np.ndarray) 
     coeff = -labels * expit(t)
     grad = features.T @ coeff / labels.size
     return np.asarray(grad).ravel()
-
-
-def classification_accuracy(
-    w: np.ndarray, features: sp.spmatrix, labels: np.ndarray
-) -> float:
-    """Fraction of rows with sign(z_i . w) = y_i; zero margins count as wrong."""
-    return float(_logistic_metrics(w, features, labels)[1])
 
 
 def _logistic_metrics(W: np.ndarray, features: sp.spmatrix, labels: np.ndarray) -> tuple:
@@ -229,12 +210,13 @@ class LogisticProblem:
         return self.features.shape[0]
 
     @cached_property
-    def _row_sq(self) -> float:
-        """sum ||z_i||^2, from the stored values alone when the matrix is canonical."""
+    def _has_nonzero(self) -> bool:
+        """Whether some feature value is nonzero once duplicate entries are summed."""
         f = self.features
-        if f.has_canonical_format:
-            return float(np.dot(f.data, f.data))
-        return float(f.multiply(f).sum())  # duplicates add before squaring
+        if not f.has_canonical_format:
+            f = f.copy()
+            f.sum_duplicates()  # stored 1 and -1 at one position cancel
+        return bool(f.data.any())
 
     @cached_property
     def _row_l1_max(self) -> float:
@@ -243,18 +225,14 @@ class LogisticProblem:
 
     @property
     def metadata(self) -> ProblemMetadata:
-        # Trace bound on the Hessian: sigmoid' <= 1/4, so
-        # L <= (1/4n) sum ||z_i||^2.  Conservative but data-driven.
-        row_sq = self._row_sq
-        if not row_sq > 0.0:
+        if not self._has_nonzero:
             raise ValueError("the training set has no nonzero feature value")
-        return ProblemMetadata(
-            dimension=self.features.shape[1],
-            smoothness=0.25 * row_sq / self.n_components,
-        )
+        return ProblemMetadata(dimension=self.features.shape[1])
 
     def value(self, w: np.ndarray) -> float:
-        return logistic_loss(w, self.features, self.labels)
+        """Mean logistic loss (1/n) sum log(1 + exp(-y_i z_i . w)), via logaddexp
+        so that large margins cannot overflow."""
+        return float(_logistic_metrics(w, self.features, self.labels)[0])
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
         return logistic_gradient(w, self.features, self.labels)
@@ -314,29 +292,3 @@ class LogisticProblem:
         if self.test_features is None:
             return (float("nan"), float("nan"))
         return _logistic_metrics(W, self.test_features, self.test_labels)
-
-
-def verify_pl_constant(problem, points: np.ndarray) -> tuple[bool, float]:
-    """Check 2c(f(x) - f_star) <= ||grad f(x)||^2 at each given point.
-
-    Returns (holds, worst_ratio) where worst_ratio is the largest
-    observed value of the left side over the right side; a ratio above 1
-    means the declared constant is too optimistic.  Stationary points
-    are fine as long as the gap vanishes with the gradient.
-    """
-    meta = problem.metadata
-    if meta.pl_constant is None or meta.f_star is None:
-        raise ValueError("problem declares no PL constant or optimal value")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    lhs = 2.0 * meta.pl_constant * (problem.value(points) - meta.f_star)
-    grads = problem.gradient(points)
-    rhs = np.sum(np.asarray(grads) ** 2, axis=-1)
-    holds = bool(np.all(lhs <= rhs + 1e-12))
-    worst = 0.0
-    active = rhs > 0.0
-    if np.any(active):
-        worst = float(np.max(lhs[active] / rhs[active]))
-    if np.any(~active & (lhs > 1e-12)):
-        holds = False
-        worst = float("inf")
-    return holds, worst

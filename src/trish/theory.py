@@ -20,23 +20,28 @@ rates for the five convergence guarantees:
     4  fixed stepsize, no PL: bounded average squared gradient norm
     5  Robbins-Monro stepsizes, no PL: weighted gradient sums converge
 
-Three TheoremConstants recipes build the five: for_fixed_stepsize for
-1 and 4 and for_harmonic_stepsize for 2 and 5, each given a PL constant
-or None, and for_geometric_noise for 3.  theorem_bound(tc, k) is the one
+Three constants types, one per recipe, build the five:
+FixedStepsizeConstants.for_fixed_stepsize for 1 and 4 and
+HarmonicStepsizeConstants.for_harmonic_stepsize for 2 and 5, each given a
+PL constant or None, and GeometricNoiseConstants.for_geometric_noise for 3.
+Every field is required, so an incomplete set of constants cannot be
+built; where a type serves two guarantees, its pl_constant picks the one.
+Each type holds its own bound formula, and theorem_bound(tc, k) is the one
 entry point to all five bounds.  within_margin(mean, se, bound), that is
 mean <= bound + SE_MARGIN * se, is the one empirical check: verify_theorem
 applies it at each k, and Assumptions 4-6 are one call around their bound:
 
-    within_margin(est.product, est.standard_error, h_a + h_b * grad_norm_sq)
+    within_margin(product, se, h_a + h_b * grad_norm_sq)
 
-with h_a * alpha_k (5) or h_a * sqrt(zeta) ** (k - 1) (6) in place of h_a.
+where (product, se) = estimate_conditional_inner_product(...), and
+h_a * alpha_k (5) or h_a * sqrt(zeta) ** (k - 1) (6) in place of h_a.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -47,13 +52,13 @@ __all__ = [
     "standard_error",
     "within_margin",
     "HypothesisError",
-    "ConditionalInnerProductEstimate",
     "gaussian_conditional_product",
     "estimate_conditional_inner_product",
     "lemma1_rhs",
-    "TheoremConstants",
+    "FixedStepsizeConstants",
+    "HarmonicStepsizeConstants",
+    "GeometricNoiseConstants",
     "theorem_bound",
-    "sg_comparison_bound",
 ]
 
 SE_MARGIN = 3.0  # standard errors a mean may sit above its bound and still pass
@@ -110,43 +115,19 @@ def gaussian_conditional_product(grad_norm: float, sigma: float) -> float:
     return m * m * _Phi(u) + sigma * m * _phi(u)
 
 
-@dataclass(frozen=True)
-class ConditionalInnerProductEstimate:
-    """Monte Carlo estimate of the conditional inner product.
-
-    product = prob_event * conditional_mean is the quantity the
-    assumption checks bound; standard_error is its SE (inf if E never occurred).
-    mean_inner estimates the raw E[grad . g], which the law of total
-    expectation pins to ||grad||^2 for an unbiased oracle.
-    """
-
-    prob_event: float
-    conditional_mean: float
-    complement_mean: float
-    product: float
-    standard_error: float
-    mean_inner: float
-    mean_inner_se: float
-    n_samples: int
-
-    @property
-    def degenerate(self) -> bool:
-        """True when the event never occurred, leaving the product undefined."""
-        return self.prob_event == 0.0
-
-
 def estimate_conditional_inner_product(
     grad_true: np.ndarray,
     draw: Callable[[np.random.Generator, int], np.ndarray],
     n_samples: int,
     rng: np.random.Generator,
-) -> ConditionalInnerProductEstimate:
-    """Estimate P[E], E[grad . g | E], and their product from oracle draws.
+) -> tuple[float, float]:
+    """Monte Carlo P[E] * E[grad . g | E] from oracle draws: (product, its SE).
 
     draw(rng, n) must return n independent oracle samples, shaped (n,)
     for scalar problems or (n, dim) otherwise.  The event is
     grad . g >= 0, with ties counted in.  The product is the mean of the
-    positive part of grad . g, so its SE is that of a plain mean.
+    positive part of grad . g, so its SE is that of a plain mean; the SE
+    is inf when the event never occurred.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
@@ -160,19 +141,8 @@ def estimate_conditional_inner_product(
         )
     inner = samples @ grad
     event = inner >= 0.0
-    n_event = int(event.sum())
     pos_part = np.where(event, inner, 0.0)
-    product = float(pos_part.mean())
-    return ConditionalInnerProductEstimate(
-        prob_event=n_event / n_samples,
-        conditional_mean=product * n_samples / n_event if n_event else 0.0,
-        complement_mean=float(inner[~event].mean()) if n_event < n_samples else 0.0,
-        product=product,
-        standard_error=standard_error(pos_part) if n_event else math.inf,
-        mean_inner=float(inner.mean()),
-        mean_inner_se=standard_error(inner),
-        n_samples=n_samples,
-    )
+    return float(pos_part.mean()), standard_error(pos_part) if event.any() else math.inf
 
 
 def lemma1_rhs(
@@ -224,90 +194,38 @@ def lemma1_rhs(
 
 
 @dataclass(frozen=True)
-class TheoremConstants:
-    """Derived constants for one convergence guarantee.
+class FixedStepsizeConstants:
+    """Constants of guarantees 1 (PL) and 4 (pl_constant None): a fixed
+    stepsize alpha, the descent coefficient theta1 and the noise term theta2.
 
-    Populated by the recipes for_fixed_stepsize, for_harmonic_stepsize and
-    for_geometric_noise, which set theorem_id, validate the guarantee's
-    hypotheses and raise HypothesisError when one fails.  Fields
-    irrelevant to the chosen guarantee stay None.
+      1  E[f(x_k)] - f_star <= P + (1 - r)^(k-1) (gap_1 - P),  r = 2 c alpha theta1,
+         P = theta2/r the noise plateau; at k = 1 exactly the initial gap
+      4  (1/k) sum_{j<=k} E||grad f(x_j)||^2 <= (k theta2 + gap_1)/(k alpha theta1)
+
+    >>> tc = FixedStepsizeConstants(
+    ...     f_gap_initial=1.0, alpha=0.5, theta1=1.0, theta2=0.25, pl_constant=None)
+    >>> tc.theorem_id, theorem_bound(tc, 1), theorem_bound(tc, np.array([1, 4]))
+    (4, 2.5, array([2.5, 1. ]))
     """
 
-    theorem_id: int
     f_gap_initial: float
-    alpha: float | None = None
-    pl_constant: float | None = None
-    theta1: float | None = None
-    theta2: float | None = None
-    beta1: float | None = None
-    beta2: float | None = None
-    nu: float | None = None
-    a: float | None = None
-    b: float | None = None
-    kappa1: float | None = None
-    kappa2: float | None = None
-    omega: float | None = None
-    rho: float | None = None
+    alpha: float
+    theta1: float
+    theta2: float
+    pl_constant: float | None
 
-    @classmethod
-    def for_geometric_noise(
-        cls,
-        params: TrishParams,
-        h5: float,
-        h6: float,
-        zeta: float,
-        pl_constant: float,
-        smoothness: float,
-        m3: float,
-        alpha: float | None,
-        f_gap_initial: float,
-    ) -> "TheoremConstants":
-        """Guarantee 3: fixed stepsize, PL objective, noise decaying as
-        M3 zeta**(k-1) with pair (h5, h6), whose h5 term decays as
-        lam**(k-1), lam = sqrt(zeta); alpha=None takes the cap.  There is
-        no form without PL, so pl_constant None raises ValueError."""
-        if pl_constant is None:
-            raise ValueError("geometric noise has a guarantee only under PL; got no PL constant")
-        _validate_common(h5, smoothness, (m3,), f_gap_initial, pl_constant)
-        if not 0.0 < zeta < 1.0:
-            raise ValueError(f"zeta must lie in (0, 1), got {zeta}")
-        margin, kappa1 = _ratio_guard(params, h6, "h6")
-        # gamma1 is never squared on its own: gamma1**2 overflows for
-        # gamma1 above ~1e154, while these constants stay finite.
-        cap = min(
-            margin / params.gamma1 / (params.gamma1 * smoothness),
-            1.0 / (params.gamma1 * smoothness),
-            1.0 / (pl_constant * kappa1),
-        )
-        alpha = _capped(alpha, cap)
-        kappa2 = (
-            h5 * (params.gamma1 - params.gamma2)
-            + 0.5 * params.gamma1 * (params.gamma1 * alpha) * smoothness * m3
-        )
-        omega = max(f_gap_initial, kappa2 / (pl_constant * kappa1))
-        rho = max(1.0 - alpha * pl_constant * kappa1, math.sqrt(zeta), zeta)
-        if not 0.0 < rho < 1.0:
-            raise HypothesisError("contraction", f"rate rho = {rho:.6g} not in (0, 1)")
-        return cls(
-            theorem_id=3,
-            f_gap_initial=f_gap_initial,
-            alpha=alpha,
-            pl_constant=pl_constant,
-            kappa1=kappa1,
-            kappa2=kappa2,
-            omega=omega,
-            rho=rho,
-        )
+    @property
+    def theorem_id(self) -> int:
+        return 4 if self.pl_constant is None else 1
 
     @classmethod
     def for_fixed_stepsize(
         cls, params: TrishParams, h1: float, h2: float, pl_constant: float | None,
         smoothness: float, m1: float, m2: float, alpha: float | None, f_gap_initial: float,
-    ) -> "TheoremConstants":
-        """Guarantees 1 (PL) and 4 (pl_constant None): fixed stepsize alpha,
-        fixed-sigma pair (h1, h2).  Sets theta1, the stepsize cap
-        1/(gamma1 L M2), tightened to 1/(2 c theta1) under PL, and theta2;
-        alpha=None takes the cap."""
+    ) -> FixedStepsizeConstants:
+        """The recipe of guarantees 1 and 4, with the fixed-sigma pair (h1, h2).
+        Sets theta1, the stepsize cap 1/(gamma1 L M2), tightened to
+        1/(2 c theta1) under PL, and theta2; alpha=None takes the cap."""
         _validate_common(h1, smoothness, (m1, m2), f_gap_initial, pl_constant)
         _, theta1 = _ratio_guard(params, h2, "h2")
         cap, name = 1.0 / (params.gamma1 * smoothness * m2), "1/(gamma1 L M2)"
@@ -326,22 +244,68 @@ class TheoremConstants:
                 "theta2", f"theta2 = {theta2:.6g} at alpha = {alpha:.6g} is not finite"
             )
         return cls(
-            theorem_id=4 if pl_constant is None else 1,
-            f_gap_initial=f_gap_initial,
-            alpha=alpha,
+            f_gap_initial=f_gap_initial, alpha=alpha, theta1=theta1, theta2=theta2,
             pl_constant=pl_constant,
-            theta1=theta1,
-            theta2=theta2,
+        )
+
+    def _bound(self, k):
+        if self.pl_constant is None:
+            denom = self.alpha * self.theta1
+            return (k * self.theta2 / denom + self.f_gap_initial / denom) / k
+        rate = 2.0 * self.pl_constant * self.alpha * self.theta1
+        plateau = self.theta2 / rate
+        # at k = 1 the gap itself: gap - plateau can cancel it when plateau >> gap
+        return np.where(
+            np.asarray(k) == 1,
+            self.f_gap_initial,
+            plateau + (1.0 - rate) ** (k - 1) * (self.f_gap_initial - plateau),
+        )
+
+
+@dataclass(frozen=True)
+class HarmonicStepsizeConstants:
+    """Constants of guarantees 2 (PL) and 5 (pl_constant None): stepsizes
+    a/(b+k), the descent coefficient beta1 and the noise term beta2.
+
+      2  E[f(x_k)] - f_star <= nu/(b + k)
+      5  sum_{j<=k} alpha_j E||grad f(x_j)||^2 <= (gap_1 + beta2 sum_{j<=k} alpha_j^2)/beta1,
+         finite as k grows; one prefix sum up to the largest k serves every k
+
+    >>> tc = HarmonicStepsizeConstants(
+    ...     f_gap_initial=2.0, a=2.0, b=4.0, beta1=0.5, beta2=1.0, pl_constant=1.0)
+    >>> tc.theorem_id, tc.nu, theorem_bound(tc, 1), theorem_bound(tc, np.array([1, 6]))
+    (2, 10.0, 2.0, array([2., 1.]))
+    """
+
+    f_gap_initial: float
+    a: float
+    b: float
+    beta1: float
+    beta2: float
+    pl_constant: float | None
+
+    @property
+    def theorem_id(self) -> int:
+        return 5 if self.pl_constant is None else 2
+
+    @property
+    def nu(self) -> float:
+        """Guarantee 2's numerator, max(a^2 beta2/(2 a c beta1 - 1), (b + 1) gap_1)."""
+        if self.pl_constant is None:
+            raise ValueError("nu belongs to guarantee 2, which needs a PL constant")
+        return max(
+            self.a**2 * self.beta2 / (2.0 * self.a * self.pl_constant * self.beta1 - 1.0),
+            (self.b + 1.0) * self.f_gap_initial,
         )
 
     @classmethod
     def for_harmonic_stepsize(
         cls, params: TrishParams, h3: float, h4: float, pl_constant: float | None,
         smoothness: float, m1: float, m2: float, a: float, b: float, f_gap_initial: float,
-    ) -> "TheoremConstants":
-        """Guarantees 2 (PL) and 5 (pl_constant None): harmonic stepsizes
-        a/(b+k), coupled pair (h3, h4).  Sets beta1, under PL the interval
-        a must lie in and nu, the cap on alpha_1 = a/(b+1), and beta2.
+    ) -> HarmonicStepsizeConstants:
+        """The recipe of guarantees 2 and 5, with the coupled pair (h3, h4).
+        Sets beta1 and beta2, and checks the interval a must lie in under PL
+        and the cap on alpha_1 = a/(b+1).
 
         Without PL, a/(b+k) satisfies the divergent-sum / convergent-square-sum
         requirements for any a, b > 0; the initial stepsize must respect
@@ -368,22 +332,80 @@ class TheoremConstants:
             h3 * (params.gamma1 - params.gamma2) + 0.5 * smoothness,
             0.5 * params.gamma1**2 * smoothness * m1,
         )
-        nu = None
-        if pl_constant is not None:
-            nu = max(
-                a**2 * beta2 / (2.0 * a * pl_constant * beta1 - 1.0),
-                (b + 1.0) * f_gap_initial,
-            )
         return cls(
-            theorem_id=5 if pl_constant is None else 2,
-            f_gap_initial=f_gap_initial,
+            f_gap_initial=f_gap_initial, a=a, b=b, beta1=beta1, beta2=beta2,
             pl_constant=pl_constant,
-            beta1=beta1,
-            beta2=beta2,
-            nu=nu,
-            a=a,
-            b=b,
         )
+
+    def _bound(self, k):
+        if self.pl_constant is not None:
+            return self.nu / (self.b + k)
+        j = np.arange(1, np.max(k) + 1)
+        alpha_sq_sums = np.cumsum((self.a / (self.b + j)) ** 2)[np.asarray(k) - 1]
+        return (self.f_gap_initial + self.beta2 * alpha_sq_sums) / self.beta1
+
+
+@dataclass(frozen=True)
+class GeometricNoiseConstants:
+    """Constants of guarantee 3: a fixed stepsize alpha under noise decaying
+    geometrically, with descent coefficient kappa1 and noise term kappa2.
+
+      3  E[f(x_k)] - f_star <= omega rho^(k-1)
+
+    >>> tc = GeometricNoiseConstants(f_gap_initial=0.5, alpha=0.1, pl_constant=1.0,
+    ...     kappa1=1.0, kappa2=0.1, omega=0.5, rho=0.5)
+    >>> tc.theorem_id, theorem_bound(tc, 3)
+    (3, 0.125)
+    """
+
+    f_gap_initial: float
+    alpha: float
+    pl_constant: float
+    kappa1: float
+    kappa2: float
+    omega: float
+    rho: float
+
+    theorem_id: ClassVar[int] = 3
+
+    @classmethod
+    def for_geometric_noise(
+        cls, params: TrishParams, h5: float, h6: float, zeta: float, pl_constant: float,
+        smoothness: float, m3: float, alpha: float | None, f_gap_initial: float,
+    ) -> GeometricNoiseConstants:
+        """Guarantee 3's recipe: PL objective, noise decaying as M3 zeta**(k-1)
+        with pair (h5, h6), whose h5 term decays as lam**(k-1), lam = sqrt(zeta);
+        alpha=None takes the cap.  There is no form without PL, so
+        pl_constant None raises ValueError."""
+        if pl_constant is None:
+            raise ValueError("geometric noise has a guarantee only under PL; got no PL constant")
+        _validate_common(h5, smoothness, (m3,), f_gap_initial, pl_constant)
+        if not 0.0 < zeta < 1.0:
+            raise ValueError(f"zeta must lie in (0, 1), got {zeta}")
+        margin, kappa1 = _ratio_guard(params, h6, "h6")
+        # gamma1 is never squared on its own: gamma1**2 overflows for
+        # gamma1 above ~1e154, while these constants stay finite.
+        cap = min(
+            margin / params.gamma1 / (params.gamma1 * smoothness),
+            1.0 / (params.gamma1 * smoothness),
+            1.0 / (pl_constant * kappa1),
+        )
+        alpha = _capped(alpha, cap)
+        kappa2 = (
+            h5 * (params.gamma1 - params.gamma2)
+            + 0.5 * params.gamma1 * (params.gamma1 * alpha) * smoothness * m3
+        )
+        omega = max(f_gap_initial, kappa2 / (pl_constant * kappa1))
+        rho = max(1.0 - alpha * pl_constant * kappa1, math.sqrt(zeta), zeta)
+        if not 0.0 < rho < 1.0:
+            raise HypothesisError("contraction", f"rate rho = {rho:.6g} not in (0, 1)")
+        return cls(
+            f_gap_initial=f_gap_initial, alpha=alpha, pl_constant=pl_constant,
+            kappa1=kappa1, kappa2=kappa2, omega=omega, rho=rho,
+        )
+
+    def _bound(self, k):
+        return self.omega * self.rho ** (k - 1)
 
 
 def _ratio_guard(params: TrishParams, h_grad: float, name: str) -> tuple[float, float]:
@@ -426,80 +448,13 @@ def _validate_common(
         raise ValueError(f"PL constant must be positive, got {pl_constant}")
 
 
-def theorem_bound(tc: TheoremConstants, k: int | np.ndarray) -> float | np.ndarray:
-    """Guarantee tc.theorem_id's bound at k, an int (gives a float) or an int array:
-
-      1  E[f(x_k)] - f_star <= P + (1 - r)^(k-1) (gap_1 - P),  r = 2 c alpha theta1,
-         P = theta2/r the noise plateau; at k = 1 exactly the initial gap
-      2  E[f(x_k)] - f_star <= nu/(b + k)
-      3  E[f(x_k)] - f_star <= omega rho^(k-1)
-      4  (1/k) sum_{j<=k} E||grad f(x_j)||^2 <= (k theta2 + gap_1)/(k alpha theta1)
-      5  sum_{j<=k} alpha_j E||grad f(x_j)||^2 <= (gap_1 + beta2 sum_{j<=k} alpha_j^2)/beta1,
-         finite as k grows; one prefix sum up to the largest k serves every k
-
-    >>> tc = TheoremConstants(theorem_id=2, f_gap_initial=1.0, nu=10.0, b=4.0)
-    >>> theorem_bound(tc, 1)
-    2.0
-    >>> theorem_bound(tc, np.array([1, 6]))
-    array([2., 1.])
-    """
+def theorem_bound(
+    tc: FixedStepsizeConstants | HarmonicStepsizeConstants | GeometricNoiseConstants,
+    k: int | np.ndarray,
+) -> float | np.ndarray:
+    """Guarantee tc.theorem_id's bound at k, an int (gives a float) or an int
+    array (gives an array); the formula is tc's own, shown in its docstring."""
     if np.any(np.asarray(k) < 1):
         raise ValueError(f"iteration index is 1-based, got {np.min(k)}")
-    if tc.theorem_id == 1:
-        rate = 2.0 * tc.pl_constant * tc.alpha * tc.theta1
-        plateau = tc.theta2 / rate
-        # at k = 1 the gap itself: gap - plateau can cancel it when plateau >> gap
-        bound = np.where(
-            np.asarray(k) == 1,
-            tc.f_gap_initial,
-            plateau + (1.0 - rate) ** (k - 1) * (tc.f_gap_initial - plateau),
-        )
-        return float(bound) if np.ndim(k) == 0 else bound
-    if tc.theorem_id == 2:
-        return tc.nu / (tc.b + k)
-    if tc.theorem_id == 3:
-        return tc.omega * tc.rho ** (k - 1)
-    if tc.theorem_id == 4:
-        denom = tc.alpha * tc.theta1
-        return (k * tc.theta2 / denom + tc.f_gap_initial / denom) / k
-    if tc.theorem_id == 5:
-        j = np.arange(1, np.max(k) + 1)
-        alpha_sq_sums = np.cumsum((tc.a / (tc.b + j)) ** 2)[np.asarray(k) - 1]
-        bound = (tc.f_gap_initial + tc.beta2 * alpha_sq_sums) / tc.beta1
-        return float(bound) if np.ndim(k) == 0 else bound
-    raise ValueError(f"unknown theorem id {tc.theorem_id}")
-
-
-def sg_comparison_bound(
-    gamma1: float,
-    gamma2: float,
-    h1: float,
-    h2: float,
-    pl_constant: float,
-    m2: float,
-) -> float:
-    """Noise plateau of the safeguarded method at the largest admissible
-    fixed stepsize alpha = 1/(gamma1 L M2):
-
-        h1 (gamma1-gamma2) / (c (gamma1 - h2 (gamma1-gamma2)))
-        + 1 / (2 c M2 gamma1 (gamma1 - h2 (gamma1-gamma2)))
-
-    L cancels at that stepsize.  The matching plateau for plain SG at
-    its own largest stepsize is M1/(2c); parameter regimes where this
-    value drops below M1/(2c) are regimes where the safeguards pay off.
-    gamma1 = gamma2 is allowed here (both collapse to scaled SG) even
-    though the update rule itself requires gamma1 > gamma2.
-    """
-    if not gamma1 >= gamma2 > 0.0:
-        raise ValueError(f"need gamma1 >= gamma2 > 0, got {gamma1}, {gamma2}")
-    if h1 < 0.0 or h2 < 1.0:
-        raise ValueError(f"need h1 >= 0 and h2 >= 1, got {h1}, {h2}")
-    if not (pl_constant > 0.0 and m2 > 0.0):
-        raise ValueError("PL constant and M2 must be positive")
-    margin = gamma1 - h2 * (gamma1 - gamma2)
-    if not margin > 0.0:
-        raise HypothesisError(
-            "gamma_ratio", f"gamma1 - h2*(gamma1-gamma2) = {margin:.6g} must be positive"
-        )
-    c = pl_constant
-    return h1 * (gamma1 - gamma2) / (c * margin) + 1.0 / (2.0 * c * m2 * gamma1 * margin)
+    bound = tc._bound(k)
+    return float(bound) if np.ndim(k) == 0 else bound

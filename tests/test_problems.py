@@ -16,11 +16,8 @@ from trish.problems import (
     NonconvexPLProblem,
     ProblemMetadata,
     QuadraticProblem,
-    classification_accuracy,
     logistic_gradient,
-    logistic_loss,
     normalize_binary_labels,
-    verify_pl_constant,
 )
 
 
@@ -32,6 +29,32 @@ def central_difference(value_fn, x, h=1e-6):
         step[i] = h
         grad[i] = (value_fn(x + step) - value_fn(x - step)) / (2.0 * h)
     return grad
+
+
+def verify_pl_constant(problem, points: np.ndarray) -> tuple[bool, float]:
+    """Check 2c(f(x) - f_star) <= ||grad f(x)||^2 at each given point.
+
+    Returns (holds, worst_ratio) where worst_ratio is the largest
+    observed value of the left side over the right side; a ratio above 1
+    means the declared constant is too optimistic.  Stationary points
+    are fine as long as the gap vanishes with the gradient.
+    """
+    meta = problem.metadata
+    if meta.pl_constant is None or meta.f_star is None:
+        raise ValueError("problem declares no PL constant or optimal value")
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    lhs = 2.0 * meta.pl_constant * (problem.value(points) - meta.f_star)
+    grads = problem.gradient(points)
+    rhs = np.sum(np.asarray(grads) ** 2, axis=-1)
+    holds = bool(np.all(lhs <= rhs + 1e-12))
+    worst = 0.0
+    active = rhs > 0.0
+    if np.any(active):
+        worst = float(np.max(lhs[active] / rhs[active]))
+    if np.any(~active & (lhs > 1e-12)):
+        holds = False
+        worst = float("inf")
+    return holds, worst
 
 
 class TestProblemMetadata:
@@ -173,29 +196,23 @@ class TestVerifyPLConstant:
 
 class TestLogisticFunctions:
     def test_loss_at_zero_is_log_two(self):
-        features = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
-        labels = np.array([1.0, -1.0])
-        assert logistic_loss(np.zeros(2), features, labels) == pytest.approx(
-            np.log(2.0), rel=1e-15
+        problem = LogisticProblem(
+            sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0]])), np.array([1.0, -1.0])
         )
+        assert problem.value(np.zeros(2)) == pytest.approx(np.log(2.0), rel=1e-15)
 
     def test_loss_hand_value(self):
-        features = sp.csr_matrix(np.array([[1.0, 0.0]]))
-        labels = np.array([1.0])
+        problem = LogisticProblem(sp.csr_matrix(np.array([[1.0, 0.0]])), np.array([1.0]))
         w = np.array([-2.0, 0.0])
-        assert logistic_loss(w, features, labels) == pytest.approx(
-            2.1269280110429727, rel=1e-15
-        )
+        assert problem.value(w) == pytest.approx(2.1269280110429727, rel=1e-15)
+        assert problem.train_metrics(w)[0] == problem.value(w)
 
     def test_loss_stable_at_huge_margins(self):
-        features = sp.csr_matrix(np.array([[1.0]]))
-        labels = np.array([1.0])
-        assert logistic_loss(np.array([1000.0]), features, labels) == pytest.approx(
-            0.0, abs=1e-300
-        )
-        assert logistic_loss(np.array([-1000.0]), features, labels) == pytest.approx(
-            1000.0
-        )
+        problem = LogisticProblem(sp.csr_matrix(np.array([[1.0]])), np.array([1.0]))
+        assert problem.value(np.array([1000.0])) == pytest.approx(0.0, abs=1e-300)
+        assert problem.value(np.array([-1000.0])) == pytest.approx(1000.0)
+        losses = problem.train_metrics(np.array([[1000.0], [-1000.0]]))[0]
+        np.testing.assert_allclose(losses, [0.0, 1000.0], rtol=1e-15, atol=1e-300)
 
     def test_gradient_hand_value(self):
         features = sp.csr_matrix(np.array([[1.0, 0.0]]))
@@ -209,18 +226,14 @@ class TestLogisticFunctions:
         features = sp.csr_matrix(rng.normal(size=(8, 4)))
         labels = np.where(rng.random(8) < 0.5, -1.0, 1.0)
         w = rng.normal(size=4)
-        numeric = central_difference(
-            lambda v: logistic_loss(v, features, labels), w
-        )
+        numeric = central_difference(LogisticProblem(features, labels).value, w)
         analytic = logistic_gradient(w, features, labels)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
 
     def test_accuracy_counts_zero_margin_as_wrong(self):
         features = sp.csr_matrix(np.array([[1.0], [-1.0], [0.0]]))
-        labels = np.array([1.0, -1.0, 1.0])
-        assert classification_accuracy(np.array([1.0]), features, labels) == (
-            pytest.approx(2.0 / 3.0)
-        )
+        problem = LogisticProblem(features, np.array([1.0, -1.0, 1.0]))
+        assert problem.train_metrics(np.array([1.0]))[1] == pytest.approx(2.0 / 3.0)
 
 
 class TestNormalizeBinaryLabels:
@@ -256,21 +269,27 @@ class TestLogisticProblem:
     def test_n_components(self):
         assert self._small_problem().n_components == 12
 
-    def test_metadata_trace_bound(self):
+    def test_metadata_gives_the_dimension_alone(self):
         features = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
         problem = LogisticProblem(features, np.array([1.0, -1.0]))
-        meta = problem.metadata
-        assert meta.dimension == 2
-        assert meta.smoothness == pytest.approx(0.25 * 5.0 / 2.0)
-        assert type(meta.smoothness) is float
+        assert problem.metadata == ProblemMetadata(dimension=2)
 
-    def test_metadata_sums_duplicate_entries_before_squaring(self):
-        # row 0 stores column 0 twice: z_0 = (1 + 2, 0), so sum ||z_i||^2 = 9 + 9
+    def test_metadata_refuses_duplicate_entries_that_cancel(self):
+        # row 0 stores column 0 twice, as 1 and -1: every feature value is 0
         features = sp.csr_matrix(
-            (np.array([1.0, 2.0, 3.0]), np.array([0, 0, 1]), np.array([0, 2, 3])), shape=(2, 2)
+            (np.array([1.0, -1.0]), np.array([0, 0]), np.array([0, 2, 2])), shape=(2, 2)
+        )
+        assert not features.has_canonical_format
+        problem = LogisticProblem(features, np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="no nonzero feature value"):
+            problem.metadata
+        # duplicates that do not cancel leave a nonzero value, and the matrix is not touched
+        features = sp.csr_matrix(
+            (np.array([1.0, 2.0]), np.array([0, 0]), np.array([0, 2, 2])), shape=(2, 2)
         )
         problem = LogisticProblem(features, np.array([1.0, -1.0]))
-        assert problem.metadata.smoothness == 0.25 * 18.0 / 2.0
+        assert problem.metadata.dimension == 2
+        assert problem.features.nnz == 2
 
     def test_metadata_rejects_all_zero_features(self):
         # explicit zeros are stored entries but still give L = 0
@@ -298,9 +317,7 @@ class TestLogisticProblem:
         problem = self._small_problem(with_test=True)
         w = np.random.default_rng(2).normal(size=3)
         loss, acc = problem.train_metrics(w)
-        assert loss == pytest.approx(
-            logistic_loss(w, problem.features, problem.labels)
-        )
+        assert loss == problem.value(w)
         assert 0.0 <= acc <= 1.0
         test_loss, test_acc = problem.test_metrics(w)
         assert np.isfinite(test_loss)

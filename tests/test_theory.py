@@ -6,6 +6,7 @@ constants against hand-derived values for a frozen reference setup.
 """
 
 import math
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 import pytest
@@ -16,12 +17,13 @@ from trish.harness import verification_setup
 from trish.oracles import GaussianOracle
 from trish.theory import (
     SE_MARGIN,
+    FixedStepsizeConstants,
+    GeometricNoiseConstants,
+    HarmonicStepsizeConstants,
     HypothesisError,
-    TheoremConstants,
     estimate_conditional_inner_product,
     gaussian_conditional_product,
     lemma1_rhs,
-    sg_comparison_bound,
     standard_error,
     theorem_bound,
     within_margin,
@@ -88,83 +90,75 @@ def gaussian_draw(m: float, sigma: float):
 class TestEstimateConditionalInnerProduct:
     def test_matches_closed_form(self):
         rng = np.random.default_rng(42)
-        est = estimate_conditional_inner_product(
+        product, se = estimate_conditional_inner_product(
             np.array([1.0]), gaussian_draw(1.0, 1.0), 40000, rng
         )
         closed = gaussian_conditional_product(1.0, 1.0)
-        assert abs(est.product - closed) <= 4.0 * est.standard_error
-        assert est.standard_error < 0.02
+        assert abs(product - closed) <= 4.0 * se
+        assert se < 0.02
 
     def test_law_of_total_expectation(self):
-        rng = np.random.default_rng(7)
-        est = estimate_conditional_inner_product(
-            np.array([2.0]), gaussian_draw(2.0, 3.0), 50000, rng
+        n = 50000
+        product, _ = estimate_conditional_inner_product(
+            np.array([2.0]), gaussian_draw(2.0, 3.0), n, np.random.default_rng(7)
         )
+        # the same draws' inner products grad . g, their mean a plain one
+        inner = 2.0 * gaussian_draw(2.0, 3.0)(np.random.default_rng(7), n)
         # E[grad . g] = ||grad||^2 = 4 for the unbiased oracle
-        assert abs(est.mean_inner - 4.0) <= 4.0 * est.mean_inner_se
-        # decomposition P E[.|E] + (1-P) E[.|not E] reassembles the mean
-        total = (
-            est.prob_event * est.conditional_mean
-            + (1.0 - est.prob_event) * est.complement_mean
-        )
-        assert total == pytest.approx(est.mean_inner, rel=1e-10)
-        assert est.product == pytest.approx(
-            est.prob_event * est.conditional_mean, rel=1e-10
-        )
+        assert abs(inner.mean() - 4.0) <= 4.0 * standard_error(inner)
+        # P E[.|E] + (1-P) E[.|not E] reassembles the mean: the product is the first part
+        assert product + np.minimum(inner, 0.0).mean() == pytest.approx(inner.mean(), rel=1e-10)
 
     def test_standard_error_scale(self):
         # SE of the positive-part mean should track sd/sqrt(n)
         rng = np.random.default_rng(3)
         n = 20000
-        est = estimate_conditional_inner_product(
+        _, se = estimate_conditional_inner_product(
             np.array([1.0]), gaussian_draw(1.0, 1.0), n, rng
         )
         check = np.maximum(1.0 + 1.0 * np.random.default_rng(5).standard_normal(200000), 0.0)
         analytic = float(check.std() / math.sqrt(n))
-        assert 0.6 * analytic <= est.standard_error <= 1.6 * analytic
+        assert 0.6 * analytic <= se <= 1.6 * analytic
 
     def test_quadrupling_samples_halves_the_se(self):
         closed = gaussian_conditional_product(1.0, 1.0)
-        small = estimate_conditional_inner_product(
+        small, small_se = estimate_conditional_inner_product(
             np.array([1.0]), gaussian_draw(1.0, 1.0), 8000, np.random.default_rng(11)
         )
-        large = estimate_conditional_inner_product(
+        large, large_se = estimate_conditional_inner_product(
             np.array([1.0]), gaussian_draw(1.0, 1.0), 32000, np.random.default_rng(12)
         )
-        assert abs(small.product - closed) <= 4.0 * small.standard_error
-        assert abs(large.product - closed) <= 4.0 * large.standard_error
+        assert abs(small - closed) <= 4.0 * small_se
+        assert abs(large - closed) <= 4.0 * large_se
         # quadrupling n roughly halves the SE
-        ratio = small.standard_error / large.standard_error
-        assert 1.4 <= ratio <= 2.9
+        assert 1.4 <= small_se / large_se <= 2.9
 
     def test_standard_error_is_sd_over_root_n(self):
         n = 5000
-        est = estimate_conditional_inner_product(
+        product, se = estimate_conditional_inner_product(
             np.array([1.0]), gaussian_draw(1.0, 1.0), n, np.random.default_rng(4)
         )
         inner = gaussian_draw(1.0, 1.0)(np.random.default_rng(4), n)
         pos_part = np.where(inner >= 0.0, inner, 0.0)
-        assert est.standard_error == np.std(pos_part, ddof=1) / math.sqrt(n)
-        assert est.mean_inner_se == np.std(inner, ddof=1) / math.sqrt(n)
+        assert product == pos_part.mean()
+        assert se == np.std(pos_part, ddof=1) / math.sqrt(n)
+        assert standard_error(inner) == np.std(inner, ddof=1) / math.sqrt(n)
         assert standard_error(inner[:1]) == 0.0
 
     def test_degenerate_event(self):
-        est = estimate_conditional_inner_product(
+        # E never occurs: E[. | E] is undefined, so the product's SE is infinite
+        product, se = estimate_conditional_inner_product(
             np.array([1.0]), lambda rng, n: -np.ones(n), 100, np.random.default_rng(0)
         )
-        assert est.degenerate
-        assert est.prob_event == 0.0
-        assert est.product == 0.0
-        assert math.isinf(est.standard_error)
-        assert est.complement_mean == pytest.approx(-1.0)
+        assert product == 0.0
+        assert math.isinf(se)
 
     def test_ties_count_into_event(self):
-        est = estimate_conditional_inner_product(
+        # every inner product is 0: E occurs on each draw, so the SE is finite
+        product, se = estimate_conditional_inner_product(
             np.array([1.0]), lambda rng, n: np.zeros(n), 50, np.random.default_rng(0)
         )
-        assert est.prob_event == 1.0
-        assert est.product == 0.0
-        assert not est.degenerate
+        assert (product, se) == (0.0, 0.0)
 
     def test_vector_gradient(self):
         grad = np.array([0.6, -0.8])
@@ -172,8 +166,11 @@ class TestEstimateConditionalInnerProduct:
         def draw(rng, n):
             return grad + 0.5 * rng.standard_normal((n, 2))
 
-        est = estimate_conditional_inner_product(grad, draw, 30000, np.random.default_rng(8))
-        assert abs(est.mean_inner - 1.0) <= 4.0 * est.mean_inner_se
+        # grad . g ~ N(||grad||^2, (0.5 ||grad||)^2) with ||grad|| = 1
+        product, se = estimate_conditional_inner_product(
+            grad, draw, 30000, np.random.default_rng(8)
+        )
+        assert abs(product - gaussian_conditional_product(1.0, 0.5)) <= 4.0 * se
 
     def test_validation(self):
         rng = np.random.default_rng(0)
@@ -275,11 +272,11 @@ class TestLemma1Rhs:
             lemma1_rhs(StepCase.CASE1, 1.0, 0.1, self.PARAMS, 0.0, m1=1.0, m2=1.0)
 
 
-def reference_theorem1() -> TheoremConstants:
+def reference_theorem1() -> FixedStepsizeConstants:
     """Frozen 1-d quadratic setup: c = L = 1, sigma = 0.1, alpha = 0.5."""
     params = TrishParams(gamma1=2.0, gamma2=1.9)
     h1, h2 = GaussianOracle.constant(0.1).assumption_pair()
-    return TheoremConstants.for_fixed_stepsize(
+    return FixedStepsizeConstants.for_fixed_stepsize(
         params,
         h1=h1,
         h2=h2,
@@ -308,7 +305,7 @@ class TestTheoremConstants:
         params = TrishParams(gamma1=2.0, gamma2=0.02)
         h1, h2 = GaussianOracle.constant(0.1).assumption_pair()
         with pytest.raises(HypothesisError) as exc_info:
-            TheoremConstants.for_fixed_stepsize(
+            FixedStepsizeConstants.for_fixed_stepsize(
                 params, h1, h2, 1.0, 1.0, 0.01, 1.0, 0.1, 0.5
             )
         assert exc_info.value.condition == "gamma_ratio"
@@ -318,7 +315,7 @@ class TestTheoremConstants:
         params = TrishParams(gamma1=2.0, gamma2=1.9)
         h1, h2 = GaussianOracle.constant(0.1).assumption_pair()
         with pytest.raises(HypothesisError) as exc_info:
-            TheoremConstants.for_fixed_stepsize(
+            FixedStepsizeConstants.for_fixed_stepsize(
                 params, h1, h2, 1.0, 1.0, 0.01, 1.0, 0.6, 0.5
             )
         assert exc_info.value.condition == "stepsize_cap"
@@ -328,7 +325,7 @@ class TestTheoremConstants:
         params = TrishParams(gamma1=1e308, gamma2=1e307)
         h1, h2 = GaussianOracle.constant(0.1).assumption_pair()
         with pytest.raises(HypothesisError, match=r"stepsize cap 1/\(2 c theta1\) rounds to 0"):
-            TheoremConstants.for_fixed_stepsize(
+            FixedStepsizeConstants.for_fixed_stepsize(
                 params, h1, h2, 1e300, 1.0, 0.01, 1.0, None, 0.5
             )
 
@@ -340,11 +337,11 @@ class TestTheoremConstants:
     def test_no_alpha_takes_the_cap(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
         h1, h2 = GaussianOracle.constant(0.1).assumption_pair()
-        tc1 = TheoremConstants.for_fixed_stepsize(
+        tc1 = FixedStepsizeConstants.for_fixed_stepsize(
             params, h1, h2, 1.0, 1.0, 0.01, 1.0, None, 0.5
         )
         assert tc1 == reference_theorem1()
-        tc4 = TheoremConstants.for_fixed_stepsize(
+        tc4 = FixedStepsizeConstants.for_fixed_stepsize(
             params, h1, h2, None, 16.0, 0.01, 1.0, None, 3.12
         )
         assert tc4.alpha == 1.0 / 32.0
@@ -354,7 +351,7 @@ class TestTheoremConstants:
         params = TrishParams(gamma1=0.2, gamma2=0.04)
         h3, h4 = GaussianOracle.coupled(1.0).assumption_pair(40.0 / 1001.0)
         with pytest.raises(HypothesisError) as exc_info:
-            TheoremConstants.for_harmonic_stepsize(
+            HarmonicStepsizeConstants.for_harmonic_stepsize(
                 params, h3, h4, 1.0, 1.0, 0.01, 1.0, a=10.0, b=1000.0,
                 f_gap_initial=1.0,
             )
@@ -363,7 +360,7 @@ class TestTheoremConstants:
     def test_theorem2_reference_constants(self):
         params = TrishParams(gamma1=0.2, gamma2=0.04)
         h3, h4 = GaussianOracle.coupled(1.0).assumption_pair(40.0 / 1001.0)
-        tc = TheoremConstants.for_harmonic_stepsize(
+        tc = HarmonicStepsizeConstants.for_harmonic_stepsize(
             params, h3, h4, 1.0, 1.0, 0.01, 1.0, a=40.0, b=1000.0,
             f_gap_initial=259.92,
         )
@@ -379,7 +376,7 @@ class TestTheoremConstants:
     def test_theorem3_reference_constants(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
         h5, h6 = GaussianOracle.geometric(0.04, 0.25).assumption_pair()
-        tc = TheoremConstants.for_geometric_noise(
+        tc = GeometricNoiseConstants.for_geometric_noise(
             params, h5, h6, 0.25, 1.0, 1.0, m3=0.04, alpha=0.45,
             f_gap_initial=0.5,
         )
@@ -395,12 +392,12 @@ class TestTheoremConstants:
         # at c = 2 the contraction 1 - alpha c kappa1 ~ 0.11 drops below lam = sqrt(0.25)
         params = TrishParams(gamma1=2.0, gamma2=1.9)
         h5, h6 = GaussianOracle.geometric(0.04, 0.25).assumption_pair()
-        tc = TheoremConstants.for_geometric_noise(
+        tc = GeometricNoiseConstants.for_geometric_noise(
             params, h5, h6, 0.25, 2.0, 1.0, m3=0.04, alpha=None, f_gap_initial=0.5
         )
         assert tc.rho == 0.5
         with pytest.raises(ValueError, match=r"zeta must lie in \(0, 1\), got 1.0"):
-            TheoremConstants.for_geometric_noise(
+            GeometricNoiseConstants.for_geometric_noise(
                 params, h5, h6, 1.0, 2.0, 1.0, m3=0.04, alpha=None, f_gap_initial=0.5
             )
 
@@ -408,13 +405,13 @@ class TestTheoremConstants:
         # gamma1**2 overflows a float here; the constants it enters do not
         params = TrishParams(gamma1=1e300, gamma2=1e299)
         h1, h2 = GaussianOracle.constant(0.1).assumption_pair()
-        tc = TheoremConstants.for_fixed_stepsize(
+        tc = FixedStepsizeConstants.for_fixed_stepsize(
             params, h1, h2, 1.0, 1.0, 100.0, 1.0, None, 0.5
         )
         assert tc.alpha == pytest.approx(1e-300, rel=1e-14, abs=0.0)
         assert tc.theta2 == pytest.approx(0.5 * 100.0 * (1e300 * tc.alpha) ** 2, rel=1e-14)
         h5, h6 = GaussianOracle.geometric(0.04, 0.25).assumption_pair()
-        tc3 = TheoremConstants.for_geometric_noise(
+        tc3 = GeometricNoiseConstants.for_geometric_noise(
             params, h5, h6, 0.25, 1.0, 1.0, m3=0.04, alpha=None, f_gap_initial=0.5
         )
         margin = 1e300 - h6 * 9e299
@@ -426,7 +423,7 @@ class TestTheoremConstants:
     def test_theorem4_skips_pl_requirement(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
         h1, h2 = GaussianOracle.constant(0.1).assumption_pair()
-        tc = TheoremConstants.for_fixed_stepsize(
+        tc = FixedStepsizeConstants.for_fixed_stepsize(
             params, h1, h2, pl_constant=None, smoothness=16.0, m1=0.01, m2=1.0,
             alpha=1.0 / 32.0, f_gap_initial=3.12,
         )
@@ -436,14 +433,15 @@ class TestTheoremConstants:
     def test_theorem5_accepts_any_harmonic_pair(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
         h3, h4 = GaussianOracle.coupled(1.0).assumption_pair(0.5 / 8.0)
-        tc = TheoremConstants.for_harmonic_stepsize(
+        tc = HarmonicStepsizeConstants.for_harmonic_stepsize(
             params, h3, h4, pl_constant=None, smoothness=8.0, m1=0.01, m2=1.0,
             a=0.5, b=7.0, f_gap_initial=3.12,
         )
         assert tc.theorem_id == 5
-        assert tc.beta1 is not None and tc.beta2 is not None
+        with pytest.raises(ValueError, match="needs a PL constant"):
+            tc.nu
         with pytest.raises(ValueError, match="a > 0"):
-            TheoremConstants.for_harmonic_stepsize(
+            HarmonicStepsizeConstants.for_harmonic_stepsize(
                 params, h3, h4, None, 8.0, 0.01, 1.0, a=-1.0, b=7.0, f_gap_initial=1.0
             )
 
@@ -451,7 +449,7 @@ class TestTheoremConstants:
         params = TrishParams(gamma1=2.0, gamma2=1.9)
         h5, h6 = GaussianOracle.geometric(0.04, 0.25).assumption_pair()
         with pytest.raises(ValueError, match="PL constant"):
-            TheoremConstants.for_geometric_noise(
+            GeometricNoiseConstants.for_geometric_noise(
                 params, h5, h6, 0.25, None, 1.0, m3=0.04, alpha=0.45,
                 f_gap_initial=0.5,
             )
@@ -459,21 +457,44 @@ class TestTheoremConstants:
     def test_common_validation(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
         with pytest.raises(ValueError, match="h constant"):
-            TheoremConstants.for_fixed_stepsize(
+            FixedStepsizeConstants.for_fixed_stepsize(
                 params, -1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 0.1, 0.5
             )
         with pytest.raises(ValueError, match="h2 must exceed 1"):
-            TheoremConstants.for_fixed_stepsize(
+            FixedStepsizeConstants.for_fixed_stepsize(
                 params, 0.1, 0.9, 1.0, 1.0, 1.0, 1.0, 0.1, 0.5
             )
         with pytest.raises(ValueError, match="PL constant"):
-            TheoremConstants.for_fixed_stepsize(
+            FixedStepsizeConstants.for_fixed_stepsize(
                 params, 0.1, 1.1, 0.0, 1.0, 1.0, 1.0, 0.1, 0.5
             )
         with pytest.raises(ValueError, match="gap"):
-            TheoremConstants.for_fixed_stepsize(
+            FixedStepsizeConstants.for_fixed_stepsize(
                 params, 0.1, 1.1, 1.0, 1.0, 1.0, 1.0, 0.1, -0.5
             )
+
+
+CONSTANTS_TYPES = [FixedStepsizeConstants, HarmonicStepsizeConstants, GeometricNoiseConstants]
+
+
+class TestConstantsTypes:
+    @pytest.mark.parametrize("cls", CONSTANTS_TYPES)
+    def test_a_missing_field_is_refused_at_construction(self, cls):
+        with pytest.raises(TypeError, match="missing"):
+            cls(f_gap_initial=1.0)
+
+    @pytest.mark.parametrize("cls", CONSTANTS_TYPES)
+    def test_every_field_is_required_and_only_pl_constant_may_be_none(self, cls):
+        assert all(f.default is MISSING for f in fields(cls))
+        nullable = {f.name for f in fields(cls) if "None" in str(f.type)}
+        assert nullable == (set() if cls is GeometricNoiseConstants else {"pl_constant"})
+
+    @pytest.mark.parametrize("theorem_id", [1, 2, 3, 4, 5])
+    def test_the_theorem_id_is_derived_not_stored(self, theorem_id):
+        tc = verification_setup(theorem_id, n_seeds=2).tc
+        assert tc.theorem_id == theorem_id
+        assert "theorem_id" not in asdict(tc)
+        assert (None in asdict(tc).values()) == (theorem_id in (4, 5))
 
 
 class TestBounds:
@@ -493,7 +514,7 @@ class TestBounds:
     def test_theorem2_decay(self):
         params = TrishParams(gamma1=0.2, gamma2=0.04)
         h3, h4 = GaussianOracle.coupled(1.0).assumption_pair(40.0 / 1001.0)
-        tc = TheoremConstants.for_harmonic_stepsize(
+        tc = HarmonicStepsizeConstants.for_harmonic_stepsize(
             params, h3, h4, 1.0, 1.0, 0.01, 1.0, a=40.0, b=1000.0,
             f_gap_initial=259.92,
         )
@@ -503,7 +524,7 @@ class TestBounds:
     def test_theorem3_geometric_decay(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
         h5, h6 = GaussianOracle.geometric(0.04, 0.25).assumption_pair()
-        tc = TheoremConstants.for_geometric_noise(
+        tc = GeometricNoiseConstants.for_geometric_noise(
             params, h5, h6, 0.25, 1.0, 1.0, m3=0.04, alpha=0.45,
             f_gap_initial=0.5,
         )
@@ -513,7 +534,7 @@ class TestBounds:
     def test_theorem4_average_is_total_over_k(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
         h1, h2 = GaussianOracle.constant(0.1).assumption_pair()
-        tc = TheoremConstants.for_fixed_stepsize(
+        tc = FixedStepsizeConstants.for_fixed_stepsize(
             params, h1, h2, None, 16.0, 0.01, 1.0, alpha=1.0 / 32.0, f_gap_initial=3.12
         )
         denom = tc.alpha * tc.theta1
@@ -523,7 +544,7 @@ class TestBounds:
     def test_theorem5_matches_manual_prefix_sum(self):
         params = TrishParams(gamma1=2.0, gamma2=1.9)
         h3, h4 = GaussianOracle.coupled(1.0).assumption_pair(0.5 / 8.0)
-        tc = TheoremConstants.for_harmonic_stepsize(
+        tc = HarmonicStepsizeConstants.for_harmonic_stepsize(
             params, h3, h4, None, 8.0, 0.01, 1.0, a=0.5, b=7.0, f_gap_initial=3.12
         )
         k = 7
@@ -534,8 +555,6 @@ class TestBounds:
 
     def test_dispatcher_validation(self):
         tc = reference_theorem1()
-        with pytest.raises(ValueError, match="unknown theorem"):
-            theorem_bound(TheoremConstants(theorem_id=6, f_gap_initial=0.5), 1)
         with pytest.raises(ValueError, match="1-based"):
             theorem_bound(tc, 0)
         with pytest.raises(ValueError, match="1-based"):
@@ -570,40 +589,38 @@ class TestBounds:
 # constant's recipe, however small, shows up here.
 PINNED_GUARANTEES = {
     1: (
-        TheoremConstants(
-            theorem_id=1, f_gap_initial=0.5, alpha=0.5, pl_constant=1.0,
-            theta1=0.9490026442989964, theta2=0.1259973557010036,
+        FixedStepsizeConstants(
+            f_gap_initial=0.5, alpha=0.5, theta1=0.9490026442989964,
+            theta2=0.1259973557010036, pl_constant=1.0,
         ),
         {1: 0.5, 2: 0.1514960335515054, 10: 0.13276818189994366, 200: 0.13276818189908687},
     ),
     2: (
-        TheoremConstants(
-            theorem_id=2, f_gap_initial=259.92, pl_constant=1.0,
-            beta1=0.019362330021336374, beta2=0.5319153824321146, nu=260179.92,
-            a=40.0, b=1000.0,
+        HarmonicStepsizeConstants(
+            f_gap_initial=259.92, a=40.0, b=1000.0, beta1=0.019362330021336374,
+            beta2=0.5319153824321146, pl_constant=1.0,
         ),
         {1: 259.92, 2: 259.6605988023952, 10: 257.6038811881188, 500: 173.45328},
     ),
     3: (
-        TheoremConstants(
-            theorem_id=3, f_gap_initial=0.5, alpha=0.45, pl_constant=1.0,
-            kappa1=0.9480052885979928, kappa2=0.03998942280401434, omega=0.5,
-            rho=0.5733976201309032,
+        GeometricNoiseConstants(
+            f_gap_initial=0.5, alpha=0.45, pl_constant=1.0, kappa1=0.9480052885979928,
+            kappa2=0.03998942280401434, omega=0.5, rho=0.5733976201309032,
         ),
         {1: 0.5, 2: 0.2866988100654516, 10: 0.003350217317009693, 100: 6.110865529154551e-25},
     ),
     4: (
-        TheoremConstants(
-            theorem_id=4, f_gap_initial=3.1242202548207136, alpha=0.0625,
-            theta1=0.9490026442989964, theta2=0.01574966946262545,
+        FixedStepsizeConstants(
+            f_gap_initial=3.1242202548207136, alpha=0.0625, theta1=0.9490026442989964,
+            theta2=0.01574966946262545, pl_constant=None,
         ),
         {1: 52.93928219309026, 2: 26.602409278444213, 10: 5.532910946727382,
          200: 0.5289050929446342},
     ),
     5: (
-        TheoremConstants(
-            theorem_id=5, f_gap_initial=3.1242202548207136,
-            beta1=0.9493766526868728, beta2=4.019947114020072, a=0.5, b=7.0,
+        HarmonicStepsizeConstants(
+            f_gap_initial=3.1242202548207136, a=0.5, b=7.0, beta1=0.9493766526868728,
+            beta2=4.019947114020072, pl_constant=None,
         ),
         {1: 3.307352423664959, 2: 3.320421255876031, 10: 3.3712741704239026,
          5000: 3.4315363547093494},
@@ -623,39 +640,5 @@ class TestPinnedGuarantees:
         for k, value in expected_bounds.items():
             assert theorem_bound(setup.tc, k) == value
 
-
-class TestSgComparisonBound:
-    def test_frozen_value(self):
-        value = sg_comparison_bound(1.25, 1.0, h1=1.0, h2=1.25, pl_constant=1.0, m2=1.0)
-        assert value == pytest.approx(0.6933333333333334, rel=1e-12)
-
-    def test_boundary_equality_with_sg_plateau(self):
-        # at gamma2 = sqrt(8/(5 M1)) with gamma1 = 1.25 gamma2 the value
-        # lands exactly on the plain-SG plateau M1/(2c)
-        m1 = 4.0
-        gamma2 = math.sqrt(8.0 / (5.0 * m1))
-        value = sg_comparison_bound(
-            1.25 * gamma2, gamma2, h1=4.0, h2=1.0, pl_constant=1.0, m2=1.0
-        )
-        assert value == pytest.approx(m1 / 2.0, rel=1e-12)
-
-    def test_strict_improvement_above_boundary(self):
-        m1 = 4.0
-        gamma2 = 1.1 * math.sqrt(8.0 / (5.0 * m1))
-        value = sg_comparison_bound(
-            1.25 * gamma2, gamma2, h1=4.0, h2=1.0, pl_constant=1.0, m2=1.0
-        )
-        assert value < m1 / 2.0
-
-    def test_equal_gammas_collapse_to_scaled_sg(self):
-        value = sg_comparison_bound(1.0, 1.0, h1=1.0, h2=1.25, pl_constant=1.0, m2=1.0)
-        assert value == pytest.approx(0.5, rel=1e-14)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sg_comparison_bound(1.0, 2.0, 1.0, 1.25, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            sg_comparison_bound(2.0, 1.0, 1.0, 0.5, 1.0, 1.0)
-        with pytest.raises(HypothesisError) as exc_info:
-            sg_comparison_bound(2.0, 0.5, 1.0, 2.0, 1.0, 1.0)
-        assert exc_info.value.condition == "gamma_ratio"
+    def test_derived_nu_is_exact(self):
+        assert verification_setup(2, n_seeds=2).tc.nu == 260179.92
