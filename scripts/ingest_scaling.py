@@ -1,13 +1,19 @@
-"""Time load_libsvm on generated wide LIBSVM files of growing size.
+"""Time load_libsvm, and the sparse gather, on generated wide LIBSVM files.
 
 For each row count, perfbench/gen_wide.py writes a file under a fresh
 temporary directory, and a new Python process loads it once with
-trish.ingest.load_libsvm.  Each size prints one row: the file's rows
-and MB, the load's seconds, lines/s and MB/s, and the peak RSS
-(ru_maxrss) of the process that loaded it.  The file is deleted before
-the next size is written.  trish imports scipy.sparse on first use, so
-the child imports it before its timer starts: the seconds are the
-parse's, not the import's.
+trish.ingest.load_libsvm.  Each size prints one row: the file's rows and
+MB, the load's seconds, lines/s and MB/s, the peak RSS (ru_maxrss) of
+the process that loaded it, read before anything else runs, and
+gather_us, the microseconds per sparse LogisticProblem.block_gradient
+call on the loaded data at one point, one seed and a batch of 100 (the
+mean of 1000 calls, timed in the same process after the load).  The file
+is deleted before the next size is written.  The file is written by a
+process of its own as well: on Linux a child's ru_maxrss starts at its
+parent's peak, so a parent that held a generated file in memory would
+report that peak as the load's.  trish imports scipy.sparse and
+scipy.special on first use, so the child imports them before its timer
+starts: the seconds are the parse's, not the import's.
 
     python scripts/ingest_scaling.py               # 1e5, 3e5 and 1e6 rows
     python scripts/ingest_scaling.py --rows 2000   # a quick check
@@ -24,44 +30,65 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-import gen_wide  # noqa: E402
-
 SEED = 1  # gen_wide's seed for every size
 
+_GENERATE = """
+import sys, gen_wide
+gen_wide.generate(sys.argv[1], int(sys.argv[2]), int(sys.argv[3]))
+"""
+
 # Run in a new process, so that its peak RSS is the load's alone.
-_CHILD = """
+_LOAD = """
 import json, resource, sys, time
-import scipy.sparse
+import numpy as np
+import scipy.sparse, scipy.special
+from trish import problems
 from trish.ingest import load_libsvm
 start = time.perf_counter()
 data, _ = load_libsvm(sys.argv[1])
 seconds = time.perf_counter() - start
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"rows": len(data), "seconds": seconds, "peak_rss_mb": peak_kb / 1024}))
+problems._DENSE_GATHER_BYTES = 0  # the sparse gather at every size, as from ~110 rows up
+problem = problems.LogisticProblem(data.features, data.labels)
+W = np.zeros((1, data.features.shape[1]))
+draws = np.random.default_rng(0).integers(len(data), size=(1000, 1, 100))
+start = time.perf_counter()
+for indices in draws:
+    problem.block_gradient(indices, W)
+gather_us = (time.perf_counter() - start) / len(draws) * 1e6
+print(json.dumps({
+    "rows": len(data), "seconds": seconds, "peak_rss_mb": peak_kb / 1024, "gather_us": gather_us
+}))
 """
 
 
-def load_once(path: str) -> dict:
-    """Rows, seconds and peak RSS of one load_libsvm(path) in a new process."""
-    pythonpath = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+def _python(code: str, *args: str) -> str:
+    """The stdout of `code` run with `args` in a new process that sees src/ and perfbench/."""
+    pythonpath = [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
     child = subprocess.run(
-        [sys.executable, "-c", _CHILD, path], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
     )
-    return json.loads(child.stdout)
+    return child.stdout
+
+
+def load_once(path: str) -> dict:
+    """Rows, seconds, peak RSS and gather_us of one load_libsvm(path) in a new process."""
+    return json.loads(_python(_LOAD, path))
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rows", type=int, nargs="+", default=[100_000, 300_000, 1_000_000])
     args = parser.parse_args(argv)
-    print(f"{'rows':>9} {'MB':>8} {'seconds':>8} {'lines/s':>9} {'MB/s':>6} {'peak_rss_mb':>11}")
+    print(
+        f"{'rows':>9} {'MB':>8} {'seconds':>8} {'lines/s':>9} {'MB/s':>6} {'peak_rss_mb':>11} "
+        f"{'gather_us':>9}"
+    )
     with tempfile.TemporaryDirectory(prefix="ingest-scaling-") as tmp:
         for rows in args.rows:
             path = os.path.join(tmp, f"wide-{rows}.libsvm")
-            gen_wide.generate(path, rows, SEED)
+            _python(_GENERATE, path, str(rows), str(SEED))
             mb = os.path.getsize(path) / 1e6
             load = load_once(path)
             os.remove(path)
@@ -70,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
             seconds = load["seconds"]
             print(
                 f"{rows:>9} {mb:>8.1f} {seconds:>8.3f} {rows / seconds:>9.0f} "
-                f"{mb / seconds:>6.1f} {load['peak_rss_mb']:>11.1f}",
+                f"{mb / seconds:>6.1f} {load['peak_rss_mb']:>11.1f} {load['gather_us']:>9.1f}",
                 flush=True,
             )
     return 0

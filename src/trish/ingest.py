@@ -8,20 +8,25 @@ position; silent repairs (duplicate indices, reordered indices,
 non-finite values) are refused on purpose, since they usually mean the
 file is not what the user thinks it is.
 
-Lines are read in blocks of 256 (_BLOCK_LINES) into four flat arrays
-(labels, row pointers, 0-based columns, values) that become one
-LibsvmData: the labels and one CSR matrix.  A plain block, ASCII lines
-that are each blank or a label and index:value pairs of digits, signs,
-'.', 'e' and 'E' separated by spaces, tabs or carriage returns, is
-parsed with numpy in one pass.  Every other block goes through the line
-parser, and so does a plain block whose numbers fail a check: a
-non-finite number, an index below 1 or from 2^53 up, indices that do
-not rise within a row.  The line parser is the reference: both paths give
-the same arrays, and only the line parser reports errors, so the first
-error in file order is the one reported, at its exact position.  Memory
-is one 256-line block plus the four flat arrays, with no object per
-example, and time is linear in the input size.  Each file is read once;
-a byte that is not UTF-8 is an error like any other.
+Lines are read in blocks of 256 (_BLOCK_LINES).  Each block is parsed
+into four block-local buffers (labels, row ends, 0-based columns,
+values), which are then appended to the file's four flat arrays; these
+become one LibsvmData: the labels and one CSR matrix.  The file's
+columns are int32, the index type scipy itself picks, so the matrix
+wraps them without a copy; they widen once to int64 when an index
+passes 2^31 - 1.  A plain block, ASCII lines that are each blank or a
+label and index:value pairs of digits, signs, '.', 'e' and 'E'
+separated by spaces, tabs or carriage returns, is parsed with numpy in
+one pass, its numbers converted by numpy's C text reader.  Every other
+block goes through the line parser, and so does a plain block whose
+numbers fail a check: a token the reader refuses, a non-finite number,
+an index below 1 or from 2^53 up, indices that do not rise within a
+row.  The line parser is the reference: both paths give the same
+arrays, and only the line parser reports errors, so the first error in
+file order is the one reported, at its exact position.  Memory is one
+256-line block plus the four flat arrays, with no object per example,
+and time is linear in the input size.  Each file is read once; a byte
+that is not UTF-8 is an error like any other.
 """
 
 from __future__ import annotations
@@ -46,18 +51,23 @@ __all__ = [
 
 _TOKEN = re.compile(r"\S+")
 _INDEX = re.compile(r"[0-9]+\Z")
-_INDEX_MAX = str(2**63 - 1)  # columns are int64
+_INDEX_MAX = str(2**63 - 1)  # the largest index; every column fits an int64
+_INT32_MAX = 2**31 - 1  # the file's columns are int32 while no index passes it
 # a byte that is not UTF-8, as the surrogateescape handler decodes it
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
 _BLOCK_LINES = 256  # the lines parsed at once; bounds the token strings alive
 # A plain block: each line blank or `label index:value ...`, every line
 # ending in '\n'.  A line can match in one way only, so a failed match
-# backtracks in linear time.
+# backtracks in linear time.  Each line is matched inside a lookahead and
+# then consumed by backreference, which makes it atomic: the re engine
+# drops a line's backtracking state once it matches, where it would keep
+# ~150 bytes per pair to the end of the block (1.4 MB for a gen_wide block).
 _PLAIN = re.compile(
-    r"(?:[ \t\r]*(?:[-+.0-9eE]+(?:[ \t\r]+[0-9]+:[-+.0-9eE]+)*[ \t\r]*)?\n)*"
+    r"(?:(?=([ \t\r]*(?:[-+.0-9eE]+(?:[ \t\r]+[0-9]+:[-+.0-9eE]+)*[ \t\r]*)?\n))\1)*"
 )
 _EXACT_INDEX = 2.0**53  # every integer below it is exact as a float
+_TO_SPACES = str.maketrans(":\n\r", "   ")  # a plain block as one line of numbers
 
 
 class ParseError(ValueError):
@@ -185,16 +195,20 @@ def _parse_plain(block: list[str], out: tuple[array, ...]) -> int | None:
     text = _joined(block)
     if text is None or not text.isascii() or not _PLAIN.fullmatch(text):
         return None
-    try:
-        numbers = np.array(text.replace(":", " ").split(), dtype=float)
-    except ValueError:  # a token that float() refuses, such as '.' or '1-2'
-        return None
+    spaced = text.translate(_TO_SPACES)
+    numbers = np.empty(0)
+    if not spaced.isspace():  # loadtxt warns on a block with no number
+        try:
+            numbers = np.loadtxt([spaced], dtype=float, comments=None, ndmin=1)
+        except ValueError:  # a token that float() refuses, such as '.' or '1-2'
+            return None
     raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     starts = np.concatenate(([0], np.flatnonzero(raw[:-1] == ord("\n")) + 1))
     # the regex leaves only separators at or below ' ', so a line with a
     # byte above it has a label, and each ':' is one index:value pair
     has_label = np.logical_or.reduceat(raw > ord(" "), starts)
-    pairs = np.add.reduceat(raw == ord(":"), starts, dtype=np.int64)[has_label]
+    colons = np.flatnonzero(raw == ord(":"))
+    pairs = np.diff(np.searchsorted(colons, np.append(starts, raw.size)))[has_label]
     row_ends = np.cumsum(pairs)
     row_starts = row_ends - pairs
     n_pairs = int(pairs.sum())
@@ -217,6 +231,26 @@ def _parse_plain(block: list[str], out: tuple[array, ...]) -> int | None:
     return int(index.max()) if n_pairs else 0
 
 
+def _append(block: tuple[array, ...], out: list[array]) -> None:
+    """Append a block's four buffers to the file's in `out`: its row ends
+    shifted past the file's columns, its columns cast to their type."""
+    labels, indptr, columns, values = out
+    block_labels, row_ends, block_columns, block_values = block
+    labels.extend(block_labels)
+    indptr.frombytes((np.frombuffer(row_ends, dtype=np.int64) + len(columns)).tobytes())
+    columns.frombytes(
+        np.frombuffer(block_columns, dtype=np.int64).astype(columns.typecode).tobytes()
+    )
+    values.extend(block_values)
+
+
+def _widened(columns: array) -> array:
+    """The int32 columns as int64."""
+    wide = array("q")
+    wide.frombytes(np.frombuffer(columns, dtype=np.int32).astype(np.int64).tobytes())
+    return wide
+
+
 def parse_libsvm(lines: Iterable[str]) -> tuple[LibsvmData, int]:
     """Parse an iterable of text lines; returns (data, max_index).
 
@@ -226,21 +260,27 @@ def parse_libsvm(lines: Iterable[str]) -> tuple[LibsvmData, int]:
     that is not UTF-8, as errors="surrogateescape" decodes it, is a
     ParseError on any line, comment lines included.
     """
-    out = labels, indptr, columns, values = array("d"), array("q", [0]), array("q"), array("d")
+    # the file's labels, row pointers, columns and values
+    out = [array("d"), array("q", [0]), array("i"), array("d")]
     max_index = 0
     lines = iter(lines)
     lineno = 1
     while block := list(islice(lines, _BLOCK_LINES)):
-        block_max = _parse_plain(block, out)
+        block_out = array("d"), array("q"), array("q"), array("d")
+        block_max = _parse_plain(block, block_out)
         if block_max is None:
-            block_max = _parse_lines(block, lineno, out)
+            block_max = _parse_lines(block, lineno, block_out)
+        if block_max > _INT32_MAX >= max_index:
+            out[2] = _widened(out[2])
         max_index = max(max_index, block_max)
+        _append(block_out, out)
         lineno += len(block)
     # scipy is imported only in the functions that build a CSR matrix or call
     # expit, so that verify and the synthetic problems never load it.
     import scipy.sparse as sp
 
-    # scipy and numpy wrap the buffers without copying them
+    labels, indptr, columns, values = out
+    # scipy and numpy wrap the buffers without copying them, bar the row pointers
     features = sp.csr_matrix((values, columns, indptr), shape=(len(labels), max_index))
     return LibsvmData(labels, features), max_index
 

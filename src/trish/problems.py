@@ -247,8 +247,11 @@ class LogisticProblem:
         Row p*S + i of W takes seed i's mini-batch, row i of the (S, b)
         indices, duplicates counted.  The gather is dense while the
         matrix and the batch fit in _DENSE_GATHER_BYTES, else sparse.
+        The sparse gather takes the drawn rows' stored entries once and
+        sums margins and gradients with np.bincount, one point at a time,
+        so its temporaries grow with the entries drawn, not P times them;
+        bincount adds in entry order, as the CSR products did.
         """
-        import scipy.sparse as sp
         from scipy.special import expit
 
         indices = np.asarray(indices)
@@ -261,17 +264,19 @@ class LogisticProblem:
         if (self.n_components + indices.size) * d * 8 <= _DENSE_GATHER_BYTES:
             rows = self._dense_features[indices]
             coeff = -y * expit(-y * np.einsum("sbd,psd->psb", rows, W3))
-            grad = np.einsum("psb,sbd->psd", coeff, rows)
-        else:
-            rows = self.features[indices.ravel()]
-            # Seed i's rows act on columns i*d .. (i+1)*d - 1 of the stacked iterates.
-            shift = np.repeat(np.arange(S * b) // b * d, np.diff(rows.indptr))
-            rows = sp.csr_matrix((rows.data, rows.indices + shift, rows.indptr), (S * b, S * d))
-            stacked = W3.transpose(1, 2, 0).reshape(S * d, -1)
-            y = y.reshape(-1, 1)
-            coeff = -y * expit(-y * (rows @ stacked))
-            grad = (rows.T @ coeff).reshape(S, d, -1).transpose(2, 0, 1)
-        return grad.reshape(-1, d) / b
+            return np.einsum("psb,sbd->psd", coeff, rows).reshape(-1, d) / b
+        f, drawn, y = self.features, indices.ravel(), y.ravel()
+        starts, counts = f.indptr[drawn], f.indptr[drawn + 1] - f.indptr[drawn]
+        owner = np.repeat(np.arange(S * b), counts)  # the drawn row of each entry
+        entries = np.arange(owner.size) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+        vals = f.data[entries]
+        # Seed i's rows act on entries i*d .. (i+1)*d - 1 of a point's S*d iterates.
+        flat = owner // b * d + f.indices[entries]
+        grad = np.empty((W3.shape[0], S * d))
+        for w, out in zip(W3.reshape(-1, S * d), grad):
+            coeff = -y * expit(-y * np.bincount(owner, vals * w[flat], minlength=S * b))
+            np.divide(np.bincount(flat, vals * coeff[owner], minlength=S * d), b, out=out)
+        return grad.reshape(-1, d)
 
     def finite_loss_rows(self, W: np.ndarray) -> np.ndarray:
         """Which rows of the block W the margin bound proves a finite train loss.

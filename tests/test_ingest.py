@@ -7,6 +7,8 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +46,14 @@ def line_path():
     """Run a class's tests on the line parser alone."""
     with _line_parser_only():
         yield
+
+
+def _gen_wide():
+    """perfbench/gen_wide.py, the generator of the benchmark's wide files."""
+    spec = importlib.util.spec_from_file_location("gen_wide", ROOT / "perfbench" / "gen_wide.py")
+    gen_wide = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_wide)
+    return gen_wide
 
 
 def _outcome(lines):
@@ -451,6 +461,7 @@ class TestBlockPath:
             _plain_lines(600, end="\r\n"),
             _plain_lines(599, end="\n") + [_PLAIN_LINE],  # no final newline
             _plain_lines(300, at=5, line="  \t ") + ["1", "\t-2.5  3:1\t"],
+            _plain_lines(2, end="\n") + ["\n"] * 600,  # all-blank blocks
         ):
             assert parse_libsvm(lines)[1] == 19
 
@@ -508,22 +519,78 @@ class TestBlockPath:
 
     @pytest.mark.parametrize(
         "line",
-        ["1 3:1 2:1", "1 2:1 2:2", "1 0:1", ". 1:1", "1 1:1-2", "1 1:.", "1 1:1:2", "11:1"],
+        [
+            "1 3:1 2:1", "1 2:1 2:2", "1 0:1", ". 1:1", "1 1:1-2", "1 1:.", "1 1:1:2", "11:1",
+            # numbers float() refuses, so numpy's C reader must refuse them too
+            "1 1:1e", "1 1:e5", "1 1:+", "1 1:1e5e", "1 1:--1",
+        ],
     )
     def test_plain_looking_errors(self, line):
         # errors made only of characters a plain block may hold
         got = _assert_same_as_line_parser(_plain_lines(300, at=258, line=line))
         assert got[0] == 258
 
+    @pytest.mark.parametrize("end", ["", "\n"], ids=["bare", "newline"])
+    def test_run_of_blank_lines(self, end):
+        # lines 257-512 make a block with no number, which loadtxt would warn on
+        lines = _plain_lines(100, end=end) + [end, " \t" + end] * 300 + _plain_lines(100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data, _ = _assert_same_as_line_parser(lines)
+        assert len(data) == 200
+
     def test_generated_wide_file(self, tmp_path):
-        script = ROOT / "perfbench" / "gen_wide.py"
-        spec = importlib.util.spec_from_file_location("gen_wide", script)
-        gen_wide = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gen_wide)
         path = tmp_path / "wide.libsvm"
-        gen_wide.generate(str(path), 3000, seed=3)
+        _gen_wide().generate(str(path), 3000, seed=3)
         with open(path, encoding="utf-8") as handle:
-            _assert_same_as_line_parser(handle.readlines())
+            data, _ = _assert_same_as_line_parser(handle.readlines())
+        assert data.features.indices.dtype == np.int32
+
+
+class TestColumnWidth:
+    """Columns are int32, the index type scipy picks, until an index passes 2^31 - 1."""
+
+    @pytest.mark.parametrize("name", ["train.libsvm", "test.libsvm"])
+    def test_bundled_columns_are_int32(self, name):
+        data, _ = _assert_same_as_line_parser((DATA_DIR / name).read_text().splitlines(True))
+        assert data.features.indices.dtype == data.features.indptr.dtype == np.int32
+
+    @pytest.mark.parametrize(
+        "line, columns, line_parsed",
+        [
+            ("1 2147483648:1 9007199254740991:2", [2**31 - 1, 2**53 - 2], []),
+            ("1 9223372036854775807:1", [2**63 - 2], [513, 769]),  # from 2^53, not plain
+        ],
+        ids=["plain", "line-parser"],
+    )
+    def test_widen_once_past_int32(self, line, columns, line_parsed, monkeypatch):
+        # blocks 1 and 2 (lines 1-512) stay int32; lines 600 and 801, in
+        # blocks 3 and 4, hold indices past 2^31 - 1
+        lines = _plain_lines(900, at=600, line=line)
+        lines[800] = line
+        parsed, widened = [], []
+        parse_lines, widen = ingest._parse_lines, ingest._widened
+
+        def spied_parse_lines(block, first_lineno, out):
+            parsed.append(first_lineno)
+            return parse_lines(block, first_lineno, out)
+
+        def spied_widened(columns):
+            widened.append(len(columns))
+            return widen(columns)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ingest, "_parse_lines", spied_parse_lines)
+            patch.setattr(ingest, "_widened", spied_widened)
+            parse_libsvm(lines)
+        assert parsed == line_parsed
+        assert widened == [512 * 3]
+        data, max_index = _assert_same_as_line_parser(lines)
+        assert max_index == columns[-1] + 1
+        assert data.features.indices.dtype == data.features.indptr.dtype == np.int64
+        plain = [1, 6, 18]  # _PLAIN_LINE's columns
+        want = plain * 599 + columns + plain * 200 + columns + plain * 99
+        assert data.features.indices.tolist() == want
 
 
 class TestIngestScalingScript:
@@ -537,13 +604,30 @@ class TestIngestScalingScript:
             check=True,
         )
         header, row = done.stdout.splitlines()
-        assert header.split() == ["rows", "MB", "seconds", "lines/s", "MB/s", "peak_rss_mb"]
+        assert header.split() == [
+            "rows", "MB", "seconds", "lines/s", "MB/s", "peak_rss_mb", "gather_us"
+        ]
         cells = row.split()
         assert cells[0] == "2000"
         assert all(float(cell) > 0 for cell in cells[1:])
 
 
 class TestParsePerformance:
+    def test_peak_memory_near_the_output(self, tmp_path):
+        # the int32 columns are the matrix's own, so no second copy is held
+        path = tmp_path / "wide.libsvm"
+        _gen_wide().generate(str(path), 10_000, seed=3)
+        with open(path, encoding="utf-8") as handle:
+            tracemalloc.start()
+            try:
+                data, _ = parse_libsvm(handle)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        f = data.features
+        output = data.labels.nbytes + f.indptr.nbytes + f.indices.nbytes + f.data.nbytes
+        assert peak <= 1.4 * output
+
     def test_linear_scaling(self):
         # per-line cost must stay flat as the input grows 4x; a quadratic
         # accumulation bug would show up as a 4x per-line blowup

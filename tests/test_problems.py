@@ -1,5 +1,6 @@
 """Tests for the benchmark objectives and label utilities."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -440,6 +441,28 @@ class TestBlockGradient:
     def test_batch_size_validation(self):
         with pytest.raises(ValueError, match="batch size"):
             self._problem().block_gradient(np.zeros((1, 0), dtype=int), np.zeros((1, 7)))
+
+    def test_sparse_gather_memory_does_not_scale_with_points(self, monkeypatch):
+        # a tune block on wide data: 16 points cost what 1 does plus their
+        # (P*S, d) output, never 16 times the 25000 gathered entries
+        monkeypatch.setattr(problems, "_DENSE_GATHER_BYTES", 0)
+        rng = np.random.default_rng(4)
+        n, d, seeds, batch = 400, 1000, 5, 100
+        features = sp.random(n, d, density=0.05, format="csr", random_state=rng)
+        problem = LogisticProblem(features, np.where(rng.random(n) < 0.5, -1.0, 1.0))
+        indices = rng.integers(0, n, size=(seeds, batch))
+
+        def peak(points):
+            W = rng.normal(size=(points * seeds, d))
+            problem.block_gradient(indices, W)  # any first-call cost is paid here
+            tracemalloc.start()
+            try:
+                problem.block_gradient(indices, W)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(16) <= peak(1) + 16 * seeds * d * 8
 
 
 class TestGradientConsistency:
