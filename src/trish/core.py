@@ -113,11 +113,11 @@ def _trish_step_batch(
     norms = np.linalg.norm(G, axis=1)
     case1 = norms < 1.0 / gamma1
     case3 = norms > 1.0 / gamma2
-    coeff = np.where(
-        case1,
-        gamma1 * alpha,
-        np.where(case3, gamma2 * alpha, alpha / np.where(norms > 0.0, norms, 1.0)),
-    )
+    # A nan norm passes neither test, so its row steps by alpha and turns
+    # nan only where G is nan.  Case 1 goes last, so it wins any overlap.
+    coeff = alpha / np.where(norms > 0.0, norms, 1.0)
+    np.copyto(coeff, gamma2 * alpha, where=case3)
+    np.copyto(coeff, gamma1 * alpha, where=case1)
     cases = 2 - case1 + case3  # 1 below the band, 2 inside, 3 above
     return X - coeff[:, None] * G, cases
 

@@ -72,6 +72,7 @@ _ROW_FIELDS = ("alpha", "gamma1", "gamma2", "schedule_a", "schedule_b")  # see _
 _MAX_BLOCK_BYTES = 1 << 30  # see _check_block
 _MAX_STEPS = 1 << 63  # the case counts are int64
 _TUNE_BLOCK_BYTES = 1 << 26  # see _run_block
+_VERIFY_CHUNK_BYTES = 1 << 18  # see verify_theorem
 
 
 @dataclass(frozen=True)
@@ -588,29 +589,35 @@ def verify_theorem(setup: VerificationSetup, base_seed: int = 0) -> TheoremRepor
     frozen = np.zeros(horizon, dtype=bool)
     cumulative = np.zeros(n_seeds)  # guarantees 4 and 5
     alpha_running = 0.0
-    weighted = np.empty(horizon) if tc.theorem_id == 5 else None
+    alpha_sums = np.empty(horizon)  # guarantee 5: sum of alpha_j over j <= k
+    # Each k's per-seed curve fills one row; every chunk rows, or at the
+    # horizon, the rows are reduced to means and SEs in one call each.
+    chunk = min(horizon, max(1, _VERIFY_CHUNK_BYTES // (8 * n_seeds)))
+    curves = np.empty((chunk, n_seeds))
     grad = None
 
     def observe(done, X):
         # Runs at every k just before the draw, which reuses its gradient.
         nonlocal grad, alpha_running, cumulative
         k = done + 1
+        row = done % chunk
         grad = problem.gradient(X)
         frozen[done] = not np.isfinite(X).all()
         if tc.theorem_id in (1, 2, 3):
-            curve = problem.value(X) - f_star
+            np.subtract(problem.value(X), f_star, out=curves[row])
         elif tc.theorem_id == 4:
             cumulative += np.sum(grad**2, axis=1)
-            curve = cumulative / k
+            np.divide(cumulative, k, out=curves[row])
         else:
             alpha_k = schedule.alpha(k)
             cumulative += alpha_k * np.sum(grad**2, axis=1)
             alpha_running += alpha_k
-            curve = cumulative
-        empirical[done] = curve.mean()
-        ses[done] = standard_error(curve)
-        if weighted is not None:
-            weighted[done] = empirical[done] / alpha_running
+            alpha_sums[done] = alpha_running
+            curves[row] = cumulative
+        if row == chunk - 1 or k == horizon:
+            filled = curves[: row + 1]
+            empirical[k - row - 1 : k] = filled.mean(axis=1)
+            ses[k - row - 1 : k] = standard_error(filled)
 
     def draw(X, k, alpha_k):
         return setup.oracle.sample(grad, k, rng, alpha_k)
@@ -629,7 +636,7 @@ def verify_theorem(setup: VerificationSetup, base_seed: int = 0) -> TheoremRepor
         standard_error=ses,
         bound=bound,
         violated=violated,
-        weighted_average=weighted,
+        weighted_average=empirical / alpha_sums if tc.theorem_id == 5 else None,
     )
 
 

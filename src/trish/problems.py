@@ -126,8 +126,8 @@ class NonconvexPLProblem:
         return float(out) if out.ndim == 0 else out
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return 2.0 * x + 3.0 * np.sin(2.0 * x)
+        t = 2.0 * np.asarray(x, dtype=float)
+        return t + 3.0 * np.sin(t)
 
 
 def logistic_gradient(w: np.ndarray, features: sp.spmatrix, labels: np.ndarray) -> np.ndarray:

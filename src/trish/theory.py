@@ -64,10 +64,16 @@ __all__ = [
 SE_MARGIN = 3.0  # standard errors a mean may sit above its bound and still pass
 
 
-def standard_error(samples: np.ndarray) -> float:
-    """SE of the mean of independent samples, sd/sqrt(n) with ddof=1; 0 for one sample."""
-    n = samples.size
-    return float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+def standard_error(samples: np.ndarray) -> float | np.ndarray:
+    """SE of the mean of the independent samples along the last axis.
+
+    sd/sqrt(n) with ddof=1, and 0 for one sample.  A 1-D input gives a
+    float; an (m, n) input gives the m SEs of its rows, each bitwise equal
+    to the float its row alone gives.
+    """
+    n = samples.shape[-1]
+    se = samples.std(axis=-1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(samples.shape[:-1])
+    return float(se) if samples.ndim == 1 else se
 
 
 def within_margin(mean, se, bound):

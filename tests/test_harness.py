@@ -529,6 +529,64 @@ class TestTrishStepBatch:
             assert cases[r] == row_case[0]
 
 
+def _three_where_step(X, G, alpha, gamma1, gamma2):
+    """The kernel with its coefficient as three nested np.where: the reference
+    the in-place kernel must match bit for bit."""
+    norms = np.linalg.norm(G, axis=1)
+    case1 = norms < 1.0 / gamma1
+    case3 = norms > 1.0 / gamma2
+    coeff = np.where(
+        case1,
+        gamma1 * alpha,
+        np.where(case3, gamma2 * alpha, alpha / np.where(norms > 0.0, norms, 1.0)),
+    )
+    return X - coeff[:, None] * G, 2 - case1 + case3
+
+
+@st.composite
+def _odd_step_blocks(draw):
+    """A block whose samples end in a zero row, a row with one nan and one
+    finite coordinate, rows with +inf and -inf, and rows at each band edge;
+    alpha, gamma1 and gamma2 are scalars or per-row arrays."""
+    dim = draw(st.integers(2, 4))
+    G = draw(arrays(float, (draw(st.integers(0, 6)), dim), elements=st.floats(-10.0, 10.0)))
+    special = np.zeros((6, dim))
+    special[1, 0] = math.nan
+    special[1, 1] = draw(st.floats(-10.0, 10.0))
+    special[2, draw(st.integers(0, dim - 1))] = math.inf
+    special[3, draw(st.integers(0, dim - 1))] = -math.inf
+    G = np.vstack([G, special])
+    rows = len(G)
+    per_row = draw(st.booleans())
+    size = rows if per_row else None
+    gamma2 = draw(arrays(float, size or (), elements=st.floats(0.1, 5.0)))
+    gamma1 = gamma2 * draw(arrays(float, size or (), elements=st.floats(1.01, 10.0)))
+    alpha = draw(arrays(float, size or (), elements=st.floats(0.01, 2.0)))
+    if not per_row:
+        alpha, gamma1, gamma2 = float(alpha), float(gamma1), float(gamma2)
+    # the last two rows sit exactly on their own row's band edges
+    lower = np.broadcast_to(1.0 / gamma1, (rows,))
+    upper = np.broadcast_to(1.0 / gamma2, (rows,))
+    G[-2, draw(st.integers(0, dim - 1))] = lower[-2]
+    G[-1, draw(st.integers(0, dim - 1))] = -upper[-1]
+    X = draw(arrays(float, G.shape, elements=st.floats(-10.0, 10.0)))
+    return X, G, alpha, gamma1, gamma2
+
+
+class TestTrishStepBatchBitwise:
+    @settings(max_examples=200, deadline=None)
+    @given(_odd_step_blocks())
+    def test_equals_the_three_where_coefficient(self, block):
+        with np.errstate(invalid="ignore", over="ignore"):
+            X_next, cases = _trish_step_batch(*block)
+            ref_next, ref_cases = _three_where_step(*block)
+        np.testing.assert_array_equal(X_next, ref_next)  # nan equals nan here
+        np.testing.assert_array_equal(cases, ref_cases)
+        assert list(cases[-6:]) == [1, 2, 3, 3, 2, 2]  # a nan norm steps as the band does
+        # the nan row is nan only in its nan coordinate
+        assert np.isnan(X_next[-5, 0]) and np.isfinite(X_next[-5, 1:]).all()
+
+
 class TestMarch:
     def test_diverging_row_leaves_the_others_alone(self):
         problem = QuadraticProblem(np.ones(2))
@@ -624,6 +682,62 @@ class TestVerifyTheorem:
             verify_theorem(dataclasses.replace(setup, horizon=0))
         with pytest.raises(ValueError, match="two trajectories"):
             verify_theorem(dataclasses.replace(setup, n_seeds=1, horizon=5))
+
+
+class _PoisonedOracle:
+    """A verify setup's oracle whose draw at iteration k turns one row nan."""
+
+    def __init__(self, oracle, k):
+        self.oracle, self.k = oracle, k
+
+    def sample(self, grad, k, rng, alpha_k=None):
+        G = self.oracle.sample(grad, k, rng, alpha_k)
+        if k == self.k:
+            G[1] = math.nan
+        return G
+
+
+def _report_arrays(report):
+    return [report.empirical, report.standard_error, report.violated, report.weighted_average]
+
+
+class TestVerifyChunks:
+    """Mean and SE reduced once per chunk of K steps equal a reduction per step."""
+
+    @pytest.mark.parametrize("theorem_id", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n_seeds", [2, 3, 17])
+    def test_chunk_size_does_not_change_the_report(self, monkeypatch, theorem_id, n_seeds):
+        for horizon in (1, 7, 130):
+            setup = dataclasses.replace(
+                verification_setup(theorem_id, n_seeds=n_seeds), horizon=horizon
+            )
+            default = _report_arrays(verify_theorem(setup, base_seed=5))
+            for chunk in (1, 3):
+                monkeypatch.setattr(harness, "_VERIFY_CHUNK_BYTES", 8 * n_seeds * chunk)
+                chunked = _report_arrays(verify_theorem(setup, base_seed=5))
+                monkeypatch.undo()
+                for got, want in zip(chunked, default):
+                    if want is None:
+                        assert got is None
+                    else:
+                        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("theorem_id", [1, 4, 5])
+    def test_a_row_gone_nan_mid_chunk_is_flagged_from_its_first_k(
+        self, monkeypatch, theorem_id
+    ):
+        setup = dataclasses.replace(verification_setup(theorem_id, n_seeds=17), horizon=10)
+        # the draw at k = 4 makes x_5 nan in row 1; with K = 3, k = 5 is mid-chunk
+        setup = dataclasses.replace(setup, oracle=_PoisonedOracle(setup.oracle, 4))
+        reports = [verify_theorem(setup)]
+        for chunk in (1, 3):
+            monkeypatch.setattr(harness, "_VERIFY_CHUNK_BYTES", 8 * 17 * chunk)
+            reports.append(verify_theorem(setup))
+        for report in reports:
+            assert report.violated.tolist() == [False] * 4 + [True] * 6
+            np.testing.assert_array_equal(report.empirical, reports[0].empirical)
+            assert np.isfinite(report.empirical[:4]).all()
+            assert np.isnan(report.empirical[4:]).all()
 
 
 class TestVerificationSetup:

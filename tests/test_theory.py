@@ -10,6 +10,9 @@ from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import integrate
 
 from trish.core import StepCase, TrishParams
@@ -132,6 +135,24 @@ class TestEstimateConditionalInnerProduct:
         assert abs(large - closed) <= 4.0 * large_se
         # quadrupling n roughly halves the SE
         assert 1.4 <= small_se / large_se <= 2.9
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arrays(
+            float,
+            st.tuples(st.integers(1, 6), st.integers(1, 300)),
+            elements=st.floats(-1e6, 1e6),
+        )
+    )
+    def test_standard_error_of_rows_equals_one_call_per_row(self, samples):
+        ses = standard_error(samples)
+        assert isinstance(ses, np.ndarray) and ses.shape == samples.shape[:1]
+        for row, se in zip(samples, ses):
+            one = standard_error(row)
+            assert type(one) is float
+            assert se == one  # bitwise, not approximately
+        if samples.shape[1] == 1:
+            assert not ses.any()  # one sample has SE 0
 
     def test_standard_error_is_sd_over_root_n(self):
         n = 5000
