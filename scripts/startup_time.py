@@ -2,10 +2,11 @@
 
 Each command runs --repeats times, and the script prints one JSON object:
 for `import trish.cli`, for each `trish verify --theorem N --seeds 2000`,
-for `trish stats` on the bundled training set and for `trish tune` on the
+for `trish stats` on the bundled training set, for a five-seed `trish run`
+on the bundled train and test sets and for `trish tune` on the
 criterion-10 safeguarded grid, the median wall time in seconds and the
 largest peak RSS (the child's own ru_maxrss, from os.wait4) in MB, plus
-the sum of the five verify medians.  The last two are a fresh process's
+the sum of the five verify medians.  The last three are a fresh process's
 first LIBSVM commands, so they include the one-time import of scipy.
 
     python scripts/startup_time.py               # 5 runs of each command
@@ -62,6 +63,9 @@ def main(argv: list[str] | None = None) -> int:
         commands[f"verify_{theorem}"] = ["-m", "trish.cli", "verify", "--theorem", theorem,
                                          "--seeds", "2000"]
     commands["stats"] = ["-m", "trish.cli", "stats", "--dataset", str(DATA / "train.libsvm")]
+    commands["run"] = ["-m", "trish.cli", "run", "--dataset", str(DATA / "train.libsvm"),
+                       "--test-dataset", str(DATA / "test.libsvm"), "--method", "trish",
+                       "--gamma1", "2", "--gamma2", "0.8", "--alpha", "0.5", "--seeds", "5"]
     report = {"python": sys.version.split()[0], "repeats": args.repeats}
     with tempfile.TemporaryDirectory() as work:
         config = Path(work) / "tune.conf"

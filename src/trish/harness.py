@@ -776,10 +776,10 @@ def emit_csv(records: list[RunRecord], path: str) -> None:
 
 def emit_verify_csv(report: TheoremReport, path: str) -> None:
     """Write the bound-check curve, one row per iteration index."""
-    lines = [VERIFY_CSV_HEADER]
-    curves = zip(report.empirical, report.standard_error, report.bound)
-    for k, values, violated in zip(report.k, curves, report.violated):
-        cells = [str(int(k)), *(_fmt(float(v)) for v in values), str(int(violated))]
-        lines.append(",".join(cells))
+    # one format per row; %.9g writes a float as _fmt does
+    columns = (report.k, report.empirical, report.standard_error, report.bound,
+               report.violated)
+    rows = zip(*(column.tolist() for column in columns))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(VERIFY_CSV_HEADER + "\n")
+        handle.writelines("%d,%.9g,%.9g,%.9g,%d\n" % row for row in rows)

@@ -16,17 +16,19 @@ columns are int32, the index type scipy itself picks, so the matrix
 wraps them without a copy; they widen once to int64 when an index
 passes 2^31 - 1.  A plain block, ASCII lines that are each blank or a
 label and index:value pairs of digits, signs, '.', 'e' and 'E'
-separated by spaces, tabs or carriage returns, is parsed with numpy in
-one pass, its numbers converted by numpy's C text reader.  Every other
-block goes through the line parser, and so does a plain block whose
-numbers fail a check: a token the reader refuses, a non-finite number,
-an index below 1 or from 2^53 up, indices that do not rise within a
-row.  The line parser is the reference: both paths give the same
-arrays, and only the line parser reports errors, so the first error in
-file order is the one reported, at its exact position.  Memory is one
-256-line block plus the four flat arrays, with no object per example,
-and time is linear in the input size.  Each file is read once; a byte
-that is not UTF-8 is an error like any other.
+separated by spaces, tabs or carriage returns, is recognised by one
+regex pass (an atomic group of possessive runs, which needs Python
+3.11) and parsed with numpy in one pass, its numbers converted by
+numpy's C text reader.  Every other block goes through the line parser,
+and so does a plain block whose numbers fail a check: a token the
+reader refuses, a non-finite number, an index below 1 or from 2^53 up,
+indices that do not rise within a row.  The line parser is the
+reference: both paths give the same arrays, and only the line parser
+reports errors, so the first error in file order is the one reported,
+at its exact position.  Memory is one 256-line block plus the four flat
+arrays, with no object per example, and time is linear in the input
+size.  Each file is read once; a byte that is not UTF-8 is an error
+like any other.
 """
 
 from __future__ import annotations
@@ -58,13 +60,14 @@ _UNDECODED = re.compile("[\udc80-\udcff]")
 
 _BLOCK_LINES = 256  # the lines parsed at once; bounds the token strings alive
 # A plain block: each line blank or `label index:value ...`, every line
-# ending in '\n'.  A line can match in one way only, so a failed match
-# backtracks in linear time.  Each line is matched inside a lookahead and
-# then consumed by backreference, which makes it atomic: the re engine
-# drops a line's backtracking state once it matches, where it would keep
-# ~150 bytes per pair to the end of the block (1.4 MB for a gen_wide block).
+# ending in '\n'.  Each run of a class is followed by a character the class
+# excludes, so a line can match in one way only and giving back characters
+# never helps: the possessive quantifiers and the atomic group match what
+# greedy ones would, in one pass, and the re engine keeps no backtracking
+# state for a line once it matches, where it would keep ~150 bytes per
+# pair to the end of the block (1.4 MB for a gen_wide block).
 _PLAIN = re.compile(
-    r"(?:(?=([ \t\r]*(?:[-+.0-9eE]+(?:[ \t\r]+[0-9]+:[-+.0-9eE]+)*[ \t\r]*)?\n))\1)*"
+    r"(?>[ \t\r]*+(?:[-+.0-9eE]++(?:[ \t\r]++[0-9]++:[-+.0-9eE]++)*+[ \t\r]*+)?+\n)*+"
 )
 _EXACT_INDEX = 2.0**53  # every integer below it is exact as a float
 _TO_SPACES = str.maketrans(":\n\r", "   ")  # a plain block as one line of numbers

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 import time
@@ -447,8 +448,38 @@ def _plain_lines(n, at=None, line=None, end=""):
     return lines
 
 
+# The plain-block pattern in its greedy form, each line matched inside a
+# lookahead and consumed by backreference: the reference for the language
+# that the atomic, possessive _PLAIN accepts.
+_GREEDY_PLAIN = re.compile(
+    r"(?:(?=([ \t\r]*(?:[-+.0-9eE]+(?:[ \t\r]+[0-9]+:[-+.0-9eE]+)*[ \t\r]*)?\n))\1)*"
+)
+# Lines over the plain alphabet: a label, then pairs, each token valid, a
+# near miss that a wider class would let through, or random, after a run
+# of separators that may be empty.
+_PLAIN_ALPHABET = " \t\r0123456789:+-.eE"
+_near_miss = st.sampled_from(["2:3:4", "1.5:2", "+1:2", "1e1:2", ":4", "3:", ".", "e"])
+_random = st.text(_PLAIN_ALPHABET, min_size=1, max_size=6)
+_label = st.sampled_from(["1", "-1", "+0.5", "2e-3"]) | _near_miss | _random
+_pair = st.sampled_from(["2:7", "10:1e-3", "07:-.5"]) | _near_miss | _near_miss | _random
+_separator = st.sampled_from([" ", "\t", "  ", " \r", ""])
+_plain_line = st.tuples(
+    _separator, _label, st.lists(st.tuples(_separator, _pair), max_size=3), _separator
+).map(lambda t: t[0] + t[1] + "".join(sep + pair for sep, pair in t[2]) + t[3])
+
+
 class TestBlockPath:
     """The block path gives the line parser's arrays and errors, whatever a block holds."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_plain_line | _separator, min_size=1, max_size=4), st.booleans())
+    def test_plain_alphabet_fuzz(self, lines, final_newline):
+        text = "\n".join(lines) + "\n"  # the block as the reader joins it
+        assert bool(ingest._PLAIN.fullmatch(text)) == bool(_GREEDY_PLAIN.fullmatch(text))
+        block = [line + "\n" for line in lines]
+        if not final_newline:
+            block[-1] = lines[-1]
+        _assert_same_as_line_parser(block)
 
     def test_plain_input_never_reaches_the_line_parser(self, monkeypatch):
         def refused(*args):
@@ -523,6 +554,8 @@ class TestBlockPath:
             "1 3:1 2:1", "1 2:1 2:2", "1 0:1", ". 1:1", "1 1:1-2", "1 1:.", "1 1:1:2", "11:1",
             # numbers float() refuses, so numpy's C reader must refuse them too
             "1 1:1e", "1 1:e5", "1 1:+", "1 1:1e5e", "1 1:--1",
+            # indices that a number class would let through
+            "1 1.5:2", "1 +1:2", "1 1e1:2",
         ],
     )
     def test_plain_looking_errors(self, line):
