@@ -11,9 +11,7 @@ mean of 1000 calls, timed in the same process after the load).  The file
 is deleted before the next size is written.  The file is written by a
 process of its own as well: on Linux a child's ru_maxrss starts at its
 parent's peak, so a parent that held a generated file in memory would
-report that peak as the load's.  trish imports scipy.sparse and
-scipy.special on first use, so the child imports them before its timer
-starts: the seconds are the parse's, not the import's.
+report that peak as the load's.
 
     python scripts/ingest_scaling.py               # 1e5, 3e5 and 1e6 rows
     python scripts/ingest_scaling.py --rows 2000   # a quick check
@@ -41,7 +39,6 @@ gen_wide.generate(sys.argv[1], int(sys.argv[2]), int(sys.argv[3]))
 _LOAD = """
 import json, resource, sys, time
 import numpy as np
-import scipy.sparse, scipy.special
 from trish import problems
 from trish.ingest import load_libsvm
 start = time.perf_counter()
@@ -49,8 +46,8 @@ data, _ = load_libsvm(sys.argv[1])
 seconds = time.perf_counter() - start
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 problems._DENSE_GATHER_BYTES = 0  # the sparse gather at every size, as from ~110 rows up
-problem = problems.LogisticProblem(data.features, data.labels)
-W = np.zeros((1, data.features.shape[1]))
+problem = problems.LogisticProblem(data)
+W = np.zeros((1, data.width))
 draws = np.random.default_rng(0).integers(len(data), size=(1000, 1, 100))
 start = time.perf_counter()
 for indices in draws:

@@ -7,7 +7,7 @@ on the bundled train and test sets and for `trish tune` on the
 criterion-10 safeguarded grid, the median wall time in seconds and the
 largest peak RSS (the child's own ru_maxrss, from os.wait4) in MB, plus
 the sum of the five verify medians.  The last three are a fresh process's
-first LIBSVM commands, so they include the one-time import of scipy.
+first LIBSVM commands, so they include the parse of the bundled data.
 
     python scripts/startup_time.py               # 5 runs of each command
     python scripts/startup_time.py --repeats 11

@@ -1,7 +1,8 @@
 """Experiment runner: seeded multi-run trainings, grid tuning, bound checks, CSV.
 
-Reproducibility contract: every stochastic choice flows from
-numpy.random.default_rng(base_seed + seed_index), all seeds share the
+Reproducibility contract: in run and tune, every stochastic choice of
+seed i flows from numpy.random.default_rng(base_seed + i), and verify's
+from one default_rng(base_seed) (see verify_theorem); all seeds share the
 same starting point, and records are emitted in a fixed order, so a
 config run twice produces identical numbers and re-emitting the same
 records produces byte-identical files.  The config hash that `trish run`
@@ -249,13 +250,9 @@ def _build_problem(config: ExperimentConfig):
     dim = max(train_max, test_max, 1)
 
     def split(data):
-        import scipy.sparse as sp
+        return dataclasses.replace(data, width=dim, labels=normalize_binary_labels(data.labels))
 
-        f = data.features
-        widened = sp.csr_matrix((f.data, f.indices, f.indptr), shape=(len(data), dim))
-        return widened, normalize_binary_labels(data.labels)
-
-    return LogisticProblem(*split(train), *(split(test) if test is not None else ()))
+    return LogisticProblem(split(train), split(test) if test is not None else None)
 
 
 def _checkpoint_iterations(fractions: tuple[float, ...], total: int) -> list[int]:
@@ -286,7 +283,7 @@ def _block_steps(config: ExperimentConfig, problem) -> int:
         n, b = problem.n_components, config.batch_size
         _check_block(S, problem.metadata.dimension, "the dataset width")
         # One step draws S*b indices and gathers S*b rows of nnz/n stored entries.
-        if 8 * S * b * (n + problem.features.nnz) > _MAX_BLOCK_BYTES * n:
+        if 8 * S * b * (n + problem.train.values.size) > _MAX_BLOCK_BYTES * n:
             raise ValueError(
                 f"{b}-example mini-batches (--batch) for {S} seeds (--seeds) pass "
                 f"the {_MAX_BLOCK_BYTES >> 30} GiB limit on one step's draw"
@@ -567,7 +564,9 @@ def verify_theorem(setup: VerificationSetup, base_seed: int = 0) -> TheoremRepor
     A point violates when empirical > bound + SE_MARGIN * SE (plus a 1e-12
     relative float guard for exact-equality points such as k = 1, where
     the bound reproduces the deterministic initial gap), when it is not
-    finite, or when some trajectory has gone non-finite.
+    finite, or when some trajectory has gone non-finite.  Each step draws
+    one (n_seeds, dim) noise block from a single default_rng(base_seed),
+    so trajectory i depends on n_seeds as well as on base_seed.
     """
     tc, problem, schedule = setup.tc, setup.problem, setup.schedule
     horizon, n_seeds = setup.horizon, setup.n_seeds

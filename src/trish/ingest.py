@@ -11,13 +11,12 @@ file is not what the user thinks it is.
 Lines are read in blocks of 256 (_BLOCK_LINES).  Each block is parsed
 into four block-local buffers (labels, row ends, 0-based columns,
 values), which are then appended to the file's four flat arrays; these
-become one LibsvmData: the labels and one CSR matrix.  The file's
-columns are int32, the index type scipy itself picks, so the matrix
-wraps them without a copy; they widen once to int64 when an index
-passes 2^31 - 1.  A plain block, ASCII lines that are each blank or a
-label and index:value pairs of digits, signs, '.', 'e' and 'E'
-separated by spaces, tabs or carriage returns, is recognised by one
-regex pass (an atomic group of possessive runs, which needs Python
+become one LibsvmData, which wraps them without a copy.  The file's
+columns are int32, half the memory of int64; they widen once to int64
+when an index passes 2^31 - 1.  A plain block, ASCII lines that are
+each blank or a label and index:value pairs of digits, signs, '.', 'e'
+and 'E' separated by spaces, tabs or carriage returns, is recognised by
+one regex pass (an atomic group of possessive runs, which needs Python
 3.11) and parsed with numpy in one pass, its numbers converted by
 numpy's C text reader.  Every other block goes through the line parser,
 and so does a plain block whose numbers fail a check: a token the
@@ -36,6 +35,7 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import islice, repeat
 from typing import Iterable
 
@@ -86,29 +86,50 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class LibsvmData:
-    """Parsed examples: a label per row and one CSR matrix of 0-based columns."""
+    """Parsed examples in compressed sparse rows: a label per row, and row
+    i's 0-based columns, rising strictly within [0, width), and their
+    values at entries indptr[i] to indptr[i + 1] - 1."""
 
     labels: np.ndarray
-    features: sp.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+    width: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=float))
-        if self.labels.shape != self.features.shape[:1]:
-            raise ValueError(f"{self.features.shape[0]} rows but labels {self.labels.shape}")
+        for name in ("labels", "indptr", "indices", "values"):
+            dtype = float if name in ("labels", "values") else None
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        object.__setattr__(self, "width", int(self.width))
+        indptr, indices, nnz = self.indptr, self.indices, self.values.size
+        shapes = (self.labels.ndim, self.values.ndim, indptr.shape, indices.shape)
+        integers = np.result_type(indptr, indices).kind in "iu"
+        if shapes != (1, 1, (len(self) + 1,), (nnz,)) or not integers:
+            n = len(self)
+            raise ValueError(f"{n} rows need {n + 1} integer row pointers and a column per value")
+        if indptr[0] != 0 or indptr[-1] != nnz or (indptr[1:] < indptr[:-1]).any():
+            raise ValueError(f"row pointers must start at 0, never fall and end at {nnz}")
+        if self.width < 0 or nnz and not 0 <= indices.min() <= indices.max() < self.width:
+            raise ValueError(f"columns must lie in [0, {self.width})")
+        # a column not above its predecessor must start a row
+        falls = np.flatnonzero(indices[1:] <= indices[:-1]) + 1
+        if (indptr[np.searchsorted(indptr, falls)] != falls).any():
+            raise ValueError("columns must rise strictly within each row")
 
     def __len__(self) -> int:
         return self.labels.size
 
+    @cached_property
+    def row_of_entry(self) -> np.ndarray:
+        """Each stored entry's row."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LibsvmData):
             return NotImplemented
-        a, b = self.features, other.features
-        return (
-            a.shape == b.shape
-            and np.array_equal(self.labels, other.labels)
-            and np.array_equal(a.indptr, b.indptr)
-            and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.data, b.data)
+        return self.width == other.width and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("labels", "indptr", "indices", "values")
         )
 
 
@@ -258,10 +279,10 @@ def parse_libsvm(lines: Iterable[str]) -> tuple[LibsvmData, int]:
     """Parse an iterable of text lines; returns (data, max_index).
 
     max_index is the largest feature index seen anywhere, 0 for an empty
-    dataset, and the width of data.features.  When a dataset has train
-    and test splits, take the max over both so the two agree.  A byte
-    that is not UTF-8, as errors="surrogateescape" decodes it, is a
-    ParseError on any line, comment lines included.
+    dataset, and data.width.  When a dataset has train and test splits,
+    take the max over both so the two agree.  A byte that is not UTF-8,
+    as errors="surrogateescape" decodes it, is a ParseError on any line,
+    comment lines included.
     """
     # the file's labels, row pointers, columns and values
     out = [array("d"), array("q", [0]), array("i"), array("d")]
@@ -278,14 +299,9 @@ def parse_libsvm(lines: Iterable[str]) -> tuple[LibsvmData, int]:
         max_index = max(max_index, block_max)
         _append(block_out, out)
         lineno += len(block)
-    # scipy is imported only in the functions that build a CSR matrix or call
-    # expit, so that verify and the synthetic problems never load it.
-    import scipy.sparse as sp
-
     labels, indptr, columns, values = out
-    # scipy and numpy wrap the buffers without copying them, bar the row pointers
-    features = sp.csr_matrix((values, columns, indptr), shape=(len(labels), max_index))
-    return LibsvmData(labels, features), max_index
+    # numpy wraps the four buffers without copying them
+    return LibsvmData(labels, indptr, columns, values, max_index), max_index
 
 
 def load_libsvm(path: str) -> tuple[LibsvmData, int]:
@@ -304,9 +320,8 @@ def serialize_libsvm(data: LibsvmData) -> str:
     parse_libsvm(serialize_libsvm(data)) reproduces data exactly, and
     serializing again yields byte-identical text.
     """
-    f = data.features
-    pairs = [f"{j}:{v!r}" for j, v in zip((f.indices + 1).tolist(), f.data.tolist())]
-    bounds = f.indptr.tolist()
+    pairs = [f"{j}:{v!r}" for j, v in zip((data.indices + 1).tolist(), data.values.tolist())]
+    bounds = data.indptr.tolist()
     return "".join(
         " ".join([repr(label), *pairs[lo:hi]]) + "\n"
         for label, lo, hi in zip(data.labels.tolist(), bounds, bounds[1:])
@@ -328,7 +343,7 @@ class DatasetStats:
 
 def dataset_stats(data: LibsvmData) -> DatasetStats:
     """Summary statistics; an empty dataset reports zeros across the board."""
-    columns, n = data.features.indices, len(data)
+    columns, n = data.indices, len(data)
     return DatasetStats(
         count=n,
         max_index=int(columns.max()) + 1 if columns.size else 0,

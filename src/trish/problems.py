@@ -15,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .ingest import LibsvmData
+
 __all__ = [
     "ProblemMetadata",
     "QuadraticProblem",
@@ -130,22 +132,36 @@ class NonconvexPLProblem:
         return t + 3.0 * np.sin(t)
 
 
-def logistic_gradient(w: np.ndarray, features: sp.spmatrix, labels: np.ndarray) -> np.ndarray:
-    """Gradient of the mean logistic loss; dense vector."""
-    from scipy.special import expit
-
-    t = -labels * (features @ w)
-    coeff = -labels * expit(t)
-    grad = features.T @ coeff / labels.size
-    return np.asarray(grad).ravel()
+def _expit(t: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid 1/(1 + exp(-t)); exp(-t) overflows to inf, giving 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-t))
 
 
-def _logistic_metrics(W: np.ndarray, features: sp.spmatrix, labels: np.ndarray) -> tuple:
-    """Mean logistic loss and accuracy at w, or at every row of W, from one product."""
-    # each row's margins contiguous, so its means sum in the 1-d order
-    margins = np.ascontiguousarray((features @ np.asarray(W).T).T)
-    loss = np.mean(np.logaddexp(0.0, -labels * margins), axis=-1)
-    return loss, np.mean(margins * labels > 0.0, axis=-1)
+def _margins(W: np.ndarray, data: LibsvmData) -> np.ndarray:
+    """data's margins z_i . w at w, or at every row of W, one row of W at a time;
+    np.bincount adds each row's entries in their stored order."""
+    W = np.asarray(W)
+    rows = W.reshape(-1, W.shape[-1])
+    margins = np.empty((len(rows), len(data)))
+    for w, out in zip(rows, margins):
+        products = data.values * np.take(w, data.indices)  # faster than w[] on int32 columns
+        out[:] = np.bincount(data.row_of_entry, products, minlength=len(data))
+    return margins.reshape(W.shape[:-1] + (len(data),))
+
+
+def logistic_gradient(w: np.ndarray, data: LibsvmData) -> np.ndarray:
+    """Gradient of the mean logistic loss over data, labels in {-1, +1}; dense vector."""
+    coeff = -data.labels * _expit(-data.labels * _margins(w, data))
+    weights = data.values * coeff[data.row_of_entry]
+    return np.bincount(data.indices, weights, minlength=data.width) / len(data)
+
+
+def _logistic_metrics(W: np.ndarray, data: LibsvmData) -> tuple:
+    """Mean logistic loss and accuracy at w, or at every row of W."""
+    margins = _margins(W, data)
+    loss = np.mean(np.logaddexp(0.0, -data.labels * margins), axis=-1)
+    return loss, np.mean(margins * data.labels > 0.0, axis=-1)
 
 
 def normalize_binary_labels(labels: np.ndarray) -> np.ndarray:
@@ -173,73 +189,44 @@ class LogisticProblem:
     optional held-out split rides along for test metrics.
     """
 
-    def __init__(
-        self,
-        features: sp.spmatrix,
-        labels: np.ndarray,
-        test_features: sp.spmatrix | None = None,
-        test_labels: np.ndarray | None = None,
-    ):
-        import scipy.sparse as sp
-
-        self.features = sp.csr_matrix(features, dtype=float)
-        self.labels = np.asarray(labels, dtype=float)
-        if self.labels.ndim != 1 or self.labels.size != self.features.shape[0]:
-            raise ValueError(
-                f"{self.features.shape[0]} rows but {self.labels.size} labels"
-            )
-        if not np.all(np.isin(self.labels, (-1.0, 1.0))):
+    def __init__(self, train: LibsvmData, test: LibsvmData | None = None):
+        if not all(np.isin(d.labels, (-1.0, 1.0)).all() for d in (train, test) if d is not None):
             raise ValueError("labels must be -1 or +1; see normalize_binary_labels")
-        if (test_features is None) != (test_labels is None):
-            raise ValueError("test features and labels must be given together")
-        self.test_features = None
-        self.test_labels = None
-        if test_features is not None:
-            self.test_features = sp.csr_matrix(test_features, dtype=float)
-            self.test_labels = np.asarray(test_labels, dtype=float)
-            if self.test_features.shape[1] != self.features.shape[1]:
-                raise ValueError(
-                    "train and test dimensions differ: "
-                    f"{self.features.shape[1]} vs {self.test_features.shape[1]}"
-                )
-            if self.test_labels.size != self.test_features.shape[0]:
-                raise ValueError("test labels do not match test rows")
+        if test is not None and test.width != train.width:
+            raise ValueError(f"train and test dimensions differ: {train.width} vs {test.width}")
+        self.train, self.test = train, test
 
     @property
     def n_components(self) -> int:
-        return self.features.shape[0]
-
-    @cached_property
-    def _has_nonzero(self) -> bool:
-        """Whether some feature value is nonzero once duplicate entries are summed."""
-        f = self.features
-        if not f.has_canonical_format:
-            f = f.copy()
-            f.sum_duplicates()  # stored 1 and -1 at one position cancel
-        return bool(f.data.any())
+        return len(self.train)
 
     @cached_property
     def _row_l1_max(self) -> float:
-        """max_i ||z_i||_1, or an upper bound on it when duplicates are stored."""
-        return float(np.asarray(abs(self.features).sum(axis=1)).max(initial=0.0))
+        """max_i ||z_i||_1."""
+        train = self.train
+        l1 = np.bincount(train.row_of_entry, np.abs(train.values), minlength=len(train))
+        return float(l1.max(initial=0.0))
 
     @property
     def metadata(self) -> ProblemMetadata:
-        if not self._has_nonzero:
+        if not self.train.values.any():
             raise ValueError("the training set has no nonzero feature value")
-        return ProblemMetadata(dimension=self.features.shape[1])
+        return ProblemMetadata(dimension=self.train.width)
 
     def value(self, w: np.ndarray) -> float:
         """Mean logistic loss (1/n) sum log(1 + exp(-y_i z_i . w)), via logaddexp
         so that large margins cannot overflow."""
-        return float(_logistic_metrics(w, self.features, self.labels)[0])
+        return float(_logistic_metrics(w, self.train)[0])
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
-        return logistic_gradient(w, self.features, self.labels)
+        return logistic_gradient(w, self.train)
 
     @cached_property
     def _dense_features(self) -> np.ndarray:
-        return self.features.toarray()
+        train = self.train
+        dense = np.zeros((len(train), train.width))
+        dense[train.row_of_entry, train.indices] = train.values
+        return dense
 
     def block_gradient(self, indices: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Mean mini-batch gradients of a (P*S, d) block W, one gather per call.
@@ -250,31 +237,29 @@ class LogisticProblem:
         The sparse gather takes the drawn rows' stored entries once and
         sums margins and gradients with np.bincount, one point at a time,
         so its temporaries grow with the entries drawn, not P times them;
-        bincount adds in entry order, as the CSR products did.
+        bincount adds in entry order, as the margins and gradient do.
         """
-        from scipy.special import expit
-
         indices = np.asarray(indices)
         S, b = indices.shape
         if b < 1:
             raise ValueError(f"batch size must be at least 1, got {b}")
         d = W.shape[1]
         W3 = W.reshape(-1, S, d)
-        y = self.labels[indices]
+        y = self.train.labels[indices]
         if (self.n_components + indices.size) * d * 8 <= _DENSE_GATHER_BYTES:
             rows = self._dense_features[indices]
-            coeff = -y * expit(-y * np.einsum("sbd,psd->psb", rows, W3))
+            coeff = -y * _expit(-y * np.einsum("sbd,psd->psb", rows, W3))
             return np.einsum("psb,sbd->psd", coeff, rows).reshape(-1, d) / b
-        f, drawn, y = self.features, indices.ravel(), y.ravel()
+        f, drawn, y = self.train, indices.ravel(), y.ravel()
         starts, counts = f.indptr[drawn], f.indptr[drawn + 1] - f.indptr[drawn]
         owner = np.repeat(np.arange(S * b), counts)  # the drawn row of each entry
         entries = np.arange(owner.size) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-        vals = f.data[entries]
+        vals = f.values[entries]
         # Seed i's rows act on entries i*d .. (i+1)*d - 1 of a point's S*d iterates.
         flat = owner // b * d + f.indices[entries]
         grad = np.empty((W3.shape[0], S * d))
         for w, out in zip(W3.reshape(-1, S * d), grad):
-            coeff = -y * expit(-y * np.bincount(owner, vals * w[flat], minlength=S * b))
+            coeff = -y * _expit(-y * np.bincount(owner, vals * w[flat], minlength=S * b))
             np.divide(np.bincount(flat, vals * coeff[owner], minlength=S * d), b, out=out)
         return grad.reshape(-1, d)
 
@@ -291,9 +276,9 @@ class LogisticProblem:
 
     def train_metrics(self, W: np.ndarray) -> tuple:
         """(mean loss, accuracy) at w, or arrays of both over the rows of a block W."""
-        return _logistic_metrics(W, self.features, self.labels)
+        return _logistic_metrics(W, self.train)
 
     def test_metrics(self, W: np.ndarray) -> tuple:
-        if self.test_features is None:
+        if self.test is None:
             return (float("nan"), float("nan"))
-        return _logistic_metrics(W, self.test_features, self.test_labels)
+        return _logistic_metrics(W, self.test)

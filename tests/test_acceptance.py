@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from trish.core import StepCase, TrishParams, step_norm, trish_step
 from trish.harness import (
@@ -22,7 +21,7 @@ from trish.harness import (
     verification_setup,
     verify_theorem,
 )
-from trish.ingest import ParseError, load_libsvm, parse_libsvm, serialize_libsvm
+from trish.ingest import LibsvmData, ParseError, load_libsvm, parse_libsvm, serialize_libsvm
 from trish.oracles import GaussianOracle, TwoPointOracle
 from trish.problems import (
     LogisticProblem,
@@ -330,12 +329,13 @@ def test_criterion_11_parser_round_trip_and_errors():
 def test_criterion_12_gradient_checks():
     start = time.perf_counter()
     rng = np.random.default_rng(31)
-    features = sp.csr_matrix(rng.normal(size=(30, 6)))
+    dense = rng.normal(size=(30, 6))
     labels = np.where(rng.random(30) < 0.5, -1.0, 1.0)
+    data = LibsvmData(labels, np.arange(0, 181, 6), np.tile(np.arange(6), 30), dense.ravel(), 6)
     problems = [
         ("quadratic", QuadraticProblem(rng.uniform(0.5, 3.0, size=4), rng.normal(size=4)), 4),
         ("nonconvex_pl", NonconvexPLProblem(4), 4),
-        ("logistic", LogisticProblem(features, labels), 6),
+        ("logistic", LogisticProblem(data), 6),
     ]
     h = 1e-6
     worst = 0.0

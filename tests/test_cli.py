@@ -747,9 +747,9 @@ class TestStatsCommand:
 
 
 class TestImports:
-    """verify and a synthetic run load no scipy module; a LIBSVM command
-    loads scipy.sparse.  Each case runs in a new interpreter, since the
-    test process has imported scipy already."""
+    """No command loads a scipy module: numpy is the one runtime dependency.
+    Each case runs in a new interpreter, since the test process has
+    imported scipy already, as the tests' reference."""
 
     @staticmethod
     def _scipy_modules_after(*commands) -> list:
@@ -770,8 +770,20 @@ class TestImports:
         verify = ["verify", "--theorem", "1", "--seeds", "10"]
         assert self._scipy_modules_after(verify, ["run", "--config", synthetic_config]) == []
 
-    def test_stats_loads_scipy_sparse(self):
-        assert "scipy.sparse" in self._scipy_modules_after(["stats", "--dataset", TRAIN])
+    def test_libsvm_commands_load_no_scipy(self, tmp_path):
+        config = tmp_path / "logistic.conf"
+        config.write_text(
+            f"problem = logistic\ndataset = {TRAIN}\ntest_dataset = {TEST}\n"
+            "method = trish\ngamma1 = 2\ngamma2 = 0.8\nalpha = 0.5\nn_seeds = 2\n"
+        )
+        tune = tmp_path / "tune.conf"
+        tune.write_text(config.read_text() + "tune_alpha = 0.1, 0.5\n")
+        commands = (
+            ["stats", "--dataset", TRAIN],
+            ["run", "--config", str(config)],
+            ["tune", "--config", str(tune)],
+        )
+        assert self._scipy_modules_after(*commands) == []
 
 
 class TestConfigSchema:

@@ -295,11 +295,11 @@ class TestBuildProblem:
                 gamma1=2.0, gamma2=0.5, alpha=0.1,
             )
         )
-        np.testing.assert_array_equal(
-            problem.features.toarray(), [[1.0, 2.0, 0, 0, 0], [0, 0.5, 0, 0, 0]]
-        )
-        np.testing.assert_array_equal(problem.test_features.toarray(), [[0, 0, 0, 0, 3.0]])
-        np.testing.assert_array_equal(problem.labels, [1.0, -1.0])
+        assert problem.train.width == problem.test.width == 5
+        assert problem.train.indices.tolist() == [0, 1, 1]
+        assert problem.train.values.tolist() == [1.0, 2.0, 0.5]
+        assert problem.test.indices.tolist() == [4]
+        np.testing.assert_array_equal(problem.train.labels, [1.0, -1.0])
 
     def test_label_only_data_gets_width_one(self, tmp_path):
         train = tmp_path / "train.libsvm"
@@ -309,8 +309,8 @@ class TestBuildProblem:
                 problem="logistic", dataset=str(train), gamma1=2.0, gamma2=0.5, alpha=0.1
             )
         )
-        assert problem.features.shape == (2, 1)
-        assert problem.test_features is None
+        assert (len(problem.train), problem.train.width) == (2, 1)
+        assert problem.test is None
 
 
 class TestTuneGrid:

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -57,6 +56,13 @@ def _gen_wide():
     return gen_wide
 
 
+def _dense(data: LibsvmData) -> np.ndarray:
+    """data's features as a dense (rows, width) array."""
+    dense = np.zeros((len(data), data.width))
+    dense[data.row_of_entry, data.indices] = data.values
+    return dense
+
+
 def _outcome(lines):
     """parse_libsvm's (data, max_index), or its error as (line, column, reason)."""
     try:
@@ -75,7 +81,7 @@ def _assert_same_as_line_parser(lines):
         (data, max_index), (want_data, want_max) = got, want
         assert data == want_data and max_index == want_max
         assert data.labels.tobytes() == want_data.labels.tobytes()
-        assert data.features.data.tobytes() == want_data.features.data.tobytes()
+        assert data.values.tobytes() == want_data.values.tobytes()
     else:
         assert got == want
     return got
@@ -87,13 +93,13 @@ class TestParseLibsvm:
         assert max_index == 3
         assert len(data) == 1
         np.testing.assert_array_equal(data.labels, [1.0])
-        np.testing.assert_array_equal(data.features.indices, [0, 2])
-        np.testing.assert_array_equal(data.features.data, [0.5, 2.0])
+        np.testing.assert_array_equal(data.indices, [0, 2])
+        np.testing.assert_array_equal(data.values, [0.5, 2.0])
 
     def test_small_dense_comparison(self):
         data, _ = parse_libsvm(["1 1:2.0 3:1.0", "-1 2:5.0"])
         np.testing.assert_array_equal(
-            data.features.toarray(), [[2.0, 0.0, 1.0], [0.0, 5.0, 0.0]]
+            _dense(data), [[2.0, 0.0, 1.0], [0.0, 5.0, 0.0]]
         )
         np.testing.assert_array_equal(data.labels, [1.0, -1.0])
 
@@ -101,7 +107,7 @@ class TestParseLibsvm:
         data, max_index = parse_libsvm(["-1"])
         assert max_index == 0
         assert data.labels[0] == -1.0
-        assert data.features.shape == (1, 0)
+        assert data.width == 0
 
     def test_comments_and_blanks_skipped(self):
         data, _ = parse_libsvm(
@@ -112,11 +118,11 @@ class TestParseLibsvm:
     def test_scientific_notation_and_signs(self):
         data, _ = parse_libsvm(["-1.5e-2 1:-3.25 2:1e10"])
         assert data.labels[0] == pytest.approx(-0.015)
-        np.testing.assert_array_equal(data.features.data, [-3.25, 1e10])
+        np.testing.assert_array_equal(data.values, [-3.25, 1e10])
 
     def test_leading_whitespace(self):
         data, _ = parse_libsvm(["   1 2:3.0"])
-        np.testing.assert_array_equal(data.features.indices, [1])
+        np.testing.assert_array_equal(data.indices, [1])
 
     def test_empty_input(self):
         data, max_index = parse_libsvm([])
@@ -124,7 +130,7 @@ class TestParseLibsvm:
 
     def test_empty_rows_give_empty_matrix(self):
         data, _ = parse_libsvm(["# only a comment", ""])
-        assert data.features.shape == (0, 0)
+        assert data.width == 0
         assert data.labels.size == 0
 
 
@@ -182,12 +188,12 @@ class TestParseErrors:
     def test_largest_int64_index_accepted(self, index):
         data, max_index = parse_libsvm([f"1 {index}:1"])
         assert max_index == 2**63 - 1
-        assert data.features.indices.tolist() == [2**63 - 2]
+        assert data.indices.tolist() == [2**63 - 2]
 
     def test_zero_padded_index(self):
         data, max_index = parse_libsvm(["1 0001:1 02:2"])
         assert max_index == 2
-        assert data.features.indices.tolist() == [0, 1]
+        assert data.indices.tolist() == [0, 1]
 
     def test_non_increasing_index(self):
         self._expect(["1 3:1 2:2"], 1, 7, "non-increasing index 2 after 3")
@@ -248,7 +254,7 @@ class TestLoadLibsvm:
         data, max_index = load_libsvm(str(DATA_DIR / "train.libsvm"))
         assert len(data) == 600
         assert max_index == 120
-        assert data.features.shape == (600, 120)
+        assert data.width == 120
 
 
 @pytest.mark.usefixtures("line_path")
@@ -293,17 +299,54 @@ class TestLibsvmData:
         assert a != d
         assert a != "not a dataset"
 
+    # two rows, [1, 0, 2] and [0, 3, 0]
+    LAYOUT = dict(labels=[1.0, -1.0], indptr=[0, 2, 3], indices=[0, 2, 1], values=[1.0, 2.0, 3.0])
+
+    def test_accepts_a_valid_layout(self):
+        data = LibsvmData(**self.LAYOUT, width=3)
+        assert _dense(data).tolist() == [[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]
+        assert data.row_of_entry.tolist() == [0, 0, 1]
+
     def test_rejects_misaligned_labels(self):
-        features = sp.csr_matrix(np.eye(2))
-        with pytest.raises(ValueError, match="2 rows"):
-            LibsvmData(np.array([1.0]), features)
-        with pytest.raises(ValueError, match="2 rows"):
-            LibsvmData(np.ones((2, 1)), features)
+        # lengths that disagree: labels and row pointers, columns and values
+        for field, bad in [
+            ("labels", [1.0]),
+            ("labels", [[1.0], [-1.0]]),
+            ("indptr", [0, 3]),
+            ("indices", [0, 2]),
+            ("values", [1.0, 2.0]),
+            ("indices", [0.0, 2.0, 1.0]),  # not integers
+        ]:
+            with pytest.raises(ValueError, match="integer row pointers and a column per value"):
+                LibsvmData(**{**self.LAYOUT, field: bad}, width=3)
+
+    @pytest.mark.parametrize("indptr", [[1, 2, 3], [-1, 2, 3], [0, 2, 2], [0, 2, 4], [0, 3, 2]])
+    def test_refuses_bad_row_pointers(self, indptr):
+        with pytest.raises(ValueError, match="row pointers must start at 0"):
+            LibsvmData(**{**self.LAYOUT, "indptr": indptr}, width=3)
+
+    @pytest.mark.parametrize(
+        "indices, width", [([0, 3, 1], 3), ([0, 2, 1], 2), ([-1, 2, 1], 3), ([0, 2, 0], -1)]
+    )
+    def test_refuses_columns_outside_the_width(self, indices, width):
+        with pytest.raises(ValueError, match="columns must lie in"):
+            LibsvmData(**{**self.LAYOUT, "indices": indices}, width=width)
+
+    def test_refuses_columns_that_do_not_rise(self):
+        for indices, values in [
+            ([2, 0, 1], [1.0, 2.0, 3.0]),  # reordered
+            ([0, 0, 1], [1.0, 2.0, 3.0]),  # stored twice
+            ([0, 0, 1], [1.0, -1.0, 3.0]),  # stored twice, summing to zero
+        ]:
+            with pytest.raises(ValueError, match="rise strictly"):
+                LibsvmData(**{**self.LAYOUT, "indices": indices, "values": values}, width=3)
+        # a column may fall from one row to the next
+        LibsvmData([1.0, -1.0], [0, 1, 3], [2, 0, 1], [1.0, 2.0, 3.0], width=3)
 
     def test_len_counts_rows(self):
         data, _ = parse_libsvm(["1 1:1.0", "-1", "1 4:2.0"])
         assert len(data) == 3
-        assert data.features.shape == (3, 4)
+        assert data.width == 4
 
     def test_frozen(self):
         data, _ = parse_libsvm(["1 1:1.0"])
@@ -366,15 +409,9 @@ def _as_data(rows) -> LibsvmData:
     pairs = [pair for _, row in rows for pair in row]
     indptr = np.cumsum([0] + [len(row) for _, row in rows])
     width = max((index for index, _ in pairs), default=0)
-    features = sp.csr_matrix(
-        (
-            np.array([v for _, v in pairs], dtype=float),
-            np.array([i - 1 for i, _ in pairs], dtype=np.int64),
-            indptr,
-        ),
-        shape=(len(rows), width),
-    )
-    return LibsvmData(np.array(labels, dtype=float), features)
+    values = np.array([v for _, v in pairs], dtype=float)
+    columns = np.array([i - 1 for i, _ in pairs], dtype=np.int64)
+    return LibsvmData(np.array(labels, dtype=float), indptr, columns, values, width)
 
 
 @st.composite
@@ -395,7 +432,7 @@ class TestReaderProperties:
         data = _as_data(rows)
         parsed, max_index = _assert_same_as_line_parser(lines)
         assert parsed == data
-        assert max_index == data.features.shape[1]
+        assert max_index == data.width
         assert serialize_libsvm(parsed) == serialize_libsvm(data)
 
     @settings(max_examples=60, deadline=None)
@@ -501,7 +538,7 @@ class TestBlockPath:
             _plain_lines(300, at=100, line="1 9007199254740993:1")
         )
         assert max_index == 9007199254740993
-        assert data.features.indices.max() == 2**53
+        assert data.indices.max() == 2**53
 
     def test_value_that_overflows(self):
         got = _assert_same_as_line_parser(_plain_lines(300, at=100, line="1 1:1e999"))
@@ -511,7 +548,7 @@ class TestBlockPath:
     def test_whitespace_outside_the_plain_separators(self, separator):
         lines = _plain_lines(300, at=100, line=f"1{separator}3:2")
         data, _ = _assert_same_as_line_parser(lines)
-        assert data.features[99].toarray().tolist() == [[0.0, 0.0, 2.0] + [0.0] * 16]
+        assert _dense(data)[99].tolist() == [0.0, 0.0, 2.0] + [0.0] * 16
 
     @pytest.mark.parametrize("end", ["", "\n"], ids=["bare", "newline"])
     @pytest.mark.parametrize(
@@ -577,16 +614,16 @@ class TestBlockPath:
         _gen_wide().generate(str(path), 3000, seed=3)
         with open(path, encoding="utf-8") as handle:
             data, _ = _assert_same_as_line_parser(handle.readlines())
-        assert data.features.indices.dtype == np.int32
+        assert data.indices.dtype == np.int32
 
 
 class TestColumnWidth:
-    """Columns are int32, the index type scipy picks, until an index passes 2^31 - 1."""
+    """Columns are int32, half the memory of int64, until an index passes 2^31 - 1."""
 
     @pytest.mark.parametrize("name", ["train.libsvm", "test.libsvm"])
     def test_bundled_columns_are_int32(self, name):
         data, _ = _assert_same_as_line_parser((DATA_DIR / name).read_text().splitlines(True))
-        assert data.features.indices.dtype == data.features.indptr.dtype == np.int32
+        assert data.indices.dtype == np.int32
 
     @pytest.mark.parametrize(
         "line, columns, line_parsed",
@@ -620,10 +657,10 @@ class TestColumnWidth:
         assert widened == [512 * 3]
         data, max_index = _assert_same_as_line_parser(lines)
         assert max_index == columns[-1] + 1
-        assert data.features.indices.dtype == data.features.indptr.dtype == np.int64
+        assert data.indices.dtype == np.int64
         plain = [1, 6, 18]  # _PLAIN_LINE's columns
         want = plain * 599 + columns + plain * 200 + columns + plain * 99
-        assert data.features.indices.tolist() == want
+        assert data.indices.tolist() == want
 
 
 class TestIngestScalingScript:
@@ -647,7 +684,7 @@ class TestIngestScalingScript:
 
 class TestParsePerformance:
     def test_peak_memory_near_the_output(self, tmp_path):
-        # the int32 columns are the matrix's own, so no second copy is held
+        # the int32 columns are the data's own, so no second copy is held
         path = tmp_path / "wide.libsvm"
         _gen_wide().generate(str(path), 10_000, seed=3)
         with open(path, encoding="utf-8") as handle:
@@ -657,8 +694,7 @@ class TestParsePerformance:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        f = data.features
-        output = data.labels.nbytes + f.indptr.nbytes + f.indices.nbytes + f.data.nbytes
+        output = data.labels.nbytes + data.indptr.nbytes + data.indices.nbytes + data.values.nbytes
         assert peak <= 1.4 * output
 
     def test_linear_scaling(self):

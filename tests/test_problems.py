@@ -1,17 +1,21 @@
 """Tests for the benchmark objectives and label utilities."""
 
+import dataclasses
+import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.special import expit
 
 from trish import problems
+from trish.ingest import LibsvmData, load_libsvm
 from trish.problems import (
     LogisticProblem,
     NonconvexPLProblem,
@@ -20,6 +24,14 @@ from trish.problems import (
     logistic_gradient,
     normalize_binary_labels,
 )
+
+
+def _data(dense, labels) -> LibsvmData:
+    """A LibsvmData holding the nonzero entries of a dense (rows, width) array."""
+    dense = np.asarray(dense, dtype=float)
+    rows, columns = np.nonzero(dense)
+    indptr = np.searchsorted(rows, np.arange(len(dense) + 1))
+    return LibsvmData(labels, indptr, columns, dense[rows, columns], dense.shape[1])
 
 
 def central_difference(value_fn, x, h=1e-6):
@@ -189,51 +201,44 @@ class TestVerifyPLConstant:
         assert worst == pytest.approx(1.9)
 
     def test_requires_declared_constants(self):
-        features = sp.csr_matrix(np.array([[1.0]]))
-        problem = LogisticProblem(features, np.array([1.0]))
+        problem = LogisticProblem(_data([[1.0]], [1.0]))
         with pytest.raises(ValueError, match="PL constant"):
             verify_pl_constant(problem, np.array([[0.0]]))
 
 
 class TestLogisticFunctions:
     def test_loss_at_zero_is_log_two(self):
-        problem = LogisticProblem(
-            sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0]])), np.array([1.0, -1.0])
-        )
+        problem = LogisticProblem(_data([[1.0, 0.0], [0.0, 2.0]], [1.0, -1.0]))
         assert problem.value(np.zeros(2)) == pytest.approx(np.log(2.0), rel=1e-15)
 
     def test_loss_hand_value(self):
-        problem = LogisticProblem(sp.csr_matrix(np.array([[1.0, 0.0]])), np.array([1.0]))
+        problem = LogisticProblem(_data([[1.0, 0.0]], [1.0]))
         w = np.array([-2.0, 0.0])
         assert problem.value(w) == pytest.approx(2.1269280110429727, rel=1e-15)
         assert problem.train_metrics(w)[0] == problem.value(w)
 
     def test_loss_stable_at_huge_margins(self):
-        problem = LogisticProblem(sp.csr_matrix(np.array([[1.0]])), np.array([1.0]))
+        problem = LogisticProblem(_data([[1.0]], [1.0]))
         assert problem.value(np.array([1000.0])) == pytest.approx(0.0, abs=1e-300)
         assert problem.value(np.array([-1000.0])) == pytest.approx(1000.0)
         losses = problem.train_metrics(np.array([[1000.0], [-1000.0]]))[0]
         np.testing.assert_allclose(losses, [0.0, 1000.0], rtol=1e-15, atol=1e-300)
 
     def test_gradient_hand_value(self):
-        features = sp.csr_matrix(np.array([[1.0, 0.0]]))
-        labels = np.array([1.0])
         np.testing.assert_allclose(
-            logistic_gradient(np.zeros(2), features, labels), [-0.5, 0.0]
+            logistic_gradient(np.zeros(2), _data([[1.0, 0.0]], [1.0])), [-0.5, 0.0]
         )
 
     def test_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(11)
-        features = sp.csr_matrix(rng.normal(size=(8, 4)))
-        labels = np.where(rng.random(8) < 0.5, -1.0, 1.0)
+        data = _data(rng.normal(size=(8, 4)), np.where(rng.random(8) < 0.5, -1.0, 1.0))
         w = rng.normal(size=4)
-        numeric = central_difference(LogisticProblem(features, labels).value, w)
-        analytic = logistic_gradient(w, features, labels)
+        numeric = central_difference(LogisticProblem(data).value, w)
+        analytic = logistic_gradient(w, data)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
 
     def test_accuracy_counts_zero_margin_as_wrong(self):
-        features = sp.csr_matrix(np.array([[1.0], [-1.0], [0.0]]))
-        problem = LogisticProblem(features, np.array([1.0, -1.0, 1.0]))
+        problem = LogisticProblem(_data([[1.0], [-1.0], [0.0]], [1.0, -1.0, 1.0]))
         assert problem.train_metrics(np.array([1.0]))[1] == pytest.approx(2.0 / 3.0)
 
 
@@ -259,45 +264,22 @@ class TestLogisticProblem:
     @staticmethod
     def _small_problem(with_test=False):
         rng = np.random.default_rng(5)
-        features = sp.csr_matrix(rng.normal(size=(12, 3)))
-        labels = np.where(rng.random(12) < 0.5, -1.0, 1.0)
+        train = _data(rng.normal(size=(12, 3)), np.where(rng.random(12) < 0.5, -1.0, 1.0))
         if not with_test:
-            return LogisticProblem(features, labels)
-        test_features = sp.csr_matrix(rng.normal(size=(6, 3)))
-        test_labels = np.where(rng.random(6) < 0.5, -1.0, 1.0)
-        return LogisticProblem(features, labels, test_features, test_labels)
+            return LogisticProblem(train)
+        test = _data(rng.normal(size=(6, 3)), np.where(rng.random(6) < 0.5, -1.0, 1.0))
+        return LogisticProblem(train, test)
 
     def test_n_components(self):
         assert self._small_problem().n_components == 12
 
     def test_metadata_gives_the_dimension_alone(self):
-        features = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
-        problem = LogisticProblem(features, np.array([1.0, -1.0]))
+        problem = LogisticProblem(_data([[1.0, 0.0], [0.0, 2.0]], [1.0, -1.0]))
         assert problem.metadata == ProblemMetadata(dimension=2)
-
-    def test_metadata_refuses_duplicate_entries_that_cancel(self):
-        # row 0 stores column 0 twice, as 1 and -1: every feature value is 0
-        features = sp.csr_matrix(
-            (np.array([1.0, -1.0]), np.array([0, 0]), np.array([0, 2, 2])), shape=(2, 2)
-        )
-        assert not features.has_canonical_format
-        problem = LogisticProblem(features, np.array([1.0, -1.0]))
-        with pytest.raises(ValueError, match="no nonzero feature value"):
-            problem.metadata
-        # duplicates that do not cancel leave a nonzero value, and the matrix is not touched
-        features = sp.csr_matrix(
-            (np.array([1.0, 2.0]), np.array([0, 0]), np.array([0, 2, 2])), shape=(2, 2)
-        )
-        problem = LogisticProblem(features, np.array([1.0, -1.0]))
-        assert problem.metadata.dimension == 2
-        assert problem.features.nnz == 2
 
     def test_metadata_rejects_all_zero_features(self):
         # explicit zeros are stored entries but still give L = 0
-        features = sp.csr_matrix(
-            (np.zeros(2), np.array([0, 1]), np.array([0, 1, 2])), shape=(2, 2)
-        )
-        problem = LogisticProblem(features, np.array([1.0, -1.0]))
+        problem = LogisticProblem(LibsvmData([1.0, -1.0], [0, 1, 2], [0, 1], np.zeros(2), 2))
         with pytest.raises(ValueError, match="no nonzero feature value"):
             problem.metadata
 
@@ -329,32 +311,19 @@ class TestLogisticProblem:
         assert np.isnan(loss) and np.isnan(acc)
 
     def test_validation_errors(self):
-        features = sp.csr_matrix(np.eye(3))
-        labels = np.array([1.0, -1.0, 1.0])
         with pytest.raises(ValueError, match="labels"):
-            LogisticProblem(features, np.array([0.0, 1.0, 1.0]))
-        with pytest.raises(ValueError):
-            LogisticProblem(features, labels[:2])
-        with pytest.raises(ValueError, match="together"):
-            LogisticProblem(features, labels, test_features=features)
+            LogisticProblem(_data(np.eye(3), [0.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="labels"):  # the test split's too
+            LogisticProblem(_data(np.eye(3), [1.0, -1.0, 1.0]), _data(np.eye(3), [0.0, 1.0, 1.0]))
         with pytest.raises(ValueError, match="dimensions differ"):
-            LogisticProblem(
-                features,
-                labels,
-                test_features=sp.csr_matrix(np.eye(4)),
-                test_labels=np.ones(4),
-            )
+            LogisticProblem(_data(np.eye(3), [1.0, -1.0, 1.0]), _data(np.eye(4), np.ones(4)))
 
-    def test_row_l1_max_bounds_rows_with_duplicates(self):
-        # row 0 stores column 0 twice, as 3 and -1: ||z_0||_1 = 2, the largest
-        features = sp.csr_matrix(
-            (np.array([3.0, -1.0, 1.5]), np.array([0, 0, 1]), np.array([0, 2, 3, 3])),
-            shape=(3, 2),
-        )
-        assert LogisticProblem(features, np.array([1.0, -1.0, 1.0]))._row_l1_max >= 2.0
+    def test_row_l1_max_is_the_largest_row_l1_norm(self):
+        problem = LogisticProblem(_data([[3.0, -1.0], [0.0, 1.5], [0.0, 0.0]], [1.0, -1.0, 1.0]))
+        assert problem._row_l1_max == 4.0
         problem = self._small_problem()
         assert problem._row_l1_max == pytest.approx(
-            np.abs(problem.features.toarray()).sum(axis=1).max(), rel=1e-15
+            np.abs(problem._dense_features).sum(axis=1).max(), rel=1e-15
         )
 
     @settings(max_examples=200, deadline=None)
@@ -364,7 +333,7 @@ class TestLogisticProblem:
         features = data.draw(arrays(float, (n, d), elements=st.floats(-1.0, 1.0)))
         features *= 10.0 ** data.draw(st.integers(0, 300))
         labels = data.draw(arrays(float, n, elements=st.sampled_from([-1.0, 1.0])))
-        problem = LogisticProblem(sp.csr_matrix(features), labels)
+        problem = LogisticProblem(_data(features, labels))
         # each row of W at its own scale, up to the largest finite powers of ten
         W = data.draw(arrays(float, (rows, d), elements=st.floats(-1.0, 1.0)))
         W *= 10.0 ** data.draw(arrays(np.int64, (rows, 1), elements=st.integers(-300, 308)))
@@ -376,11 +345,25 @@ class TestLogisticProblem:
         assert np.isfinite(loss[cleared]).all()
 
 
+def _libm_exp(x: float) -> float:
+    """libm's exp, with math.exp's OverflowError read as its inf."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _csr(data: LibsvmData):
+    """data's features as a scipy CSR matrix, the products' reference."""
+    return sp.csr_matrix((data.values, data.indices, data.indptr), shape=(len(data), data.width))
+
+
 def _reference_gradient(problem, indices, w):
-    """The per-seed formula: mean gradient over the selected rows, duplicates counted."""
-    rows = problem.features[indices]
-    y = problem.labels[indices]
-    coeff = -y * expit(-y * (rows @ w))
+    """The per-seed formula: mean gradient over the selected rows, duplicates
+    counted, with scipy's CSR products and the sigmoid the gather uses."""
+    rows = _csr(problem.train)[indices]
+    y = problem.train.labels[indices]
+    coeff = -y * problems._expit(-y * (rows @ w))
     return np.asarray(rows.T @ coeff).ravel() / y.size
 
 
@@ -399,7 +382,7 @@ class TestBlockGradient:
         dense = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.4)
         dense[5] = 0.0  # a row with no stored entry
         labels = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        return LogisticProblem(sp.csr_matrix(dense), labels)
+        return LogisticProblem(_data(dense, labels))
 
     def test_matches_per_seed_reference(self, gather):
         problem = self._problem()
@@ -448,8 +431,8 @@ class TestBlockGradient:
         monkeypatch.setattr(problems, "_DENSE_GATHER_BYTES", 0)
         rng = np.random.default_rng(4)
         n, d, seeds, batch = 400, 1000, 5, 100
-        features = sp.random(n, d, density=0.05, format="csr", random_state=rng)
-        problem = LogisticProblem(features, np.where(rng.random(n) < 0.5, -1.0, 1.0))
+        dense = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.05)
+        problem = LogisticProblem(_data(dense, np.where(rng.random(n) < 0.5, -1.0, 1.0)))
         indices = rng.integers(0, n, size=(seeds, batch))
 
         def peak(points):
@@ -463,6 +446,61 @@ class TestBlockGradient:
                 tracemalloc.stop()
 
         assert peak(16) <= peak(1) + 16 * seeds * d * 8
+
+
+class TestScipyReference:
+    """The numpy products and sigmoid against scipy's CSR products and expit,
+    on the bundled data: the margins, metrics and full gradient bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        data_dir = Path(problems.__file__).parent / "data"
+        (train, train_max), (test, test_max) = (
+            load_libsvm(str(data_dir / name)) for name in ("train.libsvm", "test.libsvm")
+        )
+        width = max(train_max, test_max)
+        return LogisticProblem(
+            dataclasses.replace(train, width=width), dataclasses.replace(test, width=width)
+        )
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 50.0])
+    @pytest.mark.parametrize("points", [1, 100])
+    def test_metrics_and_gradient_match_bitwise(self, problem, scale, points):
+        W = scale * np.random.default_rng(points).standard_normal((points, problem.train.width))
+        splits = [(problem.train, problem.train_metrics), (problem.test, problem.test_metrics)]
+        for data, metrics in splits:
+            # contiguous rows, as the metrics take their means in each row's 1-d order
+            y, margins = data.labels, np.ascontiguousarray((_csr(data) @ W.T).T)
+            np.testing.assert_array_equal(problems._margins(W, data), margins)
+            loss, accuracy = metrics(W)
+            np.testing.assert_array_equal(loss, np.mean(np.logaddexp(0.0, -y * margins), axis=-1))
+            np.testing.assert_array_equal(accuracy, np.mean(margins * y > 0.0, axis=-1))
+        F, y = _csr(problem.train), problem.train.labels
+        for w in W[:10]:
+            coeff = -y * problems._expit(-y * (F @ w))
+            np.testing.assert_array_equal(problem.gradient(w), F.T @ coeff / y.size)
+
+    def test_expit_is_scipys_formula(self):
+        # scipy computes 1/(1 + exp(-t)) with libm's exp, as math.exp does.
+        # Where numpy's exp agrees with libm's, the sigmoids agree bit for bit;
+        # elsewhere the two exps differ by an ulp, and so may 1 + exp(-t),
+        # whose spacing is twice that of a quotient in (1/2, 1): up to 2 ulp.
+        magnitudes = np.concatenate(
+            ([0.0], np.linspace(0.0, 800.0, 200_001), np.logspace(-320, 308, 20_001))
+        )
+        t = np.concatenate((magnitudes, -magnitudes))
+        ours, theirs = problems._expit(t), scipy.special.expit(t)
+        with np.errstate(over="ignore"):
+            same_exp = np.exp(-t) == np.frompyfunc(_libm_exp, 1, 1)(-t).astype(float)
+        np.testing.assert_array_equal(ours[same_exp], theirs[same_exp])
+        one_ulp = np.nextafter(theirs, ours)
+        assert ((ours == theirs) | (ours == one_ulp) | (np.nextafter(one_ulp, ours) == ours)).all()
+
+    def test_expit_raises_no_warning_at_huge_arguments(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = problems._expit(np.array([1000.0, -1000.0, 1e308, -1e308]))
+        np.testing.assert_array_equal(got, [1.0, 0.0, 1.0, 0.0])
 
 
 class TestGradientConsistency:
@@ -492,9 +530,8 @@ class TestGradientConsistency:
 
     def test_logistic(self):
         rng = np.random.default_rng(23)
-        features = sp.csr_matrix(rng.normal(size=(20, 6)))
         labels = np.where(rng.random(20) < 0.5, -1.0, 1.0)
-        problem = LogisticProblem(features, labels)
+        problem = LogisticProblem(_data(rng.normal(size=(20, 6)), labels))
         for _ in range(5):
             w = rng.normal(size=6)
             numeric = central_difference(problem.value, w)
