@@ -1,7 +1,8 @@
 """Experiment runner: seeded multi-run trainings, grid tuning, bound checks, CSV.
 
 Reproducibility contract: in run and tune, every stochastic choice of
-seed i flows from numpy.random.default_rng(base_seed + i), and verify's
+seed i flows from numpy.random.default_rng(base_seed + i), drawn a chunk
+of steps per call (the numbers one call per step draws), and verify's
 from one default_rng(base_seed) (see verify_theorem); all seeds share the
 same starting point, and records are emitted in a fixed order, so a
 config run twice produces identical numbers and re-emitting the same
@@ -73,7 +74,7 @@ _ROW_FIELDS = ("alpha", "gamma1", "gamma2", "schedule_a", "schedule_b")  # see _
 _MAX_BLOCK_BYTES = 1 << 30  # see _check_block
 _MAX_STEPS = 1 << 63  # the case counts are int64
 _TUNE_BLOCK_BYTES = 1 << 26  # see _run_block
-_VERIFY_CHUNK_BYTES = 1 << 18  # see verify_theorem
+_CHUNK_BYTES = 1 << 18  # see _run_block and verify_theorem
 
 
 @dataclass(frozen=True)
@@ -335,7 +336,8 @@ def _march(X, alpha, draw, gammas, observe, at, counts=None) -> None:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run n_seeds trainings in lockstep and collect checkpoint metrics.
 
-    Seed i draws from its own generator default_rng(base_seed + i), so
+    Seed i draws from its own generator default_rng(base_seed + i), a
+    chunk of steps per call and the same stream as one call per step, so
     its trajectory does not depend on n_seeds; all seeds share the
     starting point.  A run that produces a non-finite loss, gradient or
     iterate stops stepping and reports nan metrics from that checkpoint
@@ -349,7 +351,9 @@ def _run_block(
 ) -> list[ExperimentResult]:
     """Run configs that differ only in _ROW_FIELDS as one block, whose row
     p*S + i is config p under seed i; one whose iterates and margins would
-    pass _TUNE_BLOCK_BYTES runs in parts.
+    pass _TUNE_BLOCK_BYTES runs in parts.  Seed i's mini-batch indices (or
+    Gaussian noise) come from default_rng(base_seed + i) a chunk of steps
+    per call, the numbers one call per step draws, shared by every config.
 
     With final_only, each result holds only its final-checkpoint records,
     and an earlier checkpoint computes no metrics beyond what the freeze
@@ -362,6 +366,10 @@ def _run_block(
     logistic = config.problem == "logistic"
     dim = problem.metadata.dimension
     n = problem.n_components if logistic else 0
+    # fits counts per row the iterates and one split's margins.  At a
+    # checkpoint the margin kernel also holds W^T and its sums (acc) beside
+    # either its output or one slot's two product temporaries, so a part's
+    # peak is nearer 2 * dim + 3 * n numbers per row than dim + n.
     fits = max(1, _TUNE_BLOCK_BYTES // (8 * S * (dim + n)))
     if len(configs) > fits:
         parts = [configs[i:i + fits] for i in range(0, len(configs), fits)]
@@ -369,18 +377,34 @@ def _run_block(
     P = len(configs)
     total = _block_steps(config, problem)
     X = _start_block(P * S, dim, 0.0 if logistic else 1.0)
+    targets = _checkpoint_iterations(config.checkpoint_fractions, total)
+    last = max(targets)
     rngs = [np.random.default_rng(config.base_seed + i) for i in range(S)]
+    width = config.batch_size if logistic else dim  # the numbers a seed draws per step
+    # Each seed draws a chunk of steps in one call, which continues its
+    # stream exactly as one call per step would; chunk[j] is step j's
+    # (S, width) block.  A chunk holds at most _CHUNK_BYTES, or one step.
+    per_chunk = max(1, _CHUNK_BYTES // (8 * S * width))
+    chunk = None
+
+    def drawn(k):
+        nonlocal chunk
+        j = (k - 1) % per_chunk
+        if j == 0:
+            size = (min(per_chunk, last - k + 1), width)  # never past the last step
+            draws = [rng.integers(0, n, size) if logistic else rng.standard_normal(size)
+                     for rng in rngs]
+            chunk = np.stack(draws, axis=1)
+        return chunk[j]
+
     if logistic:
-        b = config.batch_size
 
         def draw(X, k, alpha_k):
-            indices = np.array([rng.integers(0, n, size=b) for rng in rngs])
-            return problem.block_gradient(indices, X)
+            return problem.block_gradient(drawn(k), X)
     else:
 
         def draw(X, k, alpha_k):
-            noise = np.array([rng.standard_normal(dim) for rng in rngs])
-            return problem.gradient(X) + config.sigma * np.tile(noise, (P, 1))
+            return problem.gradient(X) + config.sigma * np.tile(drawn(k), (P, 1))
 
     schedules = [c.schedule() for c in configs]
 
@@ -392,7 +416,6 @@ def _run_block(
         gammas = np.repeat([[c.gamma1 for c in configs], [c.gamma2 for c in configs]], S, axis=1)
     counts = np.zeros((P * S, 3), dtype=int)
     snapshots = {}  # per checkpoint, each row's four metrics and three case counts
-    targets = _checkpoint_iterations(config.checkpoint_fractions, total)
     checkpoints = list(zip(config.checkpoint_fractions, targets))
     if final_only:
         checkpoints = checkpoints[-1:]
@@ -591,7 +614,7 @@ def verify_theorem(setup: VerificationSetup, base_seed: int = 0) -> TheoremRepor
     alpha_sums = np.empty(horizon)  # guarantee 5: sum of alpha_j over j <= k
     # Each k's per-seed curve fills one row; every chunk rows, or at the
     # horizon, the rows are reduced to means and SEs in one call each.
-    chunk = min(horizon, max(1, _VERIFY_CHUNK_BYTES // (8 * n_seeds)))
+    chunk = min(horizon, max(1, _CHUNK_BYTES // (8 * n_seeds)))
     curves = np.empty((chunk, n_seeds))
     grad = None
 
@@ -774,11 +797,13 @@ def emit_csv(records: list[RunRecord], path: str) -> None:
 
 
 def emit_verify_csv(report: TheoremReport, path: str) -> None:
-    """Write the bound-check curve, one row per iteration index."""
+    """Write the bound-check curve, one row per iteration index, converting
+    512 rows at a time to Python numbers."""
     # one format per row; %.9g writes a float as _fmt does
     columns = (report.k, report.empirical, report.standard_error, report.bound,
                report.violated)
-    rows = zip(*(column.tolist() for column in columns))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(VERIFY_CSV_HEADER + "\n")
-        handle.writelines("%d,%.9g,%.9g,%.9g,%d\n" % row for row in rows)
+        for start in range(0, report.k.size, 512):
+            rows = zip(*(column[start:start + 512].tolist() for column in columns))
+            handle.writelines("%d,%.9g,%.9g,%.9g,%d\n" % row for row in rows)

@@ -124,6 +124,33 @@ class LibsvmData:
         """Each stored entry's row."""
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
+    @cached_property
+    def slots(self) -> tuple:
+        """The stored entries by slot, for problems._margins: (order, slots, tail).
+
+        order sorts the rows by descending stored length (a stable sort).
+        slots[j] holds the columns and values of the j-th stored entry of
+        every row that has one, in that order, for each j below the K that
+        minimises K plus the number of rows longer than K.  tail holds the
+        entries of those longer rows past slot K as (owner, columns,
+        values), owner being each entry's row's position in order.  The
+        view costs 12 bytes per stored entry with int32 columns.
+        """
+        lengths = np.diff(self.indptr)
+        order = np.argsort(-lengths, kind="stable")
+        starts = self.indptr[order]
+        longer = len(self) - np.cumsum(np.bincount(lengths, minlength=1))  # rows longer than K
+        K = int(np.argmin(np.arange(longer.size) + longer))
+        slots = []
+        for j, rows in enumerate(longer[:K].tolist()):  # the first `rows` rows in order
+            at = starts[:rows] + j
+            slots.append((self.indices[at], self.values[at]))
+        spill = lengths[order[:longer[K]]] - K  # each longer row's entries past slot K
+        owner = np.repeat(np.arange(spill.size), spill)
+        first = np.cumsum(spill) - spill  # each longer row's first tail entry
+        at = np.repeat(starts[:spill.size] + K - first, spill) + np.arange(owner.size)
+        return order, slots, (owner, self.indices[at], self.values[at])
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LibsvmData):
             return NotImplemented

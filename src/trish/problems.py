@@ -139,14 +139,29 @@ def _expit(t: np.ndarray) -> np.ndarray:
 
 
 def _margins(W: np.ndarray, data: LibsvmData) -> np.ndarray:
-    """data's margins z_i . w at w, or at every row of W, one row of W at a time;
-    np.bincount adds each row's entries in their stored order."""
+    """data's margins z_i . w at w, or at every row of W, C-contiguous.
+
+    Each margin sums its row's products from +0.0 in stored order, as
+    np.bincount does: slot by slot over data.slots for every row of W at
+    once, then the long rows' tails through one np.bincount whose bins
+    start from the slots' sums.
+    """
     W = np.asarray(W)
-    rows = W.reshape(-1, W.shape[-1])
-    margins = np.empty((len(rows), len(data)))
-    for w, out in zip(rows, margins):
-        products = data.values * np.take(w, data.indices)  # faster than w[] on int32 columns
-        out[:] = np.bincount(data.row_of_entry, products, minlength=len(data))
+    Wt = np.ascontiguousarray(W.reshape(-1, W.shape[-1]).T)  # Wt[c]: column c of every row
+    R = Wt.shape[1]
+    order, slots, (owner, columns, values) = data.slots
+    acc = np.zeros((len(data), R))
+    with np.errstate(over="ignore", invalid="ignore"):  # as silent as np.bincount's sums
+        for cols, vals in slots:
+            acc[:vals.size] += vals[:, None] * np.take(Wt, cols, axis=0)
+        if owner.size:
+            T = owner[-1] + 1  # the rows with a tail come first in order
+            bins = np.concatenate((np.arange(T * R), (owner[:, None] * R + np.arange(R)).ravel()))
+            products = values[:, None] * np.take(Wt, columns, axis=0)
+            sums = np.bincount(bins, np.concatenate((acc[:T].ravel(), products.ravel())))
+            acc[:T] = sums.reshape(T, R)
+    margins = np.empty((R, len(data)))
+    margins.T[order] = acc
     return margins.reshape(W.shape[:-1] + (len(data),))
 
 

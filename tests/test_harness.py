@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from trish import harness
+from trish.cli import main as cli_main
 from trish.core import StepsizeSchedule, TrishParams, classify_case, step_norm
 from trish.harness import (
     RUN_CSV_HEADER,
@@ -472,6 +473,99 @@ class TestTuneGrid:
             tune_grid(base, {("gamma1", "gamma2"): [(2.0, 0.8, 1.0)]})
 
 
+_CHUNKED = ExperimentConfig(
+    problem="logistic", dataset=TRAIN, test_dataset=TEST, gamma1=4.0, gamma2=1.6, alpha=0.5,
+    batch_size=7, n_seeds=3, checkpoint_fractions=(0.3, 0.9),  # 86 steps, 78 of them taken
+)
+_CHUNKED_SYNTHETIC = synthetic_config(
+    problem="nonconvex_pl", dimension=3, max_iterations=50, n_seeds=4, sigma=0.5
+)
+
+
+def _chunk_budget(kind: str, seeds: int, width: int, steps: int) -> int:
+    """_CHUNK_BYTES giving 1-step chunks, 7-step ones that do not divide the
+    run, or one chunk for the whole run."""
+    return 8 * seeds * width * {"one_step": 1, "seven_steps": 7, "whole_run": steps}[kind]
+
+
+def _spy_draws(monkeypatch, problem, gradient=None):
+    """Record the chunk that each block_gradient call's indices are a step of."""
+    chunks = []
+    gradient = gradient or problem.block_gradient
+
+    def spy(indices, W):
+        if not chunks or chunks[-1] is not indices.base:
+            chunks.append(indices.base)
+        return gradient(indices, W)
+
+    monkeypatch.setattr(problem, "block_gradient", spy)
+    return chunks
+
+
+class TestDrawChunks:
+    """Each seed draws a chunk of steps per call, stacked step-major: the
+    chunk size changes no number, and a chunk stays within _CHUNK_BYTES."""
+
+    @pytest.mark.parametrize("kind", ["one_step", "seven_steps", "whole_run"])
+    def test_logistic_records_do_not_depend_on_the_chunk(self, monkeypatch, kind):
+        problem = _build_problem(_CHUNKED)
+        default = harness._run_block([_CHUNKED], problem)[0].records
+        chunks = _spy_draws(monkeypatch, problem)
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", _chunk_budget(kind, 3, 7, 78))
+        assert harness._run_block([_CHUNKED], problem)[0].records == default
+        per_chunk = {"one_step": 1, "seven_steps": 7, "whole_run": 78}[kind]
+        # never past the last step taken, 78 of the run's 86
+        assert [c.shape for c in chunks] == [(per_chunk, 3, 7)] * (78 // per_chunk) + [
+            (78 % per_chunk, 3, 7)
+        ] * (78 % per_chunk > 0)
+
+    @pytest.mark.parametrize("kind", ["one_step", "seven_steps", "whole_run"])
+    def test_synthetic_records_do_not_depend_on_the_chunk(self, monkeypatch, kind):
+        config = _CHUNKED_SYNTHETIC
+        problem = _build_problem(config)
+        default = harness._run_block([config, dataclasses.replace(config, alpha=0.2)], problem)
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", _chunk_budget(kind, 4, 3, 50))
+        chunked = harness._run_block([config, dataclasses.replace(config, alpha=0.2)], problem)
+        for got, want in zip(chunked, default, strict=True):  # nan test columns
+            np.testing.assert_array_equal(_rows(got.records), _rows(want.records))
+
+    @pytest.mark.parametrize("kind", ["one_step", "seven_steps", "whole_run"])
+    def test_tune_table_and_out_do_not_depend_on_the_chunk(
+        self, monkeypatch, tmp_path, capsys, kind
+    ):
+        conf = tmp_path / "tune.conf"
+        conf.write_text(
+            f"method = trish\nproblem = logistic\ndataset = {TRAIN}\ntest_dataset = {TEST}\n"
+            "n_seeds = 3\ntune_alpha = 0.25, 1\ntune_gamma1 = 2, 8\ntune_batch_size = 5, 20\n"
+        )
+        outputs = []
+        for budget in (None, _chunk_budget(kind, 3, 5, 120)):
+            if budget is not None:
+                monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
+            out = tmp_path / f"best-{budget}.csv"
+            assert cli_main(["tune", "--config", str(conf), "--out", str(out)]) == 0
+            table = capsys.readouterr().out.replace(str(out), "OUT")
+            outputs.append((table, out.read_bytes()))
+        assert outputs[1] == outputs[0]
+
+    @pytest.mark.parametrize("batch_size, per_chunk", [(100, 1), (1, 16)])
+    def test_many_seeds_keep_a_chunk_within_the_budget(self, monkeypatch, batch_size, per_chunk):
+        # 2000 seeds of a 100-index batch draw 1.6 MB a step, past the
+        # 256 KiB budget, so each chunk holds one step; of a 1-index batch,
+        # 16 KB a step, so 16 steps.
+        config = dataclasses.replace(
+            _CHUNKED, n_seeds=2000, batch_size=batch_size, checkpoint_fractions=(0.05,)
+        )
+        problem = _build_problem(config)
+        chunks = _spy_draws(monkeypatch, problem, lambda indices, W: np.zeros_like(W))
+        harness._run_block([config], problem, final_only=True)
+        steps = math.ceil(0.05 * math.ceil(600 / batch_size))
+        assert sum(len(c) for c in chunks) == steps
+        assert all(c.shape[1:] == (2000, batch_size) for c in chunks)
+        assert max(c.nbytes for c in chunks) == 8 * 2000 * batch_size * per_chunk
+        assert max(c.nbytes for c in chunks) <= max(harness._CHUNK_BYTES, 8 * 2000 * batch_size)
+
+
 @st.composite
 def _step_blocks(draw):
     """A safeguard pair, a stepsize, and a block of iterates and samples.
@@ -713,7 +807,7 @@ class TestVerifyChunks:
             )
             default = _report_arrays(verify_theorem(setup, base_seed=5))
             for chunk in (1, 3):
-                monkeypatch.setattr(harness, "_VERIFY_CHUNK_BYTES", 8 * n_seeds * chunk)
+                monkeypatch.setattr(harness, "_CHUNK_BYTES", 8 * n_seeds * chunk)
                 chunked = _report_arrays(verify_theorem(setup, base_seed=5))
                 monkeypatch.undo()
                 for got, want in zip(chunked, default):
@@ -731,7 +825,7 @@ class TestVerifyChunks:
         setup = dataclasses.replace(setup, oracle=_PoisonedOracle(setup.oracle, 4))
         reports = [verify_theorem(setup)]
         for chunk in (1, 3):
-            monkeypatch.setattr(harness, "_VERIFY_CHUNK_BYTES", 8 * 17 * chunk)
+            monkeypatch.setattr(harness, "_CHUNK_BYTES", 8 * 17 * chunk)
             reports.append(verify_theorem(setup))
         for report in reports:
             assert report.violated.tolist() == [False] * 4 + [True] * 6

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -501,6 +503,111 @@ class TestScipyReference:
             warnings.simplefilter("error")
             got = problems._expit(np.array([1000.0, -1000.0, 1e308, -1e308]))
         np.testing.assert_array_equal(got, [1.0, 0.0, 1.0, 0.0])
+
+
+def _bincount_margins(W: np.ndarray, data: LibsvmData) -> np.ndarray:
+    """The margins one row of W at a time, one np.bincount over data's entries each."""
+    margins = np.empty((len(W), len(data)))
+    for w, out in zip(W, margins):
+        out[:] = np.bincount(data.row_of_entry, data.values * w[data.indices], minlength=len(data))
+    return margins
+
+
+def _layout(lengths, width: int, seed: int = 0) -> LibsvmData:
+    """Rows of the given stored lengths, at random rising columns below width."""
+    rng = np.random.default_rng(seed)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    columns = [np.sort(rng.choice(width, size=n, replace=False)) for n in lengths.tolist()]
+    indices = np.concatenate([np.zeros(0, np.int32)] + columns).astype(np.int32)
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    values = rng.lognormal(size=indices.size) * rng.choice([-1.0, 1.0], size=indices.size)
+    return LibsvmData(np.ones(len(lengths)), indptr, indices, values, width)
+
+
+def _bundled(name: str) -> LibsvmData:
+    return load_libsvm(str(Path(problems.__file__).parent / "data" / name))[0]
+
+
+_LAYOUTS = {
+    "train": lambda: _bundled("train.libsvm"),
+    "test": lambda: _bundled("test.libsvm"),
+    "empty_rows": lambda: _layout([0, 3, 0, 5, 1, 0, 2], 9),
+    "no_entries": lambda: _layout([0, 0, 0], 4),
+    "one_long_row": lambda: _layout([5] * 300 + [20_000] + [3] * 299, 20_050),
+    "power_law": lambda: _layout(
+        np.minimum(1 + np.random.default_rng(1).pareto(1.2, 1500).astype(int), 2000), 2500
+    ),
+}
+
+
+class TestMarginKernel:
+    """problems._margins, slot by slot over data.slots, against one np.bincount
+    per row of W: bit for bit, at every layout and scale."""
+
+    @pytest.fixture(scope="class", params=list(_LAYOUTS))
+    def data(self, request):
+        return _LAYOUTS[request.param]()
+
+    @pytest.mark.parametrize("rows", [0, 1, 5, 100])
+    def test_equals_one_bincount_per_row(self, data, rows):
+        rng = np.random.default_rng(rows)
+        for scale in (1e-3, 1.0, 1e300):
+            W = scale * rng.standard_normal((rows, data.width))
+            got = problems._margins(W, data)
+            assert got.shape == (rows, len(data))
+            # np.mean's pairwise order depends on the layout in memory
+            assert got.flags.c_contiguous
+            np.testing.assert_array_equal(got, _bincount_margins(W, data))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # sums overflow silently, as bincount's do
+    def test_inf_and_nan_columns(self, data):
+        rng = np.random.default_rng(2)
+        W = 1e307 * rng.standard_normal((5, data.width))  # products and sums overflow
+        W[0, ::3], W[1, 1::4], W[2, ::5], W[3] = np.inf, -np.inf, np.nan, np.nan
+        W[4, ::7], W[4, 3::7] = np.inf, -np.inf
+        got = problems._margins(W, data)
+        with np.errstate(over="ignore"):
+            want = _bincount_margins(W, data)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        finite = ~np.isnan(want)
+        np.testing.assert_array_equal(got[finite], want[finite])
+        np.testing.assert_array_equal(np.signbit(got[finite]), np.signbit(want[finite]))
+
+    def test_a_vector_gives_one_row_of_margins(self, data):
+        w = np.random.default_rng(3).standard_normal(data.width)
+        np.testing.assert_array_equal(problems._margins(w, data), _bincount_margins(w[None], data)[0])
+
+    def test_a_long_row_goes_to_the_tail(self):
+        data = _LAYOUTS["one_long_row"]()
+        order, slots, (owner, columns, values) = data.slots
+        assert order[0] == 300  # the longest row comes first
+        assert len(slots) == 5  # K = 5 costs 5 slots plus 1 row of tail
+        assert owner.tolist() == [0] * (20_000 - 5)
+        assert sum(v.size for _, v in slots) + values.size == data.values.size
+        np.testing.assert_array_equal(columns, data.indices[data.indptr[300] + 5:data.indptr[301]])
+
+
+class TestKernelTimingScript:
+    def test_small_run(self):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "kernel_timing.py"
+        done = subprocess.run(
+            [sys.executable, str(script), "--rows", "2000", "--repeats", "1"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        header, *lines = done.stdout.splitlines()
+        assert header.split() == ["layer", "layout", "rows", "nnz", "R", "ms"]
+        rows = [line.split() for line in lines]
+        assert [row[:2] + row[4:5] for row in rows] == [
+            [layer, layout, R]
+            for layout in ("train", "gen_wide", "power_law")
+            for R in ("1", "5", "100")
+            for layer in ("margins", "reference_loop")
+        ] + [["block_gradient", "train", "100"], ["trish_step", "train", "100"]]
+        assert [row[2] for row in rows if row[1] == "gen_wide"] == ["2000"] * 6
+        assert all(float(row[5]) > 0 for row in rows)
 
 
 class TestGradientConsistency:
