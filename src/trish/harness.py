@@ -350,10 +350,11 @@ def _run_block(
     configs: list[ExperimentConfig], problem, final_only: bool = False
 ) -> list[ExperimentResult]:
     """Run configs that differ only in _ROW_FIELDS as one block, whose row
-    p*S + i is config p under seed i; one whose iterates and margins would
-    pass _TUNE_BLOCK_BYTES runs in parts.  Seed i's mini-batch indices (or
-    Gaussian noise) come from default_rng(base_seed + i) a chunk of steps
-    per call, the numbers one call per step draws, shared by every config.
+    p*S + i is config p under seed i; one whose iterates and margin-kernel
+    arrays would pass _TUNE_BLOCK_BYTES runs in parts.  Seed i's mini-batch
+    indices (or Gaussian noise) come from default_rng(base_seed + i) a chunk
+    of steps per call, the numbers one call per step draws, shared by every
+    config.
 
     With final_only, each result holds only its final-checkpoint records,
     and an earlier checkpoint computes no metrics beyond what the freeze
@@ -366,11 +367,8 @@ def _run_block(
     logistic = config.problem == "logistic"
     dim = problem.metadata.dimension
     n = problem.n_components if logistic else 0
-    # fits counts per row the iterates and one split's margins.  At a
-    # checkpoint the margin kernel also holds W^T and its sums (acc) beside
-    # either its output or one slot's two product temporaries, so a part's
-    # peak is nearer 2 * dim + 3 * n numbers per row than dim + n.
-    fits = max(1, _TUNE_BLOCK_BYTES // (8 * S * (dim + n)))
+    # Per row: the iterates, and the margin kernel's W^T, sums, output and one slot's products.
+    fits = max(1, _TUNE_BLOCK_BYTES // (8 * S * (2 * dim + 3 * n)))
     if len(configs) > fits:
         parts = [configs[i:i + fits] for i in range(0, len(configs), fits)]
         return [result for part in parts for result in _run_block(part, problem, final_only)]
@@ -382,29 +380,27 @@ def _run_block(
     rngs = [np.random.default_rng(config.base_seed + i) for i in range(S)]
     width = config.batch_size if logistic else dim  # the numbers a seed draws per step
     # Each seed draws a chunk of steps in one call, which continues its
-    # stream exactly as one call per step would; chunk[j] is step j's
-    # (S, width) block.  A chunk holds at most _CHUNK_BYTES, or one step.
+    # stream exactly as one call per step would; steps yields each step's
+    # (S, width) block in turn.  A chunk holds at most _CHUNK_BYTES, or one
+    # step, and never reaches past the last step.
     per_chunk = max(1, _CHUNK_BYTES // (8 * S * width))
-    chunk = None
 
-    def drawn(k):
-        nonlocal chunk
-        j = (k - 1) % per_chunk
-        if j == 0:
-            size = (min(per_chunk, last - k + 1), width)  # never past the last step
-            draws = [rng.integers(0, n, size) if logistic else rng.standard_normal(size)
-                     for rng in rngs]
-            chunk = np.stack(draws, axis=1)
-        return chunk[j]
+    def chunk(k):  # steps k to k + per_chunk - 1, stacked step-major
+        size = (min(per_chunk, last - k + 1), width)
+        draws = [rng.integers(0, n, size) if logistic else rng.standard_normal(size)
+                 for rng in rngs]
+        return np.stack(draws, axis=1)
+
+    steps = (step for k in range(1, last + 1, per_chunk) for step in chunk(k))
 
     if logistic:
 
         def draw(X, k, alpha_k):
-            return problem.block_gradient(drawn(k), X)
+            return problem.block_gradient(next(steps), X)
     else:
 
         def draw(X, k, alpha_k):
-            return problem.gradient(X) + config.sigma * np.tile(drawn(k), (P, 1))
+            return problem.gradient(X) + config.sigma * np.tile(next(steps), (P, 1))
 
     schedules = [c.schedule() for c in configs]
 

@@ -134,7 +134,8 @@ class LibsvmData:
         minimises K plus the number of rows longer than K.  tail holds the
         entries of those longer rows past slot K as (owner, columns,
         values), owner being each entry's row's position in order.  The
-        view costs 12 bytes per stored entry with int32 columns.
+        view costs 12 bytes per stored entry with int32 columns, and 8
+        more per tail entry for its owner.
         """
         lengths = np.diff(self.indptr)
         order = np.argsort(-lengths, kind="stable")

@@ -143,11 +143,13 @@ def _margins(W: np.ndarray, data: LibsvmData) -> np.ndarray:
 
     Each margin sums its row's products from +0.0 in stored order, as
     np.bincount does: slot by slot over data.slots for every row of W at
-    once, then the long rows' tails through one np.bincount whose bins
-    start from the slots' sums.
+    once, then the long rows' tails through one np.bincount per row of W
+    whose bins start from the slots' sums, so the tail's temporaries stay
+    the tail's size.
     """
     W = np.asarray(W)
-    Wt = np.ascontiguousarray(W.reshape(-1, W.shape[-1]).T)  # Wt[c]: column c of every row
+    W2 = W.reshape(-1, W.shape[-1])
+    Wt = np.ascontiguousarray(W2.T)  # Wt[c]: column c of every row
     R = Wt.shape[1]
     order, slots, (owner, columns, values) = data.slots
     acc = np.zeros((len(data), R))
@@ -156,10 +158,10 @@ def _margins(W: np.ndarray, data: LibsvmData) -> np.ndarray:
             acc[:vals.size] += vals[:, None] * np.take(Wt, cols, axis=0)
         if owner.size:
             T = owner[-1] + 1  # the rows with a tail come first in order
-            bins = np.concatenate((np.arange(T * R), (owner[:, None] * R + np.arange(R)).ravel()))
-            products = values[:, None] * np.take(Wt, columns, axis=0)
-            sums = np.bincount(bins, np.concatenate((acc[:T].ravel(), products.ravel())))
-            acc[:T] = sums.reshape(T, R)
+            bins = np.concatenate((np.arange(T), owner))
+            for r in range(R):
+                products = values * np.take(W2[r], columns)
+                acc[:T, r] = np.bincount(bins, np.concatenate((acc[:T, r], products)), minlength=T)
     margins = np.empty((R, len(data)))
     margins.T[order] = acc
     return margins.reshape(W.shape[:-1] + (len(data),))

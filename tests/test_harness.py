@@ -431,7 +431,7 @@ class TestTuneGrid:
 
         monkeypatch.setattr(harness, "_start_block", recorded)
         # room for two points of 2 seeds, 120 columns and 600 training rows
-        monkeypatch.setattr(harness, "_TUNE_BLOCK_BYTES", 2 * 8 * 2 * (120 + 600))
+        monkeypatch.setattr(harness, "_TUNE_BLOCK_BYTES", 2 * 8 * 2 * (2 * 120 + 3 * 600))
         parts = tune_grid(base, grid)
         assert rows == [4, 4, 2, 2]  # three parts, then the winner's lone run
         assert parts.entries == whole.entries

@@ -534,6 +534,8 @@ _LAYOUTS = {
     "empty_rows": lambda: _layout([0, 3, 0, 5, 1, 0, 2], 9),
     "no_entries": lambda: _layout([0, 0, 0], 4),
     "one_long_row": lambda: _layout([5] * 300 + [20_000] + [3] * 299, 20_050),
+    # every row longer than the row count: K = 0, all entries in the tail
+    "all_long_rows": lambda: _layout([3000] * 40, 3500),
     "power_law": lambda: _layout(
         np.minimum(1 + np.random.default_rng(1).pareto(1.2, 1500).astype(int), 2000), 2500
     ),
@@ -585,6 +587,21 @@ class TestMarginKernel:
         assert owner.tolist() == [0] * (20_000 - 5)
         assert sum(v.size for _, v in slots) + values.size == data.values.size
         np.testing.assert_array_equal(columns, data.indices[data.indptr[300] + 5:data.indptr[301]])
+
+    def test_the_tail_holds_tail_sized_temporaries(self):
+        # 40 rows of 3000 entries at R = 100: a tail taking every row of W
+        # at once would hold several tail x R arrays, about 96 MB each.
+        data = _LAYOUTS["all_long_rows"]()
+        assert data.slots[1] == [] and data.slots[2][0].size == data.values.size
+        W = np.random.default_rng(4).standard_normal((100, data.width))
+        problems._margins(W, data)  # any first-call cost is paid here
+        tracemalloc.start()
+        try:
+            problems._margins(W, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= W.nbytes + 64 * data.values.size
 
 
 class TestKernelTimingScript:
