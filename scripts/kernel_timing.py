@@ -1,7 +1,8 @@
 """Time the layers of a tune block: the margin kernel, one gradient, one step.
 
-For each layout, the script times problems._margins, and the reference
-loop it replaced (one np.bincount over the split's entries per row of W),
+For each layout, the script times problems._margins over the split's
+problems._slot_view, and the reference loop it replaced (one np.bincount
+over the split's entries per row of W, binned by each entry's row),
 at R = 1, 5 and 100 rows of W drawn at unit scale.  The layouts are the
 bundled training split, a perfbench/gen_wide.py file of --rows rows
 (written under a temporary directory and deleted after the load) and a
@@ -42,12 +43,12 @@ SEED = 1  # every generated layout and draw
 ROWS_OF_W = (1, 5, 100)
 
 
-def reference_margins(W: np.ndarray, data: LibsvmData) -> np.ndarray:
-    """The margins one row of W at a time, one np.bincount over the entries each."""
+def reference_margins(W: np.ndarray, data: LibsvmData, rows: np.ndarray) -> np.ndarray:
+    """The margins one row of W at a time, one np.bincount over the entries
+    each, whose rows are rows."""
     margins = np.empty((len(W), len(data)))
     for w, out in zip(W, margins):
-        out[:] = np.bincount(data.row_of_entry, data.values * np.take(w, data.indices),
-                             minlength=len(data))
+        out[:] = np.bincount(rows, data.values * np.take(w, data.indices), minlength=len(data))
     return margins
 
 
@@ -87,11 +88,15 @@ def main(argv: list[str] | None = None) -> int:
     rng = np.random.default_rng(SEED)
     print(f"{'layer':<16} {'layout':<10} {'rows':>8} {'nnz':>9} {'R':>4} {'ms':>9}")
     for name, data in layouts.items():
-        data.slots, data.row_of_entry  # each kernel's cached view, built once per split
+        # each kernel's view of the split, built once, as LogisticProblem holds it
+        view = problems._slot_view(data)
+        rows = np.repeat(np.arange(len(data)), np.diff(data.indptr))
+        kernels = {"margins": lambda W: problems._margins(W, view),
+                   "reference_loop": lambda W: reference_margins(W, data, rows)}
         for R in ROWS_OF_W:
             W = rng.standard_normal((R, data.width))
-            for layer, kernel in (("margins", problems._margins), ("reference_loop", reference_margins)):
-                ms = ms_per_call(lambda: kernel(W, data), args.repeats)
+            for layer, kernel in kernels.items():
+                ms = ms_per_call(lambda: kernel(W), args.repeats)
                 print(f"{layer:<16} {name:<10} {len(data):>8} {data.values.size:>9} {R:>4} "
                       f"{ms:>9.3f}", flush=True)
     labels = problems.normalize_binary_labels(train.labels)

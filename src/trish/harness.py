@@ -403,9 +403,11 @@ def _run_block(
             return problem.gradient(X) + config.sigma * np.tile(next(steps), (P, 1))
 
     schedules = [c.schedule() for c in configs]
+    fixed = all(s.kind == "fixed" for s in schedules)
+    first = np.repeat([s.alpha(1) for s in schedules], S)  # every step's, when all are fixed
 
     def alpha(k):
-        return np.repeat([s.alpha(k) for s in schedules], S)
+        return first if fixed else np.repeat([s.alpha(k) for s in schedules], S)
 
     gammas = None  # plain SG, whose case counts stay zero
     if config.method == "trish":
@@ -771,35 +773,26 @@ def verification_setup(
     return VerificationSetup(tc, problem, noise, params, schedule, x1, row.horizon, n_seeds)
 
 
-def _fmt(value) -> str:
-    """Floats at 9 significant digits, everything else via str."""
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
+def _write_csv(path: str, header: str, row_format: str, n: int, rows) -> None:
+    """Write the header line, then the n rows through row_format, taking
+    rows(start, stop) 512 at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(header + "\n")
+        for start in range(0, n, 512):
+            handle.writelines(row_format % row for row in rows(start, start + 512))
 
 
 def emit_csv(records: list[RunRecord], path: str) -> None:
-    """Write run records sorted by (seed, iteration, fraction).
-
-    Emitting the same records twice yields byte-identical files; an
-    empty record list writes just the header line.
-    """
-    ordered = sorted(
-        records, key=lambda r: (r.seed, r.iteration, r.checkpoint_fraction)
-    )
-    lines = [RUN_CSV_HEADER] + [",".join(map(_fmt, dataclasses.astuple(r))) for r in ordered]
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    """Write run records sorted by (seed, iteration, fraction), floats at 9
+    significant digits: the same records give byte-identical files, and an
+    empty list just the header line."""
+    ordered = sorted(records, key=lambda r: (r.seed, r.iteration, r.checkpoint_fraction))
+    _write_csv(path, RUN_CSV_HEADER, "%d,%.9g,%d,%.9g,%.9g,%.9g,%.9g,%d,%d,%d\n", len(ordered),
+               lambda start, stop: map(dataclasses.astuple, ordered[start:stop]))
 
 
 def emit_verify_csv(report: TheoremReport, path: str) -> None:
-    """Write the bound-check curve, one row per iteration index, converting
-    512 rows at a time to Python numbers."""
-    # one format per row; %.9g writes a float as _fmt does
-    columns = (report.k, report.empirical, report.standard_error, report.bound,
-               report.violated)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(VERIFY_CSV_HEADER + "\n")
-        for start in range(0, report.k.size, 512):
-            rows = zip(*(column[start:start + 512].tolist() for column in columns))
-            handle.writelines("%d,%.9g,%.9g,%.9g,%d\n" % row for row in rows)
+    """Write the bound-check curve, one row per iteration index."""
+    columns = (report.k, report.empirical, report.standard_error, report.bound, report.violated)
+    _write_csv(path, VERIFY_CSV_HEADER, "%d,%.9g,%.9g,%.9g,%d\n", report.k.size,
+               lambda start, stop: zip(*(column[start:stop].tolist() for column in columns)))

@@ -22,7 +22,6 @@ __all__ = [
     "QuadraticProblem",
     "NonconvexPLProblem",
     "LogisticProblem",
-    "logistic_gradient",
     "normalize_binary_labels",
 ]
 
@@ -138,21 +137,49 @@ def _expit(t: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-t))
 
 
-def _margins(W: np.ndarray, data: LibsvmData) -> np.ndarray:
-    """data's margins z_i . w at w, or at every row of W, C-contiguous.
+def _slot_view(data: LibsvmData) -> tuple:
+    """data's stored entries by slot, the layout _margins walks: (order, slots, tail).
 
-    Each margin sums its row's products from +0.0 in stored order, as
-    np.bincount does: slot by slot over data.slots for every row of W at
-    once, then the long rows' tails through one np.bincount per row of W
-    whose bins start from the slots' sums, so the tail's temporaries stay
-    the tail's size.
+    order sorts the rows by descending stored length (a stable sort).
+    slots[j] holds the columns and values of the j-th stored entry of
+    every row that has one, in that order, for each j below the K that
+    minimises K plus the number of rows longer than K.  tail holds the
+    entries of those longer rows past slot K as (owner, columns, values),
+    owner being each entry's row's position in order.  The view costs 12
+    bytes per stored entry with int32 columns, and 8 more per tail entry
+    for its owner.
+    """
+    lengths = np.diff(data.indptr)
+    order = np.argsort(-lengths, kind="stable")
+    starts = data.indptr[order]
+    longer = len(data) - np.cumsum(np.bincount(lengths, minlength=1))  # rows longer than K
+    K = int(np.argmin(np.arange(longer.size) + longer))
+    slots = []
+    for j, rows in enumerate(longer[:K].tolist()):  # the first `rows` rows in order
+        at = starts[:rows] + j
+        slots.append((data.indices[at], data.values[at]))
+    spill = lengths[order[:longer[K]]] - K  # each longer row's entries past slot K
+    owner = np.repeat(np.arange(spill.size), spill)
+    first = np.cumsum(spill) - spill  # each longer row's first tail entry
+    at = np.repeat(starts[:spill.size] + K - first, spill) + np.arange(owner.size)
+    return order, slots, (owner, data.indices[at], data.values[at])
+
+
+def _margins(W: np.ndarray, view: tuple) -> np.ndarray:
+    """A split's margins z_i . w at w, or at every row of W, from its _slot_view.
+
+    C-contiguous; each margin sums its row's products from +0.0 in stored
+    order, as np.bincount does: slot by slot for every row of W at once,
+    then the long rows' tails through one np.bincount per row of W whose
+    bins start from the slots' sums, so the tail's temporaries stay the
+    tail's size.
     """
     W = np.asarray(W)
     W2 = W.reshape(-1, W.shape[-1])
     Wt = np.ascontiguousarray(W2.T)  # Wt[c]: column c of every row
     R = Wt.shape[1]
-    order, slots, (owner, columns, values) = data.slots
-    acc = np.zeros((len(data), R))
+    order, slots, (owner, columns, values) = view
+    acc = np.zeros((order.size, R))
     with np.errstate(over="ignore", invalid="ignore"):  # as silent as np.bincount's sums
         for cols, vals in slots:
             acc[:vals.size] += vals[:, None] * np.take(Wt, cols, axis=0)
@@ -162,23 +189,37 @@ def _margins(W: np.ndarray, data: LibsvmData) -> np.ndarray:
             for r in range(R):
                 products = values * np.take(W2[r], columns)
                 acc[:T, r] = np.bincount(bins, np.concatenate((acc[:T, r], products)), minlength=T)
-    margins = np.empty((R, len(data)))
+    margins = np.empty((R, order.size))
     margins.T[order] = acc
-    return margins.reshape(W.shape[:-1] + (len(data),))
+    return margins.reshape(W.shape[:-1] + (order.size,))
 
 
-def logistic_gradient(w: np.ndarray, data: LibsvmData) -> np.ndarray:
-    """Gradient of the mean logistic loss over data, labels in {-1, +1}; dense vector."""
-    coeff = -data.labels * _expit(-data.labels * _margins(w, data))
-    weights = data.values * coeff[data.row_of_entry]
-    return np.bincount(data.indices, weights, minlength=data.width) / len(data)
+def _logistic_metrics(W: np.ndarray, labels: np.ndarray, view: tuple) -> tuple:
+    """Mean logistic loss and accuracy at w, or at every row of W, of a split."""
+    margins = _margins(W, view)
+    loss = np.mean(np.logaddexp(0.0, -labels * margins), axis=-1)
+    return loss, np.mean(margins * labels > 0.0, axis=-1)
 
 
-def _logistic_metrics(W: np.ndarray, data: LibsvmData) -> tuple:
-    """Mean logistic loss and accuracy at w, or at every row of W."""
-    margins = _margins(W, data)
-    loss = np.mean(np.logaddexp(0.0, -data.labels * margins), axis=-1)
-    return loss, np.mean(margins * data.labels > 0.0, axis=-1)
+def _sparse_gradients(data: LibsvmData, indices: np.ndarray, W3: np.ndarray) -> np.ndarray:
+    """Mean logistic gradients at each of the (P, S, d) points W3, point
+    (p, i) over data's rows at row i of the (S, b) indices.  The drawn
+    rows' entries are taken once, and each point's margins and gradient
+    summed with np.bincount (from +0.0, in entry order), one point at a
+    time, so temporaries grow with the entries drawn, not P times them."""
+    (S, b), d = indices.shape, W3.shape[2]
+    drawn, y = indices.ravel(), data.labels[indices].ravel()
+    starts, counts = data.indptr[drawn], data.indptr[drawn + 1] - data.indptr[drawn]
+    owner = np.repeat(np.arange(S * b), counts)  # the drawn row of each entry
+    entries = np.arange(owner.size) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    vals = data.values[entries]
+    # Seed i's rows act on entries i*d .. (i+1)*d - 1 of a point's S*d iterates.
+    flat = owner // b * d + data.indices[entries]
+    grad = np.empty((W3.shape[0], S * d))
+    for w, out in zip(W3.reshape(-1, S * d), grad):
+        coeff = -y * _expit(-y * np.bincount(owner, vals * w[flat], minlength=S * b))
+        np.divide(np.bincount(flat, vals * coeff[owner], minlength=S * d), b, out=out)
+    return grad.reshape(-1, d)
 
 
 def normalize_binary_labels(labels: np.ndarray) -> np.ndarray:
@@ -218,11 +259,23 @@ class LogisticProblem:
         return len(self.train)
 
     @cached_property
+    def _row_of_entry(self) -> np.ndarray:
+        """Each stored training entry's row."""
+        return np.repeat(np.arange(self.n_components), np.diff(self.train.indptr))
+
+    @cached_property
     def _row_l1_max(self) -> float:
         """max_i ||z_i||_1."""
-        train = self.train
-        l1 = np.bincount(train.row_of_entry, np.abs(train.values), minlength=len(train))
+        l1 = np.bincount(self._row_of_entry, np.abs(self.train.values), minlength=self.n_components)
         return float(l1.max(initial=0.0))
+
+    @cached_property
+    def _train_view(self) -> tuple:
+        return _slot_view(self.train)
+
+    @cached_property
+    def _test_view(self) -> tuple:
+        return _slot_view(self.test)
 
     @property
     def metadata(self) -> ProblemMetadata:
@@ -233,16 +286,18 @@ class LogisticProblem:
     def value(self, w: np.ndarray) -> float:
         """Mean logistic loss (1/n) sum log(1 + exp(-y_i z_i . w)), via logaddexp
         so that large margins cannot overflow."""
-        return float(_logistic_metrics(w, self.train)[0])
+        return float(self.train_metrics(w)[0])
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
-        return logistic_gradient(w, self.train)
+        """The mean gradient at w: the sparse gather over every row once."""
+        rows = np.arange(self.n_components)[None]
+        with np.errstate(over="ignore", invalid="ignore"):  # as silent as the margins
+            return _sparse_gradients(self.train, rows, np.asarray(w, dtype=float)[None, None])[0]
 
     @cached_property
     def _dense_features(self) -> np.ndarray:
-        train = self.train
-        dense = np.zeros((len(train), train.width))
-        dense[train.row_of_entry, train.indices] = train.values
+        dense = np.zeros((self.n_components, self.train.width))
+        dense[self._row_of_entry, self.train.indices] = self.train.values
         return dense
 
     def block_gradient(self, indices: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -250,11 +305,8 @@ class LogisticProblem:
 
         Row p*S + i of W takes seed i's mini-batch, row i of the (S, b)
         indices, duplicates counted.  The gather is dense while the
-        matrix and the batch fit in _DENSE_GATHER_BYTES, else sparse.
-        The sparse gather takes the drawn rows' stored entries once and
-        sums margins and gradients with np.bincount, one point at a time,
-        so its temporaries grow with the entries drawn, not P times them;
-        bincount adds in entry order, as the margins and gradient do.
+        matrix and the batch fit in _DENSE_GATHER_BYTES, else sparse
+        (_sparse_gradients).
         """
         indices = np.asarray(indices)
         S, b = indices.shape
@@ -262,23 +314,12 @@ class LogisticProblem:
             raise ValueError(f"batch size must be at least 1, got {b}")
         d = W.shape[1]
         W3 = W.reshape(-1, S, d)
+        if (self.n_components + indices.size) * d * 8 > _DENSE_GATHER_BYTES:
+            return _sparse_gradients(self.train, indices, W3)
         y = self.train.labels[indices]
-        if (self.n_components + indices.size) * d * 8 <= _DENSE_GATHER_BYTES:
-            rows = self._dense_features[indices]
-            coeff = -y * _expit(-y * np.einsum("sbd,psd->psb", rows, W3))
-            return np.einsum("psb,sbd->psd", coeff, rows).reshape(-1, d) / b
-        f, drawn, y = self.train, indices.ravel(), y.ravel()
-        starts, counts = f.indptr[drawn], f.indptr[drawn + 1] - f.indptr[drawn]
-        owner = np.repeat(np.arange(S * b), counts)  # the drawn row of each entry
-        entries = np.arange(owner.size) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-        vals = f.values[entries]
-        # Seed i's rows act on entries i*d .. (i+1)*d - 1 of a point's S*d iterates.
-        flat = owner // b * d + f.indices[entries]
-        grad = np.empty((W3.shape[0], S * d))
-        for w, out in zip(W3.reshape(-1, S * d), grad):
-            coeff = -y * _expit(-y * np.bincount(owner, vals * w[flat], minlength=S * b))
-            np.divide(np.bincount(flat, vals * coeff[owner], minlength=S * d), b, out=out)
-        return grad.reshape(-1, d)
+        rows = self._dense_features[indices]
+        coeff = -y * _expit(-y * np.einsum("sbd,psd->psb", rows, W3))
+        return np.einsum("psb,sbd->psd", coeff, rows).reshape(-1, d) / b
 
     def finite_loss_rows(self, W: np.ndarray) -> np.ndarray:
         """Which rows of the block W the margin bound proves a finite train loss.
@@ -293,9 +334,9 @@ class LogisticProblem:
 
     def train_metrics(self, W: np.ndarray) -> tuple:
         """(mean loss, accuracy) at w, or arrays of both over the rows of a block W."""
-        return _logistic_metrics(W, self.train)
+        return _logistic_metrics(W, self.train.labels, self._train_view)
 
     def test_metrics(self, W: np.ndarray) -> tuple:
         if self.test is None:
             return (float("nan"), float("nan"))
-        return _logistic_metrics(W, self.test)
+        return _logistic_metrics(W, self.test.labels, self._test_view)

@@ -221,6 +221,19 @@ class TestExitCodes:
         assert captured.err == "trish: error: cannot write : No such file or directory\n"
         assert captured.out == ""
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_out_that_fails_on_write_is_a_usage_error(self, command, synthetic_config, capsys):
+        # /dev/full passes the check before the work, then refuses every write
+        argv = {
+            "run": ["run", "--config", synthetic_config],
+            "verify": ["verify", "--theorem", "1", "--seeds", "10"],
+        }[command]
+        assert main(argv + ["--out", "/dev/full"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "trish: error: cannot write /dev/full: No space left on device\n"
+        assert "wrote" not in captured.out
+
     def test_out_that_is_a_directory_or_under_a_file_is_refused(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("kept")
@@ -526,6 +539,15 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err == "trish: error: the training set has no nonzero feature value\n"
 
+    def test_training_set_of_only_a_comment_is_refused(self, tmp_path, capsys):
+        comment = tmp_path / "comment.libsvm"
+        comment.write_text("# a comment holds no example\n")
+        rc = main(["run", "--dataset", str(comment), "--method", "sg", "--alpha", "0.1"])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"trish: error: dataset {comment} holds no examples\n"
+
     def test_empty_test_set_is_refused(self, tmp_path, capsys):
         empty = tmp_path / "empty.libsvm"
         empty.write_text("# a comment and a blank line hold no example\n\n")
@@ -615,6 +637,18 @@ class TestTuneCommand:
         assert len(entry_lines) == 2
         assert "gamma1=2 gamma2=0.8" in entry_lines[0]
         assert "gamma1=4 gamma2=1.6" in entry_lines[1]
+
+    def test_a_diverged_point_is_flagged_and_not_selected(self, tmp_path, capsys):
+        conf = tmp_path / "tune.conf"
+        conf.write_text(
+            f"method = sg\nproblem = logistic\ndataset = {TRAIN}\ntest_dataset = {TEST}\n"
+            "n_seeds = 2\ntune_alpha = 0.5, 1e307\n"
+        )
+        assert main(["tune", "--config", str(conf)]) == EXIT_OK
+        small, huge, best = capsys.readouterr().out.splitlines()
+        assert small.startswith("alpha=0.5 train_loss=") and not small.endswith("DIVERGED")
+        assert huge.startswith("alpha=1e+307 train_loss=nan ") and huge.endswith(" DIVERGED")
+        assert best == "best: alpha=0.5"
 
     def test_every_point_diverged_is_a_usage_error(self, tmp_path, capsys):
         conf = tmp_path / "tune.conf"

@@ -3,7 +3,8 @@
 Every backticked dotted name whose first part the package exports, such
 as `LogisticProblem.block_gradient` or `theorem_bound(tc, k)` (the call's
 arguments are dropped), must resolve on `trish`.  A README that still
-names a removed function, class or method fails here.
+names a removed function, class or method fails here, and so does one
+that leaves a file of scripts/ or demos/ unnamed.
 
 Every name in `trish.__all__` must be read by the package itself, a demo,
 a script or an acceptance criterion.  A name that only tests read belongs
@@ -47,6 +48,13 @@ def test_every_cited_name_resolves():
                 break
             target = getattr(target, part)
     assert missing == []
+
+
+def test_readme_names_every_script_and_demo():
+    files = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    text = README.read_text(encoding="utf-8")
+    assert files
+    assert [path.name for path in files if path.name not in text] == []
 
 
 def names_read(tree: ast.AST) -> set[str]:

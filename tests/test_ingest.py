@@ -59,7 +59,7 @@ def _gen_wide():
 def _dense(data: LibsvmData) -> np.ndarray:
     """data's features as a dense (rows, width) array."""
     dense = np.zeros((len(data), data.width))
-    dense[data.row_of_entry, data.indices] = data.values
+    dense[np.repeat(np.arange(len(data)), np.diff(data.indptr)), data.indices] = data.values
     return dense
 
 
@@ -305,7 +305,6 @@ class TestLibsvmData:
     def test_accepts_a_valid_layout(self):
         data = LibsvmData(**self.LAYOUT, width=3)
         assert _dense(data).tolist() == [[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]
-        assert data.row_of_entry.tolist() == [0, 0, 1]
 
     def test_rejects_misaligned_labels(self):
         # lengths that disagree: labels and row pointers, columns and values

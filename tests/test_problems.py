@@ -1,6 +1,7 @@
 """Tests for the benchmark objectives and label utilities."""
 
 import dataclasses
+import importlib.util
 import math
 import subprocess
 import sys
@@ -23,7 +24,6 @@ from trish.problems import (
     NonconvexPLProblem,
     ProblemMetadata,
     QuadraticProblem,
-    logistic_gradient,
     normalize_binary_labels,
 )
 
@@ -228,15 +228,16 @@ class TestLogisticFunctions:
 
     def test_gradient_hand_value(self):
         np.testing.assert_allclose(
-            logistic_gradient(np.zeros(2), _data([[1.0, 0.0]], [1.0])), [-0.5, 0.0]
+            LogisticProblem(_data([[1.0, 0.0]], [1.0])).gradient(np.zeros(2)), [-0.5, 0.0]
         )
 
     def test_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(11)
         data = _data(rng.normal(size=(8, 4)), np.where(rng.random(8) < 0.5, -1.0, 1.0))
         w = rng.normal(size=4)
-        numeric = central_difference(LogisticProblem(data).value, w)
-        analytic = logistic_gradient(w, data)
+        problem = LogisticProblem(data)
+        numeric = central_difference(problem.value, w)
+        analytic = problem.gradient(w)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
 
     def test_accuracy_counts_zero_margin_as_wrong(self):
@@ -284,6 +285,11 @@ class TestLogisticProblem:
         problem = LogisticProblem(LibsvmData([1.0, -1.0], [0, 1, 2], [0, 1], np.zeros(2), 2))
         with pytest.raises(ValueError, match="no nonzero feature value"):
             problem.metadata
+
+    def test_row_of_entry_gives_each_stored_entry_its_row(self):
+        # two rows, [1, 0, 2] and [0, 3, 0]
+        train = LibsvmData([1.0, -1.0], [0, 2, 3], [0, 2, 1], [1.0, 2.0, 3.0], 3)
+        assert LogisticProblem(train)._row_of_entry.tolist() == [0, 0, 1]
 
     def test_full_component_gradient_matches_gradient(self):
         problem = self._small_problem()
@@ -473,7 +479,8 @@ class TestScipyReference:
         for data, metrics in splits:
             # contiguous rows, as the metrics take their means in each row's 1-d order
             y, margins = data.labels, np.ascontiguousarray((_csr(data) @ W.T).T)
-            np.testing.assert_array_equal(problems._margins(W, data), margins)
+            view = problems._slot_view(data)
+            np.testing.assert_array_equal(problems._margins(W, view), margins)
             loss, accuracy = metrics(W)
             np.testing.assert_array_equal(loss, np.mean(np.logaddexp(0.0, -y * margins), axis=-1))
             np.testing.assert_array_equal(accuracy, np.mean(margins * y > 0.0, axis=-1))
@@ -505,11 +512,15 @@ class TestScipyReference:
         np.testing.assert_array_equal(got, [1.0, 0.0, 1.0, 0.0])
 
 
+def _row_of_entry(data: LibsvmData) -> np.ndarray:
+    return np.repeat(np.arange(len(data)), np.diff(data.indptr))
+
+
 def _bincount_margins(W: np.ndarray, data: LibsvmData) -> np.ndarray:
     """The margins one row of W at a time, one np.bincount over data's entries each."""
     margins = np.empty((len(W), len(data)))
     for w, out in zip(W, margins):
-        out[:] = np.bincount(data.row_of_entry, data.values * w[data.indices], minlength=len(data))
+        out[:] = np.bincount(_row_of_entry(data), data.values * w[data.indices], minlength=len(data))
     return margins
 
 
@@ -543,31 +554,35 @@ _LAYOUTS = {
 
 
 class TestMarginKernel:
-    """problems._margins, slot by slot over data.slots, against one np.bincount
-    per row of W: bit for bit, at every layout and scale."""
+    """problems._margins, slot by slot over problems._slot_view, against one
+    np.bincount per row of W: bit for bit, at every layout and scale."""
 
     @pytest.fixture(scope="class", params=list(_LAYOUTS))
     def data(self, request):
         return _LAYOUTS[request.param]()
 
+    @pytest.fixture(scope="class")
+    def view(self, data):
+        return problems._slot_view(data)
+
     @pytest.mark.parametrize("rows", [0, 1, 5, 100])
-    def test_equals_one_bincount_per_row(self, data, rows):
+    def test_equals_one_bincount_per_row(self, data, view, rows):
         rng = np.random.default_rng(rows)
         for scale in (1e-3, 1.0, 1e300):
             W = scale * rng.standard_normal((rows, data.width))
-            got = problems._margins(W, data)
+            got = problems._margins(W, view)
             assert got.shape == (rows, len(data))
             # np.mean's pairwise order depends on the layout in memory
             assert got.flags.c_contiguous
             np.testing.assert_array_equal(got, _bincount_margins(W, data))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # sums overflow silently, as bincount's do
-    def test_inf_and_nan_columns(self, data):
+    def test_inf_and_nan_columns(self, data, view):
         rng = np.random.default_rng(2)
         W = 1e307 * rng.standard_normal((5, data.width))  # products and sums overflow
         W[0, ::3], W[1, 1::4], W[2, ::5], W[3] = np.inf, -np.inf, np.nan, np.nan
         W[4, ::7], W[4, 3::7] = np.inf, -np.inf
-        got = problems._margins(W, data)
+        got = problems._margins(W, view)
         with np.errstate(over="ignore"):
             want = _bincount_margins(W, data)
         np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
@@ -575,13 +590,13 @@ class TestMarginKernel:
         np.testing.assert_array_equal(got[finite], want[finite])
         np.testing.assert_array_equal(np.signbit(got[finite]), np.signbit(want[finite]))
 
-    def test_a_vector_gives_one_row_of_margins(self, data):
+    def test_a_vector_gives_one_row_of_margins(self, data, view):
         w = np.random.default_rng(3).standard_normal(data.width)
-        np.testing.assert_array_equal(problems._margins(w, data), _bincount_margins(w[None], data)[0])
+        np.testing.assert_array_equal(problems._margins(w, view), _bincount_margins(w[None], data)[0])
 
     def test_a_long_row_goes_to_the_tail(self):
         data = _LAYOUTS["one_long_row"]()
-        order, slots, (owner, columns, values) = data.slots
+        order, slots, (owner, columns, values) = problems._slot_view(data)
         assert order[0] == 300  # the longest row comes first
         assert len(slots) == 5  # K = 5 costs 5 slots plus 1 row of tail
         assert owner.tolist() == [0] * (20_000 - 5)
@@ -592,16 +607,61 @@ class TestMarginKernel:
         # 40 rows of 3000 entries at R = 100: a tail taking every row of W
         # at once would hold several tail x R arrays, about 96 MB each.
         data = _LAYOUTS["all_long_rows"]()
-        assert data.slots[1] == [] and data.slots[2][0].size == data.values.size
+        view = problems._slot_view(data)
+        assert view[1] == [] and view[2][0].size == data.values.size
         W = np.random.default_rng(4).standard_normal((100, data.width))
-        problems._margins(W, data)  # any first-call cost is paid here
+        problems._margins(W, view)  # any first-call cost is paid here
         tracemalloc.start()
         try:
-            problems._margins(W, data)
+            problems._margins(W, view)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= W.nbytes + 64 * data.values.size
+
+
+def _gen_wide_split(path: Path, rows: int) -> LibsvmData:
+    """A perfbench/gen_wide.py file of rows rows, written at path and parsed."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("gen_wide", root / "perfbench" / "gen_wide.py")
+    gen_wide = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_wide)
+    gen_wide.generate(str(path), rows, 0)
+    return load_libsvm(str(path))[0]
+
+
+def _bincount_gradient(w: np.ndarray, data: LibsvmData) -> np.ndarray:
+    """The mean logistic gradient from per-row np.bincount sums: the margins
+    binned by each entry's row, then the gradient binned by its column."""
+    rows, y = _row_of_entry(data), data.labels
+    margins = np.bincount(rows, data.values * w[data.indices], minlength=len(data))
+    coeff = -y * problems._expit(-y * margins)
+    return np.bincount(data.indices, data.values * coeff[rows], minlength=data.width) / len(data)
+
+
+class TestFullGradient:
+    """LogisticProblem.gradient, the sparse gather over every row once, against
+    per-row np.bincount sums: bit for bit, at every scale, inf and nan included."""
+
+    @pytest.fixture(scope="class", params=["train", "gen_wide"])
+    def data(self, request, tmp_path_factory):
+        if request.param == "train":
+            return _bundled("train.libsvm")
+        return _gen_wide_split(tmp_path_factory.mktemp("wide") / "wide.libsvm", 3000)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # as silent as the margins
+    def test_equals_per_row_bincount_sums(self, data):
+        problem = LogisticProblem(data)
+        rng = np.random.default_rng(6)
+        points = [scale * rng.standard_normal(data.width) for scale in (1e-3, 1.0, 50.0, 1e300)]
+        mixed = rng.standard_normal(data.width)
+        mixed[::3], mixed[1::4], mixed[2::5] = np.inf, -np.inf, np.nan
+        for w in points + [mixed, np.full(data.width, np.nan)]:
+            got = problem.gradient(w)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = _bincount_gradient(w, data)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestKernelTimingScript:
