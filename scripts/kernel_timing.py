@@ -10,8 +10,11 @@ generated power-law layout: --rows // 10 rows of lognormal values whose
 stored lengths are 1 + floor(Pareto(1.2)), capped at 5000.  Then it times
 one LogisticProblem.block_gradient call on the bundled split (5 seeds of
 a batch of 10 at 20 points, as on the criterion-10 grids) and one
-core._trish_step_batch call on that block.  Each line prints the median
-milliseconds per call over --repeats timed rounds.
+core._trish_step_batch call on that block.  Last come verify's layers at
+guarantee 5's 2000 x 1 block: one core._trish_step_batch call, and one
+step of its march (the gradient, the stepsize, the noise draw and the
+step).  Each line prints the median milliseconds per call over --repeats
+timed rounds.
 
     python scripts/kernel_timing.py                          # 40 000 gen_wide rows
     python scripts/kernel_timing.py --rows 2000 --repeats 1  # a quick check
@@ -37,6 +40,7 @@ import gen_wide  # noqa: E402
 
 from trish import problems  # noqa: E402
 from trish.core import _trish_step_batch  # noqa: E402
+from trish.harness import verification_setup  # noqa: E402
 from trish.ingest import LibsvmData, load_libsvm  # noqa: E402
 
 SEED = 1  # every generated layout and draw
@@ -112,6 +116,23 @@ def main(argv: list[str] | None = None) -> int:
         ms = ms_per_call(call, args.repeats)
         print(f"{layer:<16} {'train':<10} {len(train):>8} {train.values.size:>9} "
               f"{points * seeds:>4} {ms:>9.3f}", flush=True)
+    setup = verification_setup(5)
+    gammas = (setup.params.gamma1, setup.params.gamma2)
+    X = np.full((setup.n_seeds, 1), setup.x1)
+    G = setup.oracle.sample(setup.problem.gradient(X), 1, rng, setup.schedule.alpha(1))
+
+    def march_step():
+        # what verify's march does at each k: the gradient, alpha_k, the draw, the step
+        grad = setup.problem.gradient(X)
+        alpha_k = setup.schedule.alpha(2)
+        return _trish_step_batch(X, setup.oracle.sample(grad, 2, rng, alpha_k), alpha_k, *gammas)
+
+    for layer, call in (
+        ("trish_step", lambda: _trish_step_batch(X, G, setup.schedule.alpha(1), *gammas)),
+        ("theta5_step", march_step),
+    ):
+        ms = ms_per_call(call, args.repeats)
+        print(f"{layer:<16} {'theta5':<10} {'-':>8} {'-':>9} {len(X):>4} {ms:>9.3f}", flush=True)
     return 0
 
 

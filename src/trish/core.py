@@ -102,15 +102,17 @@ def step_norm(g_norm: float, alpha: float, params: TrishParams) -> float:
 
 def _trish_step_batch(
     X: np.ndarray, G: np.ndarray, alpha, gamma1, gamma2
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Safeguarded step of every row of X along the matching row of G.
 
     alpha, gamma1 and gamma2 are scalars or per-row arrays.  Returns
-    (next iterates, case index 1-3 per row).  This is the one
+    (next iterates, case1, case3): the masks of the rows below and above
+    the band, so a row's case index is 2 - case1 + case3.  This is the one
     implementation of the three branches; trish_step is its 1-row case,
     and the harness marches whole blocks of trajectories through it.
     """
-    norms = np.linalg.norm(G, axis=1)
+    # np.linalg.norm's own formula for real rows, without its conj() copy
+    norms = np.sqrt(np.add.reduce(G * G, axis=1))
     case1 = norms < 1.0 / gamma1
     case3 = norms > 1.0 / gamma2
     # A nan norm passes neither test, so its row steps by alpha and turns
@@ -118,8 +120,7 @@ def _trish_step_batch(
     coeff = alpha / np.where(norms > 0.0, norms, 1.0)
     np.copyto(coeff, gamma2 * alpha, where=case3)
     np.copyto(coeff, gamma1 * alpha, where=case1)
-    cases = 2 - case1 + case3  # 1 below the band, 2 inside, 3 above
-    return X - coeff[:, None] * G, cases
+    return X - coeff[:, None] * G, case1, case3
 
 
 def _checked(x, g, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -144,10 +145,10 @@ def trish_step(
     shape as x.  A zero gradient falls in CASE1 and leaves x unchanged.
     """
     x, g = _checked(x, g, alpha)
-    x_next, cases = _trish_step_batch(
+    x_next, case1, case3 = _trish_step_batch(
         x.reshape(1, -1), g.reshape(1, -1), alpha, params.gamma1, params.gamma2
     )
-    return x_next.reshape(x.shape), StepCase(int(cases[0]))
+    return x_next.reshape(x.shape), StepCase(2 - int(case1[0]) + int(case3[0]))
 
 
 def sg_step(x: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:

@@ -326,10 +326,10 @@ def _march(X, alpha, draw, gammas, observe, at, counts=None) -> None:
             if gammas is None:
                 X = X - np.reshape(alpha_k, (-1, 1)) * G
                 continue
-            X_next, cases = _trish_step_batch(X, G, alpha_k, *gammas)
+            X_next, case1, case3 = _trish_step_batch(X, G, alpha_k, *gammas)
             if counts is not None:
                 live = np.isfinite(X).all(axis=1) & np.isfinite(G).all(axis=1)
-                counts[live, cases[live] - 1] += 1
+                counts[live, 1 - case1[live] + case3[live]] += 1  # column case - 1
             X = X_next
 
 
@@ -626,11 +626,11 @@ def verify_theorem(setup: VerificationSetup, base_seed: int = 0) -> TheoremRepor
         if tc.theorem_id in (1, 2, 3):
             np.subtract(problem.value(X), f_star, out=curves[row])
         elif tc.theorem_id == 4:
-            cumulative += np.sum(grad**2, axis=1)
+            cumulative += np.add.reduce(grad * grad, axis=1)
             np.divide(cumulative, k, out=curves[row])
         else:
             alpha_k = schedule.alpha(k)
-            cumulative += alpha_k * np.sum(grad**2, axis=1)
+            cumulative += alpha_k * np.add.reduce(grad * grad, axis=1)
             alpha_running += alpha_k
             alpha_sums[done] = alpha_running
             curves[row] = cumulative

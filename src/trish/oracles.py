@@ -110,7 +110,10 @@ class GaussianOracle:
         """
         grad_true = np.asarray(grad_true, dtype=float)
         sig = self.sigma(k, alpha_k)
-        return grad_true + sig * rng.standard_normal(grad_true.shape)
+        z = rng.standard_normal(grad_true.shape)  # fresh, so scaled and shifted in place
+        z *= sig
+        z += grad_true
+        return z
 
     def moments(self, dim: int, alpha_max: float | None = None) -> OracleMoments:
         """(M1, M2) valid for every iteration, given the dimension.

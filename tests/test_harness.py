@@ -594,7 +594,8 @@ class TestTrishStepBatch:
     @given(_step_blocks())
     def test_matches_scalar_step(self, block):
         params, alpha, X, G = block
-        X_next, cases = _trish_step_batch(X, G, alpha, params.gamma1, params.gamma2)
+        X_next, case1, case3 = _trish_step_batch(X, G, alpha, params.gamma1, params.gamma2)
+        cases = 2 - case1 + case3
         assert list(cases[-4:]) == [1, 2, 2, 3]  # the band edges are normalized
         for x, x_next, g, case in zip(X, X_next, G, cases):
             g_norm = float(np.linalg.norm(g))
@@ -614,13 +615,15 @@ class TestTrishStepBatch:
         alpha = rng.uniform(0.1, 1.0, size=6)
         gamma1 = np.array([4.0, 4.0, 2.0, 2.0, 3.0, 8.0])
         gamma2 = np.array([1.0, 1.0, 0.5, 0.4, 2.0, 4.0])
-        X_next, cases = _trish_step_batch(X, G, alpha, gamma1, gamma2)
-        assert list(cases) == [1, 2, 2, 2, 3, 3]
+        X_next, case1, case3 = _trish_step_batch(X, G, alpha, gamma1, gamma2)
+        assert list(2 - case1 + case3) == [1, 2, 2, 2, 3, 3]
         for r in range(6):
             row = slice(r, r + 1)
-            row_next, row_case = _trish_step_batch(X[row], G[row], alpha[r], gamma1[r], gamma2[r])
+            row_next, row_case1, row_case3 = _trish_step_batch(
+                X[row], G[row], alpha[r], gamma1[r], gamma2[r]
+            )
             np.testing.assert_array_equal(X_next[r], row_next[0])
-            assert cases[r] == row_case[0]
+            assert (case1[r], case3[r]) == (row_case1[0], row_case3[0])
 
 
 def _three_where_step(X, G, alpha, gamma1, gamma2):
@@ -634,7 +637,7 @@ def _three_where_step(X, G, alpha, gamma1, gamma2):
         gamma1 * alpha,
         np.where(case3, gamma2 * alpha, alpha / np.where(norms > 0.0, norms, 1.0)),
     )
-    return X - coeff[:, None] * G, 2 - case1 + case3
+    return X - coeff[:, None] * G, case1, case3
 
 
 @st.composite
@@ -672,13 +675,50 @@ class TestTrishStepBatchBitwise:
     @given(_odd_step_blocks())
     def test_equals_the_three_where_coefficient(self, block):
         with np.errstate(invalid="ignore", over="ignore"):
-            X_next, cases = _trish_step_batch(*block)
-            ref_next, ref_cases = _three_where_step(*block)
+            X_next, *masks = _trish_step_batch(*block)
+            ref_next, *ref_masks = _three_where_step(*block)
         np.testing.assert_array_equal(X_next, ref_next)  # nan equals nan here
-        np.testing.assert_array_equal(cases, ref_cases)
+        np.testing.assert_array_equal(masks, ref_masks)
+        cases = 2 - masks[0] + masks[1]
         assert list(cases[-6:]) == [1, 2, 3, 3, 2, 2]  # a nan norm steps as the band does
         # the nan row is nan only in its nan coordinate
         assert np.isnan(X_next[-5, 0]) and np.isfinite(X_next[-5, 1:]).all()
+
+
+def _edge_blocks(shape):
+    """Sample blocks of one shape: unit normals; entries scaled by 10**u, u
+    uniform on [-330, 160], from subnormal to squares that overflow; rows
+    scaled so, each by its own 10**u; and those rows again with 1% of the
+    entries set to +inf, -inf, nan or 0 and every fifth row all zero."""
+    rng = np.random.default_rng(shape[1])
+    G = rng.standard_normal(shape)
+    entries = G * 10.0 ** rng.uniform(-330.0, 160.0, shape)
+    rows = G * 10.0 ** rng.uniform(-330.0, 160.0, (shape[0], 1))
+    special = rows.copy()
+    hit = rng.random(shape) < 0.01
+    special[hit] = rng.choice([math.inf, -math.inf, math.nan, 0.0], hit.sum())
+    special[::5] = 0.0
+    return [G, entries, rows, special]
+
+
+class TestTrishStepBatchEdges:
+    @pytest.mark.parametrize("shape", [(2000, 1), (100, 120), (1, 20000)])
+    @pytest.mark.parametrize("gammas", [(2.0, 0.8), (1e300, 1e-300)], ids=["band", "wide"])
+    def test_norms_are_numpys_norm_bit_for_bit(self, shape, gammas):
+        """The kernel's norms are np.linalg.norm(G, axis=1)'s bits: from X = 0
+        with alpha = 1 a normalized row lands on -G/||G||, which shows its
+        norm, and the wide band normalizes every norm in [1e-300, 1e300]."""
+        normalized = 0
+        for G in _edge_blocks(shape):
+            X = np.zeros(shape)
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                got, case1, case3 = _trish_step_batch(X, G, 1.0, *gammas)
+                want, *want_masks = _three_where_step(X, G, 1.0, *gammas)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            np.testing.assert_array_equal([case1, case3], want_masks)
+            normalized += (~case1 & ~case3).sum()
+        if gammas[0] > 1e299:
+            assert normalized >= shape[0]
 
 
 class TestMarch:

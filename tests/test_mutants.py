@@ -1,7 +1,7 @@
 """A mutation gate: wrong step rules must end `trish verify` with exit 4.
 
 Each mutant replaces the step kernel that verify's march calls
-(`trish.harness._trish_step_batch`) and keeps the kernel's case labels,
+(`trish.harness._trish_step_batch`) and keeps the kernel's branch masks,
 so only the iterates go wrong.  The layer that catches each one, at the
 default 2000 seeds:
 
@@ -33,12 +33,12 @@ def _normalizing(normalized_cases):
     """The step kernel with the normalized step taken in `normalized_cases`."""
 
     def step(X, G, alpha, gamma1, gamma2):
-        X_next, cases = _trish_step_batch(X, G, alpha, gamma1, gamma2)
+        X_next, case1, case3 = _trish_step_batch(X, G, alpha, gamma1, gamma2)
         norms = np.linalg.norm(G, axis=1, keepdims=True)
         normalized = X - np.reshape(alpha, (-1, 1)) * G / np.where(norms > 0.0, norms, 1.0)
-        rows = np.isin(cases, normalized_cases)
+        rows = np.isin(2 - case1 + case3, normalized_cases)
         X_next[rows] = normalized[rows]
-        return X_next, cases
+        return X_next, case1, case3
 
     return step
 

@@ -96,6 +96,32 @@ class TestGaussianOracle:
         draws = oracle.sample(np.zeros((40000, 1)), 3, rng, alpha_k=0.05)
         assert float(draws.std()) == pytest.approx(0.05, rel=0.05)
 
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            GaussianOracle.constant(0.3),
+            GaussianOracle.coupled(2.0),
+            GaussianOracle.geometric(0.04, 0.25),
+        ],
+        ids=["constant", "coupled", "geometric"],
+    )
+    @pytest.mark.parametrize("shape", [(), (3,), (2000, 1), (40, 7)])
+    def test_sample_keeps_its_bits_and_leaves_the_gradient(self, oracle, shape):
+        """grad + sigma_k * z from the same stream, bit for bit, at gradients
+        from subnormal to near overflow, with inf, nan and signed zeros; the
+        gradient passed in is not written."""
+        rng = np.random.default_rng(9)
+        grad = rng.standard_normal(shape) * 10.0 ** rng.uniform(-330.0, 300.0, shape)
+        if grad.size > 4:
+            grad.flat[:4] = [math.inf, -math.inf, math.nan, -0.0]
+        before = grad.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = oracle.sample(grad, 3, np.random.default_rng(10), alpha_k=0.05)
+            want = grad + oracle.sigma(3, 0.05) * np.random.default_rng(10).standard_normal(shape)
+        np.testing.assert_array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(grad.view(np.uint64), before.view(np.uint64))
+        assert not np.shares_memory(got, grad)
+
     def test_moments_constant(self):
         oracle = GaussianOracle.constant(0.5)
         moments = oracle.moments(dim=4)

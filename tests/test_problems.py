@@ -85,6 +85,16 @@ class TestProblemMetadata:
             ProblemMetadata(dimension=1, smoothness=1.0, pl_constant=2.0)
 
 
+def _edge_points(shape):
+    """Normals scaled by 10**u, u uniform on [-330, 305], from subnormal to
+    squares that overflow, led by inf, -inf, nan and -0.0."""
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-330.0, 305.0, shape)
+    if x.size > 4:
+        x.flat[:4] = [math.inf, -math.inf, math.nan, -0.0]
+    return x
+
+
 class TestQuadraticProblem:
     def test_hand_values(self):
         problem = QuadraticProblem(diag=[2.0, 0.5], shift=[1.0, 1.0])
@@ -123,6 +133,17 @@ class TestQuadraticProblem:
             QuadraticProblem(diag=[1.0, -1.0])
         with pytest.raises(ValueError):
             QuadraticProblem(diag=[1.0, 1.0], shift=[1.0])
+
+    @pytest.mark.parametrize("shape", [(3,), (2000, 3), (40, 3)])
+    def test_value_keeps_its_bits(self, shape):
+        """0.5 * sum(d x^2) - sum(b x) as np.sum gave it, bit for bit, at the
+        same edge points as the nonconvex gradient."""
+        problem = QuadraticProblem(diag=[2.0, 0.5, 1.0], shift=[1.0, -1.0, 0.0])
+        x = _edge_points(shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = problem.value(x)
+            want = 0.5 * np.sum(problem.diag * x**2, axis=-1) - np.sum(problem.shift * x, axis=-1)
+        np.testing.assert_array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64))
 
     def test_pl_inequality_holds(self):
         problem = QuadraticProblem(diag=[2.0, 0.5], shift=[1.0, -1.0])
@@ -179,6 +200,22 @@ class TestNonconvexPLProblem:
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             NonconvexPLProblem(dimension=0)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2000, 1), (40, 7)])
+    def test_gradient_keeps_its_bits_and_leaves_x(self, shape):
+        """2x + 3 sin(2x) as t + 3.0 * np.sin(t) gives it, bit for bit, from
+        subnormal to overflowing x, with inf, nan and signed zeros; x is not
+        written."""
+        problem = NonconvexPLProblem(dimension=shape[-1] if shape else 1)
+        x = _edge_points(shape)
+        before = x.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = problem.gradient(x)
+            t = 2.0 * x
+            want = t + 3.0 * np.sin(t)
+        np.testing.assert_array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(x.view(np.uint64), before.view(np.uint64))
+        assert not np.shares_memory(got, x)
 
 
 class _OverclaimedQuadratic(QuadraticProblem):
@@ -578,6 +615,9 @@ class TestMarginKernel:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # sums overflow silently, as bincount's do
     def test_inf_and_nan_columns(self, data, view):
+        """Where a product is inf or nan: the same bits as the per-row bincount,
+        sign bits included, except at nan margins, which agree only in being
+        nan, since a nan margin's sign bit may differ from the bincount's."""
         rng = np.random.default_rng(2)
         W = 1e307 * rng.standard_normal((5, data.width))  # products and sums overflow
         W[0, ::3], W[1, 1::4], W[2, ::5], W[3] = np.inf, -np.inf, np.nan, np.nan
@@ -682,7 +722,9 @@ class TestKernelTimingScript:
             for layout in ("train", "gen_wide", "power_law")
             for R in ("1", "5", "100")
             for layer in ("margins", "reference_loop")
-        ] + [["block_gradient", "train", "100"], ["trish_step", "train", "100"]]
+        ] + [["block_gradient", "train", "100"], ["trish_step", "train", "100"]] + [
+            ["trish_step", "theta5", "2000"], ["theta5_step", "theta5", "2000"]
+        ]
         assert [row[2] for row in rows if row[1] == "gen_wide"] == ["2000"] * 6
         assert all(float(row[5]) > 0 for row in rows)
 

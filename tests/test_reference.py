@@ -1,15 +1,19 @@
-"""run_experiment against an independent, per-seed and per-step reference.
+"""run_experiment, tune_grid and verify_theorem against independent,
+per-seed and per-step references.
 
-The reference reads the LIBSVM text itself into dense rows, steps one seed
-at a time with its own default_rng(base_seed + i), one integers(0, n, b)
-call per step, computes each gradient, sigmoid and loss with the math
-module, and picks the safeguard's branch with an explicit if.  It shares
-no code with the engine: not the parser, the draw chunks, the mini-batch
-gather, the step kernel, the margin kernel or the checkpoint rule.
-Seeds, iterations and case counts must match exactly; losses and
-accuracies, whose sums run in another order, within 1e-12 relative.
+The logistic reference reads the LIBSVM text itself into dense rows, steps
+one seed at a time with its own default_rng(base_seed + i), one
+integers(0, n, b) call per step, computes each gradient, sigmoid and loss
+with the math module, and picks the safeguard's branch with an explicit
+if.  It shares no code with the engine: not the parser, the draw chunks,
+the mini-batch gather, the step kernel, the margin kernel or the
+checkpoint rule.  Seeds, iterations and case counts must match exactly;
+losses and accuracies, whose sums run in another order, within 1e-12
+relative.  The verify reference is built the same way from the guarantee's
+1-d objective, its noise fields and its stepsize fields.
 """
 
+import dataclasses
 import functools
 import math
 from pathlib import Path
@@ -17,7 +21,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trish.harness import ExperimentConfig, run_experiment
+from trish.harness import (
+    ExperimentConfig,
+    run_experiment,
+    tune_grid,
+    verification_setup,
+    verify_theorem,
+)
+from trish.theory import SE_MARGIN
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "trish" / "data"
 TRAIN = str(DATA_DIR / "train.libsvm")
@@ -132,3 +143,94 @@ def test_run_matches_the_reference(fields):
     ]
     assert [r[:3] + r[7:] for r in got] == [r[:3] + r[7:] for r in want]
     np.testing.assert_allclose([r[3:7] for r in got], [r[3:7] for r in want], rtol=1e-12, atol=0)
+
+
+def test_tune_matches_the_reference():
+    """Every grid point's means are those of its own reference runs, so the
+    block's rows (seed i of point p at row p * S + i) reach the right point."""
+    base = ExperimentConfig(
+        problem="logistic", dataset=TRAIN, test_dataset=TEST, gamma1=2.0, gamma2=0.8,
+        alpha=0.25, batch_size=20, n_seeds=2, base_seed=3, checkpoint_fractions=(1.0,),
+    )
+    grid = {("gamma1", "gamma2"): [(2.0, 0.8), (4.0, 1.6)], "alpha": [0.25, 0.5]}
+    entries = tune_grid(base, grid).entries
+    assert len(entries) == 4
+    for entry in entries:
+        finals = reference_run(dataclasses.replace(base, **entry.params))
+        want = [math.fsum(r[field] for r in finals) / len(finals) for field in (3, 4, 5, 6)]
+        got = [entry.means[f] for f in ("train_loss", "train_acc", "test_loss", "test_acc")]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def reference_verify(setup, base_seed: int) -> tuple[list, list, list]:
+    """verify's per-k mean, SE and (guarantee 5) weighted average, one seed at a time.
+
+    Guarantees 1-3 run on f(x) = x^2/2, 4 and 5 on f(x) = x^2 + 3 sin^2(x);
+    both have minimum 0.  alpha_k comes from the schedule's fields and this
+    loop's k, sigma_k from the oracle's fields.  The noise follows verify's
+    draw rule: one (n_seeds, 1) standard_normal block per step, from a single
+    default_rng(base_seed).
+    """
+    n, horizon, theorem = setup.n_seeds, setup.horizon, setup.tc.theorem_id
+    schedule, noise = setup.schedule, setup.oracle
+    gamma1, gamma2 = setup.params.gamma1, setup.params.gamma2
+    rng = np.random.default_rng(base_seed)
+    blocks = [rng.standard_normal((n, 1)).tolist() for _ in range(horizon - 1)]
+
+    def alpha(k):
+        return schedule.a if schedule.kind == "fixed" else schedule.a / (schedule.b + k)
+
+    def sigma(k):
+        if noise.kind == "constant":
+            return noise.sigma0
+        if noise.kind == "coupled":
+            return noise.multiplier * alpha(k)
+        return math.sqrt(noise.m3 * noise.zeta ** (k - 1))
+
+    curves = [[] for _ in range(horizon)]
+    for i in range(n):
+        x, total = float(setup.x1[0]), 0.0
+        for k in range(1, horizon + 1):
+            if theorem <= 3:
+                g = x
+                curves[k - 1].append(0.5 * (x * x))
+            else:
+                g = 2.0 * x + 3.0 * math.sin(2.0 * x)
+                total += g * g if theorem == 4 else alpha(k) * (g * g)
+                curves[k - 1].append(total / k if theorem == 4 else total)
+            if k == horizon:
+                break
+            sample = g + sigma(k) * blocks[k - 1][i][0]
+            if abs(sample) < 1.0 / gamma1:
+                x -= gamma1 * alpha(k) * sample
+            elif abs(sample) <= 1.0 / gamma2:
+                x -= alpha(k) / abs(sample) * sample
+            else:
+                x -= gamma2 * alpha(k) * sample
+    means = [math.fsum(curve) / n for curve in curves]
+    ses = [
+        math.sqrt(math.fsum((v - mean) ** 2 for v in curve) / (n - 1)) / math.sqrt(n)
+        for curve, mean in zip(curves, means)
+    ]
+    weighted = [mean / math.fsum(alpha(j) for j in range(1, k + 1))
+                for k, mean in enumerate(means, start=1)]
+    return means, ses, weighted
+
+
+@pytest.mark.parametrize("theorem", [1, 2, 3, 4, 5])
+def test_verify_matches_the_reference(theorem):
+    setup = verification_setup(theorem, n_seeds=16)
+    setup = dataclasses.replace(setup, horizon=min(setup.horizon, 500))
+    report = verify_theorem(setup, base_seed=5)
+    means, ses, weighted = reference_verify(setup, base_seed=5)
+    assert report.k.tolist() == list(range(1, setup.horizon + 1))
+    np.testing.assert_allclose(report.empirical, means, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(report.standard_error, ses, rtol=1e-12, atol=0)
+    if theorem == 5:
+        np.testing.assert_allclose(report.weighted_average, weighted, rtol=1e-12, atol=0)
+    # the bound is theory's; the verdict at each k is the 3-SE rule with verify's float guard
+    violated = [
+        not mean <= bound + 1e-12 * max(1.0, abs(bound)) + SE_MARGIN * se
+        for mean, se, bound in zip(means, ses, report.bound.tolist())
+    ]
+    assert report.violated.tolist() == violated
