@@ -11,10 +11,12 @@ stored lengths are 1 + floor(Pareto(1.2)), capped at 5000.  Then it times
 one LogisticProblem.block_gradient call on the bundled split (5 seeds of
 a batch of 10 at 20 points, as on the criterion-10 grids) and one
 core._trish_step_batch call on that block.  Last come verify's layers at
-guarantee 5's 2000 x 1 block: one core._trish_step_batch call, and one
-step of its march (the gradient, the stepsize, the noise draw and the
-step).  Each line prints the median milliseconds per call over --repeats
-timed rounds.
+guarantee 5's 2000 x 1 block: one core._trish_step_batch call, one step
+of its march (the gradient, the stepsize, the noise draw and the step),
+and one chunk fill, the standard_normal call that draws a chunk of
+harness._CHUNK_BYTES (16 steps of the block) on the march's helper
+thread.  Each line prints the median milliseconds per call over
+--repeats timed rounds.
 
     python scripts/kernel_timing.py                          # 40 000 gen_wide rows
     python scripts/kernel_timing.py --rows 2000 --repeats 1  # a quick check
@@ -38,7 +40,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import gen_wide  # noqa: E402
 
-from trish import problems  # noqa: E402
+from trish import harness, problems  # noqa: E402
 from trish.core import _trish_step_batch  # noqa: E402
 from trish.harness import verification_setup  # noqa: E402
 from trish.ingest import LibsvmData, load_libsvm  # noqa: E402
@@ -127,9 +129,11 @@ def main(argv: list[str] | None = None) -> int:
         alpha_k = setup.schedule.alpha(2)
         return _trish_step_batch(X, setup.oracle.sample(grad, 2, rng, alpha_k), alpha_k, *gammas)
 
+    per_chunk = harness._CHUNK_BYTES // (8 * X.size)  # the steps of one verify chunk
     for layer, call in (
         ("trish_step", lambda: _trish_step_batch(X, G, setup.schedule.alpha(1), *gammas)),
         ("theta5_step", march_step),
+        ("chunk_fill", lambda: rng.standard_normal((per_chunk, *X.shape))),
     ):
         ms = ms_per_call(call, args.repeats)
         print(f"{layer:<16} {'theta5':<10} {'-':>8} {'-':>9} {len(X):>4} {ms:>9.3f}", flush=True)

@@ -1,9 +1,9 @@
 """Experiment runner: seeded multi-run trainings, grid tuning, bound checks, CSV.
 
 Reproducibility contract: in run and tune, every stochastic choice of
-seed i flows from numpy.random.default_rng(base_seed + i), drawn a chunk
-of steps per call (the numbers one call per step draws), and verify's
-from one default_rng(base_seed) (see verify_theorem); all seeds share the
+seed i flows from numpy.random.default_rng(base_seed + i), and verify's
+from one default_rng(base_seed), a chunk of steps per call (_prefetched)
+that draws the numbers one call per step would; all seeds share the
 same starting point, and records are emitted in a fixed order, so a
 config run twice produces identical numbers and re-emitting the same
 records produces byte-identical files.  The config hash that `trish run`
@@ -25,6 +25,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import os
+import types
+from contextlib import closing, suppress
 from dataclasses import dataclass
 from itertools import product
 
@@ -74,7 +77,7 @@ _ROW_FIELDS = ("alpha", "gamma1", "gamma2", "schedule_a", "schedule_b")  # see _
 _MAX_BLOCK_BYTES = 1 << 30  # see _check_block
 _MAX_STEPS = 1 << 63  # the case counts are int64
 _TUNE_BLOCK_BYTES = 1 << 26  # see _run_block
-_CHUNK_BYTES = 1 << 18  # see _run_block and verify_theorem
+_CHUNK_BYTES = 1 << 18  # see _prefetched and verify_theorem
 
 
 @dataclass(frozen=True)
@@ -301,6 +304,50 @@ def _start_block(rows: int, dim: int, x1) -> np.ndarray:
     return np.full((rows, dim), x1, dtype=float)
 
 
+def _this_cpu() -> int | None:
+    """The CPU the calling thread runs on (field 39 of its Linux stat line), or None."""
+    try:
+        with open("/proc/thread-self/stat", encoding="ascii") as stat:
+            return int(stat.read().rsplit(")", 1)[1].split()[36])
+    except OSError:
+        return None
+
+
+def _run_off(cpu: int | None) -> None:
+    """Move the calling thread onto the process's CPUs other than cpu, if it has any."""
+    with suppress(OSError, AttributeError):  # one CPU, or no affinity calls: stay put
+        os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
+
+
+def _prefetched(fill, steps: int, step_bytes: int):
+    """Yield steps draw blocks in order, where fill(c) returns the next c
+    stacked step-major: _CHUNK_BYTES of steps (or one step) per call, never
+    past the last.  From a chunk's second step on, one helper thread fills
+    the next chunk on another CPU, if the process has one, since numpy's
+    generators release the GIL; fills run in order and one at a time, so
+    every generator sees the calls it would see without the thread.  One
+    chunk starts no thread, a fill's exception reaches the caller as
+    itself, and closing the generator joins the helper."""
+    per_chunk = max(1, _CHUNK_BYTES // step_bytes)
+    helper = ahead = None
+    try:
+        for start in range(0, steps, per_chunk):
+            block = iter(fill(min(per_chunk, steps - start)) if ahead is None else ahead.result())
+            yield next(block)  # by the next request the caller holds no block of the last chunk
+            following = min(per_chunk, steps - start - per_chunk)
+            if following > 0 and helper is None:
+                from concurrent.futures import ThreadPoolExecutor  # ~6 ms and 0.3 MB to import
+
+                # Left alone, the scheduler wakes the helper on the CPU of the
+                # thread that woke it, the march's, so the two would take turns.
+                helper = ThreadPoolExecutor(1, initializer=_run_off, initargs=(_this_cpu(),))
+            ahead = helper.submit(fill, following) if following > 0 else None
+            yield from block
+    finally:
+        if helper is not None:
+            helper.shutdown()
+
+
 def _march(X, alpha, draw, gammas, observe, at, counts=None) -> None:
     """Advance the (n_rows, dim) block X in lockstep through max(at) iterations.
 
@@ -379,19 +426,13 @@ def _run_block(
     last = max(targets)
     rngs = [np.random.default_rng(config.base_seed + i) for i in range(S)]
     width = config.batch_size if logistic else dim  # the numbers a seed draws per step
-    # Each seed draws a chunk of steps in one call, which continues its
-    # stream exactly as one call per step would; steps yields each step's
-    # (S, width) block in turn.  A chunk holds at most _CHUNK_BYTES, or one
-    # step, and never reaches past the last step.
-    per_chunk = max(1, _CHUNK_BYTES // (8 * S * width))
 
-    def chunk(k):  # steps k to k + per_chunk - 1, stacked step-major
-        size = (min(per_chunk, last - k + 1), width)
-        draws = [rng.integers(0, n, size) if logistic else rng.standard_normal(size)
+    def fill(c):  # each seed's next c steps in one call, stacked step-major
+        draws = [rng.integers(0, n, (c, width)) if logistic else rng.standard_normal((c, width))
                  for rng in rngs]
         return np.stack(draws, axis=1)
 
-    steps = (step for k in range(1, last + 1, per_chunk) for step in chunk(k))
+    steps = _prefetched(fill, last, 8 * S * width)  # each step's (S, width) block
 
     if logistic:
 
@@ -436,7 +477,8 @@ def _run_block(
         X[~np.isfinite(metrics[:, 0])] = math.nan  # a non-finite train loss freezes its row
         snapshots[done] = [m + c for m, c in zip(metrics.tolist(), counts.tolist())]
 
-    _march(X, alpha, draw, gammas, observe, set(targets), counts)
+    with closing(steps):
+        _march(X, alpha, draw, gammas, observe, set(targets), counts)
     records = [
         RunRecord(config.base_seed + r % S, frac, target, *snapshots[target][r])
         for r in range(P * S)
@@ -587,7 +629,8 @@ def verify_theorem(setup: VerificationSetup, base_seed: int = 0) -> TheoremRepor
     the bound reproduces the deterministic initial gap), when it is not
     finite, or when some trajectory has gone non-finite.  Each step draws
     one (n_seeds, dim) noise block from a single default_rng(base_seed),
-    so trajectory i depends on n_seeds as well as on base_seed.
+    so trajectory i depends on n_seeds as well as on base_seed; the oracle
+    scales and shifts each block that _prefetched yields.
     """
     tc, problem, schedule = setup.tc, setup.problem, setup.schedule
     horizon, n_seeds = setup.horizon, setup.n_seeds
@@ -602,6 +645,8 @@ def verify_theorem(setup: VerificationSetup, base_seed: int = 0) -> TheoremRepor
     _check_block(n_seeds, np.size(setup.x1), "the guarantee's setup")
     X = _start_block(n_seeds, np.size(setup.x1), setup.x1)
     rng = np.random.default_rng(base_seed)
+    noise = _prefetched(lambda c: rng.standard_normal((c, *X.shape)), horizon - 1, 8 * X.size)
+    blocks = types.SimpleNamespace(standard_normal=lambda shape: next(noise))  # the oracle's rng
 
     ks = np.arange(1, horizon + 1)
     empirical = np.empty(horizon)
@@ -640,10 +685,11 @@ def verify_theorem(setup: VerificationSetup, base_seed: int = 0) -> TheoremRepor
             ses[k - row - 1 : k] = standard_error(filled)
 
     def draw(X, k, alpha_k):
-        return setup.oracle.sample(grad, k, rng, alpha_k)
+        return setup.oracle.sample(grad, k, blocks, alpha_k)
 
     gammas = (setup.params.gamma1, setup.params.gamma2)
-    _march(X, schedule.alpha, draw, gammas, observe, range(horizon))
+    with closing(noise):
+        _march(X, schedule.alpha, draw, gammas, observe, range(horizon))
 
     bound = theorem_bound(tc, ks)
     guard = 1e-12 * np.maximum(1.0, np.abs(bound))

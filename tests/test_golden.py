@@ -4,8 +4,12 @@ Each case runs one `trish` command in-process at base seed 0 and takes the
 sha256 of its stdout (less the `wrote <path>` line, which names a temporary
 file) and of its `--out` CSV.  A change that alters any number a user sees
 fails here; one that does so on purpose updates the table and says why.
-The digests pin one build's floating point (numpy 2.4, OpenBLAS 0.3 on
-x86-64); another BLAS may round the last bits differently.
+The digests pin one build's floating point (numpy 2.4.6, OpenBLAS 0.3 on
+x86-64); another BLAS may round the last bits differently, and numpy does
+not promise its generators' streams across versions (NEP 19), so a
+failure names the numpy version that recorded the table.  The table must
+also hold with numpy's SIMD dispatch capped at the x86-64-v2 baseline,
+which the last test checks in a child process.
 
 To print the digests of the current code, run
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -14,9 +18,13 @@ To print the digests of the current code, run
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trish.cli import EXIT_OK, main
@@ -54,6 +62,7 @@ COMMANDS = {
 }
 
 # (stdout, --out CSV) sha256 per command, recorded at base seed 0.
+RECORDED_WITH = "2.4.6"  # the numpy version that recorded GOLDEN
 GOLDEN = {
     "verify-1": (
         "a103b3589059291d28969b37c64781ed72b6a7ab4fa7bf2af1368f7c7162bb73",
@@ -115,11 +124,28 @@ def digests(name: str, workdir: Path) -> tuple[str, str]:
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_outputs_match_the_recorded_digests(name, tmp_path):
-    assert digests(name, tmp_path) == GOLDEN[name]
+    assert digests(name, tmp_path) == GOLDEN[name], (
+        f"digests recorded with numpy {RECORDED_WITH}, checked with numpy {np.__version__}"
+    )
 
 
 def test_every_command_has_a_digest():
     assert sorted(GOLDEN) == sorted(COMMANDS)
+
+
+def test_digests_hold_with_simd_dispatch_capped():
+    """The digest tests above, in a child process whose numpy dispatches no
+    kernel past x86-64-v2 (AVX-512 and AVX2 off), so a kernel whose bits
+    depend on the host's SIMD fails here and not on a reader's machine."""
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         "-k", "not simd_dispatch_capped"],
+        env=env, cwd=Path(__file__).resolve().parents[1], capture_output=True, text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-2000:]
+    assert f"{len(COMMANDS) + 1} passed" in done.stdout
 
 
 if __name__ == "__main__":

@@ -2,7 +2,10 @@
 
 import dataclasses
 import math
+import os
 import re
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,9 @@ from trish.harness import (
     _build_problem,
     _checkpoint_iterations,
     _march,
+    _prefetched,
+    _run_off,
+    _this_cpu,
     _trish_step_batch,
     emit_csv,
     emit_verify_csv,
@@ -32,7 +38,7 @@ from trish.harness import (
     verify_theorem,
 )
 from trish.oracles import GaussianOracle
-from trish.problems import QuadraticProblem
+from trish.problems import NonconvexPLProblem, QuadraticProblem
 from trish.theory import HypothesisError
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "trish" / "data"
@@ -872,6 +878,161 @@ class TestVerifyChunks:
             np.testing.assert_array_equal(report.empirical, reports[0].empirical)
             assert np.isfinite(report.empirical[:4]).all()
             assert np.isnan(report.empirical[4:]).all()
+
+
+class _Fills:
+    """A fill of two consecutive integers per step that records each call's
+    size and thread, fails if two calls overlap, and raises `error` at its
+    call number fail_at."""
+
+    def __init__(self, fail_at=None):
+        self.sizes, self.threads, self.drawn, self.fail_at = [], [], 0, fail_at
+        self.error = RuntimeError("fill failed")
+        self.running = threading.Lock()
+
+    def __call__(self, c):
+        assert self.running.acquire(blocking=False), "two fills overlap"
+        try:
+            self.sizes.append(c)
+            self.threads.append(threading.current_thread())
+            if len(self.sizes) == self.fail_at:
+                raise self.error
+            time.sleep(0.002)  # long enough for a second fill to overlap, if one could
+            block = np.arange(self.drawn, self.drawn + 2 * c).reshape(c, 2)
+            self.drawn += 2 * c
+            return block
+        finally:
+            self.running.release()
+
+
+class _Boom(Exception):
+    pass
+
+
+class _GradientFailsAt:
+    """A problem whose gradient raises _Boom at its call number `call`."""
+
+    def __init__(self, problem, call):
+        self.problem, self.call, self.calls = problem, call, 0
+
+    def __getattr__(self, name):
+        return getattr(self.problem, name)
+
+    def gradient(self, X):
+        self.calls += 1
+        if self.calls == self.call:
+            raise _Boom(f"gradient call {self.call}")
+        return self.problem.gradient(X)
+
+
+class TestPrefetched:
+    """Draw blocks a chunk at a time, the next chunk filled on a helper thread:
+    the same blocks as serial fills, one fill at a time, and no thread left
+    behind however the caller stops."""
+
+    @pytest.fixture(autouse=True)
+    def three_step_chunks(self, monkeypatch):
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", 3 * 16)  # steps of 16 bytes
+
+    def test_blocks_come_in_order_and_later_chunks_on_a_helper(self):
+        fills, before = _Fills(), threading.active_count()
+        blocks = list(_prefetched(fills, 10, 16))
+        np.testing.assert_array_equal(blocks, np.arange(20).reshape(10, 2))
+        assert fills.sizes == [3, 3, 3, 1]
+        assert fills.threads[0] is threading.current_thread()
+        assert threading.current_thread() not in fills.threads[1:]
+        assert threading.active_count() == before
+
+    def test_one_chunk_starts_no_thread(self):
+        fills, before = _Fills(), threading.active_count()
+        for _ in _prefetched(fills, 3, 16):
+            assert threading.active_count() == before
+        assert fills.sizes == [3]
+        assert fills.threads == [threading.current_thread()]
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 4])  # the caller's own fill, then the helper's
+    def test_a_fill_error_reaches_the_caller_as_itself(self, fail_at):
+        fills, before, taken = _Fills(fail_at), threading.active_count(), []
+        with pytest.raises(RuntimeError) as caught:
+            for block in _prefetched(fills, 10, 16):
+                taken.append(block)
+        assert caught.value is fills.error
+        assert len(taken) == 3 * (fail_at - 1)
+        assert threading.active_count() == before
+
+    def test_closing_mid_chunk_joins_the_helper(self):
+        fills, before = _Fills(), threading.active_count()
+        blocks = _prefetched(fills, 10, 16)
+        next(blocks), next(blocks)  # chunk 2 is filling
+        blocks.close()
+        assert threading.active_count() == before
+        assert fills.sizes == [3, 3]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
+    def test_the_helper_runs_off_the_callers_cpu(self):
+        """The helper may use every CPU of the process but the one the caller
+        ran on when it started; the caller's own CPUs do not change."""
+        process = os.sched_getaffinity(0)
+
+        def fill(c):
+            masks.append(os.sched_getaffinity(0))  # the calling thread's own mask
+            return np.zeros((c, 2))
+
+        masks = []
+        assert len(list(_prefetched(fill, 10, 16))) == 10
+        assert masks[0] == process
+        assert all(len(mask) == max(1, len(process) - 1) for mask in masks[1:])
+        assert os.sched_getaffinity(0) == process
+        assert _this_cpu() in process
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
+    @pytest.mark.parametrize("cpus", ["all", "one"])
+    def test_run_off_leaves_a_thread_on_one_cpu_where_it_is(self, cpus):
+        process, masks = os.sched_getaffinity(0), []
+
+        def moved():
+            start = process if cpus == "all" else {min(process)}
+            os.sched_setaffinity(0, start)
+            _run_off(min(process))
+            masks.append(os.sched_getaffinity(0))
+
+        thread = threading.Thread(target=moved)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        if cpus == "one" or len(process) == 1:
+            assert masks == [{min(process)}]
+        else:
+            assert masks == [process - {min(process)}]
+
+    @pytest.mark.parametrize("fail_at", [None, 6])
+    def test_verify_leaves_no_thread(self, monkeypatch, fail_at):
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", 8 * 17 * 3)
+        setup = dataclasses.replace(verification_setup(5, n_seeds=17), horizon=40)
+        if fail_at is not None:  # k = 6, before the draw of step 6, while steps 7 to 9 fill
+            setup = dataclasses.replace(setup, problem=_GradientFailsAt(setup.problem, fail_at))
+        before = threading.active_count()
+        if fail_at is None:
+            assert verify_theorem(setup).ok
+        else:
+            with pytest.raises(_Boom):
+                verify_theorem(setup)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("fail_at", [None, 6])
+    def test_run_leaves_no_thread(self, monkeypatch, fail_at):
+        config = _CHUNKED_SYNTHETIC
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", 8 * 4 * 3 * 3)
+        if fail_at is not None:  # the draw of step 6, while steps 7 to 9 fill
+            monkeypatch.setitem(harness._SYNTHETIC, "nonconvex_pl",
+                                lambda dim: _GradientFailsAt(NonconvexPLProblem(dim), fail_at))
+        before = threading.active_count()
+        if fail_at is None:
+            assert len(run_experiment(config).records) == 4 * 2  # seeds x checkpoints
+        else:
+            with pytest.raises(_Boom):
+                run_experiment(config)
+        assert threading.active_count() == before
 
 
 class TestVerificationSetup:

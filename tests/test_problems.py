@@ -723,7 +723,8 @@ class TestKernelTimingScript:
             for R in ("1", "5", "100")
             for layer in ("margins", "reference_loop")
         ] + [["block_gradient", "train", "100"], ["trish_step", "train", "100"]] + [
-            ["trish_step", "theta5", "2000"], ["theta5_step", "theta5", "2000"]
+            ["trish_step", "theta5", "2000"], ["theta5_step", "theta5", "2000"],
+            ["chunk_fill", "theta5", "2000"],
         ]
         assert [row[2] for row in rows if row[1] == "gen_wide"] == ["2000"] * 6
         assert all(float(row[5]) > 0 for row in rows)

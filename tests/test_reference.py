@@ -9,8 +9,10 @@ if.  It shares no code with the engine: not the parser, the draw chunks,
 the mini-batch gather, the step kernel, the margin kernel or the
 checkpoint rule.  Seeds, iterations and case counts must match exactly;
 losses and accuracies, whose sums run in another order, within 1e-12
-relative.  The verify reference is built the same way from the guarantee's
-1-d objective, its noise fields and its stepsize fields.
+relative.  The synthetic run reference is built the same way from the
+closed-form objectives and one standard_normal(dim) call per step and
+seed, and the verify reference from the guarantee's 1-d objective, its
+noise fields and its stepsize fields.
 """
 
 import dataclasses
@@ -21,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trish import harness
 from trish.harness import (
     ExperimentConfig,
     run_experiment,
@@ -72,16 +75,44 @@ def _metrics(rows, labels, w) -> tuple[float, float]:
     return loss / len(rows), correct / len(rows)
 
 
+def _step(config: ExperimentConfig, k: int, w: list[float], g: list[float], cases) -> list:
+    """Step k of config's method from w along -g, counting the safeguard's
+    branch in cases."""
+    if config.alpha is not None:
+        alpha = config.alpha
+    else:
+        alpha = config.schedule_a / (config.schedule_b + k)
+    norm = math.sqrt(sum(gi * gi for gi in g))
+    if config.method == "sg":
+        scale = alpha
+    elif norm < 1.0 / config.gamma1:
+        scale = config.gamma1 * alpha
+        cases[0] += 1
+    elif norm <= 1.0 / config.gamma2:
+        scale = alpha / norm
+        cases[1] += 1
+    else:
+        scale = config.gamma2 * alpha
+        cases[2] += 1
+    return [wi - scale * gi for wi, gi in zip(w, g)]
+
+
+def _checkpoints(config: ExperimentConfig, total: int) -> dict[int, float]:
+    """Each checkpoint's iteration, ceil(fraction * total) and at least 1,
+    mapped to its fraction."""
+    checkpoints = {}
+    for fraction in config.checkpoint_fractions:
+        checkpoints.setdefault(max(1, math.ceil(fraction * total)), fraction)
+    return checkpoints
+
+
 def reference_run(config: ExperimentConfig) -> list[tuple]:
     """Each seed's records as (seed, fraction, iteration, train_loss, train_acc,
     test_loss, test_acc, case1, case2, case3), seed by seed, on the bundled data."""
     (train, train_y), (test, test_y) = _dense(TRAIN), _dense(TEST)
     width = len(train[0])
     n, b = len(train), config.batch_size
-    total = -(-n // b) * config.epochs
-    checkpoints = {}
-    for fraction in config.checkpoint_fractions:
-        checkpoints.setdefault(max(1, math.ceil(fraction * total)), fraction)
+    checkpoints = _checkpoints(config, -(-n // b) * config.epochs)
     records = []
     for i in range(config.n_seeds):
         rng = np.random.default_rng(config.base_seed + i)
@@ -92,23 +123,7 @@ def reference_run(config: ExperimentConfig) -> list[tuple]:
                 y = train_y[j]
                 coeff = -y * _sigmoid(-y * _dot(train[j], w)) / b
                 g = [gi + coeff * z for gi, z in zip(g, train[j])]
-            if config.alpha is not None:
-                alpha = config.alpha
-            else:
-                alpha = config.schedule_a / (config.schedule_b + k)
-            norm = math.sqrt(sum(gi * gi for gi in g))
-            if config.method == "sg":
-                scale = alpha
-            elif norm < 1.0 / config.gamma1:
-                scale = config.gamma1 * alpha
-                cases[0] += 1
-            elif norm <= 1.0 / config.gamma2:
-                scale = alpha / norm
-                cases[1] += 1
-            else:
-                scale = config.gamma2 * alpha
-                cases[2] += 1
-            w = [wi - scale * gi for wi, gi in zip(w, g)]
+            w = _step(config, k, w, g, cases)
             if k in checkpoints:
                 records.append((
                     config.base_seed + i, checkpoints[k], k,
@@ -143,6 +158,66 @@ def test_run_matches_the_reference(fields):
     ]
     assert [r[:3] + r[7:] for r in got] == [r[:3] + r[7:] for r in want]
     np.testing.assert_allclose([r[3:7] for r in got], [r[3:7] for r in want], rtol=1e-12, atol=0)
+
+
+def reference_synthetic_run(config: ExperimentConfig) -> list[tuple]:
+    """Each seed's records on a synthetic objective, in reference_run's
+    layout, from x = 1 in every coordinate.
+
+    The quadratic is f(x) = sum x_i^2 / 2 and the nonconvex PL objective
+    f(x) = sum x_i^2 + 3 sin^2(x_i); a sample is the gradient plus sigma
+    times one standard_normal(dim) call per step from the seed's own
+    default_rng(base_seed + i).  Only the train loss is measured.
+    """
+    checkpoints = _checkpoints(config, config.max_iterations)
+    quadratic = config.problem == "quadratic"
+    records = []
+    for i in range(config.n_seeds):
+        rng = np.random.default_rng(config.base_seed + i)
+        x, cases = [1.0] * config.dimension, [0, 0, 0]
+        for k in range(1, max(checkpoints) + 1):
+            g = list(x) if quadratic else [2.0 * xi + 3.0 * math.sin(2.0 * xi) for xi in x]
+            noise = rng.standard_normal(config.dimension).tolist()
+            x = _step(config, k, x, [gi + config.sigma * z for gi, z in zip(g, noise)], cases)
+            if k in checkpoints:
+                if quadratic:
+                    loss = sum(0.5 * (xi * xi) for xi in x)
+                else:
+                    loss = sum(xi * xi + 3.0 * math.sin(xi) ** 2 for xi in x)
+                records.append((config.base_seed + i, checkpoints[k], k, loss, *cases))
+    return records
+
+
+_SYNTHETIC_CONFIGS = [
+    dict(problem=problem, method=method, **stepsize)
+    for problem in ("quadratic", "nonconvex_pl")
+    for method in ("trish", "sg")
+    for stepsize in (dict(alpha=0.1), dict(schedule_a=1.0, schedule_b=4.0))
+]
+
+
+@pytest.mark.parametrize("chunk", [7, None], ids=["7-step-chunks", "one-chunk"])
+@pytest.mark.parametrize(
+    "fields", _SYNTHETIC_CONFIGS, ids=lambda f: "-".join(f"{k}={v}" for k, v in f.items())
+)
+def test_synthetic_run_matches_the_reference(monkeypatch, fields, chunk):
+    """The per-seed noise reaches each step whatever the chunk: with 7-step
+    chunks, 200 steps cross 28 prefetch boundaries."""
+    config = ExperimentConfig(
+        gamma1=4.0, gamma2=1.6, sigma=0.3, max_iterations=200, dimension=3, n_seeds=3,
+        base_seed=11, checkpoint_fractions=(0.1, 0.5, 1.0), **fields,
+    )
+    if chunk is not None:
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", 8 * 3 * 3 * chunk)
+    want = reference_synthetic_run(config)
+    if config.method == "trish":
+        assert min(want[-1][4:]) > 0  # every branch fires
+    records = run_experiment(config).records
+    got = [(r.seed, r.checkpoint_fraction, r.iteration, r.train_loss, r.case1, r.case2, r.case3)
+           for r in records]
+    assert [r[:3] + r[4:] for r in got] == [r[:3] + r[4:] for r in want]
+    np.testing.assert_allclose([r[3] for r in got], [r[3] for r in want], rtol=1e-12, atol=0)
+    assert all(math.isnan(v) for r in records for v in (r.train_acc, r.test_loss, r.test_acc))
 
 
 def test_tune_matches_the_reference():
