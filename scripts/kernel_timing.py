@@ -121,13 +121,15 @@ def main(argv: list[str] | None = None) -> int:
     setup = verification_setup(5)
     gammas = (setup.params.gamma1, setup.params.gamma2)
     X = np.full((setup.n_seeds, 1), setup.x1)
-    G = setup.oracle.sample(setup.problem.gradient(X), 1, rng, setup.schedule.alpha(1))
+    G = setup.oracle.sample(setup.problem.gradient(X), 1, rng.standard_normal(X.shape),
+                            setup.schedule.alpha(1))
 
     def march_step():
         # what verify's march does at each k: the gradient, alpha_k, the draw, the step
         grad = setup.problem.gradient(X)
         alpha_k = setup.schedule.alpha(2)
-        return _trish_step_batch(X, setup.oracle.sample(grad, 2, rng, alpha_k), alpha_k, *gammas)
+        G = setup.oracle.sample(grad, 2, rng.standard_normal(X.shape), alpha_k)
+        return _trish_step_batch(X, G, alpha_k, *gammas)
 
     per_chunk = harness._CHUNK_BYTES // (8 * X.size)  # the steps of one verify chunk
     for layer, call in (

@@ -15,6 +15,7 @@ last observation: the seeds of a verify setup, of a run's config, or of
 every tune grid point that differs only in _ROW_FIELDS, each row with
 its own stepsize and gamma pair.  A block's points share each seed's
 draws, so tune gives each point the numbers a run of it alone gives.
+_march owns the draw stream; GaussianOracle.sample is the noise formula.
 
 Results hold what their computation produced and nothing that their
 config already says.
@@ -26,7 +27,6 @@ import dataclasses
 import hashlib
 import math
 import os
-import types
 from contextlib import closing, suppress
 from dataclasses import dataclass
 from itertools import product
@@ -348,11 +348,13 @@ def _prefetched(fill, steps: int, step_bytes: int):
             helper.shutdown()
 
 
-def _march(X, alpha, draw, gammas, observe, at, counts=None) -> None:
+def _march(X, alpha, fill, step_bytes, draw, gammas, observe, at, counts=None) -> None:
     """Advance the (n_rows, dim) block X in lockstep through max(at) iterations.
 
-    Step k samples G = draw(X, k, alpha_k) at alpha_k = alpha(k) and takes
-    the safeguarded step with gammas = (gamma1, gamma2), or plain SG when
+    Step k samples G = draw(X, k, alpha_k, block) at alpha_k = alpha(k),
+    with block step k's draws from the march's own _prefetched(fill,
+    max(at), step_bytes), which it closes however it ends, and takes the
+    safeguarded step with gammas = (gamma1, gamma2), or plain SG when
     gammas is None; alpha_k and the gammas are scalars or per-row arrays.
     A row that goes non-finite stays non-finite, because nan and inf
     absorb every later step; that is how a diverged row is frozen.
@@ -362,14 +364,15 @@ def _march(X, alpha, draw, gammas, observe, at, counts=None) -> None:
     Overflow is how rows diverge, so floating-point warnings are silenced.
     """
     last = max(at)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with (np.errstate(over="ignore", invalid="ignore"),
+          closing(_prefetched(fill, last, step_bytes)) as blocks):
         for done in range(last + 1):
             if done in at:
                 observe(done, X)
             if done == last:
                 break
             alpha_k = alpha(done + 1)
-            G = draw(X, done + 1, alpha_k)
+            G = draw(X, done + 1, alpha_k, next(blocks))
             if gammas is None:
                 X = X - np.reshape(alpha_k, (-1, 1)) * G
                 continue
@@ -432,16 +435,15 @@ def _run_block(
                  for rng in rngs]
         return np.stack(draws, axis=1)
 
-    steps = _prefetched(fill, last, 8 * S * width)  # each step's (S, width) block
-
     if logistic:
 
-        def draw(X, k, alpha_k):
-            return problem.block_gradient(next(steps), X)
+        def draw(X, k, alpha_k, block):
+            return problem.block_gradient(block, X)
     else:
+        oracle = GaussianOracle.constant(config.sigma)
 
-        def draw(X, k, alpha_k):
-            return problem.gradient(X) + config.sigma * np.tile(next(steps), (P, 1))
+        def draw(X, k, alpha_k, block):  # every config's rows of seed i take seed i's draws
+            return oracle.sample(problem.gradient(X), k, np.tile(block, (P, 1)))
 
     schedules = [c.schedule() for c in configs]
     fixed = all(s.kind == "fixed" for s in schedules)
@@ -477,8 +479,7 @@ def _run_block(
         X[~np.isfinite(metrics[:, 0])] = math.nan  # a non-finite train loss freezes its row
         snapshots[done] = [m + c for m, c in zip(metrics.tolist(), counts.tolist())]
 
-    with closing(steps):
-        _march(X, alpha, draw, gammas, observe, set(targets), counts)
+    _march(X, alpha, fill, 8 * S * width, draw, gammas, observe, set(targets), counts)
     records = [
         RunRecord(config.base_seed + r % S, frac, target, *snapshots[target][r])
         for r in range(P * S)
@@ -630,7 +631,7 @@ def verify_theorem(setup: VerificationSetup, base_seed: int = 0) -> TheoremRepor
     finite, or when some trajectory has gone non-finite.  Each step draws
     one (n_seeds, dim) noise block from a single default_rng(base_seed),
     so trajectory i depends on n_seeds as well as on base_seed; the oracle
-    scales and shifts each block that _prefetched yields.
+    scales and shifts each block that _march hands it, in place.
     """
     tc, problem, schedule = setup.tc, setup.problem, setup.schedule
     horizon, n_seeds = setup.horizon, setup.n_seeds
@@ -645,8 +646,6 @@ def verify_theorem(setup: VerificationSetup, base_seed: int = 0) -> TheoremRepor
     _check_block(n_seeds, np.size(setup.x1), "the guarantee's setup")
     X = _start_block(n_seeds, np.size(setup.x1), setup.x1)
     rng = np.random.default_rng(base_seed)
-    noise = _prefetched(lambda c: rng.standard_normal((c, *X.shape)), horizon - 1, 8 * X.size)
-    blocks = types.SimpleNamespace(standard_normal=lambda shape: next(noise))  # the oracle's rng
 
     ks = np.arange(1, horizon + 1)
     empirical = np.empty(horizon)
@@ -684,12 +683,14 @@ def verify_theorem(setup: VerificationSetup, base_seed: int = 0) -> TheoremRepor
             empirical[k - row - 1 : k] = filled.mean(axis=1)
             ses[k - row - 1 : k] = standard_error(filled)
 
-    def draw(X, k, alpha_k):
-        return setup.oracle.sample(grad, k, blocks, alpha_k)
+    def draw(X, k, alpha_k, block):
+        return setup.oracle.sample(grad, k, block, alpha_k)
+
+    def fill(c):  # the next c steps' (n_seeds, dim) blocks in one call
+        return rng.standard_normal((c, *X.shape))
 
     gammas = (setup.params.gamma1, setup.params.gamma2)
-    with closing(noise):
-        _march(X, schedule.alpha, draw, gammas, observe, range(horizon))
+    _march(X, schedule.alpha, fill, 8 * X.size, draw, gammas, observe, range(horizon))
 
     bound = theorem_bound(tc, ks)
     guard = 1e-12 * np.maximum(1.0, np.abs(bound))

@@ -100,20 +100,18 @@ class GaussianOracle:
         self,
         grad_true: np.ndarray,
         k: int,
-        rng: np.random.Generator,
+        noise: np.ndarray,
         alpha_k: float | None = None,
     ) -> np.ndarray:
-        """One draw at iteration k; shape follows grad_true.
+        """One draw at iteration k from noise, standard normals shaped like
+        grad_true, which it scales and shifts in place and returns.
 
         grad_true may be a batch (n_chains, dim) of gradients, in which
-        case each row gets an independent perturbation.
+        case each row takes its own row of noise.
         """
-        grad_true = np.asarray(grad_true, dtype=float)
-        sig = self.sigma(k, alpha_k)
-        z = rng.standard_normal(grad_true.shape)  # fresh, so scaled and shifted in place
-        z *= sig
-        z += grad_true
-        return z
+        noise *= self.sigma(k, alpha_k)
+        noise += grad_true
+        return noise
 
     def moments(self, dim: int, alpha_max: float | None = None) -> OracleMoments:
         """(M1, M2) valid for every iteration, given the dimension.

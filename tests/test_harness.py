@@ -738,8 +738,11 @@ class TestMarch:
             counts = np.zeros((3, 3), dtype=int)
             seen = []
 
-            def draw(X, k, alpha_k):
-                G = np.array([oracle.sample(problem.gradient(x), k, r) for x, r in zip(X, rngs)])
+            def fill(c):  # row i's next c steps from its own generator
+                return np.stack([r.standard_normal((c, 2)) for r in rngs], axis=1)
+
+            def draw(X, k, alpha_k, block):
+                G = oracle.sample(problem.gradient(X), k, block)
                 if poisoned_row is not None and k >= 3:
                     G[poisoned_row] = np.inf
                 return G
@@ -748,7 +751,8 @@ class TestMarch:
                 seen.append((X.copy(), counts.copy()))
 
             schedule = StepsizeSchedule.fixed(0.1)
-            _march(np.ones((3, 2)), schedule.alpha, draw, gammas, observe, range(9), counts)
+            _march(np.ones((3, 2)), schedule.alpha, fill, 8 * 3 * 2, draw, gammas, observe,
+                   range(9), counts)
             return seen
 
         clean, poisoned = march(None), march(1)
@@ -759,6 +763,25 @@ class TestMarch:
             # the poisoned row goes non-finite at its third step, and stays so
             assert np.isfinite(Xp[1]).all() == (done < 3)
             assert countsp[1].sum() == min(done, 2)
+
+    def test_a_draw_error_mid_chunk_joins_the_helper(self, monkeypatch):
+        """The march owns its draw stream: a draw that raises while the
+        helper fills the next chunk reaches the caller as itself, and the
+        helper is joined before it does."""
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", 3 * 16)  # 3-step chunks of 16-byte steps
+        fills, before, error = _Fills(), threading.active_count(), _Boom("draw of step 5")
+
+        def draw(X, k, alpha_k, block):
+            if k == 5:  # mid-way through chunk 2, while chunk 3 fills
+                raise error
+            return block
+
+        with pytest.raises(_Boom) as caught:
+            _march(np.zeros((1, 2)), lambda k: 0.1, fills, 16, draw, None,
+                   lambda done, X: None, range(10))
+        assert caught.value is error
+        assert fills.sizes == [3, 3, 3]
+        assert threading.active_count() == before
 
     def test_march_stops_at_its_last_observation(self, monkeypatch):
         steps = []
@@ -830,8 +853,8 @@ class _PoisonedOracle:
     def __init__(self, oracle, k):
         self.oracle, self.k = oracle, k
 
-    def sample(self, grad, k, rng, alpha_k=None):
-        G = self.oracle.sample(grad, k, rng, alpha_k)
+    def sample(self, grad, k, noise, alpha_k=None):
+        G = self.oracle.sample(grad, k, noise, alpha_k)
         if k == self.k:
             G[1] = math.nan
         return G

@@ -78,14 +78,14 @@ class TestGaussianOracle:
         oracle = GaussianOracle.constant(2.0)
         rng = np.random.default_rng(5)
         grad = np.array([1.0, -2.0])
-        draws = np.array([oracle.sample(grad, 1, rng) for _ in range(20000)])
+        draws = np.array([oracle.sample(grad, 1, rng.standard_normal(2)) for _ in range(20000)])
         np.testing.assert_allclose(draws.mean(axis=0), grad, atol=0.05)
         np.testing.assert_allclose(draws.std(axis=0), 2.0, rtol=0.05)
 
     def test_batched_rows_are_independent(self):
         oracle = GaussianOracle.constant(1.0)
         rng = np.random.default_rng(6)
-        batch = oracle.sample(np.zeros((50000, 1)), 1, rng)
+        batch = oracle.sample(np.zeros((50000, 1)), 1, rng.standard_normal((50000, 1)))
         assert batch.shape == (50000, 1)
         assert abs(float(batch.mean())) < 0.02
         assert float(batch.std()) == pytest.approx(1.0, rel=0.02)
@@ -93,7 +93,8 @@ class TestGaussianOracle:
     def test_coupled_noise_scales_with_stepsize(self):
         oracle = GaussianOracle.coupled(1.0)
         rng = np.random.default_rng(7)
-        draws = oracle.sample(np.zeros((40000, 1)), 3, rng, alpha_k=0.05)
+        noise = rng.standard_normal((40000, 1))
+        draws = oracle.sample(np.zeros((40000, 1)), 3, noise, alpha_k=0.05)
         assert float(draws.std()) == pytest.approx(0.05, rel=0.05)
 
     @pytest.mark.parametrize(
@@ -107,20 +108,23 @@ class TestGaussianOracle:
     )
     @pytest.mark.parametrize("shape", [(), (3,), (2000, 1), (40, 7)])
     def test_sample_keeps_its_bits_and_leaves_the_gradient(self, oracle, shape):
-        """grad + sigma_k * z from the same stream, bit for bit, at gradients
-        from subnormal to near overflow, with inf, nan and signed zeros; the
-        gradient passed in is not written."""
+        """grad + sigma_k * z for the normals z it is given, bit for bit, at
+        gradients from subnormal to near overflow, with inf, nan and signed
+        zeros; the gradient passed in is not written, and the sample is z's
+        own array, scaled and shifted in place."""
         rng = np.random.default_rng(9)
         grad = rng.standard_normal(shape) * 10.0 ** rng.uniform(-330.0, 300.0, shape)
         if grad.size > 4:
             grad.flat[:4] = [math.inf, -math.inf, math.nan, -0.0]
         before = grad.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            got = oracle.sample(grad, 3, np.random.default_rng(10), alpha_k=0.05)
+            noise = np.random.default_rng(10).standard_normal(shape)
+            got = oracle.sample(grad, 3, noise, alpha_k=0.05)
             want = grad + oracle.sigma(3, 0.05) * np.random.default_rng(10).standard_normal(shape)
         np.testing.assert_array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64))
         np.testing.assert_array_equal(grad.view(np.uint64), before.view(np.uint64))
         assert not np.shares_memory(got, grad)
+        assert got is noise
 
     def test_moments_constant(self):
         oracle = GaussianOracle.constant(0.5)
@@ -145,7 +149,7 @@ class TestGaussianOracle:
         oracle = GaussianOracle.constant(0.7)
         rng = np.random.default_rng(8)
         grad = np.array([0.6, -0.8, 0.0])
-        draws = oracle.sample(np.tile(grad, (200000, 1)), 1, rng)
+        draws = oracle.sample(np.tile(grad, (200000, 1)), 1, rng.standard_normal((200000, 3)))
         emp = float(np.mean(np.sum(draws**2, axis=1)))
         expected = 1.0 + 3 * 0.49
         assert emp == pytest.approx(expected, rel=0.01)

@@ -12,16 +12,21 @@ losses and accuracies, whose sums run in another order, within 1e-12
 relative.  The synthetic run reference is built the same way from the
 closed-form objectives and one standard_normal(dim) call per step and
 seed, and the verify reference from the guarantee's 1-d objective, its
-noise fields and its stepsize fields.
+noise fields and its stepsize fields.  Both run references also take
+small configs that hypothesis draws, and the synthetic one a diverging
+stepsize, whose rows freeze at a non-finite loss.
 """
 
 import dataclasses
 import functools
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from trish import harness
 from trish.harness import (
@@ -77,32 +82,31 @@ def _metrics(rows, labels, w) -> tuple[float, float]:
 
 def _step(config: ExperimentConfig, k: int, w: list[float], g: list[float], cases) -> list:
     """Step k of config's method from w along -g, counting the safeguard's
-    branch in cases."""
+    branch in cases while w and g are finite."""
     if config.alpha is not None:
         alpha = config.alpha
     else:
         alpha = config.schedule_a / (config.schedule_b + k)
     norm = math.sqrt(sum(gi * gi for gi in g))
     if config.method == "sg":
-        scale = alpha
+        scale, case = alpha, None
     elif norm < 1.0 / config.gamma1:
-        scale = config.gamma1 * alpha
-        cases[0] += 1
+        scale, case = config.gamma1 * alpha, 0
     elif norm <= 1.0 / config.gamma2:
-        scale = alpha / norm
-        cases[1] += 1
+        scale, case = alpha / norm, 1
     else:
-        scale = config.gamma2 * alpha
-        cases[2] += 1
+        scale, case = config.gamma2 * alpha, 2
+    if case is not None and all(math.isfinite(v) for v in w + g):
+        cases[case] += 1
     return [wi - scale * gi for wi, gi in zip(w, g)]
 
 
-def _checkpoints(config: ExperimentConfig, total: int) -> dict[int, float]:
+def _checkpoints(config: ExperimentConfig, total: int) -> dict[int, list[float]]:
     """Each checkpoint's iteration, ceil(fraction * total) and at least 1,
-    mapped to its fraction."""
+    mapped to its fractions in order: two fractions may share one."""
     checkpoints = {}
     for fraction in config.checkpoint_fractions:
-        checkpoints.setdefault(max(1, math.ceil(fraction * total)), fraction)
+        checkpoints.setdefault(max(1, math.ceil(fraction * total)), []).append(fraction)
     return checkpoints
 
 
@@ -125,10 +129,9 @@ def reference_run(config: ExperimentConfig) -> list[tuple]:
                 g = [gi + coeff * z for gi, z in zip(g, train[j])]
             w = _step(config, k, w, g, cases)
             if k in checkpoints:
-                records.append((
-                    config.base_seed + i, checkpoints[k], k,
-                    *_metrics(train, train_y, w), *_metrics(test, test_y, w), *cases,
-                ))
+                metrics = (*_metrics(train, train_y, w), *_metrics(test, test_y, w))
+                records += [(config.base_seed + i, fraction, k, *metrics, *cases)
+                            for fraction in checkpoints[k]]
     return records
 
 
@@ -148,9 +151,14 @@ def test_run_matches_the_reference(fields):
         problem="logistic", dataset=TRAIN, test_dataset=TEST, gamma1=2.0, gamma2=0.8,
         n_seeds=2, base_seed=7, checkpoint_fractions=(0.25, 0.5, 1.0), **fields,
     )
-    want = reference_run(config)
+    want = _assert_run_matches(config)
     if config.method == "trish":
         assert min(want[-1][7:]) > 0  # every branch fires
+
+
+def _assert_run_matches(config: ExperimentConfig) -> list[tuple]:
+    """Assert run_experiment gives reference_run's records, and return them."""
+    want = reference_run(config)
     got = [
         (r.seed, r.checkpoint_fraction, r.iteration, r.train_loss, r.train_acc, r.test_loss,
          r.test_acc, r.case1, r.case2, r.case3)
@@ -158,6 +166,35 @@ def test_run_matches_the_reference(fields):
     ]
     assert [r[:3] + r[7:] for r in got] == [r[:3] + r[7:] for r in want]
     np.testing.assert_allclose([r[3:7] for r in got], [r[3:7] for r in want], rtol=1e-12, atol=0)
+    return want
+
+
+# Small configs: each stepsize form, fractions whose checkpoints need ceil.
+_FIXED = st.builds(lambda alpha: dict(alpha=alpha), st.floats(0.01, 1.0))
+_HARMONIC = st.builds(lambda a, b: dict(schedule_a=a, schedule_b=b),
+                      st.floats(0.1, 10.0), st.floats(0.0, 20.0))
+_FRACTIONS = st.lists(st.integers(1, 100), min_size=1, max_size=3, unique=True).map(
+    lambda percents: tuple(p / 100 for p in sorted(percents)))
+# No shrink phase: a logistic reference run takes up to ~0.1 s, and
+# shrinking one failure took minutes; the failing example is still shown.
+_DRAWN = settings(max_examples=6, deadline=None, derandomize=True, database=None,
+                  phases=(Phase.generate,))
+
+
+@_DRAWN
+@given(method=st.sampled_from(["trish", "sg"]), stepsize=st.one_of(_FIXED, _HARMONIC),
+       batch=st.integers(10, 60), seeds=st.integers(1, 2), fractions=_FRACTIONS)
+def test_drawn_run_matches_the_reference(method, stepsize, batch, seeds, fractions):
+    _assert_run_matches(ExperimentConfig(
+        method=method, problem="logistic", dataset=TRAIN, test_dataset=TEST, gamma1=2.0,
+        gamma2=0.8, batch_size=batch, n_seeds=seeds, base_seed=seeds + batch,
+        checkpoint_fractions=fractions, **stepsize,
+    ))
+
+
+def _sin(t: float) -> float:
+    """sin(t), and nan at an infinite t, where math.sin raises."""
+    return math.sin(t) if math.isfinite(t) else math.nan
 
 
 def reference_synthetic_run(config: ExperimentConfig) -> list[tuple]:
@@ -167,7 +204,9 @@ def reference_synthetic_run(config: ExperimentConfig) -> list[tuple]:
     The quadratic is f(x) = sum x_i^2 / 2 and the nonconvex PL objective
     f(x) = sum x_i^2 + 3 sin^2(x_i); a sample is the gradient plus sigma
     times one standard_normal(dim) call per step from the seed's own
-    default_rng(base_seed + i).  Only the train loss is measured.
+    default_rng(base_seed + i).  Only the train loss is measured: nan once
+    x is not finite, and a checkpoint whose loss is not finite makes x nan,
+    so a diverged seed steps on in nan and counts no more branches.
     """
     checkpoints = _checkpoints(config, config.max_iterations)
     quadratic = config.problem == "quadratic"
@@ -176,15 +215,20 @@ def reference_synthetic_run(config: ExperimentConfig) -> list[tuple]:
         rng = np.random.default_rng(config.base_seed + i)
         x, cases = [1.0] * config.dimension, [0, 0, 0]
         for k in range(1, max(checkpoints) + 1):
-            g = list(x) if quadratic else [2.0 * xi + 3.0 * math.sin(2.0 * xi) for xi in x]
+            g = list(x) if quadratic else [2.0 * xi + 3.0 * _sin(2.0 * xi) for xi in x]
             noise = rng.standard_normal(config.dimension).tolist()
             x = _step(config, k, x, [gi + config.sigma * z for gi, z in zip(g, noise)], cases)
             if k in checkpoints:
-                if quadratic:
+                if not all(math.isfinite(xi) for xi in x):
+                    loss = math.nan
+                elif quadratic:
                     loss = sum(0.5 * (xi * xi) for xi in x)
                 else:
                     loss = sum(xi * xi + 3.0 * math.sin(xi) ** 2 for xi in x)
-                records.append((config.base_seed + i, checkpoints[k], k, loss, *cases))
+                if not math.isfinite(loss):
+                    x = [math.nan] * config.dimension
+                records += [(config.base_seed + i, fraction, k, loss, *cases)
+                            for fraction in checkpoints[k]]
     return records
 
 
@@ -209,26 +253,85 @@ def test_synthetic_run_matches_the_reference(monkeypatch, fields, chunk):
     )
     if chunk is not None:
         monkeypatch.setattr(harness, "_CHUNK_BYTES", 8 * 3 * 3 * chunk)
-    want = reference_synthetic_run(config)
+    want = _assert_synthetic_run_matches(config)
     if config.method == "trish":
         assert min(want[-1][4:]) > 0  # every branch fires
+
+
+def _assert_synthetic_run_matches(config: ExperimentConfig) -> list[tuple]:
+    """Assert run_experiment gives reference_synthetic_run's records, inf and
+    nan losses in the same places, and return them."""
+    want = reference_synthetic_run(config)
     records = run_experiment(config).records
     got = [(r.seed, r.checkpoint_fraction, r.iteration, r.train_loss, r.case1, r.case2, r.case3)
            for r in records]
     assert [r[:3] + r[4:] for r in got] == [r[:3] + r[4:] for r in want]
     np.testing.assert_allclose([r[3] for r in got], [r[3] for r in want], rtol=1e-12, atol=0)
     assert all(math.isnan(v) for r in records for v in (r.train_acc, r.test_loss, r.test_acc))
+    return want
 
 
-def test_tune_matches_the_reference():
+@settings(_DRAWN, max_examples=25)
+@given(problem=st.sampled_from(["quadratic", "nonconvex_pl"]),
+       method=st.sampled_from(["trish", "sg"]), stepsize=st.one_of(_FIXED, _HARMONIC),
+       dimension=st.integers(1, 3), sigma=st.floats(0.01, 2.0), seeds=st.integers(1, 3),
+       steps=st.integers(1, 80), fractions=_FRACTIONS, chunk_bytes=st.integers(1, 8 * 3 * 3 * 9))
+def test_drawn_synthetic_run_matches_the_reference(
+    problem, method, stepsize, dimension, sigma, seeds, steps, fractions, chunk_bytes
+):
+    """chunk_bytes runs from below one step's draws to 9 steps of the widest block."""
+    config = ExperimentConfig(
+        problem=problem, method=method, gamma1=4.0, gamma2=1.6, sigma=sigma,
+        max_iterations=steps, dimension=dimension, n_seeds=seeds, base_seed=steps,
+        checkpoint_fractions=fractions, **stepsize,
+    )
+    with mock.patch.object(harness, "_CHUNK_BYTES", chunk_bytes):
+        _assert_synthetic_run_matches(config)
+
+
+@pytest.mark.parametrize("problem", ["quadratic", "nonconvex_pl"])
+@pytest.mark.parametrize("method", ["trish", "sg"])
+@pytest.mark.parametrize(
+    "stepsize", [dict(alpha=1e20), dict(schedule_a=1e21, schedule_b=4.0)], ids=["fixed", "harmonic"]
+)
+def test_diverging_run_matches_the_reference(problem, method, stepsize):
+    """With alpha near 1e20 every seed's x grows ~1e20-fold a step: at step 8
+    x is finite but its loss is inf, which freezes the row, so later
+    checkpoints read nan and no later step counts a branch."""
+    config = ExperimentConfig(
+        problem=problem, method=method, gamma1=4.0, gamma2=1.6, sigma=0.3, max_iterations=100,
+        dimension=2, n_seeds=3, base_seed=11, checkpoint_fractions=(0.08, 0.1, 0.5, 1.0),
+        **stepsize,
+    )
+    want = _assert_synthetic_run_matches(config)
+    assert all(r[3] == math.inf if r[2] == 8 else math.isnan(r[3]) for r in want)
+
+
+@pytest.mark.parametrize("parts", [None, 3, 1], ids=["one-block", "parts-of-3", "parts-of-1"])
+def test_tune_matches_the_reference(monkeypatch, parts):
     """Every grid point's means are those of its own reference runs, so the
-    block's rows (seed i of point p at row p * S + i) reach the right point."""
+    block's rows (seed i of point p at row p * S + i) reach the right point,
+    also when _TUNE_BLOCK_BYTES fits only `parts` points and the block runs
+    in parts."""
     base = ExperimentConfig(
         problem="logistic", dataset=TRAIN, test_dataset=TEST, gamma1=2.0, gamma2=0.8,
         alpha=0.25, batch_size=20, n_seeds=2, base_seed=3, checkpoint_fractions=(1.0,),
     )
     grid = {("gamma1", "gamma2"): [(2.0, 0.8), (4.0, 1.6)], "alpha": [0.25, 0.5]}
+    if parts is not None:
+        rows, _ = _dense(TRAIN)  # a point's 2 seeds' iterates and margin-kernel arrays
+        point_bytes = 8 * 2 * (2 * len(rows[0]) + 3 * len(rows))
+        monkeypatch.setattr(harness, "_TUNE_BLOCK_BYTES", parts * point_bytes)
+    blocks, run_block = [], harness._run_block
+
+    def spy(configs, *rest, **options):
+        blocks.append(len(configs))
+        return run_block(configs, *rest, **options)
+
+    monkeypatch.setattr(harness, "_run_block", spy)
     entries = tune_grid(base, grid).entries
+    # the grid's block, its parts if it splits, then the winner's own run
+    assert blocks == {None: [4, 1], 3: [4, 3, 1, 1], 1: [4, 1, 1, 1, 1, 1]}[parts]
     assert len(entries) == 4
     for entry in entries:
         finals = reference_run(dataclasses.replace(base, **entry.params))
