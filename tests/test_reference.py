@@ -307,12 +307,22 @@ def test_diverging_run_matches_the_reference(problem, method, stepsize):
     assert all(r[3] == math.inf if r[2] == 8 else math.isnan(r[3]) for r in want)
 
 
-@pytest.mark.parametrize("parts", [None, 3, 1], ids=["one-block", "parts-of-3", "parts-of-1"])
-def test_tune_matches_the_reference(monkeypatch, parts):
+def test_tune_matches_the_reference(monkeypatch):
     """Every grid point's means are those of its own reference runs, so the
-    block's rows (seed i of point p at row p * S + i) reach the right point,
-    also when _TUNE_BLOCK_BYTES fits only `parts` points and the block runs
-    in parts."""
+    block's rows (seed i of point p at row p * S + i) reach the right point."""
+    _assert_tune_matches_the_reference(monkeypatch, None)
+
+
+@pytest.mark.parametrize("parts", [3, 1], ids=["parts-of-3", "parts-of-1"])
+def test_tune_in_parts_matches_the_reference(monkeypatch, parts):
+    """The same holds when _TUNE_BLOCK_BYTES fits only `parts` points and
+    the block runs in parts."""
+    _assert_tune_matches_the_reference(monkeypatch, parts)
+
+
+def _assert_tune_matches_the_reference(monkeypatch, parts):
+    """tune_grid's means against reference_run's, with the block cut to
+    `parts` points when parts is not None."""
     base = ExperimentConfig(
         problem="logistic", dataset=TRAIN, test_dataset=TEST, gamma1=2.0, gamma2=0.8,
         alpha=0.25, batch_size=20, n_seeds=2, base_seed=3, checkpoint_fractions=(1.0,),
