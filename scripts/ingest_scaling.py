@@ -4,7 +4,9 @@ For each row count, perfbench/gen_wide.py writes a file under a fresh
 temporary directory, and a new Python process loads it once with
 trish.ingest.load_libsvm.  Each size prints one row: the file's rows and
 MB, the load's seconds, lines/s and MB/s, the peak RSS (ru_maxrss) of
-the process that loaded it, read before anything else runs, and
+the process that loaded it, read before anything else runs, the peak
+RSS of the largest child that load_libsvm forked to parse a part of the
+file (RUSAGE_CHILDREN; 0 when the file was parsed in one process), and
 gather_us, the microseconds per sparse LogisticProblem.block_gradient
 call on the loaded data at one point, one seed and a batch of 100 (the
 mean of 1000 calls, timed in the same process after the load).  The file
@@ -45,6 +47,7 @@ start = time.perf_counter()
 data, _ = load_libsvm(sys.argv[1])
 seconds = time.perf_counter() - start
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+children_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
 problems._DENSE_GATHER_BYTES = 0  # the sparse gather at every size, as from ~110 rows up
 problem = problems.LogisticProblem(data)
 W = np.zeros((1, data.width))
@@ -54,7 +57,8 @@ for indices in draws:
     problem.block_gradient(indices, W)
 gather_us = (time.perf_counter() - start) / len(draws) * 1e6
 print(json.dumps({
-    "rows": len(data), "seconds": seconds, "peak_rss_mb": peak_kb / 1024, "gather_us": gather_us
+    "rows": len(data), "seconds": seconds, "peak_rss_mb": peak_kb / 1024,
+    "children_maxrss_mb": children_kb / 1024, "gather_us": gather_us,
 }))
 """
 
@@ -70,7 +74,8 @@ def _python(code: str, *args: str) -> str:
 
 
 def load_once(path: str) -> dict:
-    """Rows, seconds, peak RSS and gather_us of one load_libsvm(path) in a new process."""
+    """Rows, seconds, peak RSS, children's peak RSS and gather_us of one
+    load_libsvm(path) in a new process."""
     return json.loads(_python(_LOAD, path))
 
 
@@ -80,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     print(
         f"{'rows':>9} {'MB':>8} {'seconds':>8} {'lines/s':>9} {'MB/s':>6} {'peak_rss_mb':>11} "
-        f"{'gather_us':>9}"
+        f"{'children_maxrss_mb':>18} {'gather_us':>9}"
     )
     with tempfile.TemporaryDirectory(prefix="ingest-scaling-") as tmp:
         for rows in args.rows:
@@ -94,7 +99,8 @@ def main(argv: list[str] | None = None) -> int:
             seconds = load["seconds"]
             print(
                 f"{rows:>9} {mb:>8.1f} {seconds:>8.3f} {rows / seconds:>9.0f} "
-                f"{mb / seconds:>6.1f} {load['peak_rss_mb']:>11.1f} {load['gather_us']:>9.1f}",
+                f"{mb / seconds:>6.1f} {load['peak_rss_mb']:>11.1f} "
+                f"{load['children_maxrss_mb']:>18.1f} {load['gather_us']:>9.1f}",
                 flush=True,
             )
     return 0

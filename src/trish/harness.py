@@ -26,15 +26,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-import os
-from contextlib import closing, suppress
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .core import StepsizeSchedule, TrishParams, _trish_step_batch
-from .ingest import load_libsvm
+from .ingest import _run_off, _this_cpu, load_libsvm
 from .oracles import GaussianOracle
 from .problems import (
     LogisticProblem,
@@ -182,12 +181,9 @@ class ExperimentConfig:
 
 
 def _file_sha256(path: str) -> str:
-    """sha256 of a file's bytes, read in fixed-size chunks."""
-    digest = hashlib.sha256()
+    """sha256 of a file's bytes."""
     with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+        return hashlib.file_digest(handle, "sha256").hexdigest()
 
 
 @dataclass(frozen=True)
@@ -302,21 +298,6 @@ def _start_block(rows: int, dim: int, x1) -> np.ndarray:
     """rows copies of x1 (a scalar fills every coordinate): every command's
     iterate block, allocated once _check_block has passed its size."""
     return np.full((rows, dim), x1, dtype=float)
-
-
-def _this_cpu() -> int | None:
-    """The CPU the calling thread runs on (field 39 of its Linux stat line), or None."""
-    try:
-        with open("/proc/thread-self/stat", encoding="ascii") as stat:
-            return int(stat.read().rsplit(")", 1)[1].split()[36])
-    except OSError:
-        return None
-
-
-def _run_off(cpu: int | None) -> None:
-    """Move the calling thread onto the process's CPUs other than cpu, if it has any."""
-    with suppress(OSError, AttributeError):  # one CPU, or no affinity calls: stay put
-        os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
 
 
 def _prefetched(fill, steps: int, step_bytes: int):

@@ -28,15 +28,36 @@ at its exact position.  Memory is one 256-line block plus the four flat
 arrays, with no object per example, and time is linear in the input
 size.  Each file is read once; a byte that is not UTF-8 is an error
 like any other.
+
+load_libsvm parses a regular file of at least _SPLIT_BYTES (1 MiB, about
+where splitting starts to pay) in parts, one per usable CPU, when there
+are two or more and the process runs no other thread, since fork copies
+only the calling thread; any other input (a smaller file, a FIFO,
+/dev/stdin) takes the serial parse.  Each part ends at the first '\n'
+at or after an equal byte share of the file.  The first part is parsed
+in the calling process, streamed; each other part in a forked child,
+moved off the caller's CPU, which sends its four arrays down a pipe to
+be appended to the caller's as a block's are, so each process holds one
+block plus its arrays and each entry is held once.  The arrays are the
+serial parse's, bit for bit.  A child that fails in any way leaves the
+whole file to the serial parse, so an error is the serial parse's, at
+the same position, and every child is reaped before load_libsvm returns
+or raises.  A host with only one free CPU gains nothing from the split.
 """
 
 from __future__ import annotations
 
+import io
+import os
 import re
+import stat
+import threading
+import warnings
 from array import array
+from contextlib import suppress
 from dataclasses import asdict, dataclass
-from itertools import islice, repeat
-from typing import Iterable
+from itertools import islice, pairwise, repeat
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
@@ -58,6 +79,8 @@ _INT32_MAX = 2**31 - 1  # the file's columns are int32 while no index passes it
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
 _BLOCK_LINES = 256  # the lines parsed at once; bounds the token strings alive
+_SPLIT_BYTES = 1 << 20  # a regular file from this size is parsed in parts, one per usable CPU
+_PIPE_CHUNK = 1 << 18  # the bytes of a part's arrays appended at once; a multiple of 8
 # A plain block: each line blank or `label index:value ...`, every line
 # ending in '\n'.  Each run of a class is followed by a character the class
 # excludes, so a line can match in one way only and giving back characters
@@ -269,16 +292,9 @@ def _widened(columns: array) -> array:
     return wide
 
 
-def parse_libsvm(lines: Iterable[str]) -> tuple[LibsvmData, int]:
-    """Parse an iterable of text lines; returns (data, max_index).
-
-    max_index is the largest feature index seen anywhere, 0 for an empty
-    dataset, and data.width.  When a dataset has train and test splits,
-    take the max over both so the two agree.  A byte that is not UTF-8,
-    as errors="surrogateescape" decodes it, is a ParseError on any line,
-    comment lines included.
-    """
-    # the file's labels, row pointers, columns and values
+def _parse(lines: Iterable[str]) -> tuple[list[array], int]:
+    """parse_libsvm's four flat arrays (labels, row pointers, columns,
+    values) and the largest index, before numpy wraps them."""
     out = [array("d"), array("q", [0]), array("i"), array("d")]
     max_index = 0
     lines = iter(lines)
@@ -293,14 +309,204 @@ def parse_libsvm(lines: Iterable[str]) -> tuple[LibsvmData, int]:
         max_index = max(max_index, block_max)
         _append(block_out, out)
         lineno += len(block)
-    labels, indptr, columns, values = out
+    return out, max_index
+
+
+def parse_libsvm(lines: Iterable[str]) -> tuple[LibsvmData, int]:
+    """Parse an iterable of text lines; returns (data, max_index).
+
+    max_index is the largest feature index seen anywhere, 0 for an empty
+    dataset, and data.width.  When a dataset has train and test splits,
+    take the max over both so the two agree.  A byte that is not UTF-8,
+    as errors="surrogateescape" decodes it, is a ParseError on any line,
+    comment lines included.
+    """
+    out, max_index = _parse(lines)
     # numpy wraps the four buffers without copying them
-    return LibsvmData(labels, indptr, columns, values, max_index), max_index
+    return LibsvmData(*out, max_index), max_index
+
+
+def _this_cpu() -> int | None:
+    """The CPU the calling thread runs on (field 39 of its Linux stat line), or None."""
+    try:
+        with open("/proc/thread-self/stat", encoding="ascii") as stat_line:
+            return int(stat_line.read().rsplit(")", 1)[1].split()[36])
+    except OSError:
+        return None
+
+
+def _run_off(cpu: int | None) -> None:
+    """Move the calling thread onto the process's CPUs other than cpu, if it has any."""
+    with suppress(OSError, AttributeError):  # one CPU, or no affinity calls: stay put
+        os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
+
+
+class _Range(io.RawIOBase):
+    """Bytes start to end of the open file fd, read at their offsets, so
+    processes that share the descriptor never move each other's position."""
+
+    def __init__(self, fd: int, start: int, end: int):
+        self._fd, self._at, self._end = fd, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        with memoryview(buffer) as view:
+            read = os.preadv(self._fd, [view[: self._end - self._at]], self._at)
+        self._at += read
+        return read
+
+
+def _lines(fd: int, start: int, end: int) -> io.TextIOWrapper:
+    """The lines of bytes start to end of fd, decoded as load_libsvm decodes a file."""
+    raw = io.BufferedReader(_Range(fd, start, end))
+    return io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape")
+
+
+def _line_end(fd: int, at: int, size: int) -> int:
+    """The offset just past the first '\n' of fd at or after at, or size."""
+    while at < size and (chunk := os.pread(fd, 1 << 16, at)):
+        if (newline := chunk.find(b"\n")) >= 0:
+            return at + newline + 1
+        at += len(chunk)
+    return size
+
+
+def _cuts(fd: int, size: int, parts: int) -> list[int]:
+    """The bounds of the file's parts, each a run of whole lines: 0, the
+    line end at or after each of the parts - 1 equal byte shares, and
+    size, with no part empty."""
+    ends = {_line_end(fd, size * part // parts, size) for part in range(1, parts)}
+    return sorted({0, size} | ends)
+
+
+def _fork_part(fd: int, start: int, end: int, cpu: int | None) -> tuple[int, BinaryIO]:
+    """Fork a child, off cpu, that parses bytes start to end of fd and
+    sends its rows, entries, largest index and column width, then its
+    four arrays (the row pointers without their leading 0) down a pipe;
+    returns its pid and the pipe's read end.  The child writes nothing
+    else, and leaves by os._exit, with 0 only once all is sent."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            warnings.simplefilter("error")  # a warning is a failure, left to the serial parse
+            _run_off(cpu)
+            with _lines(fd, start, end) as lines:
+                (labels, indptr, columns, values), max_index = _parse(lines)
+            with open(write_end, "wb") as pipe:
+                head = [len(labels), len(values), max_index, columns.itemsize]
+                pipe.write(array("q", head))
+                for part in labels, memoryview(indptr)[1:], columns, values:
+                    pipe.write(part)
+            code = 0
+        finally:
+            os._exit(code)  # no exception and no exit handler may run past the part
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _take(pipe: BinaryIO, into: array, count: int, typecode: str, shift: int = 0) -> None:
+    """Append count items of typecode from pipe to `into`, each plus
+    shift and cast to into's type, _PIPE_CHUNK bytes at a time."""
+    left = count * array(typecode).itemsize
+    while left:
+        chunk = pipe.read(min(left, _PIPE_CHUNK))
+        if not chunk:
+            raise EOFError("a part ended early")
+        left -= len(chunk)
+        if shift or typecode != into.typecode:
+            chunk = np.frombuffer(chunk, dtype=typecode) + shift
+            chunk = chunk.astype(into.typecode, copy=False).tobytes()
+        into.frombytes(chunk)
+
+
+def _receive(pipe: BinaryIO, out: list[array], max_index: int) -> int:
+    """Append a child's part from pipe to the file's four arrays in
+    `out`, as _append appends a block; returns the new largest index."""
+    head = pipe.read(4 * 8)
+    if len(head) != 4 * 8:
+        raise EOFError("a part sent no arrays")
+    rows, entries, part_max, width = array("q", head)
+    if part_max > _INT32_MAX >= max_index:
+        out[2] = _widened(out[2])
+    labels, indptr, columns, values = out
+    _take(pipe, labels, rows, "d")
+    _take(pipe, indptr, rows, "q", shift=len(columns))
+    _take(pipe, columns, entries, "q" if width == 8 else "i")
+    _take(pipe, values, entries, "d")
+    return max(max_index, part_max)
+
+
+def _load_in_parts(path: str) -> tuple[LibsvmData, int] | None:
+    """load_libsvm's result for a regular file of at least _SPLIT_BYTES,
+    its first part parsed here and each other part in a forked child, one
+    part per usable CPU; None, having left no child, to leave the file to
+    the serial parse: when a split is not safe or not worth it, and when a
+    child fails in any way, so that any error is the serial parse's."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return None
+    try:
+        info = os.stat(path)  # not open: opening a FIFO would wait for a writer
+    except OSError:
+        return None
+    if not stat.S_ISREG(info.st_mode) or info.st_size < _SPLIT_BYTES:
+        return None
+    # fork copies only the calling thread, so another one's locks could stay held
+    if threading.active_count() != 1:
+        return None
+    with open(path, "rb") as handle:
+        fd = handle.fileno()
+        cuts = _cuts(fd, os.fstat(fd).st_size, len(os.sched_getaffinity(0)))
+        if len(cuts) < 3:  # one part: one usable CPU, or one line
+            return None
+        cpu, children = _this_cpu(), {}
+        try:
+            for start, end in pairwise(cuts[1:]):
+                try:
+                    pid, pipe = _fork_part(fd, start, end, cpu)
+                except OSError:
+                    return None
+                children[pid] = pipe
+            with _lines(fd, 0, cuts[1]) as lines:
+                out, max_index = _parse(lines)
+            for pid in list(children):
+                try:
+                    max_index = _receive(children[pid], out, max_index)
+                except EOFError:  # the child failed before it sent all
+                    return None
+                os.waitpid(pid, 0)
+                children.pop(pid).close()
+        finally:
+            from signal import SIGKILL  # ~1 ms to import, for loads that fail only
+
+            for pid, pipe in children.items():  # each unreaped child
+                pipe.close()
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    return LibsvmData(*out, max_index), max_index
 
 
 def load_libsvm(path: str) -> tuple[LibsvmData, int]:
-    """parse_libsvm over a file on disk, read once; parse errors carry the path."""
+    """parse_libsvm over a file on disk; parse errors carry the path.
+
+    A regular file of at least _SPLIT_BYTES is parsed in parts at once
+    when the process may use two CPUs or more and runs no other thread
+    (_load_in_parts), with the serial parse's arrays and errors; it is
+    read again, whole, only when a part fails.
+    """
     try:
+        loaded = _load_in_parts(path)
+        if loaded is not None:
+            return loaded
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
             return parse_libsvm(handle)
     except ParseError as exc:

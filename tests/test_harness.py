@@ -27,8 +27,6 @@ from trish.harness import (
     _checkpoint_iterations,
     _march,
     _prefetched,
-    _run_off,
-    _this_cpu,
     _trish_step_batch,
     emit_csv,
     emit_verify_csv,
@@ -37,6 +35,7 @@ from trish.harness import (
     verification_setup,
     verify_theorem,
 )
+from trish.ingest import _run_off, _this_cpu
 from trish.oracles import GaussianOracle
 from trish.problems import NonconvexPLProblem, QuadraticProblem
 from trish.theory import HypothesisError

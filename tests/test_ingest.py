@@ -3,10 +3,14 @@
 import contextlib
 import dataclasses
 import importlib.util
+import io
 import json
+import os
 import re
+import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -17,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trish import ingest
+from trish import cli, ingest
 from trish.ingest import (
     DatasetStats,
     LibsvmData,
@@ -31,6 +35,9 @@ from trish.ingest import (
 ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = ROOT / "src" / "trish" / "data"
 SCRIPTS_DIR = ROOT / "scripts"
+# whether load_libsvm can parse a file in parts on this platform
+_SPLITS = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+needs_fork = pytest.mark.skipif(not _SPLITS, reason="no fork or CPU affinity calls")
 
 
 @contextlib.contextmanager
@@ -664,21 +671,26 @@ class TestColumnWidth:
 
 class TestIngestScalingScript:
     def test_small_run(self):
+        # 2000 rows (~0.4 MB) parse in one process; 6000 (~1.3 MB) in parts
         script = SCRIPTS_DIR / "ingest_scaling.py"
         done = subprocess.run(
-            [sys.executable, str(script), "--rows", "2000"],
+            [sys.executable, str(script), "--rows", "2000", "6000"],
             capture_output=True,
             text=True,
             timeout=120,
             check=True,
         )
-        header, row = done.stdout.splitlines()
+        header, serial, split = done.stdout.splitlines()
         assert header.split() == [
-            "rows", "MB", "seconds", "lines/s", "MB/s", "peak_rss_mb", "gather_us"
+            "rows", "MB", "seconds", "lines/s", "MB/s", "peak_rss_mb", "children_maxrss_mb",
+            "gather_us",
         ]
-        cells = row.split()
-        assert cells[0] == "2000"
-        assert all(float(cell) > 0 for cell in cells[1:])
+        serial, split = serial.split(), split.split()
+        assert serial[0] == "2000" and split[0] == "6000"
+        assert float(serial[1]) < ingest._SPLIT_BYTES / 1e6 < float(split[1])
+        assert all(float(cell) > 0 for cell in serial[1:6] + serial[7:] + split[1:6] + split[7:])
+        assert float(serial[6]) == 0
+        assert (float(split[6]) > 0) == (_SPLITS and len(os.sched_getaffinity(0)) > 1)
 
 
 class TestParsePerformance:
@@ -713,3 +725,325 @@ class TestParsePerformance:
         small = timed(100_000)
         large = timed(400_000)
         assert large / small <= 3.0
+
+
+@contextlib.contextmanager
+def _split_into(parts, forked=None):
+    """load_libsvm splitting a regular file of any size into `parts`, as on
+    that many usable CPUs; the byte range of each forked part is appended
+    to the list `forked`, if given."""
+    fork_part = ingest._fork_part
+
+    def spied(fd, start, end, cpu):
+        forked.append((start, end))
+        return fork_part(fd, start, end, cpu)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_SPLIT_BYTES", 0)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+        if forked is not None:
+            patch.setattr(ingest, "_fork_part", spied)
+        yield
+
+
+@contextlib.contextmanager
+def _serial_only():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_SPLIT_BYTES", 2**62)
+        yield
+
+
+def _loaded(path):
+    """load_libsvm's data, largest index and column type, or its error."""
+    try:
+        data, max_index = load_libsvm(str(path))
+    except ParseError as exc:
+        return str(exc), exc.path, exc.line, exc.column
+    return data, max_index, data.indices.dtype
+
+
+def _stats(path):
+    """`trish stats` on path: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["stats", "--dataset", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _row_text(row) -> bytes:
+    return serialize_libsvm(_as_data([row])).rstrip("\n").encode()
+
+
+_long_line = st.integers(200, 600).map(
+    lambda n: ("1 " + " ".join(f"{i}:{i / 7!r}" for i in range(1, n))).encode()
+)
+_file_line = st.one_of(
+    _row.map(_row_text),  # twice, so that about two lines in five are rows
+    _row.map(_row_text),
+    st.sampled_from([b"", b"   ", b"\t", b"# comment", "# café €".encode(), b"  # 1 2:3"]),
+    st.sampled_from([b"1 2147483648:0.5", b"-1 3:1 9223372036854775807:2"]),  # past 2^31 - 1
+    _long_line,
+)
+_bad_line = st.sampled_from(
+    [b"1 2:x", b"1 0:1", b"1 3:1 2:1", b"1 1:\xff", b"# \xfe", b"1 1:nan", b"x 1:1", b"1 foo"]
+)
+
+
+@st.composite
+def _drawn_file(draw, errors):
+    """A LIBSVM file's bytes: drawn lines, each ended by '\\n', '\\r\\n' or
+    '\\r', maybe without a final line end; with `errors`, one to two bad
+    lines, the first at the start, at the end or anywhere."""
+    lines = draw(st.lists(_file_line, min_size=1, max_size=30))
+    if draw(st.booleans()):  # a long line across the middle, where two parts meet
+        lines.insert(len(lines) // 2, draw(_long_line))
+    if draw(st.booleans()):  # an index past 2^31 - 1 on the last line only
+        lines.append(b"1 1:1 3000000000:2")
+    for n in range(draw(st.integers(1, 2)) if errors else 0):
+        where = draw(st.sampled_from(["first", "last", "any"])) if n == 0 else "any"
+        at = {"first": 0, "last": len(lines), "any": draw(st.integers(0, len(lines)))}[where]
+        lines.insert(at, draw(_bad_line))
+    ends = st.sampled_from([b"\n", b"\r\n", b"\r"])
+    text = b"".join(line + draw(ends) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip(b"\r\n")
+
+
+@needs_fork
+class TestLoadInParts:
+    """A file parsed in parts gives the serial parse's arrays and errors."""
+
+    @pytest.fixture(scope="class")
+    def drawn_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("parts") / "drawn.libsvm"
+
+    def _check(self, path, parts):
+        with _serial_only():
+            want, want_stats = _loaded(path), _stats(path)
+        forked, serial, parse = [], [], ingest.parse_libsvm
+        with _split_into(parts, forked), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "parse_libsvm", lambda lines: serial.append(1) or parse(lines))
+            got = _loaded(path)
+        with _split_into(parts):
+            got_stats = _stats(path)
+        if isinstance(want[0], LibsvmData):
+            assert serial == ([] if forked else [1])  # no part failed
+            assert got[0] == want[0] and got[1:] == want[1:]
+            assert got[0].labels.tobytes() == want[0].labels.tobytes()
+            assert got[0].values.tobytes() == want[0].values.tobytes()
+        else:
+            assert got == want
+        assert got_stats == want_stats
+        _assert_no_child_left()
+        return want, forked
+
+    @settings(max_examples=80, deadline=None)
+    @given(text=_drawn_file(errors=False), parts=st.integers(2, 4))
+    def test_drawn_file_matches_the_serial_parse(self, drawn_path, text, parts):
+        drawn_path.write_bytes(text)
+        want, forked = self._check(drawn_path, parts)
+        assert isinstance(want[0], LibsvmData)
+        with open(drawn_path, "rb") as handle:
+            cuts = ingest._cuts(handle.fileno(), len(text), parts)
+        assert forked == list(zip(cuts[1:-1], cuts[2:]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(text=_drawn_file(errors=True), parts=st.integers(2, 4))
+    def test_drawn_error_matches_the_serial_parse(self, drawn_path, text, parts):
+        drawn_path.write_bytes(text)
+        want, _ = self._check(drawn_path, parts)
+        assert want[1] == str(drawn_path)  # an error, carrying the path
+
+    @pytest.mark.parametrize("at", ["parent", "child"])
+    def test_error_in_either_range(self, tmp_path, at):
+        lines = [b"1 2:0.5 7:1"] * 400
+        lines[10 if at == "parent" else 390] = b"1 2:0.5 7:x"
+        path = tmp_path / "bad.libsvm"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        want, forked = self._check(path, 2)
+        assert want[2:] == (11 if at == "parent" else 391, 11)
+        [(start, _)] = forked
+        assert (path.read_bytes().index(b"x") > start) == (at == "child")
+
+    @pytest.mark.parametrize("at", ["parent", "child"])
+    def test_index_past_int32_in_one_range(self, tmp_path, at):
+        lines = [b"1 2:0.5 7:1"] * 400
+        lines[0 if at == "parent" else -1] = b"1 2147483648:3"
+        path = tmp_path / "wide.libsvm"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        want, forked = self._check(path, 2)
+        assert want[1:] == (2**31, np.int64) and len(forked) == 1
+
+    def test_long_line_across_the_cut(self, tmp_path):
+        # the middle byte falls inside one long line, so the part starts after it
+        head = b"1 1:1\n" * 50
+        long_line = ("-1 " + " ".join(f"{i}:0.5" for i in range(1, 500))).encode() + b"\n"
+        path = tmp_path / "long.libsvm"
+        path.write_bytes(head + long_line + b"1 1:1\n" * 50)
+        want, forked = self._check(path, 2)
+        assert forked == [(len(head) + len(long_line), path.stat().st_size)]
+        assert len(want[0]) == 101
+
+    @pytest.mark.parametrize("name", ["train.libsvm", "test.libsvm"])
+    def test_bundled_data(self, name):
+        self._check(DATA_DIR / name, 2)
+
+    def test_generated_wide_file(self, tmp_path):
+        path = tmp_path / "wide.libsvm"
+        _gen_wide().generate(str(path), 3000, seed=3)
+        want, forked = self._check(path, 2)
+        assert want[2] == np.int32 and len(forked) == 1
+
+
+def test_cuts_fall_after_line_ends(tmp_path):
+    path = tmp_path / "cuts.libsvm"
+    path.write_bytes(b"ab\ncd\r\nef\rgh\n")  # 13 bytes; lines start at 0, 3, 7 and 10
+    with open(path, "rb") as handle:
+        fd = handle.fileno()
+        assert ingest._cuts(fd, 13, 2) == [0, 7, 13]  # after the '\n' of "\r\n"
+        assert ingest._cuts(fd, 13, 4) == [0, 7, 13]  # never after a lone '\r'; no empty part
+        assert ingest._cuts(fd, 13, 20) == [0, 3, 7, 13]
+        assert ingest._cuts(fd, 0, 2) == [0]
+
+
+def _rows_file(path, rows=400, bad=None):
+    """`rows` plain lines, line `bad` (1-based) with a malformed value."""
+    lines = [b"1 2:0.5 7:1"] * rows
+    if bad is not None:
+        lines[bad - 1] = b"1 2:0.5 7:x"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    return path
+
+
+def _raising(error):
+    """Lines that raise `error` when the parse asks for the first."""
+    raise error
+    yield  # a generator, so nothing is raised before the first line
+
+
+@needs_fork
+class TestPartsHygiene:
+    """Every child is reaped, and writes nothing; where a split is not safe, none is made."""
+
+    @pytest.mark.parametrize("bad", [None, 5, 395], ids=["ok", "parent-error", "child-error"])
+    def test_no_child_outlives_a_load(self, tmp_path, bad, capfd):
+        path = _rows_file(tmp_path / "rows.libsvm", bad=bad)
+        forked = []
+        with _split_into(2, forked):
+            if bad is None:
+                assert len(load_libsvm(str(path))[0]) == 400
+            else:
+                with pytest.raises(ParseError, match=f"^{bad}:11: "):
+                    load_libsvm(str(path))
+        assert len(forked) == 1
+        _assert_no_child_left()
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("error", [RuntimeError("boom"), KeyboardInterrupt()])
+    def test_an_exception_in_the_parents_range_reaps_the_children(
+        self, tmp_path, error, monkeypatch
+    ):
+        path = _rows_file(tmp_path / "rows.libsvm", rows=4000)
+        lines = ingest._lines
+
+        def parents_raise(fd, start, end):
+            # the children read their ranges; the parent's raises at its first line
+            return lines(fd, start, end) if start else contextlib.nullcontext(_raising(error))
+
+        monkeypatch.setattr(ingest, "_lines", parents_raise)
+        forked = []
+        with _split_into(3, forked), pytest.raises(type(error)) as raised:
+            load_libsvm(str(path))
+        assert raised.value is error and len(forked) == 2
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("how", ["exit", "signal", "raise"])
+    def test_a_failed_child_leaves_the_file_to_the_serial_parse(
+        self, tmp_path, how, monkeypatch, capfd
+    ):
+        def fail(cpu):  # only children call it
+            if how == "exit":
+                os._exit(3)
+            if how == "signal":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("a child's own failure")
+
+        path = _rows_file(tmp_path / "rows.libsvm", bad=395)
+        good = _rows_file(tmp_path / "good.libsvm")
+        monkeypatch.setattr(ingest, "_run_off", fail)
+        serial, parse = [], ingest.parse_libsvm
+        monkeypatch.setattr(ingest, "parse_libsvm", lambda lines: serial.append(1) or parse(lines))
+        with _split_into(2):
+            with pytest.raises(ParseError, match="^395:11: malformed value 'x'$"):
+                load_libsvm(str(path))
+            assert len(load_libsvm(str(good))[0]) == 400
+        assert len(serial) == 2  # each load left the whole file to the serial parse
+        _assert_no_child_left()
+        assert capfd.readouterr() == ("", "")
+
+    def test_a_failed_fork_leaves_the_file_to_the_serial_parse(self, tmp_path, monkeypatch):
+        path, fork, forks = _rows_file(tmp_path / "rows.libsvm", rows=4000), os.fork, []
+
+        def second_fails():
+            forks.append(len(forks))
+            if len(forks) == 2:
+                raise BlockingIOError("no process left")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        with _serial_only():
+            want = _loaded(path)
+        with _split_into(3):
+            got = _loaded(path)
+        assert forks == [0, 1] and got[0] == want[0] and got[1:] == want[1:]
+        _assert_no_child_left()
+
+    def _assert_serial(self, path, forked):
+        with _serial_only():
+            want = _loaded(path)
+        got = _loaded(path)
+        assert forked == [] and got[0] == want[0] and got[1:] == want[1:]
+
+    def test_a_second_thread_keeps_the_parse_serial(self, tmp_path):
+        path, forked, stop = _rows_file(tmp_path / "rows.libsvm"), [], threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            with _split_into(2, forked):
+                self._assert_serial(path, forked)
+        finally:
+            stop.set()
+            thread.join()
+        with _split_into(2, forked):
+            load_libsvm(str(path))
+        assert len(forked) == 1  # the same load splits once the thread is gone
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
+    def test_one_usable_cpu_keeps_the_parse_serial(self, tmp_path, monkeypatch):
+        path, forked, cpus = _rows_file(tmp_path / "rows.libsvm"), [], os.sched_getaffinity(0)
+        monkeypatch.setattr(ingest, "_SPLIT_BYTES", 0)
+        monkeypatch.setattr(ingest, "_fork_part", lambda *args: forked.append(args))
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            self._assert_serial(path, forked)
+        finally:
+            os.sched_setaffinity(0, cpus)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_a_fifo_keeps_the_parse_serial(self, tmp_path):
+        path, fifo, forked = _rows_file(tmp_path / "rows.libsvm"), tmp_path / "rows.fifo", []
+        os.mkfifo(fifo)
+        copy = "import sys; open(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())"
+        writer = subprocess.Popen([sys.executable, "-c", copy, str(path), str(fifo)])
+        try:
+            with _split_into(2, forked):
+                data, _ = load_libsvm(str(fifo))
+        finally:
+            assert writer.wait(timeout=60) == 0
+        with _serial_only():
+            assert data == load_libsvm(str(path))[0]
+        assert forked == []
