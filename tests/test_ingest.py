@@ -775,6 +775,15 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _rows_file(path, rows=400, bad=None):
+    """`rows` plain lines, line `bad` (1-based) with a malformed value."""
+    lines = [b"1 2:0.5 7:1"] * rows
+    if bad is not None:
+        lines[bad - 1] = b"1 2:0.5 7:x"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    return path
+
+
 def _row_text(row) -> bytes:
     return serialize_libsvm(_as_data([row])).rstrip("\n").encode()
 
@@ -860,10 +869,7 @@ class TestLoadInParts:
 
     @pytest.mark.parametrize("at", ["parent", "child"])
     def test_error_in_either_range(self, tmp_path, at):
-        lines = [b"1 2:0.5 7:1"] * 400
-        lines[10 if at == "parent" else 390] = b"1 2:0.5 7:x"
-        path = tmp_path / "bad.libsvm"
-        path.write_bytes(b"\n".join(lines) + b"\n")
+        path = _rows_file(tmp_path / "bad.libsvm", bad=11 if at == "parent" else 391)
         want, forked = self._check(path, 2)
         assert want[2:] == (11 if at == "parent" else 391, 11)
         [(start, _)] = forked
@@ -908,15 +914,6 @@ def test_cuts_fall_after_line_ends(tmp_path):
         assert ingest._cuts(fd, 13, 4) == [0, 7, 13]  # never after a lone '\r'; no empty part
         assert ingest._cuts(fd, 13, 20) == [0, 3, 7, 13]
         assert ingest._cuts(fd, 0, 2) == [0]
-
-
-def _rows_file(path, rows=400, bad=None):
-    """`rows` plain lines, line `bad` (1-based) with a malformed value."""
-    lines = [b"1 2:0.5 7:1"] * rows
-    if bad is not None:
-        lines[bad - 1] = b"1 2:0.5 7:x"
-    path.write_bytes(b"\n".join(lines) + b"\n")
-    return path
 
 
 def _raising(error):
