@@ -4,10 +4,13 @@ Each command runs --repeats times, and the script prints one JSON object:
 for `import trish.cli`, for each `trish verify --theorem N --seeds 2000`,
 for `trish stats` on the bundled training set, for a five-seed `trish run`
 on the bundled train and test sets and for `trish tune` on the
-criterion-10 safeguarded grid, the median wall time in seconds and the
-largest peak RSS (the child's own ru_maxrss, from os.wait4) in MB, plus
-the sum of the five verify medians.  The last three are a fresh process's
-first LIBSVM commands, so they include the parse of the bundled data.
+criterion-10 safeguarded grid (`tune`) and SG grid (`tune_sg`), the
+median wall time in seconds and the largest peak RSS in MB, plus the sum
+of the five verify medians.  The last four are a fresh process's first
+LIBSVM commands, so they include the parse of the bundled data.  The
+peak RSS is ru_maxrss from os.wait4, which on Linux is the larger of the
+command's own peak and that of each child it forked and reaped, such as
+tune's or the parser's; it is not their sum.
 
     python scripts/startup_time.py               # 5 runs of each command
     python scripts/startup_time.py --repeats 11
@@ -27,17 +30,24 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "src" / "trish" / "data"
-# The criterion-10 safeguarded grid; gamma2 follows gamma1 at the tune command's ratio.
-TUNE_CONFIG = f"""method = trish
-problem = logistic
+_TUNE_BASE = f"""problem = logistic
 dataset = {DATA / "train.libsvm"}
 test_dataset = {DATA / "test.libsvm"}
 epochs = 1
 n_seeds = 5
+"""
+# The criterion-10 grids; gamma2 follows gamma1 at the tune command's ratio.
+TUNE_CONFIGS = {
+    "tune": _TUNE_BASE + """method = trish
 tune_gamma1 = 2, 4, 8, 16
 tune_alpha = 0.1, 0.25, 0.5, 1, 2
 tune_batch_size = 5, 10, 20
-"""
+""",
+    "tune_sg": _TUNE_BASE + """method = sg
+tune_alpha = 0.1, 0.25, 0.5, 1, 2, 4
+tune_batch_size = 5, 10, 20
+""",
+}
 
 
 def run_once(argv: list[str], env: dict) -> tuple[float, float]:
@@ -68,9 +78,10 @@ def main(argv: list[str] | None = None) -> int:
                        "--gamma1", "2", "--gamma2", "0.8", "--alpha", "0.5", "--seeds", "5"]
     report = {"python": sys.version.split()[0], "repeats": args.repeats}
     with tempfile.TemporaryDirectory() as work:
-        config = Path(work) / "tune.conf"
-        config.write_text(TUNE_CONFIG, encoding="utf-8")
-        commands["tune"] = ["-m", "trish.cli", "tune", "--config", str(config)]
+        for name, text in TUNE_CONFIGS.items():
+            config = Path(work) / f"{name}.conf"
+            config.write_text(text, encoding="utf-8")
+            commands[name] = ["-m", "trish.cli", "tune", "--config", str(config)]
         for name, command in commands.items():
             runs = [run_once([sys.executable, *command], env) for _ in range(args.repeats)]
             report[name] = {"median_s": round(statistics.median(s for s, _ in runs), 4),

@@ -16,6 +16,9 @@ every tune grid point that differs only in _ROW_FIELDS, each row with
 its own stepsize and gamma pair.  A block's points share each seed's
 draws, so tune gives each point the numbers a run of it alone gives.
 _march owns the draw stream; GaussianOracle.sample is the noise formula.
+tune marches its blocks on every usable CPU when they are two jobs or
+more, in children forked by the parser's helper (ingest._fork), with the
+serial loop's output, bit for bit (_run_split).
 
 Results hold what their computation produced and nothing that their
 config already says.
@@ -33,7 +36,7 @@ from itertools import product
 import numpy as np
 
 from .core import StepsizeSchedule, TrishParams, _trish_step_batch
-from .ingest import _run_off, _this_cpu, load_libsvm
+from .ingest import _fork, _processes, _reap, _reaping, _run_off, _this_cpu, load_libsvm
 from .oracles import GaussianOracle
 from .problems import (
     LogisticProblem,
@@ -377,6 +380,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return _run_block([config], _build_problem(config))[0]
 
 
+def _part_points(config: ExperimentConfig, problem, budget: int) -> int:
+    """The grid points of config's block that one part of it holds: as many
+    as keep the part's iterates and margin-kernel arrays within budget
+    bytes, and at least one."""
+    n = problem.n_components if config.problem == "logistic" else 0
+    # Per row: the iterates, and the margin kernel's W^T, sums, output and one slot's products.
+    return max(1, budget // (8 * config.n_seeds * (2 * problem.metadata.dimension + 3 * n)))
+
+
 def _run_block(
     configs: list[ExperimentConfig], problem, final_only: bool = False
 ) -> list[ExperimentResult]:
@@ -398,8 +410,7 @@ def _run_block(
     logistic = config.problem == "logistic"
     dim = problem.metadata.dimension
     n = problem.n_components if logistic else 0
-    # Per row: the iterates, and the margin kernel's W^T, sums, output and one slot's products.
-    fits = max(1, _TUNE_BLOCK_BYTES // (8 * S * (2 * dim + 3 * n)))
+    fits = _part_points(config, problem, _TUNE_BLOCK_BYTES)
     if len(configs) > fits:
         parts = [configs[i:i + fits] for i in range(0, len(configs), fits)]
         return [result for part in parts for result in _run_block(part, problem, final_only)]
@@ -517,21 +528,94 @@ def _normalize_grid(grid: dict) -> dict[tuple[str, ...], list[tuple]]:
     return dict(sorted(normalized.items()))
 
 
+# The fields that only some configs read; a grid over one that no point
+# reads would march the same point again and again.
+_LOGISTIC_FIELDS = frozenset({"dataset", "test_dataset", "batch_size", "epochs"})
+_SYNTHETIC_FIELDS = frozenset({"sigma", "max_iterations", "dimension"})
+
+
+def _unread_fields(config: ExperimentConfig) -> frozenset:
+    """The fields that config's problem or method never reads."""
+    unread = _SYNTHETIC_FIELDS if config.problem == "logistic" else _LOGISTIC_FIELDS
+    return unread | {"gamma1", "gamma2"} if config.method == "sg" else unread
+
+
+def _run_split(run, jobs: list, costs: list, processes: int) -> list:
+    """[run(job) for job in jobs] on `processes` processes: this one, and a
+    child forked by ingest._fork for each other.  The jobs wait in one
+    queue, longest first by cost: the indices of the first 1024 in a pipe,
+    each read whole by one process at a time, so each process takes the
+    next job as soon as it is free.  A child sends back its jobs' indices
+    and results pickled.  This process then runs, in job order, every job
+    whose result did not come back (one left out of the queue, or taken by
+    a child that failed in any way), so every result, and any error a job
+    raises, is the serial loop's.  Every child is reaped before this
+    returns or raises."""
+    import os
+    import pickle  # numpy has loaded both; only tune's split needs them here
+
+    # At most 1024 indices of 4 bytes: one page, which every pipe holds, so the write never blocks.
+    order = sorted(range(len(jobs)), key=lambda j: -costs[j])[:1024]
+    read_end, write_end = os.pipe()
+    results = {}
+    with open(read_end, "rb", buffering=0) as queue, _reaping() as children:
+        with open(write_end, "wb") as feed:  # closed before any fork: the queue ends when empty
+            feed.write(b"".join(j.to_bytes(4, "little") for j in order))
+
+        def march():  # (index, result) of each job this process takes from the queue
+            taken = []
+            while entry := queue.read(4):
+                j = int.from_bytes(entry, "little")
+                taken.append((j, run(jobs[j])))
+            return taken
+
+        def send(pipe):  # the pickled pairs, after their length
+            payload = pickle.dumps(march(), pickle.HIGHEST_PROTOCOL)
+            pipe.write(len(payload).to_bytes(8, "little"))
+            pipe.write(payload)
+
+        cpu = _this_cpu()
+        for _ in range(processes - 1):
+            try:
+                pid, pipe = _fork(send, cpu)
+            except OSError:  # no process to spare: the others take the queue
+                break
+            children[pid] = pipe
+        results.update(march())
+        for pid in list(children):
+            sent = children[pid].read()
+            _reap(children, pid)
+            if len(sent) >= 8 and int.from_bytes(sent[:8], "little") == len(sent) - 8:
+                results.update(pickle.loads(memoryview(sent)[8:]))
+    return [results[j] if j in results else run(jobs[j]) for j in range(len(jobs))]
+
+
 def tune_grid(base_config: ExperimentConfig, grid: dict) -> TuneResult:
     """Evaluate every grid combination and pick the best configuration.
 
     grid maps ExperimentConfig field names (or tuples of names swept
     together) to candidate values; keys are iterated in sorted order so
-    ties resolve the same way every run.  Selection: highest mean final
-    test accuracy, then lowest mean final test loss, then the
-    lexicographically first parameter combination.  Grid points whose
-    runs go non-finite are kept in the table, flagged diverged, and
+    ties resolve the same way every run.  A field that no point's problem
+    or method reads (sigma on a logistic problem, batch_size on a
+    synthetic one, a gamma under plain SG) raises ValueError.  Selection:
+    highest mean final test accuracy, then lowest mean final test loss,
+    then the lexicographically first parameter combination.  Grid points
+    whose runs go non-finite are kept in the table, flagged diverged, and
     excluded from selection.  Each problem is built once and shared by
     every grid point that names it, and points that differ only in
     _ROW_FIELDS march as rows of one block, which measures each point at
     its final checkpoint alone.  The winner then runs once more by
     itself, and that run's records, at every checkpoint, come back with
     the result.
+
+    Once every block has passed _block_steps, the blocks march on every
+    usable CPU (ingest._processes) when they are two jobs or more (blocks,
+    or the _TUNE_BLOCK_BYTES parts of one): as whole parts, each within
+    _TUNE_BLOCK_BYTES over the process count, so the bound holds across
+    the processes, taken from _run_split's queue.  Each point's result
+    does not depend on how its block is cut, so the output is the serial
+    loop's, bit for bit.  Any other case, and the winner's re-run, stay
+    serial.
     """
     normalized = _normalize_grid(grid)
     keys = list(normalized)
@@ -541,6 +625,13 @@ def tune_grid(base_config: ExperimentConfig, grid: dict) -> TuneResult:
         for combo in combos
     ]
     configs = [dataclasses.replace(base_config, **params) for params in points]
+    gridded = {field for fields in keys for field in fields}
+    unread = sorted(gridded.intersection(*map(_unread_fields, configs)))
+    if unread:
+        raise ValueError(
+            f"grid field '{unread[0]}' is never read by a {base_config.problem} problem "
+            f"under method {base_config.method}, so every point would be the same"
+        )
     blocks: dict = {}  # grid point indices, by the repr of the fields their block shares
     for index, config in enumerate(configs):
         shared = repr([v for f, v in vars(config).items() if f not in _ROW_FIELDS])
@@ -554,11 +645,28 @@ def tune_grid(base_config: ExperimentConfig, grid: dict) -> TuneResult:
             problems[key] = _build_problem(config)
         _block_steps(config, problems[key])  # every block is refused before any marches
         point_problems.update(dict.fromkeys(members, problems[key]))
+
+    def parts(budget):  # each block cut into runs of points that fit budget, in grid order
+        cut = []
+        for members in blocks.values():
+            size = _part_points(configs[members[0]], point_problems[members[0]], budget)
+            cut += [members[i:i + size] for i in range(0, len(members), size)]
+        return cut
+
+    def run(job):
+        return _run_block([configs[m] for m in job], point_problems[job[0]], final_only=True)
+
     results: dict = {}
-    for members in blocks.values():
-        problem = point_problems[members[0]]
-        block = _run_block([configs[m] for m in members], problem, final_only=True)
-        results.update(zip(members, block))
+    processes = min(_processes(), len(parts(_TUNE_BLOCK_BYTES)))
+    if processes > 1:
+        jobs = parts(_TUNE_BLOCK_BYTES // processes)
+        costs = [len(job) * configs[job[0]].n_seeds
+                 * _block_steps(configs[job[0]], point_problems[job[0]]) for job in jobs]
+        for job, block in zip(jobs, _run_split(run, jobs, costs, processes)):
+            results.update(zip(job, block))
+    else:
+        for members in blocks.values():
+            results.update(zip(members, run(members)))
     entries: list[TuneEntry] = []
     candidates = []
     for index, (combo, combo_params) in enumerate(zip(combos, points)):

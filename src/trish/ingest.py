@@ -43,6 +43,10 @@ serial parse's, bit for bit.  A child that fails in any way leaves the
 whole file to the serial parse, so an error is the serial parse's, at
 the same position, and every child is reaped before load_libsvm returns
 or raises.  A host with only one free CPU gains nothing from the split.
+The rules of when to split (_processes), how a child is forked, placed
+and left (_fork) and how every child is reaped (_reaping) are shared
+with harness.tune_grid, which splits its blocks the same way; each keeps
+its own payload.
 """
 
 from __future__ import annotations
@@ -54,10 +58,10 @@ import stat
 import threading
 import warnings
 from array import array
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from itertools import islice, pairwise, repeat
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -381,12 +385,25 @@ def _cuts(fd: int, size: int, parts: int) -> list[int]:
     return sorted({0, size} | ends)
 
 
-def _fork_part(fd: int, start: int, end: int, cpu: int | None) -> tuple[int, BinaryIO]:
-    """Fork a child, off cpu, that parses bytes start to end of fd and
-    sends its rows, entries, largest index and column width, then its
-    four arrays (the row pointers without their leading 0) down a pipe;
-    returns its pid and the pipe's read end.  The child writes nothing
-    else, and leaves by os._exit, with 0 only once all is sent."""
+def _processes() -> int:
+    """The processes a split may use: the usable CPUs, when os.fork and
+    os.sched_getaffinity exist and the process runs no other thread, since
+    fork copies only the calling thread, so another one's locks could stay
+    held; otherwise 1."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() != 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork(send: Callable[[BinaryIO], None], cpu: int | None) -> tuple[int, BinaryIO]:
+    """Fork a child, moved off cpu, that calls send with the write end of a
+    new pipe, warnings turned into errors; returns its pid and the pipe's
+    read end, for _reaping to hold.  The child writes nothing else, and
+    leaves by os._exit, with 0 only once send has returned, so no exception
+    and no exit handler runs past it.  A failed fork raises OSError and
+    leaves no pipe open."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -398,20 +415,55 @@ def _fork_part(fd: int, start: int, end: int, cpu: int | None) -> tuple[int, Bin
         code = 1
         try:
             os.close(read_end)
-            warnings.simplefilter("error")  # a warning is a failure, left to the serial parse
+            warnings.simplefilter("error")  # a warning is a failure, left to the caller to redo
             _run_off(cpu)
-            with _lines(fd, start, end) as lines:
-                (labels, indptr, columns, values), max_index = _parse(lines)
             with open(write_end, "wb") as pipe:
-                head = [len(labels), len(values), max_index, columns.itemsize]
-                pipe.write(array("q", head))
-                for part in labels, memoryview(indptr)[1:], columns, values:
-                    pipe.write(part)
+                send(pipe)
             code = 0
         finally:
-            os._exit(code)  # no exception and no exit handler may run past the part
+            os._exit(code)
     os.close(write_end)
     return pid, open(read_end, "rb")
+
+
+@contextmanager
+def _reaping() -> Iterator[dict[int, BinaryIO]]:
+    """A dict for forked children, each pid to its pipe's read end.  Once a
+    child's pipe is read, _reap waits for it; each child still held when
+    the block ends, however it ends, is killed (SIGKILL) and reaped, and
+    its pipe closed."""
+    children: dict[int, BinaryIO] = {}
+    try:
+        yield children
+    finally:
+        if children:
+            from signal import SIGKILL  # ~1 ms to import, for splits that fail only
+
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _reap(children: dict[int, BinaryIO], pid: int) -> None:
+    """Wait for a child whose pipe has been read, and close the pipe."""
+    os.waitpid(pid, 0)
+    children.pop(pid).close()
+
+
+def _fork_part(fd: int, start: int, end: int, cpu: int | None) -> tuple[int, BinaryIO]:
+    """_fork a child that parses bytes start to end of fd and sends its
+    rows, entries, largest index and column width, then its four arrays
+    (the row pointers without their leading 0)."""
+
+    def send(pipe: BinaryIO) -> None:
+        with _lines(fd, start, end) as lines:
+            (labels, indptr, columns, values), max_index = _parse(lines)
+        pipe.write(array("q", [len(labels), len(values), max_index, columns.itemsize]))
+        for part in labels, memoryview(indptr)[1:], columns, values:
+            pipe.write(part)
+
+    return _fork(send, cpu)
 
 
 def _take(pipe: BinaryIO, into: array, count: int, typecode: str, shift: int = 0) -> None:
@@ -449,49 +501,36 @@ def _receive(pipe: BinaryIO, out: list[array], max_index: int) -> int:
 def _load_in_parts(path: str) -> tuple[LibsvmData, int] | None:
     """load_libsvm's result for a regular file of at least _SPLIT_BYTES,
     its first part parsed here and each other part in a forked child, one
-    part per usable CPU; None, having left no child, to leave the file to
-    the serial parse: when a split is not safe or not worth it, and when a
-    child fails in any way, so that any error is the serial parse's."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return None
+    part per usable CPU (_processes); None, having left no child, to leave
+    the file to the serial parse: when a split is not safe or not worth
+    it, and when a child fails in any way, so that any error is the serial
+    parse's."""
     try:
         info = os.stat(path)  # not open: opening a FIFO would wait for a writer
     except OSError:
         return None
     if not stat.S_ISREG(info.st_mode) or info.st_size < _SPLIT_BYTES:
         return None
-    # fork copies only the calling thread, so another one's locks could stay held
-    if threading.active_count() != 1:
-        return None
-    with open(path, "rb") as handle:
+    with open(path, "rb") as handle, _reaping() as children:
         fd = handle.fileno()
-        cuts = _cuts(fd, os.fstat(fd).st_size, len(os.sched_getaffinity(0)))
-        if len(cuts) < 3:  # one part: one usable CPU, or one line
+        cuts = _cuts(fd, os.fstat(fd).st_size, _processes())
+        if len(cuts) < 3:  # one part: one process, or one line
             return None
-        cpu, children = _this_cpu(), {}
-        try:
-            for start, end in pairwise(cuts[1:]):
-                try:
-                    pid, pipe = _fork_part(fd, start, end, cpu)
-                except OSError:
-                    return None
-                children[pid] = pipe
-            with _lines(fd, 0, cuts[1]) as lines:
-                out, max_index = _parse(lines)
-            for pid in list(children):
-                try:
-                    max_index = _receive(children[pid], out, max_index)
-                except EOFError:  # the child failed before it sent all
-                    return None
-                os.waitpid(pid, 0)
-                children.pop(pid).close()
-        finally:
-            from signal import SIGKILL  # ~1 ms to import, for loads that fail only
-
-            for pid, pipe in children.items():  # each unreaped child
-                pipe.close()
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
+        cpu = _this_cpu()
+        for start, end in pairwise(cuts[1:]):
+            try:
+                pid, pipe = _fork_part(fd, start, end, cpu)
+            except OSError:
+                return None
+            children[pid] = pipe
+        with _lines(fd, 0, cuts[1]) as lines:
+            out, max_index = _parse(lines)
+        for pid in list(children):
+            try:
+                max_index = _receive(children[pid], out, max_index)
+            except EOFError:  # the child failed before it sent all
+                return None
+            _reap(children, pid)
     return LibsvmData(*out, max_index), max_index
 
 

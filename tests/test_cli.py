@@ -701,6 +701,36 @@ class TestTuneCommand:
         assert captured.out == ""
         assert captured.err == f"trish: error: dataset {empty} holds no examples\n"
 
+    @pytest.mark.parametrize(
+        "config, key, field",
+        [
+            ("logistic", "tune_sigma = 0.1, 0.2", "sigma"),
+            ("quadratic", "tune_batch_size = 5, 10", "batch_size"),
+            ("quadratic", "tune_epochs = 1, 3", "epochs"),
+            ("logistic-sg", "tune_gamma1 = 2, 4", "gamma1"),
+        ],
+    )
+    def test_a_grid_over_a_field_never_read_is_a_usage_error(
+        self, tmp_path, capsys, config, key, field
+    ):
+        # such a grid would march one point again and again, then pick the first
+        base = {
+            "logistic": f"method = trish\nproblem = logistic\ndataset = {TRAIN}\n"
+                        "gamma1 = 2\ngamma2 = 0.8\nalpha = 0.5\nn_seeds = 1\n",
+            "quadratic": SYNTHETIC_CONFIG,
+            "logistic-sg": f"method = sg\nproblem = logistic\ndataset = {TRAIN}\nalpha = 0.5\n",
+        }[config]
+        conf = tmp_path / "tune.conf"
+        conf.write_text(base + key + "\n")
+        assert main(["tune", "--config", str(conf)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        problem, _, method = config.partition("-")
+        assert captured.out == ""
+        assert captured.err == (
+            f"trish: error: grid field '{field}' is never read by a {problem} problem "
+            f"under method {method or 'trish'}, so every point would be the same\n"
+        )
+
     def test_tune_without_grid_keys(self, synthetic_config, capsys):
         assert main(["tune", "--config", synthetic_config]) == EXIT_USAGE
         assert "tune_<field>" in capsys.readouterr().err

@@ -1,9 +1,12 @@
 """Tests for experiment configs, runs, tuning, bound checks, and CSV output."""
 
+import contextlib
 import dataclasses
+import io
 import math
 import os
 import re
+import signal
 import threading
 import time
 from pathlib import Path
@@ -14,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from trish import harness
+from trish import harness, ingest
 from trish.cli import main as cli_main
 from trish.core import StepsizeSchedule, TrishParams, classify_case, step_norm
 from trish.harness import (
@@ -403,6 +406,8 @@ class TestTuneGrid:
             return run_block(configs, problem, final_only)
 
         monkeypatch.setattr(harness, "_run_block", counted)
+        # one usable CPU, so that the serial loop runs every block here, where the spy sees it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         result = tune_grid(base, grid)
         monkeypatch.undo()
         # one final-only block per batch size, holding every other
@@ -435,6 +440,8 @@ class TestTuneGrid:
             return start_block(n_rows, dim, x1)
 
         monkeypatch.setattr(harness, "_start_block", recorded)
+        # one usable CPU, so that the serial loop runs every block here, where the spy sees it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         # room for two points of 2 seeds, 120 columns and 600 training rows
         monkeypatch.setattr(harness, "_TUNE_BLOCK_BYTES", 2 * 8 * 2 * (2 * 120 + 3 * 600))
         parts = tune_grid(base, grid)
@@ -476,6 +483,316 @@ class TestTuneGrid:
             tune_grid(base, {"alpha": []})
         with pytest.raises(ValueError, match="does not match"):
             tune_grid(base, {("gamma1", "gamma2"): [(2.0, 0.8, 1.0)]})
+
+
+# The criterion-10 grids as `trish tune` reads them; gamma2 follows gamma1 at 0.4.
+_CRITERION_10_GRIDS = {
+    "trish": "method = trish\ntune_gamma1 = 2, 4, 8, 16\ntune_alpha = 0.1, 0.25, 0.5, 1, 2\n"
+             "tune_batch_size = 5, 10, 20\n",
+    "sg": "method = sg\ntune_alpha = 0.1, 0.25, 0.5, 1, 2, 4\ntune_batch_size = 5, 10, 20\n",
+}
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+    reason="no fork or CPU affinity calls",
+)
+
+
+@contextlib.contextmanager
+def _cpus(n, forks=None):
+    """tune_grid as on n usable CPUs; each child it forks appends 1 to the
+    list `forks`, if given."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        if forks is not None:
+            fork = harness._fork
+            patch.setattr(harness, "_fork", lambda send, cpu: forks.append(1) or fork(send, cpu))
+        yield
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_same_tune(got, want):
+    """Two TuneResults agree bit for bit (repr round-trips every float, nan included)."""
+    assert repr(got.entries) == repr(want.entries)
+    assert got.best_params == want.best_params and got.best == want.best
+    assert repr(got.best_records) == repr(want.best_records)
+
+
+def _tune_command(tmp_path, text, cpus):
+    """`trish tune` on the config text as on cpus usable CPUs: its exit
+    code, stdout, stderr and --out bytes, and the children it forked."""
+    conf, out = tmp_path / "tune.conf", tmp_path / f"best-{cpus}.csv"
+    conf.write_text(text)
+    stdout, stderr, forks = io.StringIO(), io.StringIO(), []
+    with _cpus(cpus, forks), contextlib.redirect_stdout(stdout):
+        with contextlib.redirect_stderr(stderr):
+            code = cli_main(["tune", "--config", str(conf), "--out", str(out)])
+    text = stdout.getvalue().replace(str(out), "<out>")
+    return (code, text, stderr.getvalue(), out.read_bytes()), forks
+
+
+@needs_fork
+class TestTuneSplit:
+    """tune_grid on two or more usable CPUs gives its serial loop's output, bit for bit."""
+
+    def _check(self, base, grid, cpus):
+        with _cpus(1):
+            want = tune_grid(base, grid)
+        forks = []
+        with _cpus(cpus, forks):
+            got = tune_grid(base, grid)
+        assert forks  # the split was taken
+        _assert_same_tune(got, want)
+        _assert_no_child_left()
+        return got
+
+    @pytest.mark.parametrize("base_seed, cpus", [(0, 2), (3, 4)])
+    @pytest.mark.parametrize("method", ["trish", "sg"])
+    def test_criterion_10_grid(self, tmp_path, method, base_seed, cpus, capfd):
+        text = (f"problem = logistic\ndataset = {TRAIN}\ntest_dataset = {TEST}\nepochs = 1\n"
+                f"n_seeds = 5\nbase_seed = {base_seed}\n" + _CRITERION_10_GRIDS[method])
+        want, serial_forks = _tune_command(tmp_path, text, 1)
+        got, forks = _tune_command(tmp_path, text, cpus)
+        assert want[0] == 0 and got == want
+        assert serial_forks == [] and len(forks) == min(cpus, 3) - 1  # one block per batch size
+        base = ExperimentConfig(
+            method=method, problem="logistic", dataset=TRAIN, test_dataset=TEST, gamma1=2.0,
+            gamma2=0.8, alpha=0.1, batch_size=5, n_seeds=5, base_seed=base_seed,
+        )
+        grid = {"alpha": [0.1, 0.25, 0.5, 1.0, 2.0], "batch_size": [5, 10, 20]}
+        if method == "trish":
+            grid[("gamma1", "gamma2")] = [(g, 0.4 * g) for g in (2.0, 4.0, 8.0, 16.0)]
+        self._check(base, grid, cpus)
+        assert capfd.readouterr().err == ""  # no child wrote anything
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_block_past_the_byte_budget_splits_into_parts(self, monkeypatch, cpus):
+        base = ExperimentConfig(
+            problem="logistic", dataset=TRAIN, test_dataset=TEST, gamma1=4.0, gamma2=1.6,
+            alpha=1.0, batch_size=20, n_seeds=2,
+        )
+        # room for two points of 2 seeds, 120 columns and 600 training rows
+        monkeypatch.setattr(harness, "_TUNE_BLOCK_BYTES", 2 * 8 * 2 * (2 * 120 + 3 * 600))
+        jobs, run_split = [], harness._run_split
+
+        def spied(run, queued, *rest):
+            jobs.extend(queued)
+            return run_split(run, queued, *rest)
+
+        monkeypatch.setattr(harness, "_run_split", spied)
+        self._check(base, {"alpha": [0.1, 0.25, 0.5, 1.0, 2.0]}, cpus)
+        # three parts at the whole budget, so a split; then parts within the
+        # budget over the process count, one point each, across the processes
+        assert jobs == [[0], [1], [2], [3], [4]]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_diverging_point(self):
+        base = ExperimentConfig(
+            method="sg", problem="logistic", dataset=TRAIN, test_dataset=TEST,
+            alpha=1.0, batch_size=20, n_seeds=3,
+        )
+        got = self._check(base, {"alpha": [0.25, 1e308, 1.0], "batch_size": [10, 20]}, 2)
+        assert [e.diverged for e in got.entries] == [False, False, True, True, False, False]
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        problem=st.sampled_from(["quadratic", "nonconvex_pl"]),
+        method=st.sampled_from(["trish", "sg"]),
+        alphas=st.lists(st.sampled_from([0.01, 0.1, 0.5, 1e200]), min_size=1, max_size=3,
+                        unique=True),
+        sigmas=st.lists(st.sampled_from([0.1, 0.5, 2.0]), min_size=2, max_size=3, unique=True),
+        seeds=st.integers(1, 3),
+        cpus=st.integers(2, 4),
+    )
+    def test_drawn_synthetic_grid(self, problem, method, alphas, sigmas, seeds, cpus):
+        base = synthetic_config(problem=problem, method=method, n_seeds=seeds, dimension=2,
+                                max_iterations=30)
+        grid = {"alpha": alphas, "sigma": sigmas}
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e200 may overflow a mean
+            try:
+                with _cpus(1):
+                    tune_grid(base, grid)
+            except harness.GridDivergedError:  # every point diverged: so must the split say
+                forks = []
+                with _cpus(cpus, forks), pytest.raises(harness.GridDivergedError):
+                    tune_grid(base, grid)
+                assert forks
+            else:
+                self._check(base, grid, cpus)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_the_queue_runs_longest_first(self, processes):
+        def run(job):  # each process's jobs, in the order it runs them
+            taken[os.getpid()] = taken.get(os.getpid(), "") + job
+            time.sleep(0.01)
+            return job, taken[os.getpid()]
+
+        taken = {}
+        results = harness._run_split(run, ["a", "b", "c", "d"], [1, 5, 3, 4], processes)
+        assert [job for job, _ in results] == ["a", "b", "c", "d"]
+        # each process takes the queue's jobs in its order: b (5), d (4), c (3), a (1)
+        for job, order in results:
+            assert order == "".join(sorted(order, key="bdca".index))
+        if processes == 1:
+            assert results[0][1] == "bdca"
+        _assert_no_child_left()
+
+
+def _grid_for_hygiene():
+    base = ExperimentConfig(
+        problem="logistic", dataset=TRAIN, test_dataset=TEST, gamma1=4.0, gamma2=1.6,
+        alpha=1.0, batch_size=20, n_seeds=2,
+    )
+    return base, {"alpha": [0.25, 1.0], "batch_size": [10, 20, 40]}
+
+
+@needs_fork
+class TestTuneSplitHygiene:
+    """Every child is reaped and writes nothing; a failed child's jobs run
+    here; where a split is not safe, none is made."""
+
+    def _parents_blocks(self, monkeypatch, in_child=None):
+        """The number of points of each _run_block call made in this process;
+        a child calls in_child, if given, before each of its blocks."""
+        calls, run_block, parent = [], harness._run_block, os.getpid()
+
+        def spy(configs, *rest, **options):
+            if os.getpid() == parent:
+                calls.append(len(configs))
+            elif in_child is not None:
+                in_child()
+            return run_block(configs, *rest, **options)
+
+        monkeypatch.setattr(harness, "_run_block", spy)
+        return calls
+
+    def test_a_split_leaves_no_child(self, monkeypatch, capfd):
+        base, grid = _grid_for_hygiene()
+        with _cpus(1):
+            want = tune_grid(base, grid)
+        forks = []
+        with _cpus(2, forks):
+            _assert_same_tune(tune_grid(base, grid), want)
+        assert forks == [1]
+        _assert_no_child_left()
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("how", ["exit", "signal", "raise", "short"])
+    def test_a_failed_childs_jobs_run_here(self, monkeypatch, how, capfd):
+        def fail():  # a child, in the job it took from the queue
+            if how == "exit":
+                os._exit(0)
+            if how == "signal":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("a child's own failure")
+
+        def short_send(send, cpu):  # a child that sends all but its last bytes, then exits 0
+            def send_short(pipe):
+                sent = io.BytesIO()
+                send(sent)
+                pipe.write(sent.getvalue()[:-10])
+
+            return fork(send_short, cpu)
+
+        base, grid = _grid_for_hygiene()
+        with _cpus(1):
+            want = tune_grid(base, grid)
+        fork = harness._fork
+        if how == "short":
+            monkeypatch.setattr(harness, "_fork", short_send)
+        calls, forks = self._parents_blocks(monkeypatch, None if how == "short" else fail), []
+        with _cpus(3, forks):
+            _assert_same_tune(tune_grid(base, grid), want)
+        # every block here, those a child took again, then the winner
+        assert forks == [1, 1] and calls == [2, 2, 2, 1]
+        _assert_no_child_left()
+        assert capfd.readouterr() == ("", "")
+
+    def test_a_child_that_cannot_be_placed_takes_no_job(self, monkeypatch, capfd):
+        def fail(cpu):  # only children call it, before they read the queue
+            raise RuntimeError("a child's own failure")
+
+        base, grid = _grid_for_hygiene()
+        with _cpus(1):
+            want = tune_grid(base, grid)
+        monkeypatch.setattr(ingest, "_run_off", fail)
+        calls, forks = self._parents_blocks(monkeypatch), []
+        with _cpus(2, forks):
+            _assert_same_tune(tune_grid(base, grid), want)
+        assert forks == [1] and calls == [2, 2, 2, 1]
+        _assert_no_child_left()
+        assert capfd.readouterr() == ("", "")
+
+    def test_a_failed_fork_leaves_the_jobs_here(self, monkeypatch):
+        base, grid = _grid_for_hygiene()
+        with _cpus(1):
+            want = tune_grid(base, grid)
+        fork, forks = os.fork, []
+
+        def second_fails():
+            forks.append(len(forks))
+            if len(forks) == 2:
+                raise BlockingIOError("no process left")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        with _cpus(3):
+            _assert_same_tune(tune_grid(base, grid), want)
+        assert forks == [0, 1]  # this process and the one child take the queue
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [ValueError("boom"), KeyboardInterrupt()])
+    def test_an_exception_in_this_share_kills_the_children(self, monkeypatch, error, capfd):
+        parent = os.getpid()
+
+        def parents_raise(configs, *rest, **options):
+            if os.getpid() == parent:
+                raise error
+            time.sleep(60)  # a child still marching; only a kill ends it in time
+
+        monkeypatch.setattr(harness, "_run_block", parents_raise)
+        forks, start = [], time.perf_counter()
+        with _cpus(3, forks), pytest.raises(type(error)) as raised:
+            tune_grid(*_grid_for_hygiene())
+        assert raised.value is error and forks == [1, 1]
+        assert time.perf_counter() - start < 30
+        _assert_no_child_left()
+        assert capfd.readouterr() == ("", "")
+
+    def _assert_serial(self, forks):
+        base, grid = _grid_for_hygiene()
+        with _cpus(1):
+            want = tune_grid(base, grid)
+        _assert_same_tune(tune_grid(base, grid), want)
+        assert forks == []
+
+    def test_a_second_thread_keeps_the_tune_serial(self):
+        forks, stop = [], threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            with _cpus(2, forks):
+                self._assert_serial(forks)
+        finally:
+            stop.set()
+            thread.join()
+        with _cpus(2, forks):
+            tune_grid(*_grid_for_hygiene())
+        assert forks == [1]  # the same grid splits once the thread is gone
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
+    def test_one_usable_cpu_keeps_the_tune_serial(self, monkeypatch):
+        cpus, forks = os.sched_getaffinity(0), []
+        monkeypatch.setattr(harness, "_fork", lambda *args: forks.append(args))
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            self._assert_serial(forks)
+        finally:
+            os.sched_setaffinity(0, cpus)
 
 
 _CHUNKED = ExperimentConfig(

@@ -20,6 +20,7 @@ stepsize, whose rows freeze at a non-finite loss.
 import dataclasses
 import functools
 import math
+import os
 from pathlib import Path
 from unittest import mock
 
@@ -339,6 +340,8 @@ def _assert_tune_matches_the_reference(monkeypatch, parts):
         return run_block(configs, *rest, **options)
 
     monkeypatch.setattr(harness, "_run_block", spy)
+    # one usable CPU, so that the serial loop runs every block here, where the spy sees it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     entries = tune_grid(base, grid).entries
     # the grid's block, its parts if it splits, then the winner's own run
     assert blocks == {None: [4, 1], 3: [4, 3, 1, 1], 1: [4, 1, 1, 1, 1, 1]}[parts]
