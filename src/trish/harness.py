@@ -17,8 +17,8 @@ its own stepsize and gamma pair.  A block's points share each seed's
 draws, so tune gives each point the numbers a run of it alone gives.
 _march owns the draw stream; GaussianOracle.sample is the noise formula.
 tune marches its blocks on every usable CPU when they are two jobs or
-more, in children forked by the parser's helper (ingest._fork), with the
-serial loop's output, bit for bit (_run_split).
+more, as jobs of the engine that parses a large file in parts
+(ingest._run_split), with the serial loop's output, bit for bit.
 
 Results hold what their computation produced and nothing that their
 config already says.
@@ -36,7 +36,7 @@ from itertools import product
 import numpy as np
 
 from .core import StepsizeSchedule, TrishParams, _trish_step_batch
-from .ingest import _fork, _processes, _reap, _reaping, _run_off, _this_cpu, load_libsvm
+from .ingest import _processes, _run_off, _run_split, _this_cpu, load_libsvm
 from .oracles import GaussianOracle
 from .problems import (
     LogisticProblem,
@@ -538,56 +538,6 @@ def _unread_fields(config: ExperimentConfig) -> frozenset:
     """The fields that config's problem or method never reads."""
     unread = _SYNTHETIC_FIELDS if config.problem == "logistic" else _LOGISTIC_FIELDS
     return unread | {"gamma1", "gamma2"} if config.method == "sg" else unread
-
-
-def _run_split(run, jobs: list, costs: list, processes: int) -> list:
-    """[run(job) for job in jobs] on `processes` processes: this one, and a
-    child forked by ingest._fork for each other.  The jobs wait in one
-    queue, longest first by cost: the indices of the first 1024 in a pipe,
-    each read whole by one process at a time, so each process takes the
-    next job as soon as it is free.  A child sends back its jobs' indices
-    and results pickled.  This process then runs, in job order, every job
-    whose result did not come back (one left out of the queue, or taken by
-    a child that failed in any way), so every result, and any error a job
-    raises, is the serial loop's.  Every child is reaped before this
-    returns or raises."""
-    import os
-    import pickle  # numpy has loaded both; only tune's split needs them here
-
-    # At most 1024 indices of 4 bytes: one page, which every pipe holds, so the write never blocks.
-    order = sorted(range(len(jobs)), key=lambda j: -costs[j])[:1024]
-    read_end, write_end = os.pipe()
-    results = {}
-    with open(read_end, "rb", buffering=0) as queue, _reaping() as children:
-        with open(write_end, "wb") as feed:  # closed before any fork: the queue ends when empty
-            feed.write(b"".join(j.to_bytes(4, "little") for j in order))
-
-        def march():  # (index, result) of each job this process takes from the queue
-            taken = []
-            while entry := queue.read(4):
-                j = int.from_bytes(entry, "little")
-                taken.append((j, run(jobs[j])))
-            return taken
-
-        def send(pipe):  # the pickled pairs, after their length
-            payload = pickle.dumps(march(), pickle.HIGHEST_PROTOCOL)
-            pipe.write(len(payload).to_bytes(8, "little"))
-            pipe.write(payload)
-
-        cpu = _this_cpu()
-        for _ in range(processes - 1):
-            try:
-                pid, pipe = _fork(send, cpu)
-            except OSError:  # no process to spare: the others take the queue
-                break
-            children[pid] = pipe
-        results.update(march())
-        for pid in list(children):
-            sent = children[pid].read()
-            _reap(children, pid)
-            if len(sent) >= 8 and int.from_bytes(sent[:8], "little") == len(sent) - 8:
-                results.update(pickle.loads(memoryview(sent)[8:]))
-    return [results[j] if j in results else run(jobs[j]) for j in range(len(jobs))]
 
 
 def tune_grid(base_config: ExperimentConfig, grid: dict) -> TuneResult:

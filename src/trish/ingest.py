@@ -30,29 +30,31 @@ size.  Each file is read once; a byte that is not UTF-8 is an error
 like any other.
 
 load_libsvm parses a regular file of at least _SPLIT_BYTES (1 MiB, about
-where splitting starts to pay) in parts, one per usable CPU, when there
-are two or more and the process runs no other thread, since fork copies
-only the calling thread; any other input (a smaller file, a FIFO,
-/dev/stdin) takes the serial parse.  Each part ends at the first '\n'
-at or after an equal byte share of the file.  The first part is parsed
-in the calling process, streamed; each other part in a forked child,
-moved off the caller's CPU, which sends its four arrays down a pipe to
-be appended to the caller's as a block's are, so each process holds one
-block plus its arrays and each entry is held once.  The arrays are the
-serial parse's, bit for bit.  A child that fails in any way leaves the
-whole file to the serial parse, so an error is the serial parse's, at
-the same position, and every child is reaped before load_libsvm returns
-or raises.  A host with only one free CPU gains nothing from the split.
-The rules of when to split (_processes), how a child is forked, placed
-and left (_fork) and how every child is reaped (_reaping) are shared
-with harness.tune_grid, which splits its blocks the same way; each keeps
-its own payload.
+where splitting starts to pay) in parts, one per usable CPU and at most
+one per _SPLIT_BYTES // 2 bytes, when there are two or more and the
+process runs no other thread, since fork copies only the calling thread;
+any other input (a smaller file, a FIFO, /dev/stdin) takes the serial
+parse.  Each part ends at the first '\n' at or after an equal byte share
+of the file.  The parts are jobs of _run_split, the one engine that runs
+work in forked children, shared with harness.tune_grid: the calling
+process and a child per other CPU each parse the parts they take from
+its queue, a child's arrays come back as raw bytes, and a part whose
+child failed in any way is parsed in the calling process.  The parts'
+arrays are then concatenated in file order, one array at a time, each
+part's copy freed once joined, so the caller's transient peak is the
+output plus its largest array (1.66x the output for 2 parts of a
+10 000-row gen_wide file).  The arrays are the serial parse's, bit for bit.  A part with an
+error leaves the whole file to the serial parse, so an error is the
+serial parse's, at the same position, and every child is reaped before
+load_libsvm returns or raises.  A host with only one free CPU gains
+nothing from the split.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import pickle
 import re
 import stat
 import threading
@@ -84,7 +86,6 @@ _UNDECODED = re.compile("[\udc80-\udcff]")
 
 _BLOCK_LINES = 256  # the lines parsed at once; bounds the token strings alive
 _SPLIT_BYTES = 1 << 20  # a regular file from this size is parsed in parts, one per usable CPU
-_PIPE_CHUNK = 1 << 18  # the bytes of a part's arrays appended at once; a multiple of 8
 # A plain block: each line blank or `label index:value ...`, every line
 # ending in '\n'.  Each run of a class is followed by a character the class
 # excludes, so a line can match in one way only and giving back characters
@@ -451,87 +452,117 @@ def _reap(children: dict[int, BinaryIO], pid: int) -> None:
     children.pop(pid).close()
 
 
-def _fork_part(fd: int, start: int, end: int, cpu: int | None) -> tuple[int, BinaryIO]:
-    """_fork a child that parses bytes start to end of fd and sends its
-    rows, entries, largest index and column width, then its four arrays
-    (the row pointers without their leading 0)."""
-
-    def send(pipe: BinaryIO) -> None:
-        with _lines(fd, start, end) as lines:
-            (labels, indptr, columns, values), max_index = _parse(lines)
-        pipe.write(array("q", [len(labels), len(values), max_index, columns.itemsize]))
-        for part in labels, memoryview(indptr)[1:], columns, values:
-            pipe.write(part)
-
-    return _fork(send, cpu)
+def _read(pipe: BinaryIO, size: int) -> bytearray:
+    """The next size bytes of pipe, in a bytearray of this process; EOFError if it ends first."""
+    chunk = bytearray(size)
+    if pipe.readinto(chunk) != size:
+        raise EOFError("a child sent less than it announced")
+    return chunk
 
 
-def _take(pipe: BinaryIO, into: array, count: int, typecode: str, shift: int = 0) -> None:
-    """Append count items of typecode from pipe to `into`, each plus
-    shift and cast to into's type, _PIPE_CHUNK bytes at a time."""
-    left = count * array(typecode).itemsize
-    while left:
-        chunk = pipe.read(min(left, _PIPE_CHUNK))
-        if not chunk:
-            raise EOFError("a part ended early")
-        left -= len(chunk)
-        if shift or typecode != into.typecode:
-            chunk = np.frombuffer(chunk, dtype=typecode) + shift
-            chunk = chunk.astype(into.typecode, copy=False).tobytes()
-        into.frombytes(chunk)
+def _received(pipe: BinaryIO) -> list:
+    """The (index, result) pairs that a child of _run_split sent down pipe:
+    the count and the lengths of its chunks, then the pickle, then the raw
+    bytes of each out-of-band buffer, which the results wrap uncopied."""
+    [count] = array("q", _read(pipe, 8))
+    payload, *buffers = [_read(pipe, size) for size in array("q", _read(pipe, 8 * count))]
+    return pickle.loads(payload, buffers=buffers)
 
 
-def _receive(pipe: BinaryIO, out: list[array], max_index: int) -> int:
-    """Append a child's part from pipe to the file's four arrays in
-    `out`, as _append appends a block; returns the new largest index."""
-    head = pipe.read(4 * 8)
-    if len(head) != 4 * 8:
-        raise EOFError("a part sent no arrays")
-    rows, entries, part_max, width = array("q", head)
-    if part_max > _INT32_MAX >= max_index:
-        out[2] = _widened(out[2])
-    labels, indptr, columns, values = out
-    _take(pipe, labels, rows, "d")
-    _take(pipe, indptr, rows, "q", shift=len(columns))
-    _take(pipe, columns, entries, "q" if width == 8 else "i")
-    _take(pipe, values, entries, "d")
-    return max(max_index, part_max)
+def _run_split(run: Callable, jobs: list, costs: list, processes: int) -> list:
+    """[run(job) for job in jobs] on `processes` processes: this one, and a
+    child forked by _fork for each other.  The jobs wait in one queue,
+    longest first by cost: the indices of the first 1024 in a pipe, each
+    read whole by one process at a time, so each process takes the next
+    job as soon as it is free.  A child sends back its jobs' indices and
+    results pickled with protocol 5, each contiguous array's data as an
+    out-of-band buffer written from where it lies (_received).  This
+    process then runs, in job order, every job whose result did not come
+    back (one left out of the queue, or taken by a child that failed in
+    any way or sent less than all), so every result, and any error a job
+    raises, is the serial loop's.  Every child is reaped before this
+    returns or raises."""
+    # At most 1024 indices of 4 bytes: one page, which every pipe holds, so the write never blocks.
+    order = sorted(range(len(jobs)), key=lambda j: -costs[j])[:1024]
+    read_end, write_end = os.pipe()
+    results = {}
+    with open(read_end, "rb", buffering=0) as queue, _reaping() as children:
+        with open(write_end, "wb") as feed:  # closed before any fork: the queue ends when empty
+            feed.write(b"".join(j.to_bytes(4, "little") for j in order))
+
+        def march():  # (index, result) of each job this process takes from the queue
+            taken = []
+            while entry := queue.read(4):
+                j = int.from_bytes(entry, "little")
+                taken.append((j, run(jobs[j])))
+            return taken
+
+        def send(pipe):  # what _received reads
+            buffers = []
+            chunks = [pickle.dumps(march(), 5, buffer_callback=buffers.append)]
+            chunks += [buffer.raw() for buffer in buffers]
+            pipe.write(array("q", [len(chunks), *map(len, chunks)]))
+            for chunk in chunks:
+                pipe.write(chunk)
+
+        cpu = _this_cpu()
+        for _ in range(processes - 1):
+            try:
+                pid, pipe = _fork(send, cpu)
+            except OSError:  # no process to spare: the others take the queue
+                break
+            children[pid] = pipe
+        results.update(march())
+        for pid in list(children):
+            with suppress(EOFError):  # the child failed before it sent all
+                results.update(_received(children[pid]))
+            _reap(children, pid)
+    return [results[j] if j in results else run(jobs[j]) for j in range(len(jobs))]
 
 
 def _load_in_parts(path: str) -> tuple[LibsvmData, int] | None:
-    """load_libsvm's result for a regular file of at least _SPLIT_BYTES,
-    its first part parsed here and each other part in a forked child, one
-    part per usable CPU (_processes); None, having left no child, to leave
+    """load_libsvm's result for a regular file of at least _SPLIT_BYTES, its
+    parts parsed by _run_split, one per usable CPU (_processes) and at most
+    one per _SPLIT_BYTES // 2 bytes; None, having left no child, to leave
     the file to the serial parse: when a split is not safe or not worth
-    it, and when a child fails in any way, so that any error is the serial
-    parse's."""
+    it, and when a part has an error, since a part's line numbers count
+    from its own start."""
     try:
         info = os.stat(path)  # not open: opening a FIFO would wait for a writer
     except OSError:
         return None
     if not stat.S_ISREG(info.st_mode) or info.st_size < _SPLIT_BYTES:
         return None
-    with open(path, "rb") as handle, _reaping() as children:
+    with open(path, "rb") as handle:
         fd = handle.fileno()
-        cuts = _cuts(fd, os.fstat(fd).st_size, _processes())
+        size = os.fstat(fd).st_size
+        # `or 1`: with _SPLIT_BYTES = 0, a file of any size splits, at most a part per byte
+        cuts = _cuts(fd, size, min(_processes(), size // (_SPLIT_BYTES // 2 or 1)))
         if len(cuts) < 3:  # one part: one process, or one line
             return None
-        cpu = _this_cpu()
-        for start, end in pairwise(cuts[1:]):
-            try:
-                pid, pipe = _fork_part(fd, start, end, cpu)
-            except OSError:
-                return None
-            children[pid] = pipe
-        with _lines(fd, 0, cuts[1]) as lines:
-            out, max_index = _parse(lines)
-        for pid in list(children):
-            try:
-                max_index = _receive(children[pid], out, max_index)
-            except EOFError:  # the child failed before it sent all
-                return None
-            _reap(children, pid)
-    return LibsvmData(*out, max_index), max_index
+
+        def parse(part):  # the part's labels, row ends, columns and values, and largest index
+            with _lines(fd, *part) as lines:
+                try:
+                    out, max_index = _parse(lines)
+                except ParseError:
+                    return None
+            labels, indptr, columns, values = (np.frombuffer(a, a.typecode) for a in out)
+            return [labels, indptr[1:], columns, values], max_index
+
+        jobs = list(pairwise(cuts))
+        parts = _run_split(parse, jobs, [end - start for start, end in jobs], len(jobs))
+    if None in parts:
+        return None
+    max_index = max(part_max for _, part_max in parts)
+    # labels, row ends, columns and values, each a list of the parts' arrays in file order
+    arrays = [list(by_part) for by_part in zip(*(part for part, _ in parts))]
+    del parts  # so that each part's array is freed once joined
+    rows, entries = [labels.size for labels in arrays[0]], [values.size for values in arrays[3]]
+    labels, row_ends, columns, values = (np.concatenate(arrays.pop(0)) for _ in range(4))
+    row_ends += np.repeat(np.cumsum(entries) - entries, rows)  # past the earlier parts' entries
+    indptr = np.concatenate(([0], row_ends))
+    return LibsvmData(labels, indptr, columns, values, max_index), max_index
 
 
 def load_libsvm(path: str) -> tuple[LibsvmData, int]:
@@ -540,7 +571,7 @@ def load_libsvm(path: str) -> tuple[LibsvmData, int]:
     A regular file of at least _SPLIT_BYTES is parsed in parts at once
     when the process may use two CPUs or more and runs no other thread
     (_load_in_parts), with the serial parse's arrays and errors; it is
-    read again, whole, only when a part fails.
+    read again, whole, only when a part has an error.
     """
     try:
         loaded = _load_in_parts(path)

@@ -504,8 +504,8 @@ def _cpus(n, forks=None):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
         if forks is not None:
-            fork = harness._fork
-            patch.setattr(harness, "_fork", lambda send, cpu: forks.append(1) or fork(send, cpu))
+            fork = ingest._fork
+            patch.setattr(ingest, "_fork", lambda send, cpu: forks.append(1) or fork(send, cpu))
         yield
 
 
@@ -701,9 +701,9 @@ class TestTuneSplitHygiene:
         base, grid = _grid_for_hygiene()
         with _cpus(1):
             want = tune_grid(base, grid)
-        fork = harness._fork
+        fork = ingest._fork
         if how == "short":
-            monkeypatch.setattr(harness, "_fork", short_send)
+            monkeypatch.setattr(ingest, "_fork", short_send)
         calls, forks = self._parents_blocks(monkeypatch, None if how == "short" else fail), []
         with _cpus(3, forks):
             _assert_same_tune(tune_grid(base, grid), want)
@@ -787,7 +787,7 @@ class TestTuneSplitHygiene:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
     def test_one_usable_cpu_keeps_the_tune_serial(self, monkeypatch):
         cpus, forks = os.sched_getaffinity(0), []
-        monkeypatch.setattr(harness, "_fork", lambda *args: forks.append(args))
+        monkeypatch.setattr(ingest, "_fork", lambda *args: forks.append(args))
         os.sched_setaffinity(0, {min(cpus)})
         try:
             self._assert_serial(forks)

@@ -6,7 +6,9 @@ import importlib.util
 import io
 import json
 import os
+import pickle
 import re
+import select
 import signal
 import subprocess
 import sys
@@ -14,6 +16,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -708,6 +711,23 @@ class TestParsePerformance:
         output = data.labels.nbytes + data.indptr.nbytes + data.indices.nbytes + data.values.nbytes
         assert peak <= 1.4 * output
 
+    @needs_fork
+    def test_peak_memory_of_a_split_load(self, tmp_path):
+        # this process holds the parts' arrays and, for one array at a time, that array joined
+        path = tmp_path / "wide.libsvm"
+        _gen_wide().generate(str(path), 10_000, seed=3)
+        split = _Split()
+        with _split_into(2, split):
+            tracemalloc.start()
+            try:
+                data, _ = load_libsvm(str(path))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        output = data.labels.nbytes + data.indptr.nbytes + data.indices.nbytes + data.values.nbytes
+        assert split.forks == 1
+        assert peak <= 1.75 * output
+
     def test_linear_scaling(self):
         # per-line cost must stay flat as the input grows 4x; a quadratic
         # accumulation bug would show up as a 4x per-line blowup
@@ -727,23 +747,62 @@ class TestParsePerformance:
         assert large / small <= 3.0
 
 
+class _Split:
+    """What load_libsvm split: the byte ranges it gave _run_split, and the children it forked."""
+
+    def __init__(self):
+        self.parts, self.forks = [], 0
+
+
+def _spy(patch, split):
+    """Record each load's parts and forks in `split`."""
+    run_split, fork = ingest._run_split, ingest._fork
+
+    def queued(run, jobs, *rest):
+        split.parts += jobs
+        return run_split(run, jobs, *rest)
+
+    def forked(send, cpu):
+        split.forks += 1
+        return fork(send, cpu)
+
+    patch.setattr(ingest, "_run_split", queued)
+    patch.setattr(ingest, "_fork", forked)
+
+
 @contextlib.contextmanager
-def _split_into(parts, forked=None):
+def _split_into(parts, split=None):
     """load_libsvm splitting a regular file of any size into `parts`, as on
-    that many usable CPUs; the byte range of each forked part is appended
-    to the list `forked`, if given."""
-    fork_part = ingest._fork_part
-
-    def spied(fd, start, end, cpu):
-        forked.append((start, end))
-        return fork_part(fd, start, end, cpu)
-
+    that many usable CPUs; what it split is recorded in `split`, if given."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_SPLIT_BYTES", 0)
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
-        if forked is not None:
-            patch.setattr(ingest, "_fork_part", spied)
+        if split is not None:
+            _spy(patch, split)
         yield
+
+
+@contextlib.contextmanager
+def _each_child_takes_a_job(patch):
+    """This process waits, after each fork of ingest._fork, until the child
+    has taken a job from _run_split's queue (up to 30 s).  Yields (took,
+    waited): a job calls took() first in a child, and waited gets True for
+    each child that did so in time."""
+    read_end, write_end = os.pipe()
+    fork, waited = ingest._fork, []
+
+    def forked(send, cpu):
+        child = fork(send, cpu)
+        ready = select.select([read_end], [], [], 30)[0]
+        waited.append(bool(ready) and os.read(read_end, 1) == b"x")
+        return child
+
+    patch.setattr(ingest, "_fork", forked)
+    try:
+        yield lambda: os.write(write_end, b"x"), waited
+    finally:
+        os.close(read_end)
+        os.close(write_end)
 
 
 @contextlib.contextmanager
@@ -833,14 +892,14 @@ class TestLoadInParts:
     def _check(self, path, parts):
         with _serial_only():
             want, want_stats = _loaded(path), _stats(path)
-        forked, serial, parse = [], [], ingest.parse_libsvm
-        with _split_into(parts, forked), pytest.MonkeyPatch.context() as patch:
+        split, serial, parse = _Split(), [], ingest.parse_libsvm
+        with _split_into(parts, split), pytest.MonkeyPatch.context() as patch:
             patch.setattr(ingest, "parse_libsvm", lambda lines: serial.append(1) or parse(lines))
             got = _loaded(path)
         with _split_into(parts):
             got_stats = _stats(path)
         if isinstance(want[0], LibsvmData):
-            assert serial == ([] if forked else [1])  # no part failed
+            assert serial == ([] if split.parts else [1])  # no part failed
             assert got[0] == want[0] and got[1:] == want[1:]
             assert got[0].labels.tobytes() == want[0].labels.tobytes()
             assert got[0].values.tobytes() == want[0].values.tobytes()
@@ -848,17 +907,18 @@ class TestLoadInParts:
             assert got == want
         assert got_stats == want_stats
         _assert_no_child_left()
-        return want, forked
+        return want, split
 
     @settings(max_examples=80, deadline=None)
     @given(text=_drawn_file(errors=False), parts=st.integers(2, 4))
     def test_drawn_file_matches_the_serial_parse(self, drawn_path, text, parts):
         drawn_path.write_bytes(text)
-        want, forked = self._check(drawn_path, parts)
+        want, split = self._check(drawn_path, parts)
         assert isinstance(want[0], LibsvmData)
-        with open(drawn_path, "rb") as handle:
-            cuts = ingest._cuts(handle.fileno(), len(text), parts)
-        assert forked == list(zip(cuts[1:-1], cuts[2:]))
+        with open(drawn_path, "rb") as handle:  # at most a part per byte, with _SPLIT_BYTES = 0
+            cuts = ingest._cuts(handle.fileno(), len(text), min(parts, len(text)))
+        assert split.parts == (list(pairwise(cuts)) if len(cuts) > 2 else [])
+        assert split.forks == max(len(cuts) - 2, 0)
 
     @settings(max_examples=80, deadline=None)
     @given(text=_drawn_file(errors=True), parts=st.integers(2, 4))
@@ -867,12 +927,12 @@ class TestLoadInParts:
         want, _ = self._check(drawn_path, parts)
         assert want[1] == str(drawn_path)  # an error, carrying the path
 
-    @pytest.mark.parametrize("at", ["parent", "child"])
+    @pytest.mark.parametrize("at", ["parent", "child"])  # the first part, or the second
     def test_error_in_either_range(self, tmp_path, at):
         path = _rows_file(tmp_path / "bad.libsvm", bad=11 if at == "parent" else 391)
-        want, forked = self._check(path, 2)
+        want, split = self._check(path, 2)
         assert want[2:] == (11 if at == "parent" else 391, 11)
-        [(start, _)] = forked
+        [_, (start, _)] = split.parts
         assert (path.read_bytes().index(b"x") > start) == (at == "child")
 
     @pytest.mark.parametrize("at", ["parent", "child"])
@@ -881,8 +941,8 @@ class TestLoadInParts:
         lines[0 if at == "parent" else -1] = b"1 2147483648:3"
         path = tmp_path / "wide.libsvm"
         path.write_bytes(b"\n".join(lines) + b"\n")
-        want, forked = self._check(path, 2)
-        assert want[1:] == (2**31, np.int64) and len(forked) == 1
+        want, split = self._check(path, 2)
+        assert want[1:] == (2**31, np.int64) and split.forks == 1
 
     def test_long_line_across_the_cut(self, tmp_path):
         # the middle byte falls inside one long line, so the part starts after it
@@ -890,8 +950,9 @@ class TestLoadInParts:
         long_line = ("-1 " + " ".join(f"{i}:0.5" for i in range(1, 500))).encode() + b"\n"
         path = tmp_path / "long.libsvm"
         path.write_bytes(head + long_line + b"1 1:1\n" * 50)
-        want, forked = self._check(path, 2)
-        assert forked == [(len(head) + len(long_line), path.stat().st_size)]
+        want, split = self._check(path, 2)
+        cut = len(head) + len(long_line)
+        assert split.parts == [(0, cut), (cut, path.stat().st_size)]
         assert len(want[0]) == 101
 
     @pytest.mark.parametrize("name", ["train.libsvm", "test.libsvm"])
@@ -901,8 +962,8 @@ class TestLoadInParts:
     def test_generated_wide_file(self, tmp_path):
         path = tmp_path / "wide.libsvm"
         _gen_wide().generate(str(path), 3000, seed=3)
-        want, forked = self._check(path, 2)
-        assert want[2] == np.int32 and len(forked) == 1
+        want, split = self._check(path, 2)
+        assert want[2] == np.int32 and split.forks == 1
 
 
 def test_cuts_fall_after_line_ends(tmp_path):
@@ -929,14 +990,14 @@ class TestPartsHygiene:
     @pytest.mark.parametrize("bad", [None, 5, 395], ids=["ok", "parent-error", "child-error"])
     def test_no_child_outlives_a_load(self, tmp_path, bad, capfd):
         path = _rows_file(tmp_path / "rows.libsvm", bad=bad)
-        forked = []
-        with _split_into(2, forked):
+        split = _Split()
+        with _split_into(2, split):
             if bad is None:
                 assert len(load_libsvm(str(path))[0]) == 400
             else:
                 with pytest.raises(ParseError, match=f"^{bad}:11: "):
                     load_libsvm(str(path))
-        assert len(forked) == 1
+        assert split.forks == 1
         _assert_no_child_left()
         assert capfd.readouterr() == ("", "")
 
@@ -945,24 +1006,32 @@ class TestPartsHygiene:
         self, tmp_path, error, monkeypatch
     ):
         path = _rows_file(tmp_path / "rows.libsvm", rows=4000)
-        lines = ingest._lines
+        lines, parent = ingest._lines, os.getpid()
 
         def parents_raise(fd, start, end):
-            # the children read their ranges; the parent's raises at its first line
-            return lines(fd, start, end) if start else contextlib.nullcontext(_raising(error))
+            # the children read their parts; this process raises at its first line
+            if os.getpid() != parent:
+                return lines(fd, start, end)
+            return contextlib.nullcontext(_raising(error))
 
         monkeypatch.setattr(ingest, "_lines", parents_raise)
-        forked = []
-        with _split_into(3, forked), pytest.raises(type(error)) as raised:
+        split = _Split()
+        with _split_into(3, split), pytest.raises(type(error)) as raised:
             load_libsvm(str(path))
-        assert raised.value is error and len(forked) == 2
+        assert raised.value is error and split.forks == 2
         _assert_no_child_left()
 
     @pytest.mark.parametrize("how", ["exit", "signal", "raise"])
     def test_a_failed_child_leaves_the_file_to_the_serial_parse(
         self, tmp_path, how, monkeypatch, capfd
     ):
-        def fail(cpu):  # only children call it
+        # only for an error: the part of a child that failed is parsed here
+        parent, parse_part = os.getpid(), ingest._parse
+
+        def fail(lines):  # a child, in the part it took from the queue
+            if os.getpid() == parent:
+                return parse_part(lines)
+            took()
             if how == "exit":
                 os._exit(3)
             if how == "signal":
@@ -971,14 +1040,15 @@ class TestPartsHygiene:
 
         path = _rows_file(tmp_path / "rows.libsvm", bad=395)
         good = _rows_file(tmp_path / "good.libsvm")
-        monkeypatch.setattr(ingest, "_run_off", fail)
+        monkeypatch.setattr(ingest, "_parse", fail)
         serial, parse = [], ingest.parse_libsvm
         monkeypatch.setattr(ingest, "parse_libsvm", lambda lines: serial.append(1) or parse(lines))
-        with _split_into(2):
+        with _split_into(2), _each_child_takes_a_job(monkeypatch) as (took, waited):
             with pytest.raises(ParseError, match="^395:11: malformed value 'x'$"):
                 load_libsvm(str(path))
             assert len(load_libsvm(str(good))[0]) == 400
-        assert len(serial) == 2  # each load left the whole file to the serial parse
+        assert waited == [True, True]  # each load's child took a part, then failed
+        assert len(serial) == 1  # the bad file's, for its error; the good one's parts came back
         _assert_no_child_left()
         assert capfd.readouterr() == ("", "")
 
@@ -999,48 +1069,135 @@ class TestPartsHygiene:
         assert forks == [0, 1] and got[0] == want[0] and got[1:] == want[1:]
         _assert_no_child_left()
 
-    def _assert_serial(self, path, forked):
+    def _assert_serial(self, path, split):
         with _serial_only():
             want = _loaded(path)
         got = _loaded(path)
-        assert forked == [] and got[0] == want[0] and got[1:] == want[1:]
+        assert (split.parts, split.forks) == ([], 0) and got[0] == want[0] and got[1:] == want[1:]
 
     def test_a_second_thread_keeps_the_parse_serial(self, tmp_path):
-        path, forked, stop = _rows_file(tmp_path / "rows.libsvm"), [], threading.Event()
+        path, split, stop = _rows_file(tmp_path / "rows.libsvm"), _Split(), threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            with _split_into(2, forked):
-                self._assert_serial(path, forked)
+            with _split_into(2, split):
+                self._assert_serial(path, split)
         finally:
             stop.set()
             thread.join()
-        with _split_into(2, forked):
+        with _split_into(2, split):
             load_libsvm(str(path))
-        assert len(forked) == 1  # the same load splits once the thread is gone
+        assert split.forks == 1  # the same load splits once the thread is gone
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
     def test_one_usable_cpu_keeps_the_parse_serial(self, tmp_path, monkeypatch):
-        path, forked, cpus = _rows_file(tmp_path / "rows.libsvm"), [], os.sched_getaffinity(0)
+        path, split, cpus = _rows_file(tmp_path / "rows.libsvm"), _Split(), os.sched_getaffinity(0)
         monkeypatch.setattr(ingest, "_SPLIT_BYTES", 0)
-        monkeypatch.setattr(ingest, "_fork_part", lambda *args: forked.append(args))
+        _spy(monkeypatch, split)
         os.sched_setaffinity(0, {min(cpus)})
         try:
-            self._assert_serial(path, forked)
+            self._assert_serial(path, split)
         finally:
             os.sched_setaffinity(0, cpus)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
     def test_a_fifo_keeps_the_parse_serial(self, tmp_path):
-        path, fifo, forked = _rows_file(tmp_path / "rows.libsvm"), tmp_path / "rows.fifo", []
+        path, fifo, split = _rows_file(tmp_path / "rows.libsvm"), tmp_path / "rows.fifo", _Split()
         os.mkfifo(fifo)
         copy = "import sys; open(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())"
         writer = subprocess.Popen([sys.executable, "-c", copy, str(path), str(fifo)])
         try:
-            with _split_into(2, forked):
+            with _split_into(2, split):
                 data, _ = load_libsvm(str(fifo))
         finally:
-            assert writer.wait(timeout=60) == 0
+            try:
+                assert writer.wait(timeout=60) == 0
+            finally:  # a writer still blocked, as when the load failed before opening the FIFO
+                writer.kill()
+                writer.wait()
         with _serial_only():
             assert data == load_libsvm(str(path))[0]
-        assert forked == []
+        assert (split.parts, split.forks) == ([], 0)
+
+    def test_a_small_file_is_cut_into_few_parts(self, tmp_path, monkeypatch):
+        # 64 usable CPUs, but a part of at least _SPLIT_BYTES // 2 bytes each
+        path = _rows_file(tmp_path / "rows.libsvm", rows=96_200)
+        assert 1.1 * 2**20 < path.stat().st_size < 1.5 * ingest._SPLIT_BYTES
+        split = _Split()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        _spy(monkeypatch, split)
+        with _serial_only():
+            want = _loaded(path)
+        got = _loaded(path)
+        assert len(split.parts) == 2 and split.forks == 1
+        assert got[0] == want[0] and got[1:] == want[1:]
+        _assert_no_child_left()
+
+
+def _result(job):
+    """A job's result: objects, and arrays of several dtypes and layouts, the
+    last one contiguous, of 800 bytes."""
+    return job, f"job {job}", [
+        np.arange(job + 1) / 7,
+        np.arange(-job, job, dtype=np.int32),
+        np.arange(job, dtype=np.int64) << 40,
+        np.empty(0),
+        np.arange(40.0)[job::3],  # not contiguous, so pickled in-band
+        np.asfortranarray(np.arange(6.0).reshape(2, 3) * job),
+        np.arange(100.0) + job,
+    ]
+
+
+def _as_sent(result):
+    """A result's objects, and each array's dtype, shape and bytes."""
+    job, name, arrays = result
+    return job, name, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@needs_fork
+class TestRunSplit:
+    """Each job's result comes back as run returned it, whichever process ran it."""
+
+    def _run_split(self, monkeypatch):
+        """_run_split's (pid, result) of six jobs on two processes, the child taking one first."""
+        parent = os.getpid()
+        with _each_child_takes_a_job(monkeypatch) as (took, waited):
+
+            def run(job):
+                if os.getpid() != parent:
+                    took()
+                return os.getpid(), _result(job)
+
+            results = ingest._run_split(run, list(range(6)), [1] * 6, 2)
+        assert waited == [True]
+        want = [_as_sent(_result(job)) for job in range(6)]
+        assert [_as_sent(result) for _, result in results] == want
+        _assert_no_child_left()
+        return results
+
+    def test_arrays_come_back_with_their_dtype_shape_and_bytes(self, monkeypatch):
+        loads, buffers_sent = pickle.loads, []
+
+        def spied(payload, *, buffers):
+            buffers = list(buffers)
+            buffers_sent.append(len(buffers))
+            return loads(payload, buffers=buffers)
+
+        monkeypatch.setattr(ingest.pickle, "loads", spied)
+        from_child = [pid for pid, _ in self._run_split(monkeypatch) if pid != os.getpid()]
+        # a child ran some jobs; 6 arrays of each were contiguous, each sent out of band
+        assert from_child and buffers_sent == [6 * len(from_child)]
+
+    def test_a_payload_cut_inside_a_buffer_runs_the_childs_jobs_here(self, monkeypatch):
+        fork = ingest._fork
+
+        def cut(send, cpu):  # a child that sends all but the last 100 bytes of its last array
+            def send_cut(pipe):
+                sent = io.BytesIO()
+                send(sent)
+                pipe.write(sent.getvalue()[:-100])
+
+            return fork(send_cut, cpu)
+
+        monkeypatch.setattr(ingest, "_fork", cut)
+        assert {pid for pid, _ in self._run_split(monkeypatch)} == {os.getpid()}
