@@ -16,9 +16,8 @@ every tune grid point that differs only in _ROW_FIELDS, each row with
 its own stepsize and gamma pair.  A block's points share each seed's
 draws, so tune gives each point the numbers a run of it alone gives.
 _march owns the draw stream; GaussianOracle.sample is the noise formula.
-tune marches its blocks on every usable CPU when they are two jobs or
-more, as jobs of the engine that parses a large file in parts
-(ingest._run_split), with the serial loop's output, bit for bit.
+tune marches its blocks as jobs of _workers._run_split, on every usable
+CPU, with the serial loop's output, bit for bit.
 
 Results hold what their computation produced and nothing that their
 config already says.
@@ -35,8 +34,9 @@ from itertools import product
 
 import numpy as np
 
+from ._workers import _processes, _run_off, _run_split, _this_cpu
 from .core import StepsizeSchedule, TrishParams, _trish_step_batch
-from .ingest import _processes, _run_off, _run_split, _this_cpu, load_libsvm
+from .ingest import load_libsvm
 from .oracles import GaussianOracle
 from .problems import (
     LogisticProblem,
@@ -78,7 +78,7 @@ _PROBLEMS = ("logistic", "quadratic", "nonconvex_pl")
 _ROW_FIELDS = ("alpha", "gamma1", "gamma2", "schedule_a", "schedule_b")  # see _run_block
 _MAX_BLOCK_BYTES = 1 << 30  # see _check_block
 _MAX_STEPS = 1 << 63  # the case counts are int64
-_TUNE_BLOCK_BYTES = 1 << 26  # see _run_block
+_TUNE_BLOCK_BYTES = 1 << 26  # see tune_grid, which cuts blocks into parts
 _CHUNK_BYTES = 1 << 18  # see _prefetched and verify_theorem
 
 
@@ -275,8 +275,8 @@ def _check_block(rows: int, dim: int, width: str) -> None:
 def _block_steps(config: ExperimentConfig, problem) -> int:
     """The iteration count of config's block on problem.  Raises ValueError
     before anything is allocated when the block's iterates, one step's draw
-    or the iteration count passes its limit.  A block that _run_block splits
-    keeps each part's iterates under _TUNE_BLOCK_BYTES, so one config's
+    or the iteration count passes its limit.  tune_grid cuts a block into
+    parts that keep their iterates under _TUNE_BLOCK_BYTES, so one config's
     n_seeds rows are the ones to check."""
     S = config.n_seeds
     if config.problem != "logistic":
@@ -393,8 +393,8 @@ def _run_block(
     configs: list[ExperimentConfig], problem, final_only: bool = False
 ) -> list[ExperimentResult]:
     """Run configs that differ only in _ROW_FIELDS as one block, whose row
-    p*S + i is config p under seed i; one whose iterates and margin-kernel
-    arrays would pass _TUNE_BLOCK_BYTES runs in parts.  Seed i's mini-batch
+    p*S + i is config p under seed i; tune_grid cuts the blocks it hands
+    here into parts within _TUNE_BLOCK_BYTES.  Seed i's mini-batch
     indices (or Gaussian noise) come from default_rng(base_seed + i) a chunk
     of steps per call, the numbers one call per step draws, shared by every
     config.
@@ -410,10 +410,6 @@ def _run_block(
     logistic = config.problem == "logistic"
     dim = problem.metadata.dimension
     n = problem.n_components if logistic else 0
-    fits = _part_points(config, problem, _TUNE_BLOCK_BYTES)
-    if len(configs) > fits:
-        parts = [configs[i:i + fits] for i in range(0, len(configs), fits)]
-        return [result for part in parts for result in _run_block(part, problem, final_only)]
     P = len(configs)
     total = _block_steps(config, problem)
     X = _start_block(P * S, dim, 0.0 if logistic else 1.0)
@@ -558,14 +554,12 @@ def tune_grid(base_config: ExperimentConfig, grid: dict) -> TuneResult:
     itself, and that run's records, at every checkpoint, come back with
     the result.
 
-    Once every block has passed _block_steps, the blocks march on every
-    usable CPU (ingest._processes) when they are two jobs or more (blocks,
-    or the _TUNE_BLOCK_BYTES parts of one): as whole parts, each within
-    _TUNE_BLOCK_BYTES over the process count, so the bound holds across
-    the processes, taken from _run_split's queue.  Each point's result
-    does not depend on how its block is cut, so the output is the serial
-    loop's, bit for bit.  Any other case, and the winner's re-run, stay
-    serial.
+    Once every block has passed _block_steps, each is cut into parts of
+    whole points within _TUNE_BLOCK_BYTES over the process count, so the
+    bound holds across the processes, and the parts are the jobs of
+    _run_split, on _processes() processes but at most one per part at the
+    whole budget.  A point's result depends neither on the cut nor on the
+    order, so the output is the serial loop's, bit for bit.
     """
     normalized = _normalize_grid(grid)
     keys = list(normalized)
@@ -608,15 +602,11 @@ def tune_grid(base_config: ExperimentConfig, grid: dict) -> TuneResult:
 
     results: dict = {}
     processes = min(_processes(), len(parts(_TUNE_BLOCK_BYTES)))
-    if processes > 1:
-        jobs = parts(_TUNE_BLOCK_BYTES // processes)
-        costs = [len(job) * configs[job[0]].n_seeds
-                 * _block_steps(configs[job[0]], point_problems[job[0]]) for job in jobs]
-        for job, block in zip(jobs, _run_split(run, jobs, costs, processes)):
-            results.update(zip(job, block))
-    else:
-        for members in blocks.values():
-            results.update(zip(members, run(members)))
+    jobs = parts(_TUNE_BLOCK_BYTES // processes)
+    costs = [len(job) * configs[job[0]].n_seeds
+             * _block_steps(configs[job[0]], point_problems[job[0]]) for job in jobs]
+    for job, block in zip(jobs, _run_split(run, jobs, costs, processes)):
+        results.update(zip(job, block))
     entries: list[TuneEntry] = []
     candidates = []
     for index, (combo, combo_params) in enumerate(zip(combos, points)):

@@ -31,41 +31,34 @@ like any other.
 
 load_libsvm parses a regular file of at least _SPLIT_BYTES (1 MiB, about
 where splitting starts to pay) in parts, one per usable CPU and at most
-one per _SPLIT_BYTES // 2 bytes, when there are two or more and the
-process runs no other thread, since fork copies only the calling thread;
-any other input (a smaller file, a FIFO, /dev/stdin) takes the serial
-parse.  Each part ends at the first '\n' at or after an equal byte share
-of the file.  The parts are jobs of _run_split, the one engine that runs
-work in forked children, shared with harness.tune_grid: the calling
-process and a child per other CPU each parse the parts they take from
-its queue, a child's arrays come back as raw bytes, and a part whose
-child failed in any way is parsed in the calling process.  The parts'
-arrays are then concatenated in file order, one array at a time, each
-part's copy freed once joined, so the caller's transient peak is the
-output plus its largest array (1.66x the output for 2 parts of a
-10 000-row gen_wide file).  The arrays are the serial parse's, bit for bit.  A part with an
-error leaves the whole file to the serial parse, so an error is the
-serial parse's, at the same position, and every child is reaped before
-load_libsvm returns or raises.  A host with only one free CPU gains
-nothing from the split.
+one per _SPLIT_BYTES // 2 bytes, when _workers._processes allows two or
+more; any other input (a smaller file, a FIFO, /dev/stdin) takes the
+serial parse.  Each part ends at the first '\n' at or after an equal
+byte share of the file.  The parts are jobs of _workers._run_split,
+which describes how they run and where a failed child's part goes.  The
+parts' arrays are then concatenated in file order, one array at a time,
+each part's copy freed once joined, so the caller's transient peak is
+the output plus its largest array (1.66x the output for 2 parts of a
+10 000-row gen_wide file).  The arrays are the serial parse's, bit for
+bit.  A part with an error leaves the whole file to the serial parse, so
+an error is the serial parse's, at the same position, and every child is
+reaped before load_libsvm returns or raises.
 """
 
 from __future__ import annotations
 
 import io
 import os
-import pickle
 import re
 import stat
-import threading
-import warnings
 from array import array
-from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from itertools import islice, pairwise, repeat
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
+
+from ._workers import _processes, _run_split
 
 __all__ = [
     "ParseError",
@@ -331,21 +324,6 @@ def parse_libsvm(lines: Iterable[str]) -> tuple[LibsvmData, int]:
     return LibsvmData(*out, max_index), max_index
 
 
-def _this_cpu() -> int | None:
-    """The CPU the calling thread runs on (field 39 of its Linux stat line), or None."""
-    try:
-        with open("/proc/thread-self/stat", encoding="ascii") as stat_line:
-            return int(stat_line.read().rsplit(")", 1)[1].split()[36])
-    except OSError:
-        return None
-
-
-def _run_off(cpu: int | None) -> None:
-    """Move the calling thread onto the process's CPUs other than cpu, if it has any."""
-    with suppress(OSError, AttributeError):  # one CPU, or no affinity calls: stay put
-        os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
-
-
 class _Range(io.RawIOBase):
     """Bytes start to end of the open file fd, read at their offsets, so
     processes that share the descriptor never move each other's position."""
@@ -384,140 +362,6 @@ def _cuts(fd: int, size: int, parts: int) -> list[int]:
     size, with no part empty."""
     ends = {_line_end(fd, size * part // parts, size) for part in range(1, parts)}
     return sorted({0, size} | ends)
-
-
-def _processes() -> int:
-    """The processes a split may use: the usable CPUs, when os.fork and
-    os.sched_getaffinity exist and the process runs no other thread, since
-    fork copies only the calling thread, so another one's locks could stay
-    held; otherwise 1."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    if threading.active_count() != 1:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _fork(send: Callable[[BinaryIO], None], cpu: int | None) -> tuple[int, BinaryIO]:
-    """Fork a child, moved off cpu, that calls send with the write end of a
-    new pipe, warnings turned into errors; returns its pid and the pipe's
-    read end, for _reaping to hold.  The child writes nothing else, and
-    leaves by os._exit, with 0 only once send has returned, so no exception
-    and no exit handler runs past it.  A failed fork raises OSError and
-    leaves no pipe open."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            warnings.simplefilter("error")  # a warning is a failure, left to the caller to redo
-            _run_off(cpu)
-            with open(write_end, "wb") as pipe:
-                send(pipe)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    return pid, open(read_end, "rb")
-
-
-@contextmanager
-def _reaping() -> Iterator[dict[int, BinaryIO]]:
-    """A dict for forked children, each pid to its pipe's read end.  Once a
-    child's pipe is read, _reap waits for it; each child still held when
-    the block ends, however it ends, is killed (SIGKILL) and reaped, and
-    its pipe closed."""
-    children: dict[int, BinaryIO] = {}
-    try:
-        yield children
-    finally:
-        if children:
-            from signal import SIGKILL  # ~1 ms to import, for splits that fail only
-
-        for pid, pipe in children.items():
-            pipe.close()
-            os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _reap(children: dict[int, BinaryIO], pid: int) -> None:
-    """Wait for a child whose pipe has been read, and close the pipe."""
-    os.waitpid(pid, 0)
-    children.pop(pid).close()
-
-
-def _read(pipe: BinaryIO, size: int) -> bytearray:
-    """The next size bytes of pipe, in a bytearray of this process; EOFError if it ends first."""
-    chunk = bytearray(size)
-    if pipe.readinto(chunk) != size:
-        raise EOFError("a child sent less than it announced")
-    return chunk
-
-
-def _received(pipe: BinaryIO) -> list:
-    """The (index, result) pairs that a child of _run_split sent down pipe:
-    the count and the lengths of its chunks, then the pickle, then the raw
-    bytes of each out-of-band buffer, which the results wrap uncopied."""
-    [count] = array("q", _read(pipe, 8))
-    payload, *buffers = [_read(pipe, size) for size in array("q", _read(pipe, 8 * count))]
-    return pickle.loads(payload, buffers=buffers)
-
-
-def _run_split(run: Callable, jobs: list, costs: list, processes: int) -> list:
-    """[run(job) for job in jobs] on `processes` processes: this one, and a
-    child forked by _fork for each other.  The jobs wait in one queue,
-    longest first by cost: the indices of the first 1024 in a pipe, each
-    read whole by one process at a time, so each process takes the next
-    job as soon as it is free.  A child sends back its jobs' indices and
-    results pickled with protocol 5, each contiguous array's data as an
-    out-of-band buffer written from where it lies (_received).  This
-    process then runs, in job order, every job whose result did not come
-    back (one left out of the queue, or taken by a child that failed in
-    any way or sent less than all), so every result, and any error a job
-    raises, is the serial loop's.  Every child is reaped before this
-    returns or raises."""
-    # At most 1024 indices of 4 bytes: one page, which every pipe holds, so the write never blocks.
-    order = sorted(range(len(jobs)), key=lambda j: -costs[j])[:1024]
-    read_end, write_end = os.pipe()
-    results = {}
-    with open(read_end, "rb", buffering=0) as queue, _reaping() as children:
-        with open(write_end, "wb") as feed:  # closed before any fork: the queue ends when empty
-            feed.write(b"".join(j.to_bytes(4, "little") for j in order))
-
-        def march():  # (index, result) of each job this process takes from the queue
-            taken = []
-            while entry := queue.read(4):
-                j = int.from_bytes(entry, "little")
-                taken.append((j, run(jobs[j])))
-            return taken
-
-        def send(pipe):  # what _received reads
-            buffers = []
-            chunks = [pickle.dumps(march(), 5, buffer_callback=buffers.append)]
-            chunks += [buffer.raw() for buffer in buffers]
-            pipe.write(array("q", [len(chunks), *map(len, chunks)]))
-            for chunk in chunks:
-                pipe.write(chunk)
-
-        cpu = _this_cpu()
-        for _ in range(processes - 1):
-            try:
-                pid, pipe = _fork(send, cpu)
-            except OSError:  # no process to spare: the others take the queue
-                break
-            children[pid] = pipe
-        results.update(march())
-        for pid in list(children):
-            with suppress(EOFError):  # the child failed before it sent all
-                results.update(_received(children[pid]))
-            _reap(children, pid)
-    return [results[j] if j in results else run(jobs[j]) for j in range(len(jobs))]
 
 
 def _load_in_parts(path: str) -> tuple[LibsvmData, int] | None:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from trish import harness, ingest
+from trish import _workers, harness
 from trish.cli import main as cli_main
 from trish.core import StepsizeSchedule, TrishParams, classify_case, step_norm
 from trish.harness import (
@@ -38,10 +38,11 @@ from trish.harness import (
     verification_setup,
     verify_theorem,
 )
-from trish.ingest import _run_off, _this_cpu
+from trish._workers import _run_off, _this_cpu
 from trish.oracles import GaussianOracle
 from trish.problems import NonconvexPLProblem, QuadraticProblem
 from trish.theory import HypothesisError
+from test_workers import _assert_no_child_left
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "trish" / "data"
 TRAIN = str(DATA_DIR / "train.libsvm")
@@ -406,7 +407,7 @@ class TestTuneGrid:
             return run_block(configs, problem, final_only)
 
         monkeypatch.setattr(harness, "_run_block", counted)
-        # one usable CPU, so that the serial loop runs every block here, where the spy sees it
+        # one usable CPU, so that this process runs _run_split's whole queue, where the spy sees it
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         result = tune_grid(base, grid)
         monkeypatch.undo()
@@ -440,7 +441,7 @@ class TestTuneGrid:
             return start_block(n_rows, dim, x1)
 
         monkeypatch.setattr(harness, "_start_block", recorded)
-        # one usable CPU, so that the serial loop runs every block here, where the spy sees it
+        # one usable CPU, so that this process runs _run_split's whole queue, where the spy sees it
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         # room for two points of 2 seeds, 120 columns and 600 training rows
         monkeypatch.setattr(harness, "_TUNE_BLOCK_BYTES", 2 * 8 * 2 * (2 * 120 + 3 * 600))
@@ -504,14 +505,9 @@ def _cpus(n, forks=None):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
         if forks is not None:
-            fork = ingest._fork
-            patch.setattr(ingest, "_fork", lambda send, cpu: forks.append(1) or fork(send, cpu))
+            fork = _workers._fork
+            patch.setattr(_workers, "_fork", lambda send, cpu: forks.append(1) or fork(send, cpu))
         yield
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _assert_same_tune(got, want):
@@ -578,9 +574,10 @@ class TestTuneSplit:
         monkeypatch.setattr(harness, "_TUNE_BLOCK_BYTES", 2 * 8 * 2 * (2 * 120 + 3 * 600))
         jobs, run_split = [], harness._run_split
 
-        def spied(run, queued, *rest):
-            jobs.extend(queued)
-            return run_split(run, queued, *rest)
+        def spied(run, queued, costs, processes):  # the split run's jobs only
+            if processes > 1:
+                jobs.extend(queued)
+            return run_split(run, queued, costs, processes)
 
         monkeypatch.setattr(harness, "_run_split", spied)
         self._check(base, {"alpha": [0.1, 0.25, 0.5, 1.0, 2.0]}, cpus)
@@ -701,9 +698,9 @@ class TestTuneSplitHygiene:
         base, grid = _grid_for_hygiene()
         with _cpus(1):
             want = tune_grid(base, grid)
-        fork = ingest._fork
+        fork = _workers._fork
         if how == "short":
-            monkeypatch.setattr(ingest, "_fork", short_send)
+            monkeypatch.setattr(_workers, "_fork", short_send)
         calls, forks = self._parents_blocks(monkeypatch, None if how == "short" else fail), []
         with _cpus(3, forks):
             _assert_same_tune(tune_grid(base, grid), want)
@@ -719,7 +716,7 @@ class TestTuneSplitHygiene:
         base, grid = _grid_for_hygiene()
         with _cpus(1):
             want = tune_grid(base, grid)
-        monkeypatch.setattr(ingest, "_run_off", fail)
+        monkeypatch.setattr(_workers, "_run_off", fail)
         calls, forks = self._parents_blocks(monkeypatch), []
         with _cpus(2, forks):
             _assert_same_tune(tune_grid(base, grid), want)
@@ -786,13 +783,20 @@ class TestTuneSplitHygiene:
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
     def test_one_usable_cpu_keeps_the_tune_serial(self, monkeypatch):
-        cpus, forks = os.sched_getaffinity(0), []
-        monkeypatch.setattr(ingest, "_fork", lambda *args: forks.append(args))
+        cpus, forks, processes, run_split = os.sched_getaffinity(0), [], [], harness._run_split
+        monkeypatch.setattr(_workers, "_fork", lambda *args: forks.append(args))
+
+        def spied(run, jobs, costs, n):
+            processes.append(n)
+            return run_split(run, jobs, costs, n)
+
+        monkeypatch.setattr(harness, "_run_split", spied)
         os.sched_setaffinity(0, {min(cpus)})
         try:
             self._assert_serial(forks)
         finally:
             os.sched_setaffinity(0, cpus)
+        assert processes == [1, 1]  # this process ran _run_split's queue alone, in both tunes
 
 
 _CHUNKED = ExperimentConfig(

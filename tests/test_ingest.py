@@ -6,9 +6,7 @@ import importlib.util
 import io
 import json
 import os
-import pickle
 import re
-import select
 import signal
 import subprocess
 import sys
@@ -24,7 +22,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trish import cli, ingest
+from trish import _workers, cli, ingest
 from trish.ingest import (
     DatasetStats,
     LibsvmData,
@@ -34,6 +32,7 @@ from trish.ingest import (
     parse_libsvm,
     serialize_libsvm,
 )
+from test_workers import _assert_no_child_left, _each_child_takes_a_job
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = ROOT / "src" / "trish" / "data"
@@ -756,7 +755,7 @@ class _Split:
 
 def _spy(patch, split):
     """Record each load's parts and forks in `split`."""
-    run_split, fork = ingest._run_split, ingest._fork
+    run_split, fork = ingest._run_split, _workers._fork
 
     def queued(run, jobs, *rest):
         split.parts += jobs
@@ -767,7 +766,7 @@ def _spy(patch, split):
         return fork(send, cpu)
 
     patch.setattr(ingest, "_run_split", queued)
-    patch.setattr(ingest, "_fork", forked)
+    patch.setattr(_workers, "_fork", forked)
 
 
 @contextlib.contextmanager
@@ -780,29 +779,6 @@ def _split_into(parts, split=None):
         if split is not None:
             _spy(patch, split)
         yield
-
-
-@contextlib.contextmanager
-def _each_child_takes_a_job(patch):
-    """This process waits, after each fork of ingest._fork, until the child
-    has taken a job from _run_split's queue (up to 30 s).  Yields (took,
-    waited): a job calls took() first in a child, and waited gets True for
-    each child that did so in time."""
-    read_end, write_end = os.pipe()
-    fork, waited = ingest._fork, []
-
-    def forked(send, cpu):
-        child = fork(send, cpu)
-        ready = select.select([read_end], [], [], 30)[0]
-        waited.append(bool(ready) and os.read(read_end, 1) == b"x")
-        return child
-
-    patch.setattr(ingest, "_fork", forked)
-    try:
-        yield lambda: os.write(write_end, b"x"), waited
-    finally:
-        os.close(read_end)
-        os.close(write_end)
 
 
 @contextlib.contextmanager
@@ -827,11 +803,6 @@ def _stats(path):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["stats", "--dataset", str(path)])
     return code, out.getvalue(), err.getvalue()
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _rows_file(path, rows=400, bad=None):
@@ -977,12 +948,6 @@ def test_cuts_fall_after_line_ends(tmp_path):
         assert ingest._cuts(fd, 0, 2) == [0]
 
 
-def _raising(error):
-    """Lines that raise `error` when the parse asks for the first."""
-    raise error
-    yield  # a generator, so nothing is raised before the first line
-
-
 @needs_fork
 class TestPartsHygiene:
     """Every child is reaped, and writes nothing; where a split is not safe, none is made."""
@@ -1000,26 +965,6 @@ class TestPartsHygiene:
         assert split.forks == 1
         _assert_no_child_left()
         assert capfd.readouterr() == ("", "")
-
-    @pytest.mark.parametrize("error", [RuntimeError("boom"), KeyboardInterrupt()])
-    def test_an_exception_in_the_parents_range_reaps_the_children(
-        self, tmp_path, error, monkeypatch
-    ):
-        path = _rows_file(tmp_path / "rows.libsvm", rows=4000)
-        lines, parent = ingest._lines, os.getpid()
-
-        def parents_raise(fd, start, end):
-            # the children read their parts; this process raises at its first line
-            if os.getpid() != parent:
-                return lines(fd, start, end)
-            return contextlib.nullcontext(_raising(error))
-
-        monkeypatch.setattr(ingest, "_lines", parents_raise)
-        split = _Split()
-        with _split_into(3, split), pytest.raises(type(error)) as raised:
-            load_libsvm(str(path))
-        assert raised.value is error and split.forks == 2
-        _assert_no_child_left()
 
     @pytest.mark.parametrize("how", ["exit", "signal", "raise"])
     def test_a_failed_child_leaves_the_file_to_the_serial_parse(
@@ -1052,7 +997,7 @@ class TestPartsHygiene:
         _assert_no_child_left()
         assert capfd.readouterr() == ("", "")
 
-    def test_a_failed_fork_leaves_the_file_to_the_serial_parse(self, tmp_path, monkeypatch):
+    def test_a_failed_fork_leaves_the_parts_to_the_caller_and_children(self, tmp_path, monkeypatch):
         path, fork, forks = _rows_file(tmp_path / "rows.libsvm", rows=4000), os.fork, []
 
         def second_fails():
@@ -1064,9 +1009,12 @@ class TestPartsHygiene:
         monkeypatch.setattr(os, "fork", second_fails)
         with _serial_only():
             want = _loaded(path)
+        serial, parse = [], ingest.parse_libsvm
+        monkeypatch.setattr(ingest, "parse_libsvm", lambda lines: serial.append(1) or parse(lines))
         with _split_into(3):
             got = _loaded(path)
         assert forks == [0, 1] and got[0] == want[0] and got[1:] == want[1:]
+        assert serial == []  # this process and the one child parsed the parts
         _assert_no_child_left()
 
     def _assert_serial(self, path, split):
@@ -1133,71 +1081,3 @@ class TestPartsHygiene:
         assert got[0] == want[0] and got[1:] == want[1:]
         _assert_no_child_left()
 
-
-def _result(job):
-    """A job's result: objects, and arrays of several dtypes and layouts, the
-    last one contiguous, of 800 bytes."""
-    return job, f"job {job}", [
-        np.arange(job + 1) / 7,
-        np.arange(-job, job, dtype=np.int32),
-        np.arange(job, dtype=np.int64) << 40,
-        np.empty(0),
-        np.arange(40.0)[job::3],  # not contiguous, so pickled in-band
-        np.asfortranarray(np.arange(6.0).reshape(2, 3) * job),
-        np.arange(100.0) + job,
-    ]
-
-
-def _as_sent(result):
-    """A result's objects, and each array's dtype, shape and bytes."""
-    job, name, arrays = result
-    return job, name, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
-
-
-@needs_fork
-class TestRunSplit:
-    """Each job's result comes back as run returned it, whichever process ran it."""
-
-    def _run_split(self, monkeypatch):
-        """_run_split's (pid, result) of six jobs on two processes, the child taking one first."""
-        parent = os.getpid()
-        with _each_child_takes_a_job(monkeypatch) as (took, waited):
-
-            def run(job):
-                if os.getpid() != parent:
-                    took()
-                return os.getpid(), _result(job)
-
-            results = ingest._run_split(run, list(range(6)), [1] * 6, 2)
-        assert waited == [True]
-        want = [_as_sent(_result(job)) for job in range(6)]
-        assert [_as_sent(result) for _, result in results] == want
-        _assert_no_child_left()
-        return results
-
-    def test_arrays_come_back_with_their_dtype_shape_and_bytes(self, monkeypatch):
-        loads, buffers_sent = pickle.loads, []
-
-        def spied(payload, *, buffers):
-            buffers = list(buffers)
-            buffers_sent.append(len(buffers))
-            return loads(payload, buffers=buffers)
-
-        monkeypatch.setattr(ingest.pickle, "loads", spied)
-        from_child = [pid for pid, _ in self._run_split(monkeypatch) if pid != os.getpid()]
-        # a child ran some jobs; 6 arrays of each were contiguous, each sent out of band
-        assert from_child and buffers_sent == [6 * len(from_child)]
-
-    def test_a_payload_cut_inside_a_buffer_runs_the_childs_jobs_here(self, monkeypatch):
-        fork = ingest._fork
-
-        def cut(send, cpu):  # a child that sends all but the last 100 bytes of its last array
-            def send_cut(pipe):
-                sent = io.BytesIO()
-                send(sent)
-                pipe.write(sent.getvalue()[:-100])
-
-            return fork(send_cut, cpu)
-
-        monkeypatch.setattr(ingest, "_fork", cut)
-        assert {pid for pid, _ in self._run_split(monkeypatch)} == {os.getpid()}

@@ -340,11 +340,11 @@ def _assert_tune_matches_the_reference(monkeypatch, parts):
         return run_block(configs, *rest, **options)
 
     monkeypatch.setattr(harness, "_run_block", spy)
-    # one usable CPU, so that the serial loop runs every block here, where the spy sees it
+    # one usable CPU, so that this process runs _run_split's whole queue, where the spy sees it
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     entries = tune_grid(base, grid).entries
-    # the grid's block, its parts if it splits, then the winner's own run
-    assert blocks == {None: [4, 1], 3: [4, 3, 1, 1], 1: [4, 1, 1, 1, 1, 1]}[parts]
+    # the grid's block or its parts, longest first, then the winner's own run
+    assert blocks == {None: [4, 1], 3: [3, 1, 1], 1: [1, 1, 1, 1, 1]}[parts]
     assert len(entries) == 4
     for entry in entries:
         finals = reference_run(dataclasses.replace(base, **entry.params))
