@@ -42,7 +42,7 @@ from trish._workers import _run_off, _this_cpu
 from trish.oracles import GaussianOracle
 from trish.problems import NonconvexPLProblem, QuadraticProblem
 from trish.theory import HypothesisError
-from test_workers import _assert_no_child_left
+from test_workers import _assert_no_child_left, needs_fork
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "trish" / "data"
 TRAIN = str(DATA_DIR / "train.libsvm")
@@ -492,10 +492,6 @@ _CRITERION_10_GRIDS = {
              "tune_batch_size = 5, 10, 20\n",
     "sg": "method = sg\ntune_alpha = 0.1, 0.25, 0.5, 1, 2, 4\ntune_batch_size = 5, 10, 20\n",
 }
-needs_fork = pytest.mark.skipif(
-    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
-    reason="no fork or CPU affinity calls",
-)
 
 
 @contextlib.contextmanager

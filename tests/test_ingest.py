@@ -32,14 +32,13 @@ from trish.ingest import (
     parse_libsvm,
     serialize_libsvm,
 )
-from test_workers import _assert_no_child_left, _each_child_takes_a_job
+from test_workers import _assert_no_child_left, _each_child_takes_a_job, needs_fork
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = ROOT / "src" / "trish" / "data"
 SCRIPTS_DIR = ROOT / "scripts"
 # whether load_libsvm can parse a file in parts on this platform
 _SPLITS = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-needs_fork = pytest.mark.skipif(not _SPLITS, reason="no fork or CPU affinity calls")
 
 
 @contextlib.contextmanager
