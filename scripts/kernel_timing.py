@@ -8,15 +8,15 @@ bundled training split, a perfbench/gen_wide.py file of --rows rows
 (written under a temporary directory and deleted after the load) and a
 generated power-law layout: --rows // 10 rows of lognormal values whose
 stored lengths are 1 + floor(Pareto(1.2)), capped at 5000.  Then it times
-one LogisticProblem.block_gradient call on the bundled split (5 seeds of
-a batch of 10 at 20 points, as on the criterion-10 grids) and one
-core._trish_step_batch call on that block.  Last come verify's layers at
-guarantee 5's 2000 x 1 block: one core._trish_step_batch call, one step
-of its march (the gradient, the stepsize, the noise draw and the step),
-and one chunk fill, the standard_normal call that draws a chunk of
-harness._CHUNK_BYTES (16 steps of the block) on the march's helper
-thread.  Each line prints the median milliseconds per call over
---repeats timed rounds.
+one LogisticProblem.block_gradient call on the bundled split at 5 seeds of
+a batch of 10, for one point (as a run) and for 20 points (as on the
+criterion-10 grids), and one core._trish_step_batch call on the 20-point
+block.  Last come verify's layers at guarantee 5's 2000 x 1 block: one
+core._trish_step_batch call, one step of its march (the gradient, the
+stepsize, the noise draw and the step), and one chunk fill, the
+standard_normal call that draws a chunk of harness._CHUNK_BYTES (16 steps
+of the block) on the march's helper thread.  Each line prints the median
+milliseconds per call over --repeats timed rounds.
 
     python scripts/kernel_timing.py                          # 40 000 gen_wide rows
     python scripts/kernel_timing.py --rows 2000 --repeats 1  # a quick check
@@ -111,13 +111,14 @@ def main(argv: list[str] | None = None) -> int:
     indices = rng.integers(0, len(train), size=(seeds, batch))
     X = 0.1 * rng.standard_normal((points * seeds, train.width))
     G = problem.block_gradient(indices, X)
-    for layer, call in (
-        ("block_gradient", lambda: problem.block_gradient(indices, X)),
-        ("trish_step", lambda: _trish_step_batch(X, G, 0.5, 2.0, 0.8)),
+    for layer, R, call in (
+        ("block_gradient", seeds, lambda: problem.block_gradient(indices, X[:seeds])),
+        ("block_gradient", points * seeds, lambda: problem.block_gradient(indices, X)),
+        ("trish_step", points * seeds, lambda: _trish_step_batch(X, G, 0.5, 2.0, 0.8)),
     ):
         ms = ms_per_call(call, args.repeats)
         print(f"{layer:<16} {'train':<10} {len(train):>8} {train.values.size:>9} "
-              f"{points * seeds:>4} {ms:>9.3f}", flush=True)
+              f"{R:>4} {ms:>9.3f}", flush=True)
     setup = verification_setup(5)
     gammas = (setup.params.gamma1, setup.params.gamma2)
     X = np.full((setup.n_seeds, 1), setup.x1)

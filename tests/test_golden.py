@@ -9,7 +9,8 @@ x86-64); another BLAS may round the last bits differently, and numpy does
 not promise its generators' streams across versions (NEP 19), so a
 failure names the numpy version that recorded the table.  The table must
 also hold with numpy's SIMD dispatch capped at the x86-64-v2 baseline,
-which the last test checks in a child process.
+and with OpenBLAS's Haswell (AVX2) kernels in place of the host's, which
+the last test checks in child processes.
 
 To print the digests of the current code, run
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -133,11 +134,27 @@ def test_every_command_has_a_digest():
     assert sorted(GOLDEN) == sorted(COMMANDS)
 
 
-def test_digests_hold_with_simd_dispatch_capped():
+def _openblas_core(env) -> str:
+    """The core OpenBLAS reports picking in a child run with env ('' if none:
+    numpy's BLAS is then not an OpenBLAS built for several cores)."""
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True,
+                           text=True, timeout=60, env={**env, "OPENBLAS_VERBOSE": "2"})
+    return next((line.split(":", 1)[1].strip() for line in probe.stderr.splitlines()
+                 if line.startswith("Core:")), "")
+
+
+@pytest.mark.parametrize("capped", [
+    {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
+    {"OPENBLAS_CORETYPE": "Haswell"},
+], ids=["numpy-x86-64-v2", "openblas-haswell"])
+def test_digests_hold_with_simd_dispatch_capped(capped):
     """The digest tests above, in a child process whose numpy dispatches no
-    kernel past x86-64-v2 (AVX-512 and AVX2 off), so a kernel whose bits
-    depend on the host's SIMD fails here and not on a reader's machine."""
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}
+    kernel past x86-64-v2 (AVX-512 and AVX2 off), or whose OpenBLAS runs its
+    Haswell kernels (AVX2, no AVX-512), so a kernel whose bits depend on the
+    host's SIMD fails here and not on a reader's machine."""
+    env = {**os.environ, **capped}
+    if "OPENBLAS_CORETYPE" in capped and _openblas_core(env) != capped["OPENBLAS_CORETYPE"]:
+        pytest.skip("numpy's BLAS is not an OpenBLAS that runs its Haswell kernels here")
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
          "-k", "not simd_dispatch_capped"],

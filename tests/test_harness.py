@@ -7,6 +7,8 @@ import math
 import os
 import re
 import signal
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -635,6 +637,26 @@ class TestTuneSplit:
         _assert_no_child_left()
 
 
+# `trish tune` on the config at argv[1], --out argv[2], in a fresh process as
+# on two usable CPUs; stderr gets its exit code, its forks and whether a
+# child was left unreaped.
+_FRESH_TUNE = """
+import os, sys
+from trish import _workers
+from trish.cli import main
+forks, fork = [], _workers._fork
+_workers._fork = lambda send, cpu: forks.append(1) or fork(send, cpu)
+os.sched_getaffinity = lambda pid: {0, 1}
+code = main(["tune", "--config", sys.argv[1], "--out", sys.argv[2]])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(code, len(forks), left, file=sys.stderr)
+"""
+
+
 def _grid_for_hygiene():
     base = ExperimentConfig(
         problem="logistic", dataset=TRAIN, test_dataset=TEST, gamma1=4.0, gamma2=1.6,
@@ -776,6 +798,26 @@ class TestTuneSplitHygiene:
         with _cpus(2, forks):
             tune_grid(*_grid_for_hygiene())
         assert forks == [1]  # the same grid splits once the thread is gone
+
+    def test_a_blas_thread_pool_changes_no_byte(self, tmp_path):
+        # OpenBLAS's pool adds an OS thread that threading.active_count()
+        # does not see, so the tune still forks with the pool running
+        conf = tmp_path / "tune.conf"
+        conf.write_text(f"problem = logistic\ndataset = {TRAIN}\ntest_dataset = {TEST}\n"
+                        "epochs = 1\nn_seeds = 5\n" + _CRITERION_10_GRIDS["trish"])
+        src = str(Path(harness.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"best-{threads}.csv"
+            done = subprocess.run(
+                [sys.executable, "-c", _FRESH_TUNE, str(conf), str(out)],
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, timeout=60,
+            )
+            assert done.stderr == "0 1 False\n"  # exit 0, one child, none left
+            outputs.append((done.stdout.replace(str(out), "<out>"), out.read_bytes()))
+        assert outputs[1] == outputs[0]
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
     def test_one_usable_cpu_keeps_the_tune_serial(self, monkeypatch):

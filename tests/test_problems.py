@@ -447,6 +447,18 @@ class TestBlockGradient:
                 np.testing.assert_allclose(block[row], expected, rtol=1e-12, atol=1e-15)
         assert ("_dense_features" in vars(problem)) == (gather == "dense")
 
+    @pytest.mark.parametrize("batch", [5, 10, 20])
+    def test_a_point_rounds_as_it_does_alone(self, gather, batch):
+        # a tune block's row p*S + i is bit for bit what grid point p's own
+        # run (a one-point block) gets from seed i's rows
+        problem = LogisticProblem(_bundled("train.libsvm"))
+        rng = np.random.default_rng(batch)
+        points, seeds, d = 20, 5, problem.train.width
+        indices = rng.integers(0, problem.n_components, size=(seeds, batch))
+        W = 0.5 * rng.standard_normal((points * seeds, d))
+        alone = [problem.block_gradient(indices, w) for w in W.reshape(points, seeds, d)]
+        np.testing.assert_array_equal(problem.block_gradient(indices, W), np.concatenate(alone))
+
     def test_sampling_is_unbiased(self):
         problem = self._problem()
         w = np.random.default_rng(1).normal(size=7)
@@ -722,7 +734,10 @@ class TestKernelTimingScript:
             for layout in ("train", "gen_wide", "power_law")
             for R in ("1", "5", "100")
             for layer in ("margins", "reference_loop")
-        ] + [["block_gradient", "train", "100"], ["trish_step", "train", "100"]] + [
+        ] + [
+            ["block_gradient", "train", "5"], ["block_gradient", "train", "100"],
+            ["trish_step", "train", "100"],
+        ] + [
             ["trish_step", "theta5", "2000"], ["theta5_step", "theta5", "2000"],
             ["chunk_fill", "theta5", "2000"],
         ]
