@@ -9,12 +9,14 @@ runs, since fork copies only the calling thread), else 1.  The jobs wait
 in one queue, longest first by cost: a pipe of job indices, each read
 whole by one process, so each process takes the next job as soon as it
 is free.  A child (_fork) runs off the caller's CPU with warnings as
-errors, leaves by os._exit, and sends its results pickled with protocol
-5, each contiguous array's data out of band (_received).  This process
-then runs every job whose result did not come back (taken by a child
-that failed in any way, or past the queue's 1024), so every result, and
-any error a job raises, is the serial loop's.  Every child is killed if
-need be and reaped before _run_split returns or raises (_reaping).
+errors, leaves by os._exit, and dumps its results down its pipe as one
+protocol-5 pickle, which this process loads straight from the pipe: each
+array's bytes are read once, into the memory the array then wraps.  This
+process then runs every job whose result did not come back (taken by a
+child that failed in any way, so its pickle is cut short, or past the
+queue's 1024), so every result, and any error a job raises, is the
+serial loop's.  Every child is killed if need be and reaped before
+_run_split returns or raises (_reaping).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import os
 import pickle
 import threading
 import warnings
-from array import array
 from contextlib import contextmanager, suppress
 from typing import BinaryIO, Callable, Iterator
 
@@ -109,23 +110,6 @@ def _reap(children: dict[int, BinaryIO], pid: int) -> None:
     children.pop(pid).close()
 
 
-def _read(pipe: BinaryIO, size: int) -> bytearray:
-    """The next size bytes of pipe, in a bytearray of this process; EOFError if it ends first."""
-    chunk = bytearray(size)
-    if pipe.readinto(chunk) != size:
-        raise EOFError("a child sent less than it announced")
-    return chunk
-
-
-def _received(pipe: BinaryIO) -> list:
-    """The (index, result) pairs that a child of _run_split sent down pipe:
-    the count and the lengths of its chunks, then the pickle, then the raw
-    bytes of each out-of-band buffer, which the results wrap uncopied."""
-    [count] = array("q", _read(pipe, 8))
-    payload, *buffers = [_read(pipe, size) for size in array("q", _read(pipe, 8 * count))]
-    return pickle.loads(payload, buffers=buffers)
-
-
 def _run_split(run: Callable, jobs: list, costs: list, processes: int) -> list:
     """[run(job) for job in jobs] on `processes` processes: this one, and a
     child forked by _fork for each other, as the module docstring says."""
@@ -144,24 +128,16 @@ def _run_split(run: Callable, jobs: list, costs: list, processes: int) -> list:
                 taken.append((j, run(jobs[j])))
             return taken
 
-        def send(pipe):  # what _received reads
-            buffers = []
-            chunks = [pickle.dumps(march(), 5, buffer_callback=buffers.append)]
-            chunks += [buffer.raw() for buffer in buffers]
-            pipe.write(array("q", [len(chunks), *map(len, chunks)]))
-            for chunk in chunks:
-                pipe.write(chunk)
-
         cpu = _this_cpu()
         for _ in range(processes - 1):
             try:
-                pid, pipe = _fork(send, cpu)
+                pid, pipe = _fork(lambda pipe: pickle.dump(march(), pipe, 5), cpu)
             except OSError:  # no process to spare: the others take the queue
                 break
             children[pid] = pipe
         results.update(march())
         for pid in list(children):
-            with suppress(EOFError):  # the child failed before it sent all
-                results.update(_received(children[pid]))
+            with suppress(EOFError, pickle.UnpicklingError):  # cut short: the child failed
+                results.update(pickle.load(children[pid]))
             _reap(children, pid)
     return [results[j] if j in results else run(jobs[j]) for j in range(len(jobs))]

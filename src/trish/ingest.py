@@ -380,8 +380,7 @@ def _load_in_parts(path: str) -> tuple[LibsvmData, int] | None:
     with open(path, "rb") as handle:
         fd = handle.fileno()
         size = os.fstat(fd).st_size
-        # `or 1`: with _SPLIT_BYTES = 0, a file of any size splits, at most a part per byte
-        cuts = _cuts(fd, size, min(_processes(), size // (_SPLIT_BYTES // 2 or 1)))
+        cuts = _cuts(fd, size, min(_processes(), size // (_SPLIT_BYTES // 2)))
         if len(cuts) < 3:  # one part: one process, or one line
             return None
 

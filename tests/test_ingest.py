@@ -770,10 +770,10 @@ def _spy(patch, split):
 
 @contextlib.contextmanager
 def _split_into(parts, split=None):
-    """load_libsvm splitting a regular file of any size into `parts`, as on
+    """load_libsvm splitting a regular file of 2 bytes or more into `parts`, as on
     that many usable CPUs; what it split is recorded in `split`, if given."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ingest, "_SPLIT_BYTES", 0)
+        patch.setattr(ingest, "_SPLIT_BYTES", 2)
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
         if split is not None:
             _spy(patch, split)
@@ -885,7 +885,7 @@ class TestLoadInParts:
         drawn_path.write_bytes(text)
         want, split = self._check(drawn_path, parts)
         assert isinstance(want[0], LibsvmData)
-        with open(drawn_path, "rb") as handle:  # at most a part per byte, with _SPLIT_BYTES = 0
+        with open(drawn_path, "rb") as handle:  # at most a part per byte, with _SPLIT_BYTES = 2
             cuts = ingest._cuts(handle.fileno(), len(text), min(parts, len(text)))
         assert split.parts == (list(pairwise(cuts)) if len(cuts) > 2 else [])
         assert split.forks == max(len(cuts) - 2, 0)
@@ -1039,7 +1039,7 @@ class TestPartsHygiene:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
     def test_one_usable_cpu_keeps_the_parse_serial(self, tmp_path, monkeypatch):
         path, split, cpus = _rows_file(tmp_path / "rows.libsvm"), _Split(), os.sched_getaffinity(0)
-        monkeypatch.setattr(ingest, "_SPLIT_BYTES", 0)
+        monkeypatch.setattr(ingest, "_SPLIT_BYTES", 2)
         _spy(monkeypatch, split)
         os.sched_setaffinity(0, {min(cpus)})
         try:

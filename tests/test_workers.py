@@ -6,6 +6,7 @@ import io
 import os
 import select
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +57,7 @@ def _result(job):
         np.arange(-job, job, dtype=np.int32),
         np.arange(job, dtype=np.int64) << 40,
         np.empty(0),
-        np.arange(40.0)[job::3],  # not contiguous, so pickled in-band
+        np.arange(40.0)[job::3],  # not contiguous
         np.asfortranarray(np.arange(6.0).reshape(2, 3) * job),
         np.arange(100.0) + job,
     ]
@@ -91,17 +92,30 @@ class TestRunSplit:
         return results
 
     def test_arrays_come_back_with_their_dtype_shape_and_bytes(self, monkeypatch):
-        loads, buffers_sent = _workers.pickle.loads, []
+        assert any(pid != os.getpid() for pid, _ in self._run_split(monkeypatch))
 
-        def spied(payload, *, buffers):
-            buffers = list(buffers)
-            buffers_sent.append(len(buffers))
-            return loads(payload, buffers=buffers)
+    def test_a_childs_array_is_read_once_into_its_own_memory(self, monkeypatch):
+        """This process's peak across the call, while a child sends it an 8 MiB
+        array, is that array and little more: no second copy of its bytes."""
+        parent, size = os.getpid(), 1 << 20
+        with _each_child_takes_a_job(monkeypatch) as (took, waited):
 
-        monkeypatch.setattr(_workers.pickle, "loads", spied)
-        from_child = [pid for pid, _ in self._run_split(monkeypatch) if pid != os.getpid()]
-        # a child ran some jobs; 6 arrays of each were contiguous, each sent out of band
-        assert from_child and buffers_sent == [6 * len(from_child)]
+            def run(job):  # the child takes job 0 first: the queue's first, read before ours
+                if job or os.getpid() == parent:
+                    return None
+                took()
+                return np.arange(float(size))
+
+            tracemalloc.start()
+            try:
+                results = _workers._run_split(run, [0, 1], [1, 1], 2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert waited == [True] and results[1] is None
+        np.testing.assert_array_equal(results[0], np.arange(float(size)))
+        assert peak <= 1.25 * results[0].nbytes
+        _assert_no_child_left()
 
     def test_a_payload_cut_inside_a_buffer_runs_the_childs_jobs_here(self, monkeypatch):
         fork = _workers._fork
@@ -111,6 +125,24 @@ class TestRunSplit:
                 sent = io.BytesIO()
                 send(sent)
                 pipe.write(sent.getvalue()[:-100])
+
+            return fork(send_cut, cpu)
+
+        monkeypatch.setattr(_workers, "_fork", cut)
+        assert {pid for pid, _ in self._run_split(monkeypatch)} == {os.getpid()}
+
+    @pytest.mark.parametrize(
+        "end", [0, 5, -1], ids=["nothing", "inside-the-frame-header", "all-but-stop"]
+    )
+    def test_a_pickle_cut_anywhere_runs_the_childs_jobs_here(self, end, monkeypatch):
+        # cut at 0 bytes, loading raises EOFError; at the other two, UnpicklingError
+        fork = _workers._fork
+
+        def cut(send, cpu):  # a child that sends its pickle up to end
+            def send_cut(pipe):
+                sent = io.BytesIO()
+                send(sent)
+                pipe.write(sent.getvalue()[:end])
 
             return fork(send_cut, cpu)
 
