@@ -15,8 +15,9 @@ array's bytes are read once, into the memory the array then wraps.  This
 process then runs every job whose result did not come back (taken by a
 child that failed in any way, so its pickle is cut short, or past the
 queue's 1024), so every result, and any error a job raises, is the
-serial loop's.  Every child is killed if need be and reaped before
-_run_split returns or raises (_reaping).
+serial loop's.  Every child is killed and reaped in one place,
+_reaping, before _run_split returns or raises; a child that has already
+exited is unmoved by the signal.
 """
 
 from __future__ import annotations
@@ -87,27 +88,21 @@ def _fork(send: Callable[[BinaryIO], None], cpu: int | None) -> tuple[int, Binar
 
 @contextmanager
 def _reaping() -> Iterator[dict[int, BinaryIO]]:
-    """A dict for forked children, each pid to its pipe's read end.  Once a
-    child's pipe is read, _reap waits for it; each child still held when
-    the block ends, however it ends, is killed (SIGKILL) and reaped, and
-    its pipe closed."""
+    """A dict for forked children, each pid to its pipe's read end.  When
+    the block ends, however it ends, each child's pipe is closed and the
+    child killed (SIGKILL) and reaped; one that has already exited is a
+    zombie, which the signal leaves as it is."""
     children: dict[int, BinaryIO] = {}
     try:
         yield children
     finally:
         if children:
-            from signal import SIGKILL  # ~1 ms to import, for splits that fail only
+            from signal import SIGKILL  # ~1 ms to import, for splits only
 
         for pid, pipe in children.items():
             pipe.close()
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
-
-
-def _reap(children: dict[int, BinaryIO], pid: int) -> None:
-    """Wait for a child whose pipe has been read, and close the pipe."""
-    os.waitpid(pid, 0)
-    children.pop(pid).close()
 
 
 def _run_split(run: Callable, jobs: list, costs: list, processes: int) -> list:
@@ -136,8 +131,7 @@ def _run_split(run: Callable, jobs: list, costs: list, processes: int) -> list:
                 break
             children[pid] = pipe
         results.update(march())
-        for pid in list(children):
+        for pipe in children.values():
             with suppress(EOFError, pickle.UnpicklingError):  # cut short: the child failed
-                results.update(pickle.load(children[pid]))
-            _reap(children, pid)
+                results.update(pickle.load(pipe))
     return [results[j] if j in results else run(jobs[j]) for j in range(len(jobs))]

@@ -414,7 +414,6 @@ def _run_block(
     total = _block_steps(config, problem)
     X = _start_block(P * S, dim, 0.0 if logistic else 1.0)
     targets = _checkpoint_iterations(config.checkpoint_fractions, total)
-    last = max(targets)
     rngs = [np.random.default_rng(config.base_seed + i) for i in range(S)]
     width = config.batch_size if logistic else dim  # the numbers a seed draws per step
 

@@ -9,25 +9,23 @@ non-finite values) are refused on purpose, since they usually mean the
 file is not what the user thinks it is.
 
 Lines are read in blocks of 256 (_BLOCK_LINES).  Each block is parsed
-into four block-local buffers (labels, row ends, 0-based columns,
-values), which are then appended to the file's four flat arrays; these
-become one LibsvmData, which wraps them without a copy.  The file's
-columns are int32, half the memory of int64; they widen once to int64
-when an index passes 2^31 - 1.  A plain block, ASCII lines that are
-each blank or a label and index:value pairs of digits, signs, '.', 'e'
-and 'E' separated by spaces, tabs or carriage returns, is recognised by
-one regex pass (an atomic group of possessive runs, which needs Python
-3.11) and parsed with numpy in one pass, its numbers converted by
+straight into the file's four flat arrays (labels, row pointers, 0-based
+columns, values), which become one LibsvmData that wraps them without a
+copy.  The columns are int32, half the memory of int64; they widen once
+to int64 when an index passes 2^31 - 1.  A plain block, ASCII lines that
+are each blank or a label and index:value pairs of digits, signs, '.',
+'e' and 'E' separated by spaces, tabs or carriage returns, is recognised
+by one regex pass (an atomic group of possessive runs, which needs
+Python 3.11) and parsed with numpy in one pass, its numbers converted by
 numpy's C text reader.  Every other block goes through the line parser,
-and so does a plain block whose numbers fail a check: a token the
-reader refuses, a non-finite number, an index below 1 or from 2^53 up,
-indices that do not rise within a row.  The line parser is the
-reference: both paths give the same arrays, and only the line parser
-reports errors, so the first error in file order is the one reported,
-at its exact position.  Memory is one 256-line block plus the four flat
-arrays, with no object per example, and time is linear in the input
-size.  Each file is read once; a byte that is not UTF-8 is an error
-like any other.
+and so does a plain block whose numbers fail a check: a token the reader
+refuses, a non-finite number, an index below 1 or from 2^53 up, indices
+that do not rise within a row.  The line parser is the reference: both
+paths give the same arrays, and only the line parser reports errors, so
+the first error in file order is the one reported, at its exact
+position.  Memory is one 256-line block plus the four flat arrays, with
+no object per example, and time is linear in the input size.  Each file
+is read once; a byte that is not UTF-8 is an error like any other.
 
 load_libsvm parses a regular file of at least _SPLIT_BYTES (1 MiB, about
 where splitting starts to pay) in parts, one per usable CPU and at most
@@ -167,9 +165,10 @@ def _above_index_max(digits: str) -> bool:
     return (len(digits), digits) > (len(_INDEX_MAX), _INDEX_MAX)
 
 
-def _parse_lines(lines: list[str], first_lineno: int, out: tuple[array, ...]) -> int:
+def _parse_lines(lines: list[str], first_lineno: int, out: list[array]) -> int:
     """The line parser: append `lines`, the first numbered `first_lineno`,
-    to the four buffers in `out`; returns the largest index among them."""
+    to the file's four arrays in `out`, widening its columns (_widened)
+    at the first index past 2^31 - 1; returns the largest index among them."""
     labels, indptr, columns, values = out
     max_index = 0
     for lineno, line in enumerate(lines, start=first_lineno):
@@ -203,6 +202,8 @@ def _parse_lines(lines: list[str], first_lineno: int, out: tuple[array, ...]) ->
                     lineno, column, f"non-increasing index {index} after {prev}"
                 )
             values.append(_parse_float(tail, lineno, column + len(head) + 1, "value"))
+            if index > _INT32_MAX and columns.typecode == "i":
+                columns = out[2] = _widened(columns)
             columns.append(index - 1)
             prev = index
         indptr.append(len(columns))
@@ -227,10 +228,11 @@ def _joined(block: list[str]) -> str | None:
     return None
 
 
-def _parse_plain(block: list[str], out: tuple[array, ...]) -> int | None:
-    """Parse a plain block with numpy, appending it to the buffers in
-    `out`; returns its largest index, or None, having appended nothing,
-    to leave the block to the line parser."""
+def _parse_plain(block: list[str], out: list[array]) -> int | None:
+    """Parse a plain block with numpy, appending it to the file's four
+    arrays in `out`, its columns widened (_widened) if an index passes
+    2^31 - 1; returns its largest index, or None, having appended
+    nothing, to leave the block to the line parser."""
     text = _joined(block)
     if text is None or not text.isascii() or not _PLAIN.fullmatch(text):
         return None
@@ -262,25 +264,15 @@ def _parse_plain(block: list[str], out: tuple[array, ...]) -> int | None:
     first_in_row[row_starts[pairs > 0]] = True
     if not (first_in_row[1:] | (np.diff(index) > 0)).all():
         return None
+    max_index = int(index.max()) if n_pairs else 0
+    if max_index > _INT32_MAX and out[2].typecode == "i":
+        out[2] = _widened(out[2])
     labels, indptr, columns, values = out
     indptr.frombytes((row_ends + len(columns)).tobytes())
-    columns.frombytes((index.astype(np.int64) - 1).tobytes())
+    columns.frombytes((index - 1).astype(columns.typecode).tobytes())
     labels.frombytes(numbers[at_label].tobytes())
     values.frombytes(value.tobytes())
-    return int(index.max()) if n_pairs else 0
-
-
-def _append(block: tuple[array, ...], out: list[array]) -> None:
-    """Append a block's four buffers to the file's in `out`: its row ends
-    shifted past the file's columns, its columns cast to their type."""
-    labels, indptr, columns, values = out
-    block_labels, row_ends, block_columns, block_values = block
-    labels.extend(block_labels)
-    indptr.frombytes((np.frombuffer(row_ends, dtype=np.int64) + len(columns)).tobytes())
-    columns.frombytes(
-        np.frombuffer(block_columns, dtype=np.int64).astype(columns.typecode).tobytes()
-    )
-    values.extend(block_values)
+    return max_index
 
 
 def _widened(columns: array) -> array:
@@ -298,14 +290,10 @@ def _parse(lines: Iterable[str]) -> tuple[list[array], int]:
     lines = iter(lines)
     lineno = 1
     while block := list(islice(lines, _BLOCK_LINES)):
-        block_out = array("d"), array("q"), array("q"), array("d")
-        block_max = _parse_plain(block, block_out)
+        block_max = _parse_plain(block, out)
         if block_max is None:
-            block_max = _parse_lines(block, lineno, block_out)
-        if block_max > _INT32_MAX >= max_index:
-            out[2] = _widened(out[2])
+            block_max = _parse_lines(block, lineno, out)
         max_index = max(max_index, block_max)
-        _append(block_out, out)
         lineno += len(block)
     return out, max_index
 
@@ -320,7 +308,7 @@ def parse_libsvm(lines: Iterable[str]) -> tuple[LibsvmData, int]:
     comment lines included.
     """
     out, max_index = _parse(lines)
-    # numpy wraps the four buffers without copying them
+    # numpy wraps the four arrays without copying them
     return LibsvmData(*out, max_index), max_index
 
 

@@ -319,9 +319,6 @@ class LogisticProblem:
         product (gemm) over the points would be faster but round
         differently at P > 1 than at P = 1.  The bits therefore rest on
         the BLAS gemv kernel numpy loads, not only on numpy's own loops.
-        Against the einsum sums this replaced, a gradient on the
-        criterion-10 tunes moved by at most 3e-14 of its largest entry,
-        and no printed byte moved.
         """
         indices = np.asarray(indices)
         S, b = indices.shape

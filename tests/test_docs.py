@@ -8,7 +8,8 @@ that leaves a file of scripts/ or demos/ unnamed.
 
 Every name in `trish.__all__` must be read by the package itself, a demo,
 a script or an acceptance criterion.  A name that only tests read belongs
-in the tests.
+in the tests.  Every local name a package function assigns must be read
+in that function or in one nested in it.
 """
 
 import ast
@@ -58,13 +59,14 @@ def test_readme_names_every_script_and_demo():
 
 
 def names_read(tree: ast.AST) -> set[str]:
-    """Each Name or Attribute in tree, outside the def or class of that name."""
+    """Each Name or Attribute read in tree, outside the def or class of that name."""
     found = set()
 
     def visit(node, enclosing):
-        if isinstance(node, ast.Name) and node.id not in enclosing:
+        read = isinstance(getattr(node, "ctx", None), ast.Load)
+        if read and isinstance(node, ast.Name) and node.id not in enclosing:
             found.add(node.id)
-        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+        elif read and isinstance(node, ast.Attribute) and node.attr not in enclosing:
             found.add(node.attr)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             enclosing = enclosing | {node.name}
@@ -80,3 +82,20 @@ def test_every_export_is_read_outside_the_tests():
     for path in USERS:
         read |= names_read(ast.parse(path.read_text(encoding="utf-8")))
     assert sorted(set(trish.__all__) - read) == []
+
+
+def test_every_local_is_read():
+    unread = []
+    for path in sorted((ROOT / "src" / "trish").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assigned = {
+                    node.id
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                }
+                unread += [
+                    f"{path.name}:{func.name}:{name}"
+                    for name in sorted(assigned - names_read(func) - {"_"})
+                ]
+    assert unread == []

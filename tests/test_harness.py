@@ -486,6 +486,8 @@ class TestTuneGrid:
             tune_grid(base, {"alpha": []})
         with pytest.raises(ValueError, match="does not match"):
             tune_grid(base, {("gamma1", "gamma2"): [(2.0, 0.8, 1.0)]})
+        with pytest.raises(ValueError, match="at least one field"):
+            tune_grid(base, {(): [()]})
 
 
 # The criterion-10 grids as `trish tune` reads them; gamma2 follows gamma1 at 0.4.

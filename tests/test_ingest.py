@@ -633,14 +633,15 @@ class TestColumnWidth:
         assert data.indices.dtype == np.int32
 
     @pytest.mark.parametrize(
-        "line, columns, line_parsed",
+        "line, columns, line_parsed, widened_at",
         [
-            ("1 2147483648:1 9007199254740991:2", [2**31 - 1, 2**53 - 2], []),
-            ("1 9223372036854775807:1", [2**63 - 2], [513, 769]),  # from 2^53, not plain
+            ("1 2147483648:1 9007199254740991:2", [2**31 - 1, 2**53 - 2], [], 512 * 3),
+            # from 2^53, not plain; the line parser widens at line 600's first pair
+            ("1 9223372036854775807:1", [2**63 - 2], [513, 769], 512 * 3 + 87 * 3),
         ],
         ids=["plain", "line-parser"],
     )
-    def test_widen_once_past_int32(self, line, columns, line_parsed, monkeypatch):
+    def test_widen_once_past_int32(self, line, columns, line_parsed, widened_at, monkeypatch):
         # blocks 1 and 2 (lines 1-512) stay int32; lines 600 and 801, in
         # blocks 3 and 4, hold indices past 2^31 - 1
         lines = _plain_lines(900, at=600, line=line)
@@ -661,7 +662,7 @@ class TestColumnWidth:
             patch.setattr(ingest, "_widened", spied_widened)
             parse_libsvm(lines)
         assert parsed == line_parsed
-        assert widened == [512 * 3]
+        assert widened == [widened_at]
         data, max_index = _assert_same_as_line_parser(lines)
         assert max_index == columns[-1] + 1
         assert data.indices.dtype == np.int64

@@ -131,6 +131,8 @@ class TestGaussianOracle:
         moments = oracle.moments(dim=4)
         assert moments.m1 == pytest.approx(4 * 0.25)
         assert moments.m2 == 1.0
+        with pytest.raises(ValueError, match="dimension must be at least 1, got 0"):
+            oracle.moments(dim=0)
 
     def test_moments_coupled_requires_alpha_max(self):
         oracle = GaussianOracle.coupled(2.0)
@@ -233,6 +235,9 @@ class TestTwoPointOracle:
         assert TwoPointOracle(value_pos=1.0, value_neg=-1.0, prob_pos=0.5).mean == 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             TwoPointOracle().mean = 2.0
+        for prob_pos in (0.0, 1.0):
+            with pytest.raises(ValueError, match="prob_pos must lie in"):
+                TwoPointOracle(prob_pos=prob_pos)
 
     def test_sample_frequencies(self):
         oracle = TwoPointOracle()

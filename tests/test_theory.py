@@ -493,6 +493,14 @@ class TestTheoremConstants:
             FixedStepsizeConstants.for_fixed_stepsize(
                 params, 0.1, 1.1, 1.0, 1.0, 1.0, 1.0, 0.1, -0.5
             )
+        with pytest.raises(ValueError, match="L must be positive"):
+            FixedStepsizeConstants.for_fixed_stepsize(
+                params, 0.1, 1.1, 1.0, 0.0, 1.0, 1.0, 0.1, 0.5
+            )
+        with pytest.raises(ValueError, match="moment constants"):
+            FixedStepsizeConstants.for_fixed_stepsize(
+                params, 0.1, 1.1, 1.0, 1.0, 0.0, 1.0, 0.1, 0.5
+            )
 
 
 CONSTANTS_TYPES = [FixedStepsizeConstants, HarmonicStepsizeConstants, GeometricNoiseConstants]
