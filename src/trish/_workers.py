@@ -96,12 +96,9 @@ def _reaping() -> Iterator[dict[int, BinaryIO]]:
     try:
         yield children
     finally:
-        if children:
-            from signal import SIGKILL  # ~1 ms to import, for splits only
-
         for pid, pipe in children.items():
             pipe.close()
-            os.kill(pid, SIGKILL)
+            os.kill(pid, 9)  # SIGKILL on Linux, where splits run (_processes): no signal import
             os.waitpid(pid, 0)
 
 

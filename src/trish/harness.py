@@ -241,16 +241,16 @@ def _build_problem(config: ExperimentConfig):
     if config.problem in _SYNTHETIC:
         _check_block(config.n_seeds, config.dimension, "the dimension field")  # before allocating
         return _SYNTHETIC[config.problem](config.dimension)
-    train, train_max = load_libsvm(config.dataset)
+    train, _ = load_libsvm(config.dataset)
     if not train:
         raise ValueError(f"dataset {config.dataset} holds no examples")
-    test, test_max = (None, 0)
+    test = None
     if config.test_dataset is not None:
-        test, test_max = load_libsvm(config.test_dataset)
+        test, _ = load_libsvm(config.test_dataset)
         if not test:
             raise ValueError(f"dataset {config.test_dataset} holds no examples")
     # One shared dimension so train and test live in the same space.
-    dim = max(train_max, test_max, 1)
+    dim = max(train.width, test.width if test is not None else 0, 1)
 
     def split(data):
         return dataclasses.replace(data, width=dim, labels=normalize_binary_labels(data.labels))
@@ -274,10 +274,10 @@ def _check_block(rows: int, dim: int, width: str) -> None:
 
 def _block_steps(config: ExperimentConfig, problem) -> int:
     """The iteration count of config's block on problem.  Raises ValueError
-    before anything is allocated when the block's iterates, one step's draw
-    or the iteration count passes its limit.  tune_grid cuts a block into
-    parts that keep their iterates under _TUNE_BLOCK_BYTES, so one config's
-    n_seeds rows are the ones to check."""
+    before anything is allocated when the block's iterates, one step's
+    draw, a checkpoint's metrics or the iteration count passes its limit.
+    tune_grid cuts a block into parts that keep their iterates under
+    _TUNE_BLOCK_BYTES, so one config's n_seeds rows are the ones to check."""
     S = config.n_seeds
     if config.problem != "logistic":
         _check_block(S, config.dimension, "the dimension field")
@@ -285,11 +285,19 @@ def _block_steps(config: ExperimentConfig, problem) -> int:
     else:
         n, b = problem.n_components, config.batch_size
         _check_block(S, problem.metadata.dimension, "the dataset width")
-        # One step draws S*b indices and gathers S*b rows of nnz/n stored entries.
-        if 8 * S * b * (n + problem.train.values.size) > _MAX_BLOCK_BYTES * n:
+        # One step draws S*b indices and gathers S*b rows of nnz/n stored
+        # entries; the gather holds ~5.2 float64 for each index and entry.
+        if 48 * S * b * (n + problem.train.values.size) > _MAX_BLOCK_BYTES * n:
             raise ValueError(
                 f"{b}-example mini-batches (--batch) for {S} seeds (--seeds) pass "
                 f"the {_MAX_BLOCK_BYTES >> 30} GiB limit on one step's draw"
+            )
+        # A checkpoint's metrics hold ~3.2 float64 per seed per example of each split.
+        examples = n + len(problem.test or ())
+        if 32 * S * examples > _MAX_BLOCK_BYTES:
+            raise ValueError(
+                f"{S} seeds (--seeds) over {examples} examples pass "
+                f"the {_MAX_BLOCK_BYTES >> 30} GiB limit on checkpoint metrics"
             )
         steps, source = math.ceil(n / b) * config.epochs, "--epochs"
     if steps >= _MAX_STEPS:

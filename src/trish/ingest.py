@@ -33,14 +33,14 @@ one per _SPLIT_BYTES // 2 bytes, when _workers._processes allows two or
 more; any other input (a smaller file, a FIFO, /dev/stdin) takes the
 serial parse.  Each part ends at the first '\n' at or after an equal
 byte share of the file.  The parts are jobs of _workers._run_split,
-which describes how they run and where a failed child's part goes.  The
-parts' arrays are then concatenated in file order, one array at a time,
-each part's copy freed once joined, so the caller's transient peak is
-the output plus its largest array (1.66x the output for 2 parts of a
-10 000-row gen_wide file).  The arrays are the serial parse's, bit for
-bit.  A part with an error leaves the whole file to the serial parse, so
-an error is the serial parse's, at the same position, and every child is
-reaped before load_libsvm returns or raises.
+which describes how they run and where a failed child's part goes.  A
+part's labels, row lengths, columns and values are then concatenated in
+file order, one array at a time, each part's copy freed once joined, so
+the caller's transient peak is the output plus its largest array (1.656x
+the output for 2 parts of a 10 000-row gen_wide file).  The arrays are
+the serial parse's, bit for bit.  A part with an error leaves the whole
+file to the serial parse, so an error is the serial parse's, at the same
+position, and every child is reaped before load_libsvm returns or raises.
 """
 
 from __future__ import annotations
@@ -165,12 +165,11 @@ def _above_index_max(digits: str) -> bool:
     return (len(digits), digits) > (len(_INDEX_MAX), _INDEX_MAX)
 
 
-def _parse_lines(lines: list[str], first_lineno: int, out: list[array]) -> int:
+def _parse_lines(lines: list[str], first_lineno: int, out: list[array]) -> None:
     """The line parser: append `lines`, the first numbered `first_lineno`,
     to the file's four arrays in `out`, widening its columns (_widened)
-    at the first index past 2^31 - 1; returns the largest index among them."""
+    at the first index past 2^31 - 1."""
     labels, indptr, columns, values = out
-    max_index = 0
     for lineno, line in enumerate(lines, start=first_lineno):
         if not line.isascii() and (found := _UNDECODED.search(line)):
             byte = ord(found.group()) - 0xDC00
@@ -207,9 +206,6 @@ def _parse_lines(lines: list[str], first_lineno: int, out: list[array]) -> int:
             columns.append(index - 1)
             prev = index
         indptr.append(len(columns))
-        if prev > max_index:
-            max_index = prev
-    return max_index
 
 
 def _joined(block: list[str]) -> str | None:
@@ -228,21 +224,21 @@ def _joined(block: list[str]) -> str | None:
     return None
 
 
-def _parse_plain(block: list[str], out: list[array]) -> int | None:
+def _parse_plain(block: list[str], out: list[array]) -> bool:
     """Parse a plain block with numpy, appending it to the file's four
     arrays in `out`, its columns widened (_widened) if an index passes
-    2^31 - 1; returns its largest index, or None, having appended
-    nothing, to leave the block to the line parser."""
+    2^31 - 1; returns whether it did, having appended nothing if not, to
+    leave the block to the line parser."""
     text = _joined(block)
     if text is None or not text.isascii() or not _PLAIN.fullmatch(text):
-        return None
+        return False
     spaced = text.translate(_TO_SPACES)
     numbers = np.empty(0)
     if not spaced.isspace():  # loadtxt warns on a block with no number
         try:
             numbers = np.loadtxt([spaced], dtype=float, comments=None, ndmin=1)
         except ValueError:  # a token that float() refuses, such as '.' or '1-2'
-            return None
+            return False
     raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     starts = np.concatenate(([0], np.flatnonzero(raw[:-1] == ord("\n")) + 1))
     # the regex leaves only separators at or below ' ', so a line with a
@@ -254,25 +250,24 @@ def _parse_plain(block: list[str], out: list[array]) -> int | None:
     row_starts = row_ends - pairs
     n_pairs = int(pairs.sum())
     if numbers.size != pairs.size + 2 * n_pairs or not np.isfinite(numbers).all():
-        return None
+        return False
     at_label = np.arange(pairs.size) + 2 * row_starts
     index_value = np.delete(numbers, at_label)
     index, value = index_value[0::2], index_value[1::2]
     if not ((index >= 1) & (index < _EXACT_INDEX)).all():
-        return None
+        return False
     first_in_row = np.zeros(n_pairs, dtype=bool)
     first_in_row[row_starts[pairs > 0]] = True
     if not (first_in_row[1:] | (np.diff(index) > 0)).all():
-        return None
-    max_index = int(index.max()) if n_pairs else 0
-    if max_index > _INT32_MAX and out[2].typecode == "i":
+        return False
+    if n_pairs and index.max() > _INT32_MAX and out[2].typecode == "i":
         out[2] = _widened(out[2])
     labels, indptr, columns, values = out
     indptr.frombytes((row_ends + len(columns)).tobytes())
     columns.frombytes((index - 1).astype(columns.typecode).tobytes())
     labels.frombytes(numbers[at_label].tobytes())
     values.frombytes(value.tobytes())
-    return max_index
+    return True
 
 
 def _widened(columns: array) -> array:
@@ -282,20 +277,22 @@ def _widened(columns: array) -> array:
     return wide
 
 
-def _parse(lines: Iterable[str]) -> tuple[list[array], int]:
-    """parse_libsvm's four flat arrays (labels, row pointers, columns,
-    values) and the largest index, before numpy wraps them."""
+def _parse(lines: Iterable[str]) -> list[np.ndarray]:
+    """parse_libsvm's four flat arrays: labels, row pointers, columns and
+    values, which numpy wraps without a copy."""
     out = [array("d"), array("q", [0]), array("i"), array("d")]
-    max_index = 0
     lines = iter(lines)
     lineno = 1
     while block := list(islice(lines, _BLOCK_LINES)):
-        block_max = _parse_plain(block, out)
-        if block_max is None:
-            block_max = _parse_lines(block, lineno, out)
-        max_index = max(max_index, block_max)
+        if not _parse_plain(block, out):
+            _parse_lines(block, lineno, out)
         lineno += len(block)
-    return out, max_index
+    return [np.frombuffer(a, a.typecode) for a in out]
+
+
+def _width(columns: np.ndarray) -> int:
+    """The width of 0-based columns: their largest 1-based index, 0 when there are none."""
+    return int(columns.max()) + 1 if columns.size else 0
 
 
 def parse_libsvm(lines: Iterable[str]) -> tuple[LibsvmData, int]:
@@ -307,8 +304,8 @@ def parse_libsvm(lines: Iterable[str]) -> tuple[LibsvmData, int]:
     as errors="surrogateescape" decodes it, is a ParseError on any line,
     comment lines included.
     """
-    out, max_index = _parse(lines)
-    # numpy wraps the four arrays without copying them
+    out = _parse(lines)
+    max_index = _width(out[2])
     return LibsvmData(*out, max_index), max_index
 
 
@@ -355,10 +352,10 @@ def _cuts(fd: int, size: int, parts: int) -> list[int]:
 def _load_in_parts(path: str) -> tuple[LibsvmData, int] | None:
     """load_libsvm's result for a regular file of at least _SPLIT_BYTES, its
     parts parsed by _run_split, one per usable CPU (_processes) and at most
-    one per _SPLIT_BYTES // 2 bytes; None, having left no child, to leave
-    the file to the serial parse: when a split is not safe or not worth
-    it, and when a part has an error, since a part's line numbers count
-    from its own start."""
+    one per _SPLIT_BYTES // 2 bytes, their row lengths summed into row
+    pointers; None, having left no child, to leave the file to the serial
+    parse: when a split is not safe or not worth it, and when a part has
+    an error, since a part's line numbers count from its own start."""
     try:
         info = os.stat(path)  # not open: opening a FIFO would wait for a writer
     except OSError:
@@ -372,27 +369,24 @@ def _load_in_parts(path: str) -> tuple[LibsvmData, int] | None:
         if len(cuts) < 3:  # one part: one process, or one line
             return None
 
-        def parse(part):  # the part's labels, row ends, columns and values, and largest index
+        def parse(part):  # the part's labels, row lengths, columns and values
             with _lines(fd, *part) as lines:
                 try:
-                    out, max_index = _parse(lines)
+                    labels, indptr, columns, values = _parse(lines)
                 except ParseError:
                     return None
-            labels, indptr, columns, values = (np.frombuffer(a, a.typecode) for a in out)
-            return [labels, indptr[1:], columns, values], max_index
+            return labels, np.diff(indptr), columns, values
 
         jobs = list(pairwise(cuts))
         parts = _run_split(parse, jobs, [end - start for start, end in jobs], len(jobs))
     if None in parts:
         return None
-    max_index = max(part_max for _, part_max in parts)
-    # labels, row ends, columns and values, each a list of the parts' arrays in file order
-    arrays = [list(by_part) for by_part in zip(*(part for part, _ in parts))]
+    # labels, row lengths, columns and values, each a list of the parts' arrays in file order
+    arrays = [list(by_part) for by_part in zip(*parts)]
     del parts  # so that each part's array is freed once joined
-    rows, entries = [labels.size for labels in arrays[0]], [values.size for values in arrays[3]]
-    labels, row_ends, columns, values = (np.concatenate(arrays.pop(0)) for _ in range(4))
-    row_ends += np.repeat(np.cumsum(entries) - entries, rows)  # past the earlier parts' entries
-    indptr = np.concatenate(([0], row_ends))
+    labels, lengths, columns, values = (np.concatenate(arrays.pop(0)) for _ in range(4))
+    indptr = np.concatenate(([0], np.cumsum(lengths, out=lengths)))
+    max_index = _width(columns)
     return LibsvmData(labels, indptr, columns, values, max_index), max_index
 
 
@@ -447,7 +441,7 @@ def dataset_stats(data: LibsvmData) -> DatasetStats:
     columns, n = data.indices, len(data)
     return DatasetStats(
         count=n,
-        max_index=int(columns.max()) + 1 if columns.size else 0,
+        max_index=_width(columns),
         nnz=columns.size,
         label_balance=int(np.count_nonzero(data.labels > 0)) / n if n else 0.0,
     )

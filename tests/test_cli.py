@@ -388,6 +388,34 @@ class TestExitCodes:
             "pass the 1 GiB limit on one step's draw\n"
         )
 
+    def test_seeds_too_many_for_one_steps_gather(self, capsys):
+        # Each seed's gather holds ~5.2 float64 per drawn index and entry:
+        # these 70 000 seeds used to pass every limit and peak at 3.4 GiB.
+        argv = ["run", "--dataset", TRAIN, "--method", "sg", "--alpha", "0.1",
+                "--batch", "100", "--seeds", "70000"]
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_USAGE
+        assert peak < 64 << 20
+        assert capsys.readouterr().err == (
+            "trish: error: 100-example mini-batches (--batch) for 70000 seeds (--seeds) "
+            "pass the 1 GiB limit on one step's draw\n"
+        )
+
+    def test_seeds_too_many_for_checkpoint_metrics(self, capsys, monkeypatch):
+        # ~3.2 float64 per seed per example of train (600) and test (400)
+        monkeypatch.setattr(trish.harness, "_MAX_BLOCK_BYTES", 8 << 20)
+        argv = ["run", "--dataset", TRAIN, "--test-dataset", TEST, "--method", "sg",
+                "--alpha", "0.1", "--batch", "1", "--seeds", "2000"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("trish: error: 2000 seeds (--seeds) over 1000 examples pass ")
+        assert err.endswith(" limit on checkpoint metrics\n") and err.count("\n") == 1
+
     def test_tune_refuses_an_oversized_block_before_any_block_marches(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -5,6 +5,8 @@ import contextlib
 import io
 import os
 import select
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -165,6 +167,36 @@ class TestRunSplit:
         assert raised.value is error and len(forks) == 2
         assert time.perf_counter() - start < 30
         _assert_no_child_left()
+
+
+@needs_fork
+def test_a_split_imports_no_signal_module():
+    """_reaping kills a child by signal number, so a process that splits
+    never imports signal; run in a fresh process, since pytest imports it."""
+    code = (
+        "import sys; from trish import _workers; "
+        "print(_workers._run_split(abs, [0, 1], [1, 1], 2), 'signal' in sys.modules)"
+    )
+    path = os.pathsep.join(filter(None, [str(SOURCES.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[0, 1] False\n", "")
+
+
+def test_no_cpu_without_a_stat_line(monkeypatch):
+    def unreadable(*args, **kwargs):
+        raise FileNotFoundError("no /proc/thread-self/stat")
+
+    monkeypatch.setattr(_workers, "open", unreadable, raising=False)
+    assert _workers._this_cpu() is None
+
+
+@pytest.mark.parametrize("call", ["fork", "sched_getaffinity"])
+def test_one_process_without_fork_or_affinity_calls(call, monkeypatch):
+    monkeypatch.delattr(os, call, raising=False)
+    assert _workers._processes() == 1
 
 
 def _tree(name):
